@@ -17,7 +17,7 @@ import numpy as np
 
 from .constellation import Constellation
 from .geometry import eci_to_geodetic
-from .harness import ExperimentResult, PathLogRow
+from .harness import ExperimentResult, PathLogError, PathLogRow
 from .metrics import ConnectionSeries, ConnectionSummary
 from .scenario import Scenario, scenario_to_dict
 from .topology import EislStats, Snapshot
@@ -43,22 +43,23 @@ def _parse_t(text: str) -> datetime:
     return datetime.fromisoformat(text)
 
 
+_PATH_COLUMNS = (
+    "t",
+    "algorithm",
+    "src_station",
+    "dst_station",
+    "src_sat",
+    "hop_list",
+    "latency_ms",
+    "hops",
+    "status",
+)
+
+
 def write_paths_csv(rows: Sequence[PathLogRow], path: FsPath) -> None:
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(
-            [
-                "t",
-                "algorithm",
-                "src_station",
-                "dst_station",
-                "src_sat",
-                "hop_list",
-                "latency_ms",
-                "hops",
-                "status",
-            ]
-        )
+        w.writerow(_PATH_COLUMNS)
         for r in rows:
             w.writerow(
                 [
@@ -76,23 +77,29 @@ def write_paths_csv(rows: Sequence[PathLogRow], path: FsPath) -> None:
 
 
 def read_paths_csv(path: FsPath) -> list[PathLogRow]:
+    """Read a path log; a malformed row raises PathLogError with its number."""
     rows: list[PathLogRow] = []
     with path.open(newline="") as fh:
-        for rec in csv.DictReader(fh):
-            hops = tuple(int(s) for s in rec["hop_list"].split("-"))
-            rows.append(
-                PathLogRow(
-                    t=_parse_t(rec["t"]),
-                    algorithm=rec["algorithm"],
-                    src_station=rec["src_station"],
-                    dst_station=rec["dst_station"],
-                    src_sat=int(rec["src_sat"]),
-                    hop_list=hops,
-                    latency_ms=float(rec["latency_ms"]),
-                    hops=int(rec["hops"]),
-                    status=rec["status"],
+        for n, rec in enumerate(csv.DictReader(fh), start=1):
+            missing = [c for c in _PATH_COLUMNS if rec.get(c) is None]
+            if missing:
+                raise PathLogError(n, f"missing column(s) {', '.join(missing)}")
+            try:
+                rows.append(
+                    PathLogRow(
+                        t=_parse_t(rec["t"]),
+                        algorithm=rec["algorithm"],
+                        src_station=rec["src_station"],
+                        dst_station=rec["dst_station"],
+                        src_sat=int(rec["src_sat"]),
+                        hop_list=tuple(int(s) for s in rec["hop_list"].split("-")),
+                        latency_ms=float(rec["latency_ms"]),
+                        hops=int(rec["hops"]),
+                        status=rec["status"],
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise PathLogError(n, str(exc)) from exc
     return rows
 
 

@@ -44,6 +44,17 @@ from .topology import IslTemplate, Snapshot, build_persistent_isls, snapshot
 _MPLF_ALGOS = (ALGO_MPLF_CPI, ALGO_MPLF_NFP)
 
 
+class PathLogError(ValueError):
+    """A path-log row that cannot be read or does not fit the scenario.
+
+    row is the 1-based data-row number (the header line not counted).
+    """
+
+    def __init__(self, row: int, message: str) -> None:
+        super().__init__(f"path log row {row}: {message}")
+        self.row = row
+
+
 @dataclass(frozen=True)
 class PathLogRow:
     """One row of the path log; the exported CSV mirrors these fields."""
@@ -63,13 +74,11 @@ class PathLogRow:
 class StampOutcome:
     """Everything computed for one stamp, independent of other stamps."""
 
-    index: int
     t: datetime
     station_points: tuple[GeodeticPoint, ...]
     station_ecef: np.ndarray
     covered: tuple[bool, ...]
     pathsets: tuple[PathSet, ...]  # connection-major, algorithm-minor
-    headers: tuple[tuple[str, str], ...]  # (src_ei, dst_ei) per connection
 
 
 @dataclass
@@ -105,45 +114,44 @@ def _compute_stamp(
     constellation: Constellation,
     template: IslTemplate,
     scenario: Scenario,
-    index: int,
     t: datetime,
     stats: DecisionStats | None = None,
-) -> StampOutcome:
-    snap = snapshot(
-        constellation,
-        scenario.stations,
-        scenario.pattern,
-        t,
-        scenario.elevation_min_deg,
-        template=template,
-    )
-    epoch = scenario.constellation.epoch
-    # stamp-local view of the location service: every EI at its true position
-    table = LocationTable()
-    for i, st in enumerate(scenario.stations):
-        table.update(st.ei, snap.station_ecef[i], t)
+) -> StampOutcome | str:
+    """The stamp's outcome, or the repr of the exception it raised."""
+    try:
+        snap = snapshot(
+            constellation,
+            scenario.stations,
+            scenario.pattern,
+            t,
+            scenario.elevation_min_deg,
+            template=template,
+        )
+        epoch = scenario.constellation.epoch
+        # stamp-local view of the location service: every EI at its true position
+        table = LocationTable()
+        for i, st in enumerate(scenario.stations):
+            table.update(st.ei, snap.station_ecef[i], t)
 
-    pathsets: list[PathSet] = []
-    headers: list[tuple[str, str]] = []
-    for si, di in _connection_indices(scenario):
-        src = scenario.stations[si]
-        dst = scenario.stations[di]
-        headers.append((src.ei, dst.ei))
-        header = ler_encapsulate(table, src.ei, dst.ei, t, epoch)
-        for algo in scenario.algorithms:
-            dest_pos = header.dst_saddr if algo in _MPLF_ALGOS else None
-            pathsets.append(
-                enumerate_paths(snap, algo, si, di, dest_pos=dest_pos, stats=stats)
-            )
-    return StampOutcome(
-        index=index,
-        t=t,
-        station_points=snap.station_geodetic,
-        station_ecef=snap.station_ecef,
-        covered=tuple(snap.covered(i) for i in range(len(scenario.stations))),
-        pathsets=tuple(pathsets),
-        headers=tuple(headers),
-    )
+        pathsets: list[PathSet] = []
+        for si, di in _connection_indices(scenario):
+            src = scenario.stations[si]
+            dst = scenario.stations[di]
+            header = ler_encapsulate(table, src.ei, dst.ei, t, epoch)
+            for algo in scenario.algorithms:
+                dest_pos = header.dst_saddr if algo in _MPLF_ALGOS else None
+                pathsets.append(
+                    enumerate_paths(snap, algo, si, di, dest_pos=dest_pos, stats=stats)
+                )
+        return StampOutcome(
+            t=t,
+            station_points=snap.station_geodetic,
+            station_ecef=snap.station_ecef,
+            covered=tuple(snap.covered(i) for i in range(len(scenario.stations))),
+            pathsets=tuple(pathsets),
+        )
+    except Exception as exc:  # noqa: BLE001 - per-stamp isolation is the contract
+        return repr(exc)
 
 
 _WORKER_STATE: dict = {}
@@ -156,13 +164,11 @@ def _worker_init(scenario: Scenario) -> None:
     _WORKER_STATE["template"] = build_persistent_isls(constellation, scenario.pattern)
 
 
-def _worker_run(args: tuple[int, datetime]) -> StampOutcome:
-    index, t = args
+def _worker_run(t: datetime) -> StampOutcome | str:
     return _compute_stamp(
         _WORKER_STATE["constellation"],
         _WORKER_STATE["template"],
         _WORKER_STATE["scenario"],
-        index,
         t,
     )
 
@@ -193,23 +199,17 @@ def run_experiment(scenario: Scenario, parallel: int = 1) -> ExperimentResult:
         raise ValueError("parallel must be >= 1")
     stamps = scenario.time.stamps()
     stats = DecisionStats()
-    outcomes: list[StampOutcome | None] = [None] * len(stamps)
-    failures: list[tuple[datetime, str]] = []
-
     if parallel == 1:
         constellation = build_walker(scenario.constellation)
         template = build_persistent_isls(constellation, scenario.pattern)
-        for i, t in enumerate(stamps):
-            try:
-                outcomes[i] = _compute_stamp(constellation, template, scenario, i, t, stats)
-            except Exception as exc:  # noqa: BLE001 - per-stamp isolation is the contract
-                failures.append((t, repr(exc)))
+        results = [_compute_stamp(constellation, template, scenario, t, stats) for t in stamps]
     else:
         with ProcessPoolExecutor(
             max_workers=parallel, initializer=_worker_init, initargs=(scenario,)
         ) as pool:
-            for i, out in enumerate(pool.map(_worker_run, list(enumerate(stamps)))):
-                outcomes[i] = out
+            results = list(pool.map(_worker_run, stamps))
+    failures = [(t, r) for t, r in zip(stamps, results) if isinstance(r, str)]
+    outcomes = [None if isinstance(r, str) else r for r in results]
 
     # run-level location table, updated in stamp order
     epoch = scenario.constellation.epoch
@@ -351,13 +351,17 @@ def analyze_rows(scenario: Scenario, rows: Iterable[PathLogRow]) -> ExperimentRe
     algo_pos = {a: i for i, a in enumerate(algos)}
 
     grouped: dict[tuple[int, int], tuple[list[LoggedPath], list[LoggedPath]]] = {}
-    for r in rows:
+    for n, r in enumerate(rows, start=1):
         if r.t not in index_of:
-            raise ValueError(f"log row at {r.t} is outside the scenario time grid")
-        key = (
-            index_of[r.t],
-            conn_pos[(r.src_station, r.dst_station)] * n_algo + algo_pos[r.algorithm],
-        )
+            raise PathLogError(n, f"stamp {r.t} is outside the scenario time grid")
+        conn = conn_pos.get((r.src_station, r.dst_station))
+        if conn is None:
+            raise PathLogError(
+                n, f"connection {r.src_station}->{r.dst_station} is not in the scenario"
+            )
+        if r.algorithm not in algo_pos:
+            raise PathLogError(n, f"algorithm {r.algorithm!r} is not in the scenario")
+        key = (index_of[r.t], conn * n_algo + algo_pos[r.algorithm])
         delivered, dropped = grouped.setdefault(key, ([], []))
         p = LoggedPath(sats=r.hop_list, status=r.status, latency_value_ms=r.latency_ms)
         (delivered if p.delivered else dropped).append(p)
@@ -388,16 +392,11 @@ def analyze_rows(scenario: Scenario, rows: Iterable[PathLogRow]) -> ExperimentRe
                 )
         outcomes.append(
             StampOutcome(
-                index=i,
                 t=t,
                 station_points=snap.station_geodetic,
                 station_ecef=snap.station_ecef,
                 covered=tuple(snap.covered(k) for k in range(len(scenario.stations))),
                 pathsets=tuple(pathsets),
-                headers=tuple(
-                    (scenario.stations[si].ei, scenario.stations[di].ei)
-                    for si, di in conn_idx
-                ),
             )
         )
 

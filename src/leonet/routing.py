@@ -11,8 +11,10 @@ the packet straight back drops it instead, and a relay with no neighbors
 drops it as a dead end.
 
 Baselines are exact shortest paths over the satellite graph under a latency
-or unit (hop) weight, computed with iterated relaxation sweeps and a
-deterministic lowest-id tie-break.
+or unit (hop) weight. Distances from all source satellites of a connection
+come from one batched frontier relaxation over the template's adjacency; a
+vectorized pass then picks each node's lowest-id predecessor, and paths
+follow those pointers back from each destination satellite.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from datetime import datetime
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -335,58 +337,87 @@ def trace_path(
 # -- shortest-path baselines --------------------------------------------------
 
 
-def _single_source(
-    snap: Snapshot, weight: str, seeds: Iterable[tuple[int, float]]
-) -> np.ndarray:
-    """Distances from seed satellites (seeded at given offsets) over the
-    satellite graph, by relaxation sweeps to a fixed point."""
+def _slot_weights(snap: Snapshot, weight: str) -> np.ndarray:
+    """Weights laid out like the template's adjacency table; padding is inf."""
     if weight not in (WEIGHT_LATENCY, WEIGHT_UNIT):
         raise ValueError(f"unknown weight {weight!r}")
-    g = snap.bf_graph()
-    w = g.in_len if weight == WEIGHT_LATENCY else np.ones_like(g.in_len)
-    dist = np.full(snap.sat_count, np.inf)
-    for sat, offset in seeds:
-        dist[sat] = min(dist[sat], offset)
-    if g.in_src.size == 0:
-        return dist
-    for _ in range(snap.sat_count + 1):
-        cand = dist[g.in_src] + w
-        best = np.minimum.reduceat(cand, g.seg_starts)
-        new = np.minimum(dist[g.seg_nodes], best)
-        if np.array_equal(new, dist[g.seg_nodes]):
-            break
-        dist[g.seg_nodes] = new
+    if weight == WEIGHT_LATENCY:
+        return snap.slot_lengths
+    return np.where(snap.template.link < snap.template.edge_count, 1.0, np.inf)
+
+
+def _distances(
+    snap: Snapshot, weight: str, seed_rows: Sequence[dict[int, float]]
+) -> np.ndarray:
+    """Distances over the satellite graph, one row per seed set (satellite ->
+    offset), by frontier relaxation to the fixed point.
+
+    Each round relaxes only the out-edges of the nodes whose distance fell in
+    the previous round. Weights are positive and rounding is monotone, so the
+    fixed point is unique and any complete relaxation order reaches it.
+    """
+    w = _slot_weights(snap, weight)
+    nbr = snap.template.nbr
+    n = snap.sat_count
+    dist = np.full((len(seed_rows), n), np.inf)
+    for r, seeds in enumerate(seed_rows):
+        for sat, offset in seeds.items():
+            dist[r, sat] = offset
+    flat = dist.reshape(-1)
+    # marks the next frontier once per node; np.unique would import numpy.ma
+    mark = np.zeros(flat.size, dtype=bool)
+    frontier = np.flatnonzero(np.isfinite(flat))
+    while frontier.size:
+        node = frontier % n
+        target = nbr[node] + (frontier - node)[:, None]
+        cand = w[node] + flat[frontier][:, None]
+        fell = cand < flat[target]
+        target = target[fell]
+        np.minimum.at(flat, target, cand[fell])
+        mark[target] = True
+        frontier = np.flatnonzero(mark)
+        mark[frontier] = False
     return dist
 
 
-def _walk_back(
-    snap: Snapshot, weight: str, dist: np.ndarray, end: int, seed_values: dict[int, float]
-) -> tuple[list[int], list[float]]:
-    """Reconstruct one optimal satellite sequence ending at `end`.
+def _predecessors(
+    snap: Snapshot, weight: str, dist: np.ndarray, seed_rows: Sequence[dict[int, float]]
+) -> np.ndarray:
+    """Predecessor of each node as a flat index into the adjacency table, one
+    row per seed set.
 
-    At each node the lowest-id predecessor whose relaxation reproduces the
-    stored distance is taken; a seed node whose stored distance equals its
-    seed offset terminates the walk. Deterministic by construction.
+    The predecessor of v is its lowest-id neighbor u with dist[u] + w ==
+    dist[v]. A seed whose distance equals its offset, and an unreached node,
+    has none (-1). Deterministic by construction.
     """
-    g = snap.bf_graph()
+    nbr = snap.template.nbr
+    n, width = nbr.shape
+    ok = dist[:, nbr] + _slot_weights(snap, weight) == dist[:, :, None]
+    pred = np.where(np.isfinite(dist), np.arange(n) * width + ok.argmax(axis=2), -1)
+    for r, seeds in enumerate(seed_rows):
+        for sat, offset in seeds.items():
+            if dist[r, sat] == offset:
+                pred[r, sat] = -1
+    return pred
+
+
+def _walk(
+    pred: list[int], nbr: list[int], lengths: list[float], end: int
+) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """Satellite sequence and link lengths of the tree path ending at end."""
     sats = [end]
-    lengths: list[float] = []
-    node = end
-    for _ in range(snap.sat_count + 1):
-        if node in seed_values and dist[node] == seed_values[node]:
-            sats.reverse()
-            lengths.reverse()
-            return sats, lengths
-        srcs, lens = g.incoming(node)
-        w = lens if weight == WEIGHT_LATENCY else np.ones_like(lens)
-        ok = np.flatnonzero(dist[srcs] + w == dist[node])
-        if ok.size == 0:
-            raise RuntimeError("no predecessor reproduces the stored distance")
-        k = int(ok[0])  # sources ascend within a segment: first hit = lowest id
-        sats.append(int(srcs[k]))
-        lengths.append(float(lens[k]))
-        node = int(srcs[k])
-    raise RuntimeError("path reconstruction exceeded the node count")
+    legs: list[float] = []
+    k = pred[end]
+    while k >= 0:
+        if len(legs) == len(pred):
+            raise RuntimeError("path reconstruction exceeded the node count")
+        legs.append(lengths[k])
+        end = nbr[k]
+        sats.append(end)
+        k = pred[end]
+    sats.reverse()
+    legs.reverse()
+    return tuple(sats), tuple(legs)
 
 
 def bellman_ford(
@@ -416,7 +447,8 @@ def bellman_ford(
     if not seeds:
         return None
 
-    dist = _single_source(snap, weight, seeds.items())
+    rows = _distances(snap, weight, [seeds])
+    dist = rows[0]
 
     if dst_station:
         j = snap.station_index(dst)
@@ -434,9 +466,12 @@ def bellman_ford(
         if not math.isfinite(dist[end]):
             return None
 
-    sats, lengths = _walk_back(snap, weight, dist, end, seeds)
+    pred = _predecessors(snap, weight, rows, [seeds])[0]
+    sats, lengths = _walk(
+        pred.tolist(), snap.template.nbr.ravel().tolist(), snap.slot_lengths.ravel().tolist(), end
+    )
     up = up_of.get(sats[0]) if src_station else None
-    return Path(tuple(sats), tuple(lengths), "delivered", up_km=up, down_km=down)
+    return Path(sats, lengths, "delivered", up_km=up, down_km=down)
 
 
 # -- station-to-station path sets ---------------------------------------------
@@ -501,17 +536,22 @@ def enumerate_paths(
             (delivered if p.delivered else drops).append(p)
     else:
         weight = WEIGHT_LATENCY if algorithm == ALGO_SP else WEIGHT_UNIT
-        for k, s1 in enumerate(src_sats):
-            dist = _single_source(snap, weight, [(int(s1), 0.0)])
-            seeds = {int(s1): 0.0}
-            for m, s2 in enumerate(dst_sats):
-                if not math.isfinite(dist[int(s2)]):
+        seed_rows = [{int(s1): 0.0} for s1 in src_sats]
+        dist = _distances(snap, weight, seed_rows)
+        pred = _predecessors(snap, weight, dist, seed_rows).tolist()
+        nbr = snap.template.nbr.ravel().tolist()
+        lengths = snap.slot_lengths.ravel().tolist()
+        ends = dst_sats.tolist()
+        reached = np.isfinite(dist[:, dst_sats]).tolist()
+        for k, row in enumerate(pred):
+            for m, end in enumerate(ends):
+                if not reached[k][m]:
                     continue
-                sats, lengths = _walk_back(snap, weight, dist, int(s2), seeds)
+                sats, legs = _walk(row, nbr, lengths, end)
                 delivered.append(
                     Path(
-                        tuple(sats),
-                        tuple(lengths),
+                        sats,
+                        legs,
                         "delivered",
                         up_km=float(snap.edge_lengths[si][k]),
                         down_km=float(snap.edge_lengths[di][m]),

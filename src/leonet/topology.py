@@ -14,7 +14,7 @@ Node ids in a snapshot: satellites 0..S-1 (plane-major), stations S..S+G-1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Iterable, Iterator, Protocol
 
@@ -116,10 +116,45 @@ class Link:
 
 @dataclass(frozen=True, eq=False)
 class IslTemplate:
-    """Time-invariant persistent-link edge list (canonical a < b, sorted)."""
+    """Time-invariant persistent-link edge list (canonical a < b, sorted) over
+    sat_count satellites, with its adjacency built once.
+
+    The adjacency is a padded table: row v of nbr lists the neighbors of
+    satellite v in ascending id order, and link[v, j] indexes pairs with the
+    link to nbr[v, j]. Rows shorter than the highest degree are padded with v
+    itself and the link index E (the edge count), which a snapshot maps to an
+    infinite length.
+    """
 
     pairs: np.ndarray  # (E, 2) int32
     kinds: np.ndarray  # (E,) int8, 0 = in-plane, 1 = cross-plane
+    sat_count: int
+    nbr: np.ndarray = field(init=False, repr=False)  # (S, D) int64
+    link: np.ndarray = field(init=False, repr=False)  # (S, D) int64
+    adjacency: tuple[np.ndarray, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        pairs, n = self.pairs, self.sat_count
+        if pairs.size and not (pairs.min() >= 0 and pairs.max() < n):
+            raise ValueError(f"link endpoints outside satellites 0..{n - 1}")
+        e = pairs.shape[0]
+        src = np.concatenate([pairs[:, 0], pairs[:, 1]]).astype(np.int64)
+        dst = np.concatenate([pairs[:, 1], pairs[:, 0]]).astype(np.int64)
+        order = np.lexsort((src, dst))
+        src, dst = src[order], dst[order]
+        deg = np.bincount(dst, minlength=n)
+        ends = np.cumsum(deg)
+        col = np.arange(2 * e) - (ends - deg)[dst]
+        width = max(int(deg.max(initial=0)), 1)
+        nbr = np.repeat(np.arange(n, dtype=np.int64)[:, None], width, axis=1)
+        nbr[dst, col] = src
+        link = np.full((n, width), e, dtype=np.int64)
+        link[dst, col] = np.tile(np.arange(e), 2)[order]
+        object.__setattr__(self, "nbr", nbr)
+        object.__setattr__(self, "link", link)
+        object.__setattr__(
+            self, "adjacency", tuple(np.split(src.astype(np.int32), ends[:-1]))
+        )
 
     @property
     def edge_count(self) -> int:
@@ -160,7 +195,7 @@ def build_persistent_isls(constellation: Constellation, pattern: IslPattern) -> 
     kind_arr = np.array(kinds, dtype=np.int8)
     # canonical order + simple-graph dedup (keeps the first kind seen)
     uniq, first = np.unique(arr, axis=0, return_index=True)
-    return IslTemplate(pairs=uniq, kinds=kind_arr[first])
+    return IslTemplate(pairs=uniq, kinds=kind_arr[first], sat_count=cfg.total_sats)
 
 
 class Snapshot:
@@ -230,12 +265,8 @@ class Snapshot:
                 sat_station.setdefault(int(s), []).append(i)
         self.sat_station = {k: tuple(v) for k, v in sat_station.items()}
 
-        adj: list[list[int]] = [[] for _ in range(self.sat_count)]
-        for a, b in template.pairs:
-            adj[a].append(int(b))
-            adj[b].append(int(a))
-        self.sat_adj = [np.array(sorted(x), dtype=np.int32) for x in adj]
-        self._bf_graph = None
+        # link lengths laid out like the template's adjacency table
+        self.slot_lengths = np.append(isl_lengths, np.inf)[template.link]
         self._ei_index = {s.ei: i for i, s in enumerate(stations)}
         self._name_index = {s.name: i for i, s in enumerate(stations)}
 
@@ -269,7 +300,7 @@ class Snapshot:
         return self.edge_sats[self.station_index(station)].size > 0
 
     def neighbors(self, sat: int) -> np.ndarray:
-        return self.sat_adj[sat]
+        return self.template.adjacency[sat]
 
     def visible_sats(self, station: str | int) -> np.ndarray:
         return self.edge_sats[self.station_index(station)]
@@ -291,42 +322,6 @@ class Snapshot:
             node = self.station_node(i)
             for s, ln in zip(self.edge_sats[i], self.edge_lengths[i]):
                 yield Link(int(s), node, kind, float(ln))
-
-    def bf_graph(self):
-        """Directed incoming-edge arrays over the satellite graph, cached."""
-        if self._bf_graph is None:
-            src = np.concatenate([self.isl_pairs[:, 0], self.isl_pairs[:, 1]])
-            dst = np.concatenate([self.isl_pairs[:, 1], self.isl_pairs[:, 0]])
-            ln = np.concatenate([self.isl_lengths, self.isl_lengths])
-            order = np.lexsort((src, dst))
-            src, dst, ln = src[order], dst[order], ln[order]
-            nodes, starts = np.unique(dst, return_index=True)
-            self._bf_graph = _BfGraph(
-                in_src=src.astype(np.int64),
-                in_dst=dst.astype(np.int64),
-                in_len=ln,
-                seg_nodes=nodes.astype(np.int64),
-                seg_starts=starts,
-            )
-        return self._bf_graph
-
-
-@dataclass(frozen=True, eq=False)
-class _BfGraph:
-    in_src: np.ndarray
-    in_dst: np.ndarray
-    in_len: np.ndarray
-    seg_nodes: np.ndarray
-    seg_starts: np.ndarray
-
-    def incoming(self, node: int) -> tuple[np.ndarray, np.ndarray]:
-        """(sources, lengths) of edges into node, sources ascending."""
-        k = int(np.searchsorted(self.seg_nodes, node))
-        if k >= self.seg_nodes.size or self.seg_nodes[k] != node:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        lo = int(self.seg_starts[k])
-        hi = int(self.seg_starts[k + 1]) if k + 1 < self.seg_starts.size else self.in_src.size
-        return self.in_src[lo:hi], self.in_len[lo:hi]
 
 
 def snapshot(
@@ -363,7 +358,11 @@ def synthetic_snapshot(
     Intended for analysis and tests where link weights are decoupled from
     geometry; forwarding still uses the supplied positions.
     """
-    template = IslTemplate(pairs=np.asarray(pairs, dtype=np.int32), kinds=np.asarray(kinds, dtype=np.int8))
+    template = IslTemplate(
+        pairs=np.asarray(pairs, dtype=np.int32),
+        kinds=np.asarray(kinds, dtype=np.int8),
+        sat_count=constellation.sat_count,
+    )
     return Snapshot(
         t,
         constellation,

@@ -6,8 +6,13 @@ delivering real paths on all four algorithms.
 
 import copy
 import csv
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +29,8 @@ from leonet.exporters import (
     write_direction_histogram_csv,
     write_paths_csv,
 )
-from leonet.harness import PathLogRow, analyze_rows, run_experiment
+from leonet import harness
+from leonet.harness import PathLogError, PathLogRow, analyze_rows, run_experiment
 from leonet.scenario import scenario_from_dict
 from leonet.topology import IslPattern, snapshot
 from leonet.geometry import utc
@@ -120,6 +126,24 @@ class TestRunExperiment:
         assert res2.series == tiny_result.series
         assert res2.records == tiny_result.records
 
+    def test_failing_stamp_is_isolated_serial_and_parallel(self, monkeypatch):
+        stamp = tiny_scenario().time.stamps()[1]
+        real_snapshot = harness.snapshot
+
+        def flaky(constellation, stations, pattern, t, *args, **kwargs):
+            if t == stamp:
+                raise RuntimeError("injected")
+            return real_snapshot(constellation, stations, pattern, t, *args, **kwargs)
+
+        # patched before the pool starts, so forked workers inherit it
+        monkeypatch.setattr(harness, "snapshot", flaky)
+        serial = run_experiment(tiny_scenario())
+        par = run_experiment(tiny_scenario(), parallel=2)
+        assert serial.failures == [(stamp, "RuntimeError('injected')")]
+        assert par.failures == serial.failures
+        assert par.path_rows == serial.path_rows
+        assert {r.t for r in serial.path_rows} == set(tiny_scenario().time.stamps()) - {stamp}
+
 
 class TestAnalyzeRows:
     def test_reanalysis_reproduces_series(self, tiny_result):
@@ -163,6 +187,20 @@ class TestAnalyzeRows:
         with pytest.raises(ValueError, match="outside the scenario time grid"):
             analyze_rows(tiny_scenario(), [rogue])
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("src_station", "zz", "connection zz->b is not in the scenario"),
+            ("algorithm", "flood", "algorithm 'flood' is not in the scenario"),
+        ],
+    )
+    def test_row_outside_scenario_names_its_number(self, tiny_result, field, value, message):
+        rows = list(tiny_result.path_rows[:3])
+        rows[1] = dataclasses.replace(rows[1], **{field: value})
+        with pytest.raises(PathLogError, match=f"path log row 2: {message}") as err:
+            analyze_rows(tiny_scenario(), rows)
+        assert err.value.row == 2
+
 
 class TestPathsCsv:
     def test_round_trip_rows(self, tiny_result, tmp_path):
@@ -196,6 +234,45 @@ class TestPathsCsv:
         f = tmp_path / "one.csv"
         write_paths_csv([row], f)
         assert read_paths_csv(f)[0].hop_list == (7,)
+
+    @pytest.mark.parametrize(
+        "column,value",
+        [
+            ("src_sat", "seven"),
+            ("hops", "1.5"),
+            ("latency_ms", "fast"),
+            ("t", "yesterday"),
+            ("hop_list", "3--4"),
+            ("hop_list", ""),
+        ],
+    )
+    def test_malformed_row_names_its_number(self, tiny_result, tmp_path, column, value):
+        f = tmp_path / "paths.csv"
+        write_paths_csv(tiny_result.path_rows[:3], f)
+        with f.open(newline="") as fh:
+            recs = list(csv.DictReader(fh))
+        recs[1][column] = value
+        with f.open("w", newline="") as fh:
+            w = csv.DictWriter(fh, fieldnames=list(recs[0]))
+            w.writeheader()
+            w.writerows(recs)
+        with pytest.raises(PathLogError, match="path log row 2: ") as err:
+            read_paths_csv(f)
+        assert err.value.row == 2
+
+    def test_missing_column_names_its_row(self, tiny_result, tmp_path):
+        f = tmp_path / "paths.csv"
+        write_paths_csv(tiny_result.path_rows[:3], f)
+        lines = f.read_text().splitlines()
+        # the second data row loses its last field
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        f.write_text("\n".join(lines) + "\n")
+        with pytest.raises(PathLogError, match="path log row 2: missing column.s. status"):
+            read_paths_csv(f)
+        g = tmp_path / "no_status.csv"
+        g.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines[:2]) + "\n")
+        with pytest.raises(PathLogError, match="path log row 1: missing column.s. status"):
+            read_paths_csv(g)
 
 
 class TestExportResult:
@@ -420,6 +497,25 @@ class TestCli:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_baseline_run_imports_neither_scipy_nor_numpy_ma(self, tiny_file, tmp_path):
+        code = (
+            "import sys\n"
+            "from leonet.cli import main\n"
+            f"assert main(['simulate', '--scenario', {str(tiny_file)!r}, "
+            f"'--out', {str(tmp_path / 'run')!r}]) == 0\n"
+            "print(sorted(m for m in ('scipy', 'numpy.ma') if m in sys.modules))\n"
+        )
+        src = str(Path(harness.__file__).resolve().parent.parent)
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_unknown_subcommand_rejected(self):
         with pytest.raises(SystemExit):

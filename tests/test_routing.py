@@ -3,8 +3,10 @@
 Synthetic snapshots decouple link structure from orbital geometry: a short
 chain with a station over its middle exercises the per-hop state machine,
 seeded random meshes replay the greedy rules through a from-scratch
-reimplementation, and random weighted graphs pit the relaxation solver
-against heapq Dijkstra and plain BFS.
+reimplementation, and random weighted graphs pit the baseline solver
+against heapq Dijkstra and plain BFS. The exactness tests hold the
+baselines to a from-scratch Dijkstra with the lowest-id predecessor rule,
+compared with == on routes, link lengths and totals.
 """
 
 import heapq
@@ -18,6 +20,7 @@ import pytest
 
 from leonet.constellation import ConstellationConfig, build_walker
 from leonet.geometry import GeodeticPoint, ecef_to_eci, geodetic_to_ecef, utc
+from leonet.harness import _connection_indices
 from leonet.routing import (
     ALGO_LH,
     ALGO_MPLF_CPI,
@@ -40,13 +43,17 @@ from leonet.routing import (
     record_delivery,
     trace_path,
 )
+from leonet.scenario import load_scenario
 from leonet.topology import (
     FixedPosition,
     IslPattern,
     Station,
+    build_persistent_isls,
     snapshot,
     synthetic_snapshot,
 )
+
+from conftest import SCENARIO_DIR
 
 EPOCH = utc(2025, 1, 1)
 
@@ -588,3 +595,159 @@ class TestEnumeratePaths:
         enumerate_paths(snap, ALGO_MPLF_CPI, "a", "b", stats=stats)
         assert stats.comparisons  # at least one decision was recorded
         assert set(stats.comparisons) == {4}
+
+
+# -- exactness of the baselines against a from-scratch reference ----------------
+
+
+def reference_route(links, n, weight, seeds, end):
+    """heapq Dijkstra from {sat: offset} seeds over {(a, b): length} links,
+    then the lowest-id predecessor walk back from end.
+
+    Sums accumulate hop by hop from the seed offset, as any relaxation order
+    does. At each node the walk takes the smallest neighbor u with
+    dist[u] + w == dist[v]; a seed whose distance equals its offset ends it.
+    Returns (dist, sats, legs), with sats and legs None when end is unreached.
+    """
+    adj = {u: [] for u in range(n)}
+    for (a, b), ln in links.items():
+        w = ln if weight == "latency" else 1.0
+        adj[a].append((b, w, ln))
+        adj[b].append((a, w, ln))
+    dist = [math.inf] * n
+    for s, off in seeds.items():
+        dist[s] = off
+    heap = [(off, s) for s, off in seeds.items()]
+    heapq.heapify(heap)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v, w, _ in adj[u]:
+            if d + w < dist[v]:
+                dist[v] = d + w
+                heapq.heappush(heap, (d + w, v))
+    if math.isinf(dist[end]):
+        return dist, None, None
+    sats, legs = [end], []
+    v = end
+    while not (v in seeds and dist[v] == seeds[v]):
+        u, ln = min((u, ln) for u, w, ln in adj[v] if dist[u] + w == dist[v])
+        sats.append(u)
+        legs.append(ln)
+        v = u
+    return dist, tuple(reversed(sats)), tuple(reversed(legs))
+
+
+def snapshot_links(snap):
+    return {
+        (int(a), int(b)): float(ln)
+        for (a, b), ln in zip(snap.isl_pairs.tolist(), snap.isl_lengths)
+    }
+
+
+def tie_graph(rng, n):
+    """Random simple graph in two or three components plus two isolated
+    satellites; lengths come mostly from a short list, so that equal-cost
+    routes are common."""
+    isolated = set(rng.sample(range(n), 2))
+    nodes = [v for v in range(n) if v not in isolated]
+    part = {v: rng.randrange(rng.choice((2, 3))) for v in nodes}
+    links = {}
+    for _ in range(2 * n):
+        a, b = sorted(rng.sample(nodes, 2))
+        if part[a] == part[b]:
+            links[(a, b)] = (
+                rng.choice((100.0, 200.0, 300.0, 0.1 + 0.2))
+                if rng.random() < 0.8
+                else rng.uniform(50.0, 400.0)
+            )
+    pairs = sorted(links)
+    positions = [P + [0.0, 100.0 * k, 0.0] for k in range(n)]
+    snap = synthetic(positions, pairs, lengths=np.array([links[p] for p in pairs]))
+    return snap, links
+
+
+class TestBaselinesExact:
+    @pytest.mark.parametrize("weight", ["latency", "unit"])
+    def test_satellite_routes_match_reference(self, weight):
+        rng = random.Random(303)
+        for _ in range(6):
+            n = rng.randint(8, 18)
+            snap, links = tie_graph(rng, n)
+            for src in range(n):
+                for dst in range(n):
+                    if src == dst:
+                        continue
+                    dist, sats, legs = reference_route(links, n, weight, {src: 0.0}, dst)
+                    got = bellman_ford(snap, weight, src, dst)
+                    if sats is None:
+                        assert got is None
+                        continue
+                    assert got.sats == sats
+                    assert got.isl_lengths_km == legs
+                    if weight == "latency":
+                        assert got.isl_km == dist[dst]
+                    else:
+                        assert got.hops == dist[dst]
+
+    @pytest.mark.parametrize("weight", ["latency", "unit"])
+    def test_station_routes_seed_up_link_offsets(self, weight):
+        sts = [ground("a", 45.0, 10.0), ground("b", -30.0, 100.0), ground("c", 10.0, -60.0)]
+        multi_seed = 0
+        for seconds in (0, 300, 900):
+            snap = snapshot_shell(sts, seconds=seconds)
+            links = snapshot_links(snap)
+            for src, dst in (("a", "b"), ("b", "c"), ("c", "a")):
+                i, j = snap.station_index(src), snap.station_index(dst)
+                ups = dict(zip(snap.edge_sats[i].tolist(), snap.edge_lengths[i].tolist()))
+                downs = dict(zip(snap.edge_sats[j].tolist(), snap.edge_lengths[j].tolist()))
+                if not ups or not downs:
+                    assert bellman_ford(snap, weight, src, dst) is None
+                    continue
+                multi_seed += len(ups) > 1
+                seeds = ups if weight == "latency" else {s: 0.0 for s in ups}
+                dist, _, _ = reference_route(links, snap.sat_count, weight, seeds, 0)
+                total = {
+                    s: dist[s] + (down if weight == "latency" else 0.0)
+                    for s, down in downs.items()
+                }
+                end = min(total, key=lambda s: (total[s], s))
+                _, sats, legs = reference_route(links, snap.sat_count, weight, seeds, end)
+                got = bellman_ford(snap, weight, src, dst)
+                assert got.sats == sats
+                assert got.isl_lengths_km == legs
+                assert got.up_km == ups[sats[0]]
+                assert got.down_km == downs[end]
+                assert dist[got.end_sat] + (got.down_km if weight == "latency" else 0.0) == (
+                    total[end]
+                )
+        assert multi_seed > 0
+
+    def test_enumerated_baselines_match_reference_on_shipped_shell(self):
+        sc = load_scenario(SCENARIO_DIR / "experiment1_20x20.json")
+        const = build_walker(sc.constellation)
+        tpl = build_persistent_isls(const, sc.pattern)
+        stamps = sc.time.stamps()
+        checked = 0
+        for t in (stamps[0], stamps[len(stamps) // 2], stamps[-1]):
+            snap = snapshot(const, sc.stations, sc.pattern, t, sc.elevation_min_deg, template=tpl)
+            links = snapshot_links(snap)
+            for si, di in _connection_indices(sc):
+                for algo, weight in ((ALGO_SP, "latency"), (ALGO_LH, "unit")):
+                    want = []
+                    for s1, up in zip(snap.edge_sats[si].tolist(), snap.edge_lengths[si]):
+                        for s2, down in zip(snap.edge_sats[di].tolist(), snap.edge_lengths[di]):
+                            dist, sats, legs = reference_route(
+                                links, snap.sat_count, weight, {s1: 0.0}, s2
+                            )
+                            if sats is not None:
+                                want.append((sats, legs, float(up), float(down), dist[s2]))
+                    got = enumerate_paths(snap, algo, si, di).paths
+                    assert [(p.sats, p.isl_lengths_km, p.up_km, p.down_km) for p in got] == [
+                        w[:4] for w in want
+                    ]
+                    for p, w in zip(got, want):
+                        assert (p.isl_km if weight == "latency" else p.hops) == w[4]
+                    checked += len(got)
+        assert checked > 20

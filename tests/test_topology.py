@@ -225,12 +225,13 @@ class TestSnapshot:
         one = links[0]
         assert one.latency_ms == pytest.approx(link_latency_ms(one.length_km))
 
-    def test_bf_graph_incoming_matches_adjacency(self):
+    def test_template_adjacency_matches_neighbors(self):
         const = shell(5, 5)
         snap = snapshot(const, [], IslPattern(GRID_STAR, (-1, 0)), EPOCH, 40.0)
-        g = snap.bf_graph()
+        tpl = snap.template
         for s in range(const.sat_count):
-            src, ln = g.incoming(s)
+            real = tpl.link[s] < tpl.edge_count
+            src, ln = tpl.nbr[s][real], snap.slot_lengths[s][real]
             assert np.array_equal(np.sort(src), snap.neighbors(s))
             for a, d in zip(src, ln):
                 assert d == pytest.approx(
