@@ -38,12 +38,7 @@ from .exporters import (
 )
 from .harness import analyze_rows, run_experiment
 from .scenario import load_scenario
-from .topology import (
-    build_persistent_isls,
-    direction_histogram,
-    eisl_statistics,
-    snapshot,
-)
+from .topology import DirectionHistogram, EislTracker, build_persistent_isls, snapshot
 
 ENV_OUT = "LEONET_OUT"
 
@@ -74,18 +69,28 @@ def _iter_snapshots(scenario):
 def _cmd_generate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     out = _out_dir(args)
-    write_edges_csv(_iter_snapshots(scenario), out / "edges.csv")
-    hist = direction_histogram(_iter_snapshots(scenario))
-    write_direction_histogram_csv(hist, out / "direction_histogram.csv")
-    if scenario.eisl_l_h_km is not None:
-        stats = eisl_statistics(
-            _iter_snapshots(scenario), [scenario.eisl_l_h_km], scenario.time.step_s
-        )
-        write_eisl_csv(stats, scenario.time.step_s, out)
-    if args.format == FORMAT_GEOJSON:
-        first = next(iter(_iter_snapshots(scenario)))
-        _geo(snapshot_nodes_geojson(first), out / "nodes.geojson")
-        _geo(snapshot_links_geojson(first), out / "links.geojson")
+    hist = DirectionHistogram()
+    eisl = (
+        None
+        if scenario.eisl_l_h_km is None
+        else EislTracker([scenario.eisl_l_h_km], scenario.time.step_s)
+    )
+
+    def stamps():
+        # one snapshot per stamp, fed to every artifact while edges.csv is written
+        for i, snap in enumerate(_iter_snapshots(scenario)):
+            hist.add(snap)
+            if eisl is not None:
+                eisl.add(snap)
+            if i == 0 and args.format == FORMAT_GEOJSON:
+                _geo(snapshot_nodes_geojson(snap), out / "nodes.geojson")
+                _geo(snapshot_links_geojson(snap), out / "links.geojson")
+            yield snap
+
+    write_edges_csv(stamps(), out / "edges.csv")
+    write_direction_histogram_csv(hist.result(), out / "direction_histogram.csv")
+    if eisl is not None:
+        write_eisl_csv(eisl.result(), out)
     return 0
 
 

@@ -9,22 +9,26 @@ from __future__ import annotations
 
 import csv
 import json
+import weakref
 from datetime import datetime, timezone
+from itertools import repeat
 from pathlib import Path as FsPath
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .constellation import Constellation
-from .geometry import eci_to_geodetic
+from .geometry import eci_to_geodetic, link_latency_ms
 from .harness import ExperimentResult, PathLogError, PathLogRow
 from .metrics import ConnectionSeries, ConnectionSummary
 from .scenario import Scenario, scenario_to_dict
-from .topology import EislStats, Snapshot
+from .topology import ISL_KIND_NAMES, KIND_GSL, KIND_MSL, EislStats, Snapshot
 
 FORMAT_CSV = "csv"
 FORMAT_GEOJSON = "geojson"
 FORMATS = (FORMAT_CSV, FORMAT_GEOJSON)
+
+_EDGE_BLOCK = 1024  # edges.csv rows formatted per batch
 
 
 def _f(x: float | None) -> str:
@@ -235,16 +239,34 @@ def write_cdf_csv(
                 w.writerow([s.src_ei, s.dst_ei, s.algorithm, _f(v), _f(i / n)])
 
 
+def _link_rows(ts: str, ends, kinds, lengths: np.ndarray):
+    latencies = link_latency_ms(lengths).tolist()
+    return (
+        [ts, a, b, kind, f"{length:.6f}", f"{latency:.6f}"]
+        for (a, b), kind, length, latency in zip(ends, kinds, lengths.tolist(), latencies)
+    )
+
+
 def write_edges_csv(snapshots: Iterable[Snapshot], path: FsPath) -> None:
+    """One row per link and stamp, in Snapshot.iter_links order, formatted
+    from the snapshot arrays; persistent links go a block at a time, which
+    bounds the Python lists alive at once."""
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "src", "dst", "kind", "length_km", "latency_ms"])
         for snap in snapshots:
             ts = _t(snap.t)
-            for link in snap.iter_links():
-                w.writerow(
-                    [ts, link.node_a, link.node_b, link.kind, _f(link.length_km), _f(link.latency_ms)]
+            for lo in range(0, snap.template.edge_count, _EDGE_BLOCK):
+                part = slice(lo, lo + _EDGE_BLOCK)
+                kinds = [ISL_KIND_NAMES[k] for k in snap.isl_kinds[part].tolist()]
+                w.writerows(
+                    _link_rows(ts, snap.isl_pairs[part].tolist(), kinds, snap.isl_lengths[part])
                 )
+            for i, st in enumerate(snap.stations):
+                node = snap.station_node(i)
+                ends = [(s, node) for s in snap.edge_sats[i].tolist()]
+                kind = KIND_GSL if st.kind == "ground" else KIND_MSL
+                w.writerows(_link_rows(ts, ends, repeat(kind), snap.edge_lengths[i]))
 
 
 def write_direction_histogram_csv(hist: np.ndarray, path: FsPath) -> None:
@@ -257,7 +279,7 @@ def write_direction_histogram_csv(hist: np.ndarray, path: FsPath) -> None:
             w.writerow([i, i + 1, f"{v:.9f}"])
 
 
-def write_eisl_csv(stats: dict[float, EislStats], step_s: float, out_dir: FsPath) -> None:
+def write_eisl_csv(stats: dict[float, EislStats], out_dir: FsPath) -> None:
     with (out_dir / "eisl_counts.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["l_h_km", "stamp", "count"])
@@ -279,10 +301,20 @@ def _geo(obj: dict, path: FsPath) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+# rounded (lon, lat) sub-points per snapshot, dropped with the snapshot
+_LONLAT: weakref.WeakKeyDictionary[Snapshot, dict[int, tuple[float, float]]] = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def _sat_lonlat(snap: Snapshot, sat: int) -> list[float]:
-    epoch = snap.constellation.config.epoch
-    g = eci_to_geodetic(snap.sat_positions[sat], snap.t, epoch)
-    return [round(g.lon_deg, 6), round(g.lat_deg, 6)]
+    """A satellite's rounded sub-point, converted once per snapshot."""
+    memo = _LONLAT.setdefault(snap, {})
+    point = memo.get(sat)
+    if point is None:
+        g = eci_to_geodetic(snap.sat_positions[sat], snap.t, snap.constellation.config.epoch)
+        point = memo[sat] = (round(g.lon_deg, 6), round(g.lat_deg, 6))
+    return list(point)
 
 
 def snapshot_nodes_geojson(snap: Snapshot) -> dict:

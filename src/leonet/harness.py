@@ -79,6 +79,7 @@ class StampOutcome:
     station_ecef: np.ndarray
     covered: tuple[bool, ...]
     pathsets: tuple[PathSet, ...]  # connection-major, algorithm-minor
+    comparisons: tuple[int, ...] = ()  # candidates per forwarding decision
 
 
 @dataclass
@@ -115,9 +116,9 @@ def _compute_stamp(
     template: IslTemplate,
     scenario: Scenario,
     t: datetime,
-    stats: DecisionStats | None = None,
 ) -> StampOutcome | str:
     """The stamp's outcome, or the repr of the exception it raised."""
+    stats = DecisionStats()
     try:
         snap = snapshot(
             constellation,
@@ -149,6 +150,7 @@ def _compute_stamp(
             station_ecef=snap.station_ecef,
             covered=tuple(snap.covered(i) for i in range(len(scenario.stations))),
             pathsets=tuple(pathsets),
+            comparisons=tuple(stats.comparisons),
         )
     except Exception as exc:  # noqa: BLE001 - per-stamp isolation is the contract
         return repr(exc)
@@ -198,11 +200,10 @@ def run_experiment(scenario: Scenario, parallel: int = 1) -> ExperimentResult:
     if parallel < 1:
         raise ValueError("parallel must be >= 1")
     stamps = scenario.time.stamps()
-    stats = DecisionStats()
     if parallel == 1:
         constellation = build_walker(scenario.constellation)
         template = build_persistent_isls(constellation, scenario.pattern)
-        results = [_compute_stamp(constellation, template, scenario, t, stats) for t in stamps]
+        results = [_compute_stamp(constellation, template, scenario, t) for t in stamps]
     else:
         with ProcessPoolExecutor(
             max_workers=parallel, initializer=_worker_init, initargs=(scenario,)
@@ -210,6 +211,10 @@ def run_experiment(scenario: Scenario, parallel: int = 1) -> ExperimentResult:
             results = list(pool.map(_worker_run, stamps))
     failures = [(t, r) for t, r in zip(stamps, results) if isinstance(r, str)]
     outcomes = [None if isinstance(r, str) else r for r in results]
+    stats = DecisionStats()
+    for out in outcomes:
+        if out is not None:
+            stats.comparisons.extend(out.comparisons)
 
     # run-level location table, updated in stamp order
     epoch = scenario.constellation.epoch

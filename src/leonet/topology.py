@@ -39,7 +39,7 @@ KIND_EISL = "eISL"
 KIND_GSL = "GSL"
 KIND_MSL = "MSL"
 
-_ISL_KIND_NAMES = (KIND_IISL, KIND_SISL)
+ISL_KIND_NAMES = (KIND_IISL, KIND_SISL)
 
 
 @dataclass(frozen=True)
@@ -124,6 +124,9 @@ class IslTemplate:
     link to nbr[v, j]. Rows shorter than the highest degree are padded with v
     itself and the link index E (the edge count), which a snapshot maps to an
     infinite length.
+
+    pair_keys holds min(a, b) * S + max(a, b) for every pair, sorted, so a
+    pair can be looked up in either orientation.
     """
 
     pairs: np.ndarray  # (E, 2) int32
@@ -132,6 +135,7 @@ class IslTemplate:
     nbr: np.ndarray = field(init=False, repr=False)  # (S, D) int64
     link: np.ndarray = field(init=False, repr=False)  # (S, D) int64
     adjacency: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    pair_keys: np.ndarray = field(init=False, repr=False)  # (E,) int64
 
     def __post_init__(self) -> None:
         pairs, n = self.pairs, self.sat_count
@@ -155,13 +159,15 @@ class IslTemplate:
         object.__setattr__(
             self, "adjacency", tuple(np.split(src.astype(np.int32), ends[:-1]))
         )
+        # sorted by (dst, src), the dst < src half lists each pair once as (min, max)
+        object.__setattr__(self, "pair_keys", (dst * n + src)[dst < src])
 
     @property
     def edge_count(self) -> int:
         return int(self.pairs.shape[0])
 
     def kind_name(self, edge: int) -> str:
-        return _ISL_KIND_NAMES[int(self.kinds[edge])]
+        return ISL_KIND_NAMES[int(self.kinds[edge])]
 
 
 def build_persistent_isls(constellation: Constellation, pattern: IslPattern) -> IslTemplate:
@@ -376,24 +382,45 @@ def synthetic_snapshot(
 
 
 def detect_eisls(snap: Snapshot, l_h_km: float) -> np.ndarray:
-    """Transient crossing-mesh pairs at this stamp, canonical (a < b) rows.
+    """Transient crossing-mesh pairs at this stamp, canonical (a < b) rows in
+    lexicographic order.
 
-    A pair qualifies when it is not persistently linked, its inertial distance
-    is below the activation radius, and the two satellites move with opposite
-    vertical sense (one ascending, one descending).
+    A pair qualifies when it is not persistently linked (listed either way
+    round), its inertial distance is below the activation radius, and the two
+    satellites move with opposite vertical sense. Only ascending-descending
+    pairs can qualify, so the ascending satellites are sorted on the axis of
+    largest spread and each descending one is swept against the window within
+    the radius on that axis; the predicates run on those candidates alone, in
+    O(S + candidates) memory.
     """
     if l_h_km <= 0:
         raise ValueError("activation radius must be positive")
     pos = snap.sat_positions
-    s = pos.shape[0]
-    d2 = np.sum((pos[:, None, :] - pos[None, :, :]) ** 2, axis=-1)
     vz = snap.sat_velocities[:, 2]
-    opposite = vz[:, None] * vz[None, :] < 0.0
-    near = d2 < l_h_km * l_h_km
-    cand = np.triu(near & opposite, k=1)
-    cand[snap.isl_pairs[:, 0], snap.isl_pairs[:, 1]] = False
-    a, b = np.nonzero(cand)
-    return np.stack([a, b], axis=1).astype(np.int32) if a.size else np.empty((0, 2), dtype=np.int32)
+    up = np.flatnonzero(vz > 0.0)
+    down = np.flatnonzero(vz < 0.0)
+    axis = int(np.argmax(np.ptp(pos, axis=0)))
+    up = up[np.argsort(pos[up, axis], kind="stable")]
+    x, q = pos[up, axis], pos[down, axis]
+    # the pad covers the rounding of the window ends
+    reach = l_h_km + 1e-9 * (l_h_km + float(np.abs(pos[:, axis]).max()))
+    lo = np.searchsorted(x, q - reach, side="left")
+    width = np.searchsorted(x, q + reach, side="right") - lo
+    n = int(width.sum())
+    b = np.repeat(down, width)
+    a = up[np.arange(n) - np.repeat(np.cumsum(width) - width - lo, width)]
+
+    near = np.sum((pos[a] - pos[b]) ** 2, axis=-1) < l_h_km * l_h_km
+    opposite = vz[a] * vz[b] < 0.0
+    s = pos.shape[0]
+    keys = np.minimum(a, b) * s + np.maximum(a, b)
+    persistent = snap.template.pair_keys
+    linked = np.zeros(n, dtype=bool)
+    if persistent.size:
+        at = np.searchsorted(persistent, keys).clip(max=persistent.size - 1)
+        linked = persistent[at] == keys
+    keys = np.sort(keys[near & opposite & ~linked])
+    return np.stack([keys // s, keys % s], axis=1).astype(np.int32)
 
 
 @dataclass(frozen=True)
@@ -408,77 +435,94 @@ class EislStats:
         return len(self.episode_durations_s)
 
 
-def eisl_statistics(
-    snapshots: Iterable[Snapshot], l_h_values_km: Iterable[float], step_s: float
-) -> dict[float, EislStats]:
-    """Track crossing-mesh link episodes over a snapshot sequence.
+class EislTracker:
+    """Crossing-mesh link counts and episodes, fed one snapshot at a time.
 
     An episode is a maximal run of consecutive stamps over which a given pair
     qualifies; its duration is run length times the step. Episodes still open
-    at the final stamp are counted at their observed duration. Pair distances
-    are computed once per stamp and shared across activation radii.
+    at the final stamp are counted at their observed duration. Pairs are
+    detected once per stamp at the largest radius and filtered for the others.
     """
-    radii = sorted(set(float(v) for v in l_h_values_km))
-    if not radii:
-        raise ValueError("at least one activation radius is required")
-    counts: dict[float, list[int]] = {r: [] for r in radii}
-    open_runs: dict[float, dict[int, int]] = {r: {} for r in radii}
-    durations: dict[float, list[float]] = {r: [] for r in radii}
-    n_stamps = 0
-    for snap in snapshots:
-        n_stamps += 1
-        pairs = detect_eisls(snap, radii[-1])
-        if pairs.size:
-            diff = snap.sat_positions[pairs[:, 0]] - snap.sat_positions[pairs[:, 1]]
-            dist = np.linalg.norm(diff, axis=1)
-            keys = pairs[:, 0].astype(np.int64) * snap.sat_count + pairs[:, 1]
-        else:
-            dist = np.empty(0)
-            keys = np.empty(0, dtype=np.int64)
-        for r in radii:
-            active = set(int(k) for k in keys[dist < r])
-            counts[r].append(len(active))
-            runs = open_runs[r]
+
+    def __init__(self, l_h_values_km: Iterable[float], step_s: float) -> None:
+        self.radii = sorted(set(float(v) for v in l_h_values_km))
+        if not self.radii:
+            raise ValueError("at least one activation radius is required")
+        self.step_s = step_s
+        self._counts: dict[float, list[int]] = {r: [] for r in self.radii}
+        self._open: dict[float, dict[int, int]] = {r: {} for r in self.radii}
+        self._durations: dict[float, list[float]] = {r: [] for r in self.radii}
+
+    def add(self, snap: Snapshot) -> None:
+        pairs = detect_eisls(snap, self.radii[-1])
+        diff = snap.sat_positions[pairs[:, 0]] - snap.sat_positions[pairs[:, 1]]
+        dist = np.linalg.norm(diff, axis=1)
+        keys = pairs[:, 0].astype(np.int64) * snap.sat_count + pairs[:, 1]
+        for r in self.radii:
+            active = set(keys[dist < r].tolist())
+            self._counts[r].append(len(active))
+            runs = self._open[r]
             for k in list(runs):
                 if k not in active:
-                    durations[r].append(runs.pop(k) * step_s)
+                    self._durations[r].append(runs.pop(k) * self.step_s)
             for k in active:
                 runs[k] = runs.get(k, 0) + 1
-    for r in radii:
-        durations[r].extend(v * step_s for v in open_runs[r].values())
-        if not counts[r]:
-            counts[r] = [0] * n_stamps
-    return {
-        r: EislStats(tuple(counts[r]), tuple(sorted(durations[r]))) for r in radii
-    }
+
+    def result(self) -> dict[float, EislStats]:
+        out = {}
+        for r in self.radii:
+            durations = self._durations[r] + [v * self.step_s for v in self._open[r].values()]
+            out[r] = EislStats(tuple(self._counts[r]), tuple(sorted(durations)))
+        return out
 
 
-def direction_histogram(
-    snapshots: Iterable[Snapshot], kinds: tuple[str, ...] = _ISL_KIND_NAMES
-) -> np.ndarray:
-    """Distribution of persistent-link direction angles vs the equator.
+def eisl_statistics(
+    snapshots: Iterable[Snapshot], l_h_values_km: Iterable[float], step_s: float
+) -> dict[float, EislStats]:
+    """Track crossing-mesh link episodes over a snapshot sequence (EislTracker)."""
+    tracker = EislTracker(l_h_values_km, step_s)
+    for snap in snapshots:
+        tracker.add(snap)
+    return tracker.result()
+
+
+class DirectionHistogram:
+    """Distribution of persistent-link direction angles vs the equator, fed
+    one snapshot at a time.
 
     Folds angles to [0, 90] degrees, bins at 1 degree, normalizes each stamp
-    to unit mass, and averages the per-stamp histograms. Returns 90 bin
-    fractions summing to 1.
+    to unit mass, and averages the per-stamp histograms.
     """
-    kind_codes = [
-        code for code, name in enumerate(_ISL_KIND_NAMES) if name in kinds
-    ]
-    if not kind_codes:
-        raise ValueError(f"no persistent link kinds selected from {kinds}")
-    total = np.zeros(90)
-    n = 0
-    for snap in snapshots:
-        mask = np.isin(snap.isl_kinds, kind_codes)
-        pairs = snap.isl_pairs[mask]
+
+    def __init__(self, kinds: tuple[str, ...] = ISL_KIND_NAMES) -> None:
+        self._codes = [code for code, name in enumerate(ISL_KIND_NAMES) if name in kinds]
+        if not self._codes:
+            raise ValueError(f"no persistent link kinds selected from {kinds}")
+        self._total = np.zeros(90)
+        self._n = 0
+
+    def add(self, snap: Snapshot) -> None:
+        pairs = snap.isl_pairs[np.isin(snap.isl_kinds, self._codes)]
         if pairs.shape[0] == 0:
             raise ValueError("snapshot has no links of the selected kinds")
         vec = snap.sat_positions[pairs[:, 1]] - snap.sat_positions[pairs[:, 0]]
         ang = np.degrees(np.abs(link_equator_angle(vec)))
         hist, _ = np.histogram(ang, bins=90, range=(0.0, 90.0))
-        total += hist / hist.sum()
-        n += 1
-    if n == 0:
-        raise ValueError("at least one snapshot is required")
-    return total / n
+        self._total += hist / hist.sum()
+        self._n += 1
+
+    def result(self) -> np.ndarray:
+        """90 bin fractions summing to 1."""
+        if self._n == 0:
+            raise ValueError("at least one snapshot is required")
+        return self._total / self._n
+
+
+def direction_histogram(
+    snapshots: Iterable[Snapshot], kinds: tuple[str, ...] = ISL_KIND_NAMES
+) -> np.ndarray:
+    """Averaged per-stamp link-direction histogram (DirectionHistogram)."""
+    hist = DirectionHistogram(kinds)
+    for snap in snapshots:
+        hist.add(snap)
+    return hist.result()

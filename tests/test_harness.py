@@ -1,7 +1,8 @@
 """End-to-end runner, exporters, log reanalysis, and the CLI.
 
 A deliberately small shell keeps every case here under a second while still
-delivering real paths on all four algorithms.
+delivering real paths on all four algorithms; only the serial/parallel
+decision-stats check runs a shipped scenario.
 """
 
 import copy
@@ -26,14 +27,20 @@ from leonet.exporters import (
     read_paths_csv,
     snapshot_links_geojson,
     snapshot_nodes_geojson,
+    _f,
+    _t,
     write_direction_histogram_csv,
+    write_edges_csv,
     write_paths_csv,
 )
 from leonet import harness
 from leonet.harness import PathLogError, PathLogRow, analyze_rows, run_experiment
-from leonet.scenario import scenario_from_dict
+from leonet.scenario import load_scenario, scenario_from_dict
 from leonet.topology import IslPattern, snapshot
 from leonet.geometry import utc
+from leonet import cli, exporters
+
+from conftest import SCENARIO_DIR
 
 TINY = {
     "name": "tiny",
@@ -115,6 +122,13 @@ class TestRunExperiment:
         comps = tiny_result.decision_stats.comparisons
         assert comps
         assert set(comps) == {4}  # single-bias grid degree
+
+    def test_parallel_run_keeps_decision_stats(self, exp1_small):
+        serial, _ = exp1_small
+        scn = load_scenario(SCENARIO_DIR / "experiment1_20x20.json")
+        par = run_experiment(scn, parallel=2)
+        assert serial.decision_stats.comparisons
+        assert par.decision_stats.comparisons == serial.decision_stats.comparisons
 
     def test_parallel_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -348,6 +362,25 @@ class TestGeojson:
         geo = snapshot_links_geojson(snap)
         assert len(geo["features"]) == sum(1 for _ in snap.iter_links())
 
+    def test_subpoints_converted_once_per_snapshot(self, monkeypatch):
+        snap = self.snap()
+        calls = []
+        real = exporters.eci_to_geodetic
+
+        def counting(p, t, epoch):
+            calls.append(1)
+            return real(p, t, epoch)
+
+        monkeypatch.setattr(exporters, "eci_to_geodetic", counting)
+        nodes = snapshot_nodes_geojson(snap)
+        snapshot_links_geojson(snap)
+        assert len(calls) == snap.sat_count
+        epoch = snap.constellation.config.epoch
+        for s in range(snap.sat_count):
+            g = real(snap.sat_positions[s], snap.t, epoch)
+            coords = nodes["features"][s]["geometry"]["coordinates"]
+            assert coords == [round(g.lon_deg, 6), round(g.lat_deg, 6)]
+
     def test_path_feature_counts_vertices(self):
         snap = self.snap()
         row = PathLogRow(
@@ -382,6 +415,28 @@ class TestGeojson:
         )
         geo = paths_geojson(tiny_scenario(), rows)
         assert len(geo["features"]) == len(tiny_result.path_rows)
+
+
+class TestEdgesCsv:
+    def test_rows_match_link_objects(self, tmp_path):
+        scn = tiny_scenario()
+        const = build_walker(scn.constellation)
+        snaps = [
+            snapshot(const, scn.stations, scn.pattern, t, scn.elevation_min_deg)
+            for t in scn.time.stamps()
+        ]
+        path = tmp_path / "edges.csv"
+        write_edges_csv(snaps, path)
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        expected = [
+            [_t(s.t), str(k.node_a), str(k.node_b), k.kind, _f(k.length_km), _f(k.latency_ms)]
+            for s in snaps
+            for k in s.iter_links()
+        ]
+        assert rows[0] == ["t", "src", "dst", "kind", "length_km", "latency_ms"]
+        assert rows[1:] == expected
+        assert {r[3] for r in expected} == {"iISL", "sISL", "GSL"}
 
 
 class TestDirectionHistogramCsv:
@@ -478,6 +533,21 @@ class TestCli:
             "eisl_episodes.csv",
         ):
             assert (out / name).exists()
+
+    def test_generate_builds_one_snapshot_per_stamp(self, tiny_file, tmp_path, monkeypatch):
+        stamps = []
+        real = cli.snapshot
+
+        def counting(constellation, stations, pattern, t, *args, **kwargs):
+            stamps.append(t)
+            return real(constellation, stations, pattern, t, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "snapshot", counting)
+        out = tmp_path / "gen"
+        argv = ["generate", "--scenario", str(tiny_file), "--out", str(out)]
+        assert main([*argv, "--format", "geojson"]) == 0
+        assert stamps == list(tiny_scenario().time.stamps())
+        assert (out / "nodes.geojson").exists() and (out / "links.geojson").exists()
 
     def test_env_var_overrides_out(self, tiny_file, tmp_path, monkeypatch):
         env_dir = tmp_path / "env-out"

@@ -2,10 +2,15 @@
 checked against brute-force oracles on small shells."""
 
 import math
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import SCENARIO_DIR
 
 from leonet.constellation import ConstellationConfig, build_walker
 from leonet.geometry import (
@@ -16,6 +21,7 @@ from leonet.geometry import (
     link_latency_ms,
     utc,
 )
+from leonet.scenario import load_scenario
 from leonet.topology import (
     GRID_PLUS,
     GRID_STAR,
@@ -39,6 +45,66 @@ COVERAGE_HALF_ANGLE_DEG = 5.1569
 
 def shell(sats=10, planes=10, phase=0, alt=550.0, incl=53.0):
     return build_walker(ConstellationConfig(sats, planes, phase, alt, incl, EPOCH))
+
+
+def free_snapshot(positions, vz, pairs):
+    """Synthetic snapshot of len(positions) satellites with vertical speeds vz."""
+    n = len(positions)
+    vel = np.zeros((n, 3))
+    vel[:, 2] = vz
+    pairs = np.array(pairs, dtype=np.int32).reshape(-1, 2)
+    kinds = np.zeros(len(pairs), dtype=np.int8)
+    return synthetic_snapshot(EPOCH, shell(n, 1), positions, vel, pairs, kinds)
+
+
+def brute_force_eisls(snap, l_h):
+    """All-pairs double loop over the three crossing-link predicates."""
+    persistent = {tuple(sorted(p)) for p in snap.isl_pairs.tolist()}
+    pos, vz = snap.sat_positions, snap.sat_velocities[:, 2]
+    rows = [
+        [a, b]
+        for a in range(len(pos))
+        for b in range(a + 1, len(pos))
+        if (a, b) not in persistent
+        and vz[a] * vz[b] < 0.0
+        and np.sum((pos[a] - pos[b]) ** 2, axis=-1) < l_h * l_h
+    ]
+    return np.array(rows, dtype=np.int32).reshape(-1, 2)
+
+
+def dense_eisls(snap, l_h_km):
+    """The former all-pairs S x S formula, kept as a reference."""
+    pos = snap.sat_positions
+    d2 = np.sum((pos[:, None, :] - pos[None, :, :]) ** 2, axis=-1)
+    vz = snap.sat_velocities[:, 2]
+    opposite = vz[:, None] * vz[None, :] < 0.0
+    cand = np.triu((d2 < l_h_km * l_h_km) & opposite, k=1)
+    cand[snap.isl_pairs[:, 0], snap.isl_pairs[:, 1]] = False
+    a, b = np.nonzero(cand)
+    return np.stack([a, b], axis=1).astype(np.int32)
+
+
+@st.composite
+def crossing_cases(draw):
+    """Satellites on a 100 km lattice (shared coordinates, distances exactly
+    at round radii), level or moving vertically, persistent pairs in either
+    orientation; flat cases put every satellite in one z plane, like a
+    low-inclination shell."""
+    n = draw(st.integers(2, 24))
+    flat = draw(st.booleans())
+    cell = st.integers(-5, 5).map(lambda k: 100.0 * k)
+    positions = [
+        [7000.0 + draw(cell), draw(cell), 0.0 if flat else draw(cell)] for _ in range(n)
+    ]
+    vz = draw(st.lists(st.sampled_from([-2.0, -1.0, 0.0, 1.0, 3.0]), min_size=n, max_size=n))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]),
+            max_size=2 * n,
+        )
+    )
+    l_h = draw(st.sampled_from([50.0, 100.0, 300.0, 500.0, 1000.0, 5000.0]))
+    return positions, vz, pairs, l_h
 
 
 def ground(name, lat, lon):
@@ -351,6 +417,97 @@ class TestCrossingMeshDetection:
                     oracle.add((a, b))
         assert {tuple(r) for r in detect_eisls(snap, l_h).tolist()} == oracle
         assert oracle  # the check must not pass vacuously
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [[[0, 1], [1, 3], [2, 3], [0, 2]], [[1, 0], [3, 1], [3, 2], [2, 0]]],
+        ids=["canonical", "reversed"],
+    )
+    def test_persistent_pair_excluded_in_either_orientation(self, pairs):
+        vel = np.zeros((4, 3))
+        vel[:, 2] = [1.0, -1.0, 1.0, 1.0]
+        positions = np.array(
+            [[7000.0, 0.0, 0.0], [7000.0, 80.0, 0.0], [7000.0, 0.0, 80.0], [7000.0, 80.0, 80.0]]
+        )
+        snap = synthetic_snapshot(
+            EPOCH, shell(2, 2), positions, vel, np.array(pairs), np.zeros(4, dtype=np.int8)
+        )
+        assert detect_eisls(snap, 150.0).tolist() == [[1, 2]]
+
+    @pytest.mark.parametrize(
+        "positions, vz, l_h, expected",
+        [
+            # satellite 0 is level (vz == 0) and pairs with nobody
+            ([[0, 0, 0], [10, 0, 0], [0, 10, 0]], [0.0, 1.0, -1.0], 50.0, [[1, 2]]),
+            # four satellites share the sweep-axis coordinate
+            (
+                [[0, 0, 0], [100, 0, 0], [100, 50, 0], [100, -50, 0], [100, 0, 50]],
+                [1.0, -1.0, 1.0, 1.0, -1.0],
+                120.0,
+                [[0, 1], [0, 4], [1, 2], [1, 3], [2, 4], [3, 4]],
+            ),
+            # a pair exactly l_h apart (300, 400, 0) is out; just inside is in
+            ([[0, 0, 0], [300, 400, 0]], [1.0, -1.0], 500.0, []),
+            ([[0, 0, 0], [300, 400, 0]], [1.0, -1.0], 500.000001, [[0, 1]]),
+            # no qualifying pair: all ascending, or opposite but far
+            ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [1.0, 2.0, 3.0], 1e4, []),
+            ([[0, 0, 0], [900, 0, 0]], [1.0, -1.0], 899.0, []),
+        ],
+    )
+    def test_edge_cases_match_brute_force(self, positions, vz, l_h, expected):
+        snap = free_snapshot(positions, vz, [])
+        rows = detect_eisls(snap, l_h)
+        assert rows.dtype == np.int32 and rows.shape == (len(expected), 2)
+        assert rows.tolist() == expected
+        assert np.array_equal(rows, brute_force_eisls(snap, l_h))
+
+    @given(case=crossing_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force_on_random_snapshots(self, case):
+        positions, vz, pairs, l_h = case
+        snap = free_snapshot(positions, vz, pairs)
+        rows = detect_eisls(snap, l_h)
+        expected = brute_force_eisls(snap, l_h)
+        assert rows.dtype == expected.dtype and rows.shape == expected.shape
+        assert np.array_equal(rows, expected)
+
+    def test_low_inclination_shell_against_brute_force(self):
+        # at 5 deg the z spread is small, so the sweep must run on x or y
+        const = shell(10, 10, incl=5.0)
+        pat = IslPattern(GRID_PLUS, (0,))
+        found = 0
+        for k in range(4):
+            snap = snapshot(const, [], pat, EPOCH + timedelta(seconds=600 * k), 40.0)
+            rows = detect_eisls(snap, 1500.0)
+            assert np.array_equal(rows, brute_force_eisls(snap, 1500.0))
+            found += len(rows)
+        assert found
+
+    @pytest.mark.parametrize("l_h", [500.0, 1000.0, 1500.0])
+    def test_shipped_shell_equals_dense_formula(self, l_h):
+        scn = load_scenario(SCENARIO_DIR / "experiment1_20x20.json")
+        const = build_walker(scn.constellation)
+        tpl = build_persistent_isls(const, scn.pattern)
+        for t in scn.time.stamps()[::40]:
+            snap = snapshot(const, scn.stations, scn.pattern, t, 40.0, template=tpl)
+            rows, dense = detect_eisls(snap, l_h), dense_eisls(snap, l_h)
+            assert rows.dtype == dense.dtype and rows.shape == dense.shape
+            assert np.array_equal(rows, dense)
+
+    @pytest.mark.parametrize("incl", [53.0, 5.0])
+    def test_memory_stays_linear_on_a_40x40_shell(self, incl):
+        # 5 deg: a sweep along z would take nearly all pairs as candidates
+        const = shell(40, 40, incl=incl)
+        snap = snapshot(const, [], IslPattern(GRID_PLUS, (0,)), EPOCH, 40.0)
+        tracemalloc.start()
+        try:
+            rows = detect_eisls(snap, 500.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows)
+        # the dense S x S x 3 difference array alone took 82 MB here
+        assert peak < 10 * 2**20
 
 
 class TestEislStatistics:
