@@ -7,7 +7,8 @@ Subcommands:
   analyze   recompute metrics from an existing path log
   export    convert a path log to GeoJSON
 
-Common flags: --scenario, --out, --format {csv,geojson}, --parallel N.
+Common flags: --scenario, --out, --format {csv,geojson}; simulate also
+takes --parallel N.
 The LEONET_OUT environment variable overrides the output directory (and
 nothing else).
 """
@@ -19,7 +20,6 @@ import os
 import sys
 from pathlib import Path as FsPath
 
-from .constellation import build_walker
 from .exporters import (
     FORMAT_CSV,
     FORMAT_GEOJSON,
@@ -36,9 +36,9 @@ from .exporters import (
     write_metrics_csv,
     write_summary_csv,
 )
-from .harness import analyze_rows, run_experiment
+from .harness import analyze_rows, run_experiment, snapshot_at
 from .scenario import load_scenario
-from .topology import DirectionHistogram, EislTracker, build_persistent_isls, snapshot
+from .topology import DirectionHistogram, EislTracker
 
 ENV_OUT = "LEONET_OUT"
 
@@ -50,20 +50,6 @@ def _out_dir(args: argparse.Namespace) -> FsPath:
     p = FsPath(out)
     p.mkdir(parents=True, exist_ok=True)
     return p
-
-
-def _iter_snapshots(scenario):
-    constellation = build_walker(scenario.constellation)
-    template = build_persistent_isls(constellation, scenario.pattern)
-    for t in scenario.time.stamps():
-        yield snapshot(
-            constellation,
-            scenario.stations,
-            scenario.pattern,
-            t,
-            scenario.elevation_min_deg,
-            template=template,
-        )
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -78,7 +64,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
     def stamps():
         # one snapshot per stamp, fed to every artifact while edges.csv is written
-        for i, snap in enumerate(_iter_snapshots(scenario)):
+        snaps = map(snapshot_at(scenario), scenario.time.stamps())
+        for i, snap in enumerate(snaps):
             hist.add(snap)
             if eisl is not None:
                 eisl.add(snap)

@@ -17,9 +17,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .constellation import Constellation
 from .geometry import eci_to_geodetic, link_latency_ms
-from .harness import ExperimentResult, PathLogError, PathLogRow
+from .harness import (
+    ExperimentResult,
+    PathLogError,
+    PathLogRow,
+    index_path_log,
+    snapshot_at,
+)
 from .metrics import ConnectionSeries, ConnectionSummary
 from .scenario import Scenario, scenario_to_dict
 from .topology import ISL_KIND_NAMES, KIND_GSL, KIND_MSL, EislStats, Snapshot
@@ -388,28 +393,17 @@ def path_geojson(snap: Snapshot, row: PathLogRow) -> dict:
 
 
 def paths_geojson(scenario: Scenario, rows: Sequence[PathLogRow]) -> dict:
-    """All delivered log rows as LineString features (snapshots rebuilt per stamp)."""
-    from .constellation import build_walker
-    from .topology import build_persistent_isls, snapshot as build_snapshot
-
-    constellation = build_walker(scenario.constellation)
-    template = build_persistent_isls(constellation, scenario.pattern)
+    """All delivered log rows as LineString features (snapshots rebuilt per
+    stamp). A row that does not fit the scenario raises PathLogError."""
+    snapshot_of = snapshot_at(scenario)
     cache: dict[datetime, Snapshot] = {}
     feats = []
-    for r in rows:
+    for _, _, r in index_path_log(scenario, rows):
         if not r.status.startswith("delivered"):
             continue
         snap = cache.get(r.t)
         if snap is None:
-            snap = build_snapshot(
-                constellation,
-                scenario.stations,
-                scenario.pattern,
-                r.t,
-                scenario.elevation_min_deg,
-                template=template,
-            )
-            cache[r.t] = snap
+            snap = cache[r.t] = snapshot_of(r.t)
         feats.append(path_geojson(snap, r))
     return {"type": "FeatureCollection", "features": feats}
 

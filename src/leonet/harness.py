@@ -12,14 +12,16 @@ for every delivered greedy path.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime
-from typing import Iterable, Sequence
+from functools import partial
+from itertools import chain, product, starmap
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .constellation import Constellation, build_walker
-from .geometry import GeodeticPoint, geodetic_to_ecef, link_latency_ms
+from .constellation import build_walker
+from .geometry import GeodeticPoint, link_latency_ms
 from .metrics import (
     ConnectionSeries,
     ConnectionSummary,
@@ -39,7 +41,7 @@ from .routing import (
     record_delivery,
 )
 from .scenario import Scenario
-from .topology import IslTemplate, Snapshot, build_persistent_isls, snapshot
+from .topology import Snapshot, build_persistent_isls, snapshot
 
 _MPLF_ALGOS = (ALGO_MPLF_CPI, ALGO_MPLF_NFP)
 
@@ -111,16 +113,17 @@ def _connection_indices(scenario: Scenario) -> list[tuple[int, int]]:
     return [(by_name[a], by_name[b]) for a, b in scenario.connections]
 
 
-def _compute_stamp(
-    constellation: Constellation,
-    template: IslTemplate,
-    scenario: Scenario,
-    t: datetime,
-) -> StampOutcome | str:
-    """The stamp's outcome, or the repr of the exception it raised."""
-    stats = DecisionStats()
-    try:
-        snap = snapshot(
+def snapshot_at(scenario: Scenario) -> Callable[[datetime], Snapshot]:
+    """The scenario's stamp -> snapshot map.
+
+    The constellation and its persistent-link template do not change over
+    time, so they are built once, here; each call builds one snapshot.
+    """
+    constellation = build_walker(scenario.constellation)
+    template = build_persistent_isls(constellation, scenario.pattern)
+
+    def at(t: datetime) -> Snapshot:
+        return snapshot(
             constellation,
             scenario.stations,
             scenario.pattern,
@@ -128,6 +131,30 @@ def _compute_stamp(
             scenario.elevation_min_deg,
             template=template,
         )
+
+    return at
+
+
+def _stamp_outcome(
+    snap: Snapshot, pathsets: Iterable[PathSet], comparisons: Iterable[int] = ()
+) -> StampOutcome:
+    return StampOutcome(
+        t=snap.t,
+        station_points=snap.station_geodetic,
+        station_ecef=snap.station_ecef,
+        covered=tuple(snap.covered(i) for i in range(len(snap.stations))),
+        pathsets=tuple(pathsets),
+        comparisons=tuple(comparisons),
+    )
+
+
+def _compute_stamp(
+    snapshot_of: Callable[[datetime], Snapshot], scenario: Scenario, t: datetime
+) -> StampOutcome | str:
+    """The stamp's outcome, or the repr of the exception it raised."""
+    stats = DecisionStats()
+    try:
+        snap = snapshot_of(t)
         epoch = scenario.constellation.epoch
         # stamp-local view of the location service: every EI at its true position
         table = LocationTable()
@@ -144,35 +171,24 @@ def _compute_stamp(
                 pathsets.append(
                     enumerate_paths(snap, algo, si, di, dest_pos=dest_pos, stats=stats)
                 )
-        return StampOutcome(
-            t=t,
-            station_points=snap.station_geodetic,
-            station_ecef=snap.station_ecef,
-            covered=tuple(snap.covered(i) for i in range(len(scenario.stations))),
-            pathsets=tuple(pathsets),
-            comparisons=tuple(stats.comparisons),
-        )
+        return _stamp_outcome(snap, pathsets, stats.comparisons)
     except Exception as exc:  # noqa: BLE001 - per-stamp isolation is the contract
         return repr(exc)
+
+
+def _stamp_runner(scenario: Scenario) -> Callable[[datetime], StampOutcome | str]:
+    return partial(_compute_stamp, snapshot_at(scenario), scenario)
 
 
 _WORKER_STATE: dict = {}
 
 
 def _worker_init(scenario: Scenario) -> None:
-    constellation = build_walker(scenario.constellation)
-    _WORKER_STATE["scenario"] = scenario
-    _WORKER_STATE["constellation"] = constellation
-    _WORKER_STATE["template"] = build_persistent_isls(constellation, scenario.pattern)
+    _WORKER_STATE["run"] = _stamp_runner(scenario)
 
 
 def _worker_run(t: datetime) -> StampOutcome | str:
-    return _compute_stamp(
-        _WORKER_STATE["constellation"],
-        _WORKER_STATE["template"],
-        _WORKER_STATE["scenario"],
-        t,
-    )
+    return _WORKER_STATE["run"](t)
 
 
 def _row_from_path(t: datetime, algo: str, src_ei: str, dst_ei: str, p) -> PathLogRow:
@@ -201,40 +217,46 @@ def run_experiment(scenario: Scenario, parallel: int = 1) -> ExperimentResult:
         raise ValueError("parallel must be >= 1")
     stamps = scenario.time.stamps()
     if parallel == 1:
-        constellation = build_walker(scenario.constellation)
-        template = build_persistent_isls(constellation, scenario.pattern)
-        results = [_compute_stamp(constellation, template, scenario, t) for t in stamps]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=parallel, initializer=_worker_init, initargs=(scenario,)
-        ) as pool:
-            results = list(pool.map(_worker_run, stamps))
-    failures = [(t, r) for t, r in zip(stamps, results) if isinstance(r, str)]
-    outcomes = [None if isinstance(r, str) else r for r in results]
-    stats = DecisionStats()
-    for out in outcomes:
-        if out is not None:
-            stats.comparisons.extend(out.comparisons)
+        return _merge(scenario, map(_stamp_runner(scenario), stamps))
+    with ProcessPoolExecutor(
+        max_workers=parallel, initializer=_worker_init, initargs=(scenario,)
+    ) as pool:
+        return _merge(scenario, pool.map(_worker_run, stamps))
 
-    # run-level location table, updated in stamp order
+
+def _merge(
+    scenario: Scenario, results: Iterable[StampOutcome | str]
+) -> ExperimentResult:
+    """Fold per-stamp results, consumed one at a time in stamp order, into the
+    run's result. A failed stamp (the repr of its exception) is logged and
+    contributes nothing; decision counts are merged, not kept per stamp."""
     epoch = scenario.constellation.epoch
+    failures: list[tuple[datetime, str]] = []
+    outcomes: list[StampOutcome | None] = []
+    path_rows: list[PathLogRow] = []
+    stats = DecisionStats()
     table = LocationTable()
-    for out in outcomes:
-        if out is None:
+    for t, r in zip(scenario.time.stamps(), results):
+        if isinstance(r, str):
+            failures.append((t, r))
+            outcomes.append(None)
             continue
+        stats.comparisons.extend(r.comparisons)
+        outcomes.append(replace(r, comparisons=()))
         for i, st in enumerate(scenario.stations):
-            table.update(st.ei, out.station_ecef[i], out.t)
-        for ps in out.pathsets:
+            table.update(st.ei, r.station_ecef[i], t)
+        for ps in r.pathsets:
+            for p in chain(ps.paths, ps.drops):
+                path_rows.append(_row_from_path(t, ps.algorithm, ps.src_ei, ps.dst_ei, p))
             if ps.algorithm in _MPLF_ALGOS and ps.any_delivered:
-                header = ler_encapsulate(table, ps.src_ei, ps.dst_ei, out.t, epoch)
+                header = ler_encapsulate(table, ps.src_ei, ps.dst_ei, t, epoch)
                 record_delivery(table, header, epoch)
 
-    series, records, path_rows = _assemble(scenario, outcomes)
-    summaries = [summarize(s) for s in series]
+    series, records = _assemble(scenario, outcomes)
     return ExperimentResult(
         scenario=scenario,
         series=series,
-        summaries=summaries,
+        summaries=[summarize(s) for s in series],
         path_rows=path_rows,
         records=records,
         failures=failures,
@@ -245,58 +267,40 @@ def run_experiment(scenario: Scenario, parallel: int = 1) -> ExperimentResult:
 
 def _assemble(
     scenario: Scenario, outcomes: Sequence[StampOutcome | None]
-) -> tuple[list[ConnectionSeries], list[ReachabilityRecord], list[PathLogRow]]:
-    conn_idx = _connection_indices(scenario)
-    algos = scenario.algorithms
-    n_algo = len(algos)
+) -> tuple[list[ConnectionSeries], list[ReachabilityRecord]]:
     series: list[ConnectionSeries] = []
     records: list[ReachabilityRecord] = []
-    rows: list[PathLogRow] = []
-
-    # path log in stamp-major order
-    for out in outcomes:
-        if out is None:
-            continue
-        for ps in out.pathsets:
-            for p in ps.paths:
-                rows.append(_row_from_path(out.t, ps.algorithm, ps.src_ei, ps.dst_ei, p))
-            for p in ps.drops:
-                rows.append(_row_from_path(out.t, ps.algorithm, ps.src_ei, ps.dst_ei, p))
-
-    for c, (si, di) in enumerate(conn_idx):
-        for a, algo in enumerate(algos):
-            stamps: list[StampStats] = []
-            prev_delivered = None
-            for out in outcomes:
-                if out is None:
-                    prev_delivered = None
-                    continue
-                ps = out.pathsets[c * n_algo + a]
-                st = make_stamp_stats(
-                    t=out.t,
-                    covered_src=out.covered[si],
-                    covered_dst=out.covered[di],
-                    delivered=ps.paths,
-                    n_drops=len(ps.drops),
-                    src_point=out.station_points[si],
-                    dst_point=out.station_points[di],
-                    prev_delivered=prev_delivered,
-                )
-                stamps.append(st)
-                if st.psi is not None:
-                    records.append(
-                        ReachabilityRecord(ps.src_ei, ps.dst_ei, out.t, st.psi)
-                    )
-                prev_delivered = ps.paths if st.valid else None
-            series.append(
-                ConnectionSeries(
-                    src_ei=scenario.stations[si].ei,
-                    dst_ei=scenario.stations[di].ei,
-                    algorithm=algo,
-                    stamps=tuple(stamps),
-                )
+    for k, ((si, di), algo) in enumerate(_path_sets(scenario)):
+        stamps: list[StampStats] = []
+        prev_delivered = None
+        for out in outcomes:
+            if out is None:
+                prev_delivered = None
+                continue
+            ps = out.pathsets[k]
+            st = make_stamp_stats(
+                t=out.t,
+                covered_src=out.covered[si],
+                covered_dst=out.covered[di],
+                delivered=ps.paths,
+                n_drops=len(ps.drops),
+                src_point=out.station_points[si],
+                dst_point=out.station_points[di],
+                prev_delivered=prev_delivered,
             )
-    return series, records, rows
+            stamps.append(st)
+            if st.psi is not None:
+                records.append(ReachabilityRecord(ps.src_ei, ps.dst_ei, out.t, st.psi))
+            prev_delivered = ps.paths if st.valid else None
+        series.append(
+            ConnectionSeries(
+                src_ei=scenario.stations[si].ei,
+                dst_ei=scenario.stations[di].ei,
+                algorithm=algo,
+                stamps=tuple(stamps),
+            )
+        )
+    return series, records
 
 
 # -- reanalysis from a path log ------------------------------------------------
@@ -308,7 +312,7 @@ class LoggedPath:
 
     sats: tuple[int, ...]
     status: str
-    latency_value_ms: float
+    latency_ms: float
 
     @property
     def delivered(self) -> bool:
@@ -327,92 +331,72 @@ class LoggedPath:
         return len(self.sats) - 1
 
     @property
-    def latency_ms(self) -> float:
-        return self.latency_value_ms
-
-    @property
     def total_km(self) -> float:
-        return self.latency_value_ms / float(link_latency_ms(1.0))
+        return self.latency_ms / float(link_latency_ms(1.0))
+
+
+def _path_sets(scenario: Scenario) -> list[tuple[tuple[int, int], str]]:
+    """((source, destination station index), algorithm) of each path set of a
+    stamp, connection-major, algorithm-minor."""
+    return list(product(_connection_indices(scenario), scenario.algorithms))
+
+
+def index_path_log(
+    scenario: Scenario, rows: Iterable[PathLogRow]
+) -> Iterator[tuple[int, int, PathLogRow]]:
+    """Each path-log row with its (stamp index, path-set index).
+
+    A row whose stamp, connection, algorithm or hop ids do not fit the
+    scenario raises PathLogError with its 1-based number.
+    """
+    index_of = {t: i for i, t in enumerate(scenario.time.stamps())}
+    eis = [st.ei for st in scenario.stations]
+    set_of = {
+        ((eis[si], eis[di]), algo): k
+        for k, ((si, di), algo) in enumerate(_path_sets(scenario))
+    }
+    conns = {conn for conn, _ in set_of}
+    sats = scenario.constellation.total_sats
+    for n, r in enumerate(rows, start=1):
+        if r.t not in index_of:
+            raise PathLogError(n, f"stamp {r.t} is outside the scenario time grid")
+        conn = (r.src_station, r.dst_station)
+        if conn not in conns:
+            raise PathLogError(
+                n, f"connection {r.src_station}->{r.dst_station} is not in the scenario"
+            )
+        if r.algorithm not in scenario.algorithms:
+            raise PathLogError(n, f"algorithm {r.algorithm!r} is not in the scenario")
+        for h in r.hop_list:
+            if not 0 <= h < sats:
+                raise PathLogError(
+                    n, f"hop {h} is outside the shell's satellites 0..{sats - 1}"
+                )
+        yield index_of[r.t], set_of[conn, r.algorithm], r
 
 
 def analyze_rows(scenario: Scenario, rows: Iterable[PathLogRow]) -> ExperimentResult:
     """Recompute every connection metric from a path log.
 
     Station coverage and positions are rebuilt from the scenario (a cheap
-    topology-only sweep); paths come from the log. Produces the same series
-    and summaries as the original run.
+    topology-only sweep); paths come from the log. Produces the same series,
+    summaries and location table as the original run.
     """
-    constellation = build_walker(scenario.constellation)
-    template = build_persistent_isls(constellation, scenario.pattern)
-    stamps = scenario.time.stamps()
-    index_of = {t: i for i, t in enumerate(stamps)}
-    conn_idx = _connection_indices(scenario)
-    algos = scenario.algorithms
-    n_algo = len(algos)
-    conn_pos = {
-        (scenario.stations[si].ei, scenario.stations[di].ei): c
-        for c, (si, di) in enumerate(conn_idx)
-    }
-    algo_pos = {a: i for i, a in enumerate(algos)}
-
     grouped: dict[tuple[int, int], tuple[list[LoggedPath], list[LoggedPath]]] = {}
-    for n, r in enumerate(rows, start=1):
-        if r.t not in index_of:
-            raise PathLogError(n, f"stamp {r.t} is outside the scenario time grid")
-        conn = conn_pos.get((r.src_station, r.dst_station))
-        if conn is None:
-            raise PathLogError(
-                n, f"connection {r.src_station}->{r.dst_station} is not in the scenario"
-            )
-        if r.algorithm not in algo_pos:
-            raise PathLogError(n, f"algorithm {r.algorithm!r} is not in the scenario")
-        key = (index_of[r.t], conn * n_algo + algo_pos[r.algorithm])
-        delivered, dropped = grouped.setdefault(key, ([], []))
-        p = LoggedPath(sats=r.hop_list, status=r.status, latency_value_ms=r.latency_ms)
+    for i, k, r in index_path_log(scenario, rows):
+        delivered, dropped = grouped.setdefault((i, k), ([], []))
+        p = LoggedPath(sats=r.hop_list, status=r.status, latency_ms=r.latency_ms)
         (delivered if p.delivered else dropped).append(p)
 
-    outcomes: list[StampOutcome | None] = []
-    for i, t in enumerate(stamps):
-        snap = snapshot(
-            constellation,
-            scenario.stations,
-            scenario.pattern,
-            t,
-            scenario.elevation_min_deg,
-            template=template,
-        )
-        pathsets: list[PathSet] = []
-        for c, (si, di) in enumerate(conn_idx):
-            for a, algo in enumerate(algos):
-                delivered, dropped = grouped.get((i, c * n_algo + a), ([], []))
-                pathsets.append(
-                    PathSet(
-                        src_ei=scenario.stations[si].ei,
-                        dst_ei=scenario.stations[di].ei,
-                        t=t,
-                        algorithm=algo,
-                        paths=tuple(delivered),
-                        drops=tuple(dropped),
-                    )
-                )
-        outcomes.append(
-            StampOutcome(
-                t=t,
-                station_points=snap.station_geodetic,
-                station_ecef=snap.station_ecef,
-                covered=tuple(snap.covered(k) for k in range(len(scenario.stations))),
-                pathsets=tuple(pathsets),
-            )
-        )
+    snapshot_of = snapshot_at(scenario)
+    sets = _path_sets(scenario)
 
-    series, records, path_rows = _assemble(scenario, outcomes)
-    return ExperimentResult(
-        scenario=scenario,
-        series=series,
-        summaries=[summarize(s) for s in series],
-        path_rows=path_rows,
-        records=records,
-        failures=[],
-        location_table=LocationTable(),
-        decision_stats=DecisionStats(),
-    )
+    def outcome(i: int, t: datetime) -> StampOutcome:
+        pathsets = []
+        for k, ((si, di), algo) in enumerate(sets):
+            delivered, dropped = grouped.get((i, k), ([], []))
+            src, dst = scenario.stations[si].ei, scenario.stations[di].ei
+            pathsets.append(PathSet(src, dst, t, algo, tuple(delivered), tuple(dropped)))
+        return _stamp_outcome(snapshot_of(t), pathsets)
+
+    return _merge(scenario, starmap(outcome, enumerate(scenario.time.stamps())))

@@ -216,6 +216,27 @@ class TestAnalyzeRows:
         assert err.value.row == 2
 
 
+    def test_hop_outside_shell_rejected(self, tiny_result):
+        rows = list(tiny_result.path_rows[:3])
+        rows[1] = dataclasses.replace(rows[1], hop_list=(*rows[1].hop_list, 999))
+        with pytest.raises(
+            PathLogError, match="path log row 2: hop 999 is outside the shell's satellites 0..63"
+        ) as err:
+            analyze_rows(tiny_scenario(), rows)
+        assert err.value.row == 2
+
+    def test_reanalysis_reproduces_rows_records_and_location_table(self, tiny_result):
+        res2 = analyze_rows(tiny_scenario(), tiny_result.path_rows)
+        assert res2.path_rows == tiny_result.path_rows
+        assert res2.records == tiny_result.records
+        assert len(res2.location_table) == len(tiny_result.location_table) == 2
+        for st in tiny_scenario().stations:
+            pos, when = res2.location_table.lookup(st.ei)
+            want_pos, want_when = tiny_result.location_table.lookup(st.ei)
+            assert np.array_equal(pos, want_pos)
+            assert when == want_when
+
+
 class TestPathsCsv:
     def test_round_trip_rows(self, tiny_result, tmp_path):
         f = tmp_path / "paths.csv"
@@ -417,6 +438,24 @@ class TestGeojson:
         assert len(geo["features"]) == len(tiny_result.path_rows)
 
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("t", utc(2030, 1, 1), "stamp 2030-01-01 00:00:00.00:00 is outside the scenario"),
+            ("src_station", "zz", "connection zz->b is not in the scenario"),
+            ("algorithm", "flood", "algorithm 'flood' is not in the scenario"),
+            ("hop_list", (0, 999), "hop 999 is outside the shell's satellites 0..63"),
+        ],
+        ids=["stamp", "connection", "algorithm", "hop"],
+    )
+    def test_row_outside_scenario_rejected(self, tiny_result, field, value, message):
+        rows = [r for r in tiny_result.path_rows if r.status == "delivered"][:3]
+        rows[1] = dataclasses.replace(rows[1], **{field: value})
+        with pytest.raises(PathLogError, match=f"path log row 2: {message}") as err:
+            paths_geojson(tiny_scenario(), rows)
+        assert err.value.row == 2
+
+
 class TestEdgesCsv:
     def test_rows_match_link_objects(self, tmp_path):
         scn = tiny_scenario()
@@ -536,18 +575,30 @@ class TestCli:
 
     def test_generate_builds_one_snapshot_per_stamp(self, tiny_file, tmp_path, monkeypatch):
         stamps = []
-        real = cli.snapshot
+        real = harness.snapshot
 
         def counting(constellation, stations, pattern, t, *args, **kwargs):
             stamps.append(t)
             return real(constellation, stations, pattern, t, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "snapshot", counting)
+        monkeypatch.setattr(harness, "snapshot", counting)
         out = tmp_path / "gen"
         argv = ["generate", "--scenario", str(tiny_file), "--out", str(out)]
         assert main([*argv, "--format", "geojson"]) == 0
         assert stamps == list(tiny_scenario().time.stamps())
         assert (out / "nodes.geojson").exists() and (out / "links.geojson").exists()
+
+    def test_export_rejects_row_outside_scenario(self, tiny_file, tmp_path, capsys):
+        run_dir, out = tmp_path / "run", tmp_path / "geo"
+        main(["simulate", "--scenario", str(tiny_file), "--out", str(run_dir)])
+        log = run_dir / "paths.csv"
+        lines = log.read_text().splitlines()
+        lines[2] = lines[2].replace(",a,b,", ",zz,b,", 1)
+        log.write_text("\n".join(lines) + "\n")
+        argv = ["export", "--scenario", str(tiny_file), "--paths", str(log), "--out", str(out)]
+        assert main([*argv, "--format", "geojson"]) != 0
+        assert "path log row 2: connection zz->b" in capsys.readouterr().err
+        assert not (out / "paths.geojson").exists()
 
     def test_env_var_overrides_out(self, tiny_file, tmp_path, monkeypatch):
         env_dir = tmp_path / "env-out"
