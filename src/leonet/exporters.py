@@ -399,7 +399,7 @@ def paths_geojson(scenario: Scenario, rows: Sequence[PathLogRow]) -> dict:
     cache: dict[datetime, Snapshot] = {}
     feats = []
     for _, _, r in index_path_log(scenario, rows):
-        if not r.status.startswith("delivered"):
+        if r.status != "delivered":
             continue
         snap = cache.get(r.t)
         if snap is None:

@@ -12,11 +12,11 @@ for every delivered greedy path.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime
 from functools import partial
 from itertools import chain, product, starmap
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -33,6 +33,8 @@ from .metrics import (
 from .routing import (
     ALGO_MPLF_CPI,
     ALGO_MPLF_NFP,
+    DROP_DEAD_END,
+    DROP_LOOP,
     DecisionStats,
     LocationTable,
     PathSet,
@@ -44,6 +46,7 @@ from .scenario import Scenario
 from .topology import Snapshot, build_persistent_isls, snapshot
 
 _MPLF_ALGOS = (ALGO_MPLF_CPI, ALGO_MPLF_NFP)
+_STATUSES = ("delivered", f"dropped:{DROP_DEAD_END}", f"dropped:{DROP_LOOP}")
 
 
 class PathLogError(ValueError):
@@ -227,80 +230,63 @@ def run_experiment(scenario: Scenario, parallel: int = 1) -> ExperimentResult:
 def _merge(
     scenario: Scenario, results: Iterable[StampOutcome | str]
 ) -> ExperimentResult:
-    """Fold per-stamp results, consumed one at a time in stamp order, into the
-    run's result. A failed stamp (the repr of its exception) is logged and
-    contributes nothing; decision counts are merged, not kept per stamp."""
+    """Fold per-stamp results, one at a time in stamp order, into the run's
+    result, keeping no outcome once it is folded. A failed stamp (the repr of
+    its exception) is logged, contributes nothing and leaves the next stamp
+    without a predecessor; decision counts are merged, not kept per stamp."""
     epoch = scenario.constellation.epoch
+    sets = _path_sets(scenario)
     failures: list[tuple[datetime, str]] = []
-    outcomes: list[StampOutcome | None] = []
     path_rows: list[PathLogRow] = []
+    stamps: list[list[StampStats]] = [[] for _ in sets]
+    records: list[list[ReachabilityRecord]] = [[] for _ in sets]
+    prev: list[tuple | None] = [None] * len(sets)
     stats = DecisionStats()
     table = LocationTable()
     for t, r in zip(scenario.time.stamps(), results):
         if isinstance(r, str):
             failures.append((t, r))
-            outcomes.append(None)
+            prev = [None] * len(sets)
             continue
         stats.comparisons.extend(r.comparisons)
-        outcomes.append(replace(r, comparisons=()))
         for i, st in enumerate(scenario.stations):
             table.update(st.ei, r.station_ecef[i], t)
-        for ps in r.pathsets:
+        for k, (ps, ((si, di), _)) in enumerate(zip(r.pathsets, sets)):
             for p in chain(ps.paths, ps.drops):
                 path_rows.append(_row_from_path(t, ps.algorithm, ps.src_ei, ps.dst_ei, p))
             if ps.algorithm in _MPLF_ALGOS and ps.any_delivered:
                 header = ler_encapsulate(table, ps.src_ei, ps.dst_ei, t, epoch)
                 record_delivery(table, header, epoch)
+            st = make_stamp_stats(
+                t=r.t,
+                covered_src=r.covered[si],
+                covered_dst=r.covered[di],
+                delivered=ps.paths,
+                n_drops=len(ps.drops),
+                src_point=r.station_points[si],
+                dst_point=r.station_points[di],
+                prev_delivered=prev[k],
+            )
+            stamps[k].append(st)
+            if st.psi is not None:
+                records[k].append(ReachabilityRecord(ps.src_ei, ps.dst_ei, r.t, st.psi))
+            prev[k] = ps.paths if st.valid else None
 
-    series, records = _assemble(scenario, outcomes)
+    eis = [st.ei for st in scenario.stations]
+    series = [
+        ConnectionSeries(eis[si], eis[di], algo, tuple(s))
+        for ((si, di), algo), s in zip(sets, stamps)
+    ]
     return ExperimentResult(
         scenario=scenario,
         series=series,
         summaries=[summarize(s) for s in series],
         path_rows=path_rows,
-        records=records,
+        records=list(chain.from_iterable(records)),
         failures=failures,
         location_table=table,
         decision_stats=stats,
     )
-
-
-def _assemble(
-    scenario: Scenario, outcomes: Sequence[StampOutcome | None]
-) -> tuple[list[ConnectionSeries], list[ReachabilityRecord]]:
-    series: list[ConnectionSeries] = []
-    records: list[ReachabilityRecord] = []
-    for k, ((si, di), algo) in enumerate(_path_sets(scenario)):
-        stamps: list[StampStats] = []
-        prev_delivered = None
-        for out in outcomes:
-            if out is None:
-                prev_delivered = None
-                continue
-            ps = out.pathsets[k]
-            st = make_stamp_stats(
-                t=out.t,
-                covered_src=out.covered[si],
-                covered_dst=out.covered[di],
-                delivered=ps.paths,
-                n_drops=len(ps.drops),
-                src_point=out.station_points[si],
-                dst_point=out.station_points[di],
-                prev_delivered=prev_delivered,
-            )
-            stamps.append(st)
-            if st.psi is not None:
-                records.append(ReachabilityRecord(ps.src_ei, ps.dst_ei, out.t, st.psi))
-            prev_delivered = ps.paths if st.valid else None
-        series.append(
-            ConnectionSeries(
-                src_ei=scenario.stations[si].ei,
-                dst_ei=scenario.stations[di].ei,
-                algorithm=algo,
-                stamps=tuple(stamps),
-            )
-        )
-    return series, records
 
 
 # -- reanalysis from a path log ------------------------------------------------
@@ -347,7 +333,8 @@ def index_path_log(
     """Each path-log row with its (stamp index, path-set index).
 
     A row whose stamp, connection, algorithm or hop ids do not fit the
-    scenario raises PathLogError with its 1-based number.
+    scenario, or whose status, hops or src_sat are not those of a traced path,
+    raises PathLogError with its 1-based number.
     """
     index_of = {t: i for i, t in enumerate(scenario.time.stamps())}
     eis = [st.ei for st in scenario.stations]
@@ -372,6 +359,12 @@ def index_path_log(
                 raise PathLogError(
                     n, f"hop {h} is outside the shell's satellites 0..{sats - 1}"
                 )
+        if r.status not in _STATUSES:
+            raise PathLogError(n, f"status {r.status!r} is not one of {', '.join(_STATUSES)}")
+        if r.hops != len(r.hop_list) - 1:
+            raise PathLogError(n, f"hops {r.hops} does not match the hop list {r.hop_list}")
+        if tuple(r.hop_list[:1]) != (r.src_sat,):
+            raise PathLogError(n, f"src_sat {r.src_sat} is not the first hop")
         yield index_of[r.t], set_of[conn, r.algorithm], r
 
 
@@ -379,8 +372,9 @@ def analyze_rows(scenario: Scenario, rows: Iterable[PathLogRow]) -> ExperimentRe
     """Recompute every connection metric from a path log.
 
     Station coverage and positions are rebuilt from the scenario (a cheap
-    topology-only sweep); paths come from the log. Produces the same series,
-    summaries and location table as the original run.
+    topology-only sweep); paths come from the log. The series, summaries and
+    location table match the original run to the six-decimal precision of
+    the logged latencies.
     """
     grouped: dict[tuple[int, int], tuple[list[LoggedPath], list[LoggedPath]]] = {}
     for i, k, r in index_path_log(scenario, rows):

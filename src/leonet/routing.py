@@ -133,16 +133,8 @@ class Next:
 
 
 @dataclass(frozen=True)
-class Deliver:
-    station_ei: str
-
-
-@dataclass(frozen=True)
 class Drop:
     reason: str
-
-
-ForwardDecision = Next | Deliver | Drop
 
 
 class DecisionStats:
@@ -267,10 +259,6 @@ class Path:
         return self.isl_km + (self.up_km or 0.0) + (self.down_km or 0.0)
 
     @property
-    def isl_latency_ms(self) -> float:
-        return float(link_latency_ms(self.isl_km))
-
-    @property
     def latency_ms(self) -> float:
         return float(link_latency_ms(self.total_km))
 
@@ -299,7 +287,8 @@ def trace_path(
     max_hops (default 4 * (sats_per_plane + planes)); exceeding it drops the
     packet as a dead end. dest_pos overrides the destination coordinates,
     e.g. with the frozen header address; it defaults to the station's
-    current inertial position.
+    current inertial position. Leg and delivery-link lengths are the
+    snapshot's, the legs gathered once per trace from its adjacency layout.
     """
     if strategy not in _FORWARDERS:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -314,24 +303,28 @@ def trace_path(
     dest_pos = np.asarray(dest_pos, dtype=float)
 
     pos = snap.sat_positions
+    down_of = dict(zip(snap.edge_sats[dst_idx].tolist(), snap.edge_lengths[dst_idx].tolist()))
     sats = [src_sat]
-    lengths: list[float] = []
+
+    def path(status: str, drop_reason: str | None = None, down_km: float | None = None) -> Path:
+        a = np.array(sats[:-1], dtype=np.int64)
+        col = (snap.template.nbr[a] == np.array(sats[1:])[:, None]).argmax(axis=1)
+        legs = tuple(snap.slot_lengths[a, col].tolist())
+        return Path(tuple(sats), legs, status, drop_reason=drop_reason, down_km=down_km)
+
     prev: int | None = None
     current = src_sat
     while True:
-        if dst_idx in snap.sat_station.get(current, ()):
-            down = float(np.linalg.norm(pos[current] - snap.station_positions[dst_idx]))
-            return Path(tuple(sats), tuple(lengths), "delivered", down_km=down)
-        if len(lengths) >= max_hops:
-            return Path(tuple(sats), tuple(lengths), "dropped", drop_reason=DROP_DEAD_END)
+        if current in down_of:
+            return path("delivered", down_km=down_of[current])
+        if len(sats) > max_hops:
+            return path("dropped", DROP_DEAD_END)
         nbrs = snap.neighbors(current)
         decision = forwarder(pos[current], prev, dest_pos, nbrs, pos[nbrs], stats)
         if isinstance(decision, Drop):
-            return Path(tuple(sats), tuple(lengths), "dropped", drop_reason=decision.reason)
-        nxt = decision.neighbor
-        lengths.append(float(np.linalg.norm(pos[nxt] - pos[current])))
-        sats.append(nxt)
-        prev, current = current, nxt
+            return path("dropped", decision.reason)
+        sats.append(decision.neighbor)
+        prev, current = current, decision.neighbor
 
 
 # -- shortest-path baselines --------------------------------------------------

@@ -260,16 +260,12 @@ class Snapshot:
         # connect-all-visible edge links, per station
         self.edge_sats: list[np.ndarray] = []
         self.edge_lengths: list[np.ndarray] = []
-        sat_station: dict[int, list[int]] = {}
         for i in range(len(stations)):
             els = elevation_angle(self.station_positions[i], pos)
             vis = np.flatnonzero(np.asarray(els) >= self.min_elevation_deg)
             lengths = np.linalg.norm(pos[vis] - self.station_positions[i], axis=1)
             self.edge_sats.append(vis.astype(np.int32))
             self.edge_lengths.append(lengths)
-            for s in vis:
-                sat_station.setdefault(int(s), []).append(i)
-        self.sat_station = {k: tuple(v) for k, v in sat_station.items()}
 
         # link lengths laid out like the template's adjacency table
         self.slot_lengths = np.append(isl_lengths, np.inf)[template.link]
@@ -362,7 +358,9 @@ def synthetic_snapshot(
     """Snapshot with caller-supplied states and (optionally) link lengths.
 
     Intended for analysis and tests where link weights are decoupled from
-    geometry; forwarding still uses the supplied positions.
+    geometry: positions drive forwarding and the station edge links, and
+    every inter-satellite leg of a path, greedy or baseline, reads the
+    supplied lengths.
     """
     template = IslTemplate(
         pairs=np.asarray(pairs, dtype=np.int32),

@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from datetime import timedelta
 from pathlib import Path
 
@@ -156,7 +157,34 @@ class TestRunExperiment:
         assert serial.failures == [(stamp, "RuntimeError('injected')")]
         assert par.failures == serial.failures
         assert par.path_rows == serial.path_rows
+        assert par.series == serial.series
+        assert par.records == serial.records
         assert {r.t for r in serial.path_rows} == set(tiny_scenario().time.stamps()) - {stamp}
+        count = len(tiny_scenario().time.stamps())
+        for s in serial.series:
+            assert len(s.stamps) == count - 1
+            # the failure leaves the next stamp without a predecessor
+            assert s.stamps[1].vertex_changes is None
+            assert s.stamps[2].vertex_changes is not None
+
+    def test_merge_keeps_no_folded_stamp(self, tiny_result):
+        scn = tiny_scenario()
+        run = harness._stamp_runner(scn)
+        refs = []
+
+        def outcomes():
+            for i, t in enumerate(scn.time.stamps()):
+                if i >= 2:
+                    assert all(ref() is None for ref in refs[i - 2])
+                out = run(t)
+                refs.append([weakref.ref(ps) for ps in out.pathsets])
+                yield out
+
+        res = harness._merge(scn, outcomes())
+        assert len(refs) == len(scn.time.stamps())
+        assert res.series == tiny_result.series
+        assert res.records == tiny_result.records
+        assert res.path_rows == tiny_result.path_rows
 
 
 class TestAnalyzeRows:
@@ -206,6 +234,10 @@ class TestAnalyzeRows:
         [
             ("src_station", "zz", "connection zz->b is not in the scenario"),
             ("algorithm", "flood", "algorithm 'flood' is not in the scenario"),
+            ("status", "bogus", "status 'bogus' is not one of"),
+            ("status", "dropped:teleport", "status 'dropped:teleport' is not one of"),
+            ("hops", 4, "hops 4 does not match the hop list"),
+            ("src_sat", 5, "src_sat 5 is not the first hop"),
         ],
     )
     def test_row_outside_scenario_names_its_number(self, tiny_result, field, value, message):
@@ -445,8 +477,12 @@ class TestGeojson:
             ("src_station", "zz", "connection zz->b is not in the scenario"),
             ("algorithm", "flood", "algorithm 'flood' is not in the scenario"),
             ("hop_list", (0, 999), "hop 999 is outside the shell's satellites 0..63"),
+            ("status", "bogus", "status 'bogus' is not one of"),
+            ("status", "dropped:teleport", "status 'dropped:teleport' is not one of"),
+            ("hops", 4, "hops 4 does not match the hop list"),
+            ("src_sat", 5, "src_sat 5 is not the first hop"),
         ],
-        ids=["stamp", "connection", "algorithm", "hop"],
+        ids=["stamp", "connection", "algorithm", "hop", "status", "drop-reason", "hops", "src-sat"],
     )
     def test_row_outside_scenario_rejected(self, tiny_result, field, value, message):
         rows = [r for r in tiny_result.path_rows if r.status == "delivered"][:3]

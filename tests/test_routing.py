@@ -751,3 +751,23 @@ class TestBaselinesExact:
                         assert (p.isl_km if weight == "latency" else p.hops) == w[4]
                     checked += len(got)
         assert checked > 20
+
+    def test_greedy_lengths_read_the_snapshot_on_shipped_shell(self):
+        sc = load_scenario(SCENARIO_DIR / "experiment1_20x20.json")
+        const = build_walker(sc.constellation)
+        tpl = build_persistent_isls(const, sc.pattern)
+        legs = downs = 0
+        for t in sc.time.stamps()[::20]:
+            snap = snapshot(const, sc.stations, sc.pattern, t, sc.elevation_min_deg, template=tpl)
+            for si, di in _connection_indices(sc):
+                for algo in (ALGO_MPLF_CPI, ALGO_MPLF_NFP):
+                    ps = enumerate_paths(snap, algo, si, di)
+                    for p in ps.paths + ps.drops:
+                        for a, b, km in zip(p.sats, p.sats[1:], p.isl_lengths_km):
+                            col = int(np.flatnonzero(tpl.nbr[a] == b)[0])
+                            assert km == snap.slot_lengths[a, col]
+                            legs += 1
+                    for p in ps.paths:
+                        assert p.down_km == snap.edge_length(di, p.end_sat)
+                        downs += 1
+        assert legs > 100 and downs > 10

@@ -21,6 +21,7 @@ from leonet.geometry import (
     link_latency_ms,
     utc,
 )
+from leonet.routing import trace_path
 from leonet.scenario import load_scenario
 from leonet.topology import (
     GRID_PLUS,
@@ -340,6 +341,18 @@ class TestSyntheticSnapshot:
     def test_supplied_lengths_override_geometry(self):
         snap = square_snapshot(lengths=[10.0, 20.0, 30.0, 40.0])
         assert snap.isl_lengths.tolist() == [10.0, 20.0, 30.0, 40.0]
+
+    def test_greedy_trace_reads_supplied_lengths(self):
+        nowhere = Station("x", "x", "ground", FixedPosition(GeodeticPoint(0.0, 180.0, 0.0)))
+        snap = square_snapshot(lengths=[10.0, 20.0, 30.0, 40.0], stations=(nowhere,))
+        dest = np.array([7000.0, 150.0, 110.0])
+        # the walk turns back at satellite 2; both routes around the ring
+        p = trace_path(snap, "nfp", 0, "x", dest_pos=dest)
+        assert p.sats == (0, 1, 2)
+        assert p.isl_lengths_km == (10.0, 20.0)
+        p = trace_path(snap, "nfp", 0, "x", dest_pos=dest[[0, 2, 1]])
+        assert p.sats == (0, 3, 2)
+        assert p.isl_lengths_km == (40.0, 30.0)
 
     def test_default_lengths_from_positions(self):
         snap = square_snapshot()
