@@ -64,7 +64,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
     def stamps():
         # one snapshot per stamp, fed to every artifact while edges.csv is written
-        snaps = map(snapshot_at(scenario), scenario.time.stamps())
+        snaps = map(snapshot_at(scenario)[0], scenario.time.stamps())
         for i, snap in enumerate(snaps):
             hist.add(snap)
             if eisl is not None:

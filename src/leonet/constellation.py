@@ -170,9 +170,6 @@ class Constellation:
             raise ValueError(f"satellite index {index} outside the shell")
         return SatelliteId(index // n, index % n)
 
-    def satellite_ids(self) -> tuple[SatelliteId, ...]:
-        return tuple(self.id_of(i) for i in range(self.sat_count))
-
     def _arg_lat(self, t: datetime) -> np.ndarray:
         dt = elapsed_seconds(t, self.config.epoch)
         return self._u0 + self.config.mean_motion_rad_per_s * dt

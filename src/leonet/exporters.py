@@ -11,9 +11,10 @@ import csv
 import json
 import weakref
 from datetime import datetime, timezone
-from itertools import repeat
+from itertools import chain, repeat
+from operator import attrgetter
 from pathlib import Path as FsPath
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -48,200 +49,129 @@ def _t(t: datetime) -> str:
     return t.astimezone(timezone.utc).isoformat()
 
 
-def _parse_t(text: str) -> datetime:
-    return datetime.fromisoformat(text)
+def _write_csv(path: FsPath, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
-_PATH_COLUMNS = (
-    "t",
-    "algorithm",
-    "src_station",
-    "dst_station",
-    "src_sat",
-    "hop_list",
-    "latency_ms",
-    "hops",
-    "status",
-)
+def _formatter(columns: dict[str, Callable]) -> Callable[[object], list]:
+    """A row of the named attributes, each through its column's formatter."""
+    get, fmts = attrgetter(*columns), tuple(columns.values())
+    return lambda obj: [f(v) for f, v in zip(fmts, get(obj))]
+
+
+# path log: PathLogRow field -> (format, parse), in file order
+_PATH_LOG = {
+    "t": (_t, datetime.fromisoformat),
+    "algorithm": (str, str),
+    "src_station": (str, str),
+    "dst_station": (str, str),
+    "src_sat": (str, int),
+    "hop_list": (
+        lambda hops: "-".join(str(s) for s in hops),
+        lambda text: tuple(int(s) for s in text.split("-")),
+    ),
+    "latency_ms": (_f, float),
+    "hops": (str, int),
+    "status": (str, str),
+}
+
+# the columns naming a series, after metrics.csv's t and first in the others
+_SERIES_COLUMNS = ("src_station", "dst_station", "algorithm")
+
+# metrics.csv after t and the series columns: StampStats attribute -> format
+_STAMP_COLUMNS = {
+    "covered_src": int,
+    "covered_dst": int,
+    "valid": int,
+    "n_paths": _i,
+    "n_drops": _i,
+    "psi": _i,
+    "latency_min_ms": _f,
+    "latency_avg_ms": _f,
+    "latency_max_ms": _f,
+    "hops_min": _i,
+    "hops_avg": _f,
+    "hops_max": _i,
+    "gamma": _f,
+    "stretch_min": _f,
+    "stretch_avg": _f,
+    "stretch_max": _f,
+    "vertex_changes": _i,
+    "geodesic_km": _f,
+    "geodesic_latency_ms": _f,
+}
+
+# summary.csv after the series columns: column -> cell of a ConnectionSummary,
+# whose latency and hops are None when the series has no valid stamp
+_SUMMARY_COLUMNS = {
+    "n_stamps": lambda s: s.n_stamps,
+    "n_valid": lambda s: s.n_valid,
+    "n_invalid": lambda s: s.n_invalid,
+    "reachable_probability": lambda s: _f(s.reachable_probability),
+    "latency_min_ms": lambda s: _f(s.latency and s.latency.minimum),
+    "latency_avg_ms": lambda s: _f(s.latency and s.latency.average),
+    "latency_max_ms": lambda s: _f(s.latency and s.latency.maximum),
+    "hops_min": lambda s: _f(s.hops and s.hops.minimum),
+    "hops_avg": lambda s: _f(s.hops and s.hops.average),
+    "hops_max": lambda s: _f(s.hops and s.hops.maximum),
+    "gamma_median": lambda s: _f(s.gamma_median),
+    "stretch_max": lambda s: _f(s.stretch_max),
+    "frac_changes_le_20": lambda s: _f(s.frac_changes_le_20),
+}
+
+# CDF quantity -> the per-stamp value it takes (averages, max for stretch)
+_CDF_VALUES = {"latency": "latency_avg_ms", "hops": "hops_avg", "stretch": "stretch_max"}
 
 
 def write_paths_csv(rows: Sequence[PathLogRow], path: FsPath) -> None:
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_PATH_COLUMNS)
-        for r in rows:
-            w.writerow(
-                [
-                    _t(r.t),
-                    r.algorithm,
-                    r.src_station,
-                    r.dst_station,
-                    r.src_sat,
-                    "-".join(str(s) for s in r.hop_list),
-                    _f(r.latency_ms),
-                    r.hops,
-                    r.status,
-                ]
-            )
+    row = _formatter({c: fmt for c, (fmt, _) in _PATH_LOG.items()})
+    _write_csv(path, tuple(_PATH_LOG), map(row, rows))
 
 
 def read_paths_csv(path: FsPath) -> list[PathLogRow]:
     """Read a path log; a malformed row raises PathLogError with its number."""
     rows: list[PathLogRow] = []
+    parsers = [(c, parse) for c, (_, parse) in _PATH_LOG.items()]
     with path.open(newline="") as fh:
         for n, rec in enumerate(csv.DictReader(fh), start=1):
-            missing = [c for c in _PATH_COLUMNS if rec.get(c) is None]
+            missing = [c for c in _PATH_LOG if rec.get(c) is None]
             if missing:
                 raise PathLogError(n, f"missing column(s) {', '.join(missing)}")
             try:
-                rows.append(
-                    PathLogRow(
-                        t=_parse_t(rec["t"]),
-                        algorithm=rec["algorithm"],
-                        src_station=rec["src_station"],
-                        dst_station=rec["dst_station"],
-                        src_sat=int(rec["src_sat"]),
-                        hop_list=tuple(int(s) for s in rec["hop_list"].split("-")),
-                        latency_ms=float(rec["latency_ms"]),
-                        hops=int(rec["hops"]),
-                        status=rec["status"],
-                    )
-                )
+                rows.append(PathLogRow(**{c: parse(rec[c]) for c, parse in parsers}))
             except ValueError as exc:
                 raise PathLogError(n, str(exc)) from exc
     return rows
 
 
 def write_metrics_csv(series: Sequence[ConnectionSeries], path: FsPath) -> None:
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            [
-                "t",
-                "src_station",
-                "dst_station",
-                "algorithm",
-                "covered_src",
-                "covered_dst",
-                "valid",
-                "n_paths",
-                "n_drops",
-                "psi",
-                "latency_min_ms",
-                "latency_avg_ms",
-                "latency_max_ms",
-                "hops_min",
-                "hops_avg",
-                "hops_max",
-                "gamma",
-                "stretch_min",
-                "stretch_avg",
-                "stretch_max",
-                "vertex_changes",
-                "geodesic_km",
-                "geodesic_latency_ms",
-            ]
-        )
-        for s in series:
-            for st in s.stamps:
-                w.writerow(
-                    [
-                        _t(st.t),
-                        s.src_ei,
-                        s.dst_ei,
-                        s.algorithm,
-                        int(st.covered_src),
-                        int(st.covered_dst),
-                        int(st.valid),
-                        st.n_paths,
-                        st.n_drops,
-                        _i(st.psi),
-                        _f(st.latency_min_ms),
-                        _f(st.latency_avg_ms),
-                        _f(st.latency_max_ms),
-                        _i(st.hops_min),
-                        _f(st.hops_avg),
-                        _i(st.hops_max),
-                        _f(st.gamma),
-                        _f(st.stretch_min),
-                        _f(st.stretch_avg),
-                        _f(st.stretch_max),
-                        _i(st.vertex_changes),
-                        _f(st.geodesic_km),
-                        _f(st.geodesic_latency_ms),
-                    ]
-                )
+    stamp = _formatter(_STAMP_COLUMNS)
+    rows = (
+        [_t(st.t), s.src_ei, s.dst_ei, s.algorithm, *stamp(st)] for s in series for st in s.stamps
+    )
+    _write_csv(path, ("t", *_SERIES_COLUMNS, *_STAMP_COLUMNS), rows)
 
 
 def write_summary_csv(summaries: Sequence[ConnectionSummary], path: FsPath) -> None:
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            [
-                "src_station",
-                "dst_station",
-                "algorithm",
-                "n_stamps",
-                "n_valid",
-                "n_invalid",
-                "reachable_probability",
-                "latency_min_ms",
-                "latency_avg_ms",
-                "latency_max_ms",
-                "hops_min",
-                "hops_avg",
-                "hops_max",
-                "gamma_median",
-                "stretch_max",
-                "frac_changes_le_20",
-            ]
-        )
-        for s in summaries:
-            w.writerow(
-                [
-                    s.src_ei,
-                    s.dst_ei,
-                    s.algorithm,
-                    s.n_stamps,
-                    s.n_valid,
-                    s.n_invalid,
-                    _f(s.reachable_probability),
-                    _f(s.latency.minimum if s.latency else None),
-                    _f(s.latency.average if s.latency else None),
-                    _f(s.latency.maximum if s.latency else None),
-                    _f(s.hops.minimum if s.hops else None),
-                    _f(s.hops.average if s.hops else None),
-                    _f(s.hops.maximum if s.hops else None),
-                    _f(s.gamma_median),
-                    _f(s.stretch_max),
-                    _f(s.frac_changes_le_20),
-                ]
-            )
+    cells = tuple(_SUMMARY_COLUMNS.values())
+    rows = ([s.src_ei, s.dst_ei, s.algorithm, *(c(s) for c in cells)] for s in summaries)
+    _write_csv(path, (*_SERIES_COLUMNS, *_SUMMARY_COLUMNS), rows)
 
 
-def write_cdf_csv(
-    series: Sequence[ConnectionSeries],
-    quantity: str,
-    path: FsPath,
-) -> None:
+def write_cdf_csv(series: Sequence[ConnectionSeries], quantity: str, path: FsPath) -> None:
     """CDF of per-stamp values (averages for latency/hops, max for stretch)."""
-    pick = {
-        "latency": lambda st: st.latency_avg_ms,
-        "hops": lambda st: st.hops_avg,
-        "stretch": lambda st: st.stretch_max,
-        "gamma": lambda st: st.gamma,
-        "vertex_changes": lambda st: st.vertex_changes,
-    }[quantity]
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["src_station", "dst_station", "algorithm", "value", "cum_fraction"])
-        for s in series:
-            vals = sorted(
-                float(v) for st in s.stamps if (v := pick(st)) is not None
-            )
-            n = len(vals)
-            for i, v in enumerate(vals, start=1):
-                w.writerow([s.src_ei, s.dst_ei, s.algorithm, _f(v), _f(i / n)])
+    pick = attrgetter(_CDF_VALUES[quantity])
+
+    def rows(s: ConnectionSeries):
+        vals = sorted(float(v) for st in s.stamps if (v := pick(st)) is not None)
+        n = len(vals)
+        return ([s.src_ei, s.dst_ei, s.algorithm, _f(v), _f(i / n)] for i, v in enumerate(vals, 1))
+
+    header = (*_SERIES_COLUMNS, "value", "cum_fraction")
+    _write_csv(path, header, chain.from_iterable(map(rows, series)))
 
 
 def _link_rows(ts: str, ends, kinds, lengths: np.ndarray):
@@ -256,47 +186,43 @@ def write_edges_csv(snapshots: Iterable[Snapshot], path: FsPath) -> None:
     """One row per link and stamp, in Snapshot.iter_links order, formatted
     from the snapshot arrays; persistent links go a block at a time, which
     bounds the Python lists alive at once."""
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "src", "dst", "kind", "length_km", "latency_ms"])
+
+    def blocks():
         for snap in snapshots:
             ts = _t(snap.t)
             for lo in range(0, snap.template.edge_count, _EDGE_BLOCK):
                 part = slice(lo, lo + _EDGE_BLOCK)
                 kinds = [ISL_KIND_NAMES[k] for k in snap.isl_kinds[part].tolist()]
-                w.writerows(
-                    _link_rows(ts, snap.isl_pairs[part].tolist(), kinds, snap.isl_lengths[part])
-                )
+                yield _link_rows(ts, snap.isl_pairs[part].tolist(), kinds, snap.isl_lengths[part])
             for i, st in enumerate(snap.stations):
                 node = snap.station_node(i)
                 ends = [(s, node) for s in snap.edge_sats[i].tolist()]
                 kind = KIND_GSL if st.kind == "ground" else KIND_MSL
-                w.writerows(_link_rows(ts, ends, repeat(kind), snap.edge_lengths[i]))
+                yield _link_rows(ts, ends, repeat(kind), snap.edge_lengths[i])
+
+    header = ("t", "src", "dst", "kind", "length_km", "latency_ms")
+    _write_csv(path, header, chain.from_iterable(blocks()))
 
 
 def write_direction_histogram_csv(hist: np.ndarray, path: FsPath) -> None:
     if hist.shape != (90,):
         raise ValueError("expected 90 one-degree bins")
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bin_start_deg", "bin_end_deg", "fraction"])
-        for i, v in enumerate(hist):
-            w.writerow([i, i + 1, f"{v:.9f}"])
+    rows = ([i, i + 1, f"{v:.9f}"] for i, v in enumerate(hist))
+    _write_csv(path, ("bin_start_deg", "bin_end_deg", "fraction"), rows)
 
 
 def write_eisl_csv(stats: dict[float, EislStats], out_dir: FsPath) -> None:
-    with (out_dir / "eisl_counts.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["l_h_km", "stamp", "count"])
-        for r in sorted(stats):
-            for i, c in enumerate(stats[r].per_stamp_counts):
-                w.writerow([_f(r), i, c])
-    with (out_dir / "eisl_episodes.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["l_h_km", "duration_s"])
-        for r in sorted(stats):
-            for d in stats[r].episode_durations_s:
-                w.writerow([_f(r), _f(d)])
+    radii = sorted(stats)
+    _write_csv(
+        out_dir / "eisl_counts.csv",
+        ("l_h_km", "stamp", "count"),
+        ([_f(r), i, c] for r in radii for i, c in enumerate(stats[r].per_stamp_counts)),
+    )
+    _write_csv(
+        out_dir / "eisl_episodes.csv",
+        ("l_h_km", "duration_s"),
+        ([_f(r), _f(d)] for r in radii for d in stats[r].episode_durations_s),
+    )
 
 
 # -- GeoJSON -------------------------------------------------------------------
@@ -306,69 +232,61 @@ def _geo(obj: dict, path: FsPath) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-# rounded (lon, lat) sub-points per snapshot, dropped with the snapshot
+def _feature(kind: str, coordinates: list, properties: dict) -> dict:
+    return {
+        "type": "Feature",
+        "geometry": {"type": kind, "coordinates": coordinates},
+        "properties": properties,
+    }
+
+
+def _collection(features: Iterable[dict]) -> dict:
+    return {"type": "FeatureCollection", "features": list(features)}
+
+
+# rounded (lon, lat) of each node per snapshot, dropped with the snapshot
 _LONLAT: weakref.WeakKeyDictionary[Snapshot, dict[int, tuple[float, float]]] = (
     weakref.WeakKeyDictionary()
 )
 
 
-def _sat_lonlat(snap: Snapshot, sat: int) -> list[float]:
-    """A satellite's rounded sub-point, converted once per snapshot."""
+def _lonlat(snap: Snapshot, node: int) -> list[float]:
+    """A node's rounded (lon, lat), a satellite's sub-point or a station's
+    position, worked out once per snapshot."""
     memo = _LONLAT.setdefault(snap, {})
-    point = memo.get(sat)
+    point = memo.get(node)
     if point is None:
-        g = eci_to_geodetic(snap.sat_positions[sat], snap.t, snap.constellation.config.epoch)
-        point = memo[sat] = (round(g.lon_deg, 6), round(g.lat_deg, 6))
+        n = snap.sat_count
+        if node < n:
+            g = eci_to_geodetic(snap.sat_positions[node], snap.t, snap.constellation.config.epoch)
+        else:
+            g = snap.station_geodetic[node - n]
+        point = memo[node] = (round(g.lon_deg, 6), round(g.lat_deg, 6))
     return list(point)
 
 
 def snapshot_nodes_geojson(snap: Snapshot) -> dict:
-    feats = []
-    for s in range(snap.sat_count):
-        feats.append(
-            {
-                "type": "Feature",
-                "geometry": {"type": "Point", "coordinates": _sat_lonlat(snap, s)},
-                "properties": {"id": s, "kind": "satellite"},
-            }
-        )
-    for i, st in enumerate(snap.stations):
-        g = snap.station_geodetic[i]
-        feats.append(
-            {
-                "type": "Feature",
-                "geometry": {
-                    "type": "Point",
-                    "coordinates": [round(g.lon_deg, 6), round(g.lat_deg, 6)],
-                },
-                "properties": {"id": snap.station_node(i), "kind": st.kind, "name": st.name},
-            }
-        )
-    return {"type": "FeatureCollection", "features": feats}
+    props = [{"id": s, "kind": "satellite"} for s in range(snap.sat_count)]
+    props += [
+        {"id": snap.station_node(i), "kind": st.kind, "name": st.name}
+        for i, st in enumerate(snap.stations)
+    ]
+    return _collection(_feature("Point", _lonlat(snap, p["id"]), p) for p in props)
 
 
 def snapshot_links_geojson(snap: Snapshot) -> dict:
-    feats = []
-    for link in snap.iter_links():
-        coords = []
-        for node in (link.node_a, link.node_b):
-            if node < snap.sat_count:
-                coords.append(_sat_lonlat(snap, node))
-            else:
-                g = snap.station_geodetic[node - snap.sat_count]
-                coords.append([round(g.lon_deg, 6), round(g.lat_deg, 6)])
-        feats.append(
+    return _collection(
+        _feature(
+            "LineString",
+            [_lonlat(snap, link.node_a), _lonlat(snap, link.node_b)],
             {
-                "type": "Feature",
-                "geometry": {"type": "LineString", "coordinates": coords},
-                "properties": {
-                    "kind": link.kind,
-                    "length_km": round(link.length_km, 3),
-                    "latency_ms": round(link.latency_ms, 6),
-                },
-            }
+                "kind": link.kind,
+                "length_km": round(link.length_km, 3),
+                "latency_ms": round(link.latency_ms, 6),
+            },
         )
-    return {"type": "FeatureCollection", "features": feats}
+        for link in snap.iter_links()
+    )
 
 
 def path_geojson(snap: Snapshot, row: PathLogRow) -> dict:
@@ -376,11 +294,11 @@ def path_geojson(snap: Snapshot, row: PathLogRow) -> dict:
 
     The hop_count property equals the vertex count minus one.
     """
-    coords = [_sat_lonlat(snap, s) for s in row.hop_list]
-    return {
-        "type": "Feature",
-        "geometry": {"type": "LineString", "coordinates": coords},
-        "properties": {
+    coords = [_lonlat(snap, s) for s in row.hop_list]
+    return _feature(
+        "LineString",
+        coords,
+        {
             "t": _t(row.t),
             "algorithm": row.algorithm,
             "src_station": row.src_station,
@@ -389,23 +307,23 @@ def path_geojson(snap: Snapshot, row: PathLogRow) -> dict:
             "latency_ms": round(row.latency_ms, 6),
             "status": row.status,
         },
-    }
+    )
 
 
 def paths_geojson(scenario: Scenario, rows: Sequence[PathLogRow]) -> dict:
     """All delivered log rows as LineString features (snapshots rebuilt per
     stamp). A row that does not fit the scenario raises PathLogError."""
-    snapshot_of = snapshot_at(scenario)
+    snapshot_of, template = snapshot_at(scenario)
     cache: dict[datetime, Snapshot] = {}
     feats = []
-    for _, _, r in index_path_log(scenario, rows):
+    for _, _, r in index_path_log(scenario, rows, template):
         if r.status != "delivered":
             continue
         snap = cache.get(r.t)
         if snap is None:
             snap = cache[r.t] = snapshot_of(r.t)
         feats.append(path_geojson(snap, r))
-    return {"type": "FeatureCollection", "features": feats}
+    return _collection(feats)
 
 
 # -- top-level export ----------------------------------------------------------
@@ -433,7 +351,7 @@ def export_result(
     write_paths_csv(result.path_rows, out("paths.csv"))
     write_metrics_csv(result.series, out("metrics.csv"))
     write_summary_csv(result.summaries, out("summary.csv"))
-    for q in ("latency", "hops", "stretch"):
+    for q in _CDF_VALUES:
         write_cdf_csv(result.series, q, out(f"{q}_cdf.csv"))
     meta = scenario_to_dict(result.scenario)
     meta["failures"] = [[_t(t), msg] for t, msg in result.failures]

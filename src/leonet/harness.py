@@ -43,7 +43,7 @@ from .routing import (
     record_delivery,
 )
 from .scenario import Scenario
-from .topology import Snapshot, build_persistent_isls, snapshot
+from .topology import IslTemplate, Snapshot, build_persistent_isls, snapshot
 
 _MPLF_ALGOS = (ALGO_MPLF_CPI, ALGO_MPLF_NFP)
 _STATUSES = ("delivered", f"dropped:{DROP_DEAD_END}", f"dropped:{DROP_LOOP}")
@@ -116,11 +116,11 @@ def _connection_indices(scenario: Scenario) -> list[tuple[int, int]]:
     return [(by_name[a], by_name[b]) for a, b in scenario.connections]
 
 
-def snapshot_at(scenario: Scenario) -> Callable[[datetime], Snapshot]:
-    """The scenario's stamp -> snapshot map.
+def snapshot_at(scenario: Scenario) -> tuple[Callable[[datetime], Snapshot], IslTemplate]:
+    """The scenario's stamp -> snapshot map, and its persistent-link template.
 
-    The constellation and its persistent-link template do not change over
-    time, so they are built once, here; each call builds one snapshot.
+    The constellation and its template do not change over time, so they are
+    built once, here; each call of the map builds one snapshot.
     """
     constellation = build_walker(scenario.constellation)
     template = build_persistent_isls(constellation, scenario.pattern)
@@ -135,7 +135,7 @@ def snapshot_at(scenario: Scenario) -> Callable[[datetime], Snapshot]:
             template=template,
         )
 
-    return at
+    return at, template
 
 
 def _stamp_outcome(
@@ -180,7 +180,7 @@ def _compute_stamp(
 
 
 def _stamp_runner(scenario: Scenario) -> Callable[[datetime], StampOutcome | str]:
-    return partial(_compute_stamp, snapshot_at(scenario), scenario)
+    return partial(_compute_stamp, snapshot_at(scenario)[0], scenario)
 
 
 _WORKER_STATE: dict = {}
@@ -239,7 +239,6 @@ def _merge(
     failures: list[tuple[datetime, str]] = []
     path_rows: list[PathLogRow] = []
     stamps: list[list[StampStats]] = [[] for _ in sets]
-    records: list[list[ReachabilityRecord]] = [[] for _ in sets]
     prev: list[tuple | None] = [None] * len(sets)
     stats = DecisionStats()
     table = LocationTable()
@@ -268,8 +267,6 @@ def _merge(
                 prev_delivered=prev[k],
             )
             stamps[k].append(st)
-            if st.psi is not None:
-                records[k].append(ReachabilityRecord(ps.src_ei, ps.dst_ei, r.t, st.psi))
             prev[k] = ps.paths if st.valid else None
 
     eis = [st.ei for st in scenario.stations]
@@ -282,7 +279,12 @@ def _merge(
         series=series,
         summaries=[summarize(s) for s in series],
         path_rows=path_rows,
-        records=list(chain.from_iterable(records)),
+        records=[
+            ReachabilityRecord(s.src_ei, s.dst_ei, st.t, st.psi)
+            for s in series
+            for st in s.stamps
+            if st.psi is not None
+        ],
         failures=failures,
         location_table=table,
         decision_stats=stats,
@@ -328,13 +330,14 @@ def _path_sets(scenario: Scenario) -> list[tuple[tuple[int, int], str]]:
 
 
 def index_path_log(
-    scenario: Scenario, rows: Iterable[PathLogRow]
+    scenario: Scenario, rows: Iterable[PathLogRow], template: IslTemplate
 ) -> Iterator[tuple[int, int, PathLogRow]]:
     """Each path-log row with its (stamp index, path-set index).
 
     A row whose stamp, connection, algorithm or hop ids do not fit the
-    scenario, or whose status, hops or src_sat are not those of a traced path,
-    raises PathLogError with its 1-based number.
+    scenario, whose status, hops or src_sat are not those of a traced path, or
+    whose consecutive hops are not a link of the scenario's template, raises
+    PathLogError with its 1-based number.
     """
     index_of = {t: i for i, t in enumerate(scenario.time.stamps())}
     eis = [st.ei for st in scenario.stations]
@@ -344,6 +347,8 @@ def index_path_log(
     }
     conns = {conn for conn, _ in set_of}
     sats = scenario.constellation.total_sats
+    links = {(a, b) for a, b in template.pairs.tolist()}
+    links |= {(b, a) for a, b in links}
     for n, r in enumerate(rows, start=1):
         if r.t not in index_of:
             raise PathLogError(n, f"stamp {r.t} is outside the scenario time grid")
@@ -365,6 +370,10 @@ def index_path_log(
             raise PathLogError(n, f"hops {r.hops} does not match the hop list {r.hop_list}")
         if tuple(r.hop_list[:1]) != (r.src_sat,):
             raise PathLogError(n, f"src_sat {r.src_sat} is not the first hop")
+        hops = r.hop_list
+        if not links.issuperset(zip(hops, hops[1:])):
+            a, b = next(s for s in zip(hops, hops[1:]) if s not in links)
+            raise PathLogError(n, f"hops {a} and {b} are not linked in the template")
         yield index_of[r.t], set_of[conn, r.algorithm], r
 
 
@@ -376,13 +385,13 @@ def analyze_rows(scenario: Scenario, rows: Iterable[PathLogRow]) -> ExperimentRe
     location table match the original run to the six-decimal precision of
     the logged latencies.
     """
+    snapshot_of, template = snapshot_at(scenario)
     grouped: dict[tuple[int, int], tuple[list[LoggedPath], list[LoggedPath]]] = {}
-    for i, k, r in index_path_log(scenario, rows):
+    for i, k, r in index_path_log(scenario, rows, template):
         delivered, dropped = grouped.setdefault((i, k), ([], []))
         p = LoggedPath(sats=r.hop_list, status=r.status, latency_ms=r.latency_ms)
         (delivered if p.delivered else dropped).append(p)
 
-    snapshot_of = snapshot_at(scenario)
     sets = _path_sets(scenario)
 
     def outcome(i: int, t: datetime) -> StampOutcome:

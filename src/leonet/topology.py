@@ -35,7 +35,6 @@ GRID_STAR = "*Grid"
 
 KIND_IISL = "iISL"
 KIND_SISL = "sISL"
-KIND_EISL = "eISL"
 KIND_GSL = "GSL"
 KIND_MSL = "MSL"
 

@@ -66,6 +66,10 @@ TINY = {
 }
 
 
+# a delivered row rewritten to one hop between satellites that share no link
+NON_LINK = {"hop_list": (4, 30), "hops": 1, "src_sat": 4}
+
+
 def tiny_scenario(**overrides):
     root = copy.deepcopy(TINY)
     root.update(overrides)
@@ -230,19 +234,24 @@ class TestAnalyzeRows:
             analyze_rows(tiny_scenario(), [rogue])
 
     @pytest.mark.parametrize(
-        "field,value,message",
+        "fields,message",
         [
-            ("src_station", "zz", "connection zz->b is not in the scenario"),
-            ("algorithm", "flood", "algorithm 'flood' is not in the scenario"),
-            ("status", "bogus", "status 'bogus' is not one of"),
-            ("status", "dropped:teleport", "status 'dropped:teleport' is not one of"),
-            ("hops", 4, "hops 4 does not match the hop list"),
-            ("src_sat", 5, "src_sat 5 is not the first hop"),
+            ({"src_station": "zz"}, "connection zz->b is not in the scenario"),
+            ({"algorithm": "flood"}, "algorithm 'flood' is not in the scenario"),
+            ({"status": "bogus"}, "status 'bogus' is not one of"),
+            ({"status": "dropped:teleport"}, "status 'dropped:teleport' is not one of"),
+            ({"hops": 4}, "hops 4 does not match the hop list"),
+            ({"src_sat": 5}, "src_sat 5 is not the first hop"),
+            (NON_LINK, "hops 4 and 30 are not linked in the template"),
         ],
+        # a one-field case keeps the "field-value-message" id it has always had
+        ids=lambda case: "-".join(f"{k}-{v}" for k, v in case.items())
+        if isinstance(case, dict)
+        else case,
     )
-    def test_row_outside_scenario_names_its_number(self, tiny_result, field, value, message):
+    def test_row_outside_scenario_names_its_number(self, tiny_result, fields, message):
         rows = list(tiny_result.path_rows[:3])
-        rows[1] = dataclasses.replace(rows[1], **{field: value})
+        rows[1] = dataclasses.replace(rows[1], **fields)
         with pytest.raises(PathLogError, match=f"path log row 2: {message}") as err:
             analyze_rows(tiny_scenario(), rows)
         assert err.value.row == 2
@@ -342,6 +351,50 @@ class TestPathsCsv:
             read_paths_csv(g)
 
 
+# metrics.csv columns after t and the connection, all StampStats attributes
+METRICS_STAMP = [
+    "covered_src",
+    "covered_dst",
+    "valid",
+    "n_paths",
+    "n_drops",
+    "psi",
+    "latency_min_ms",
+    "latency_avg_ms",
+    "latency_max_ms",
+    "hops_min",
+    "hops_avg",
+    "hops_max",
+    "gamma",
+    "stretch_min",
+    "stretch_avg",
+    "stretch_max",
+    "vertex_changes",
+    "geodesic_km",
+    "geodesic_latency_ms",
+]
+METRICS_INTS = {
+    "covered_src",
+    "covered_dst",
+    "valid",
+    "n_paths",
+    "n_drops",
+    "psi",
+    "hops_min",
+    "hops_max",
+    "vertex_changes",
+}
+SERIES_PARTS = ("minimum", "average", "maximum")
+
+
+def _cell(value, integer):
+    """A table cell as the artifacts spell it: empty for None, integers as
+    digits, everything else with six decimals."""
+    if value is None:
+        return ""
+    return str(int(value)) if integer else _f(value)
+
+
 class TestExportResult:
     def test_csv_artifacts(self, tiny_result, tmp_path):
         written = export_result(tiny_result, "csv", tmp_path)
@@ -383,12 +436,97 @@ class TestExportResult:
         for name in ("paths.csv", "metrics.csv", "summary.csv", "metadata.json"):
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
 
+    @staticmethod
+    def read(path):
+        with path.open(newline="") as fh:
+            header, *rows = csv.reader(fh)
+        return header, rows
+
     def test_metrics_csv_parses(self, tiny_result, tmp_path):
         export_result(tiny_result, "csv", tmp_path)
         with (tmp_path / "metrics.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4 * 4  # stamps x (connections x algorithms)
         assert {r["algorithm"] for r in rows} == {"mplf-cpi", "mplf-nfp", "sp", "lh"}
+        header, cells = self.read(tmp_path / "metrics.csv")
+        assert header == ["t", "src_station", "dst_station", "algorithm", *METRICS_STAMP]
+        assert cells == [
+            [_t(st.t), s.src_ei, s.dst_ei, s.algorithm]
+            + [_cell(getattr(st, c), c in METRICS_INTS) for c in METRICS_STAMP]
+            for s in tiny_result.series
+            for st in s.stamps
+        ]
+
+    def test_summary_csv_cells(self, tiny_result, tmp_path):
+        export_result(tiny_result, "csv", tmp_path)
+        header, cells = self.read(tmp_path / "summary.csv")
+        assert header == [
+            "src_station",
+            "dst_station",
+            "algorithm",
+            "n_stamps",
+            "n_valid",
+            "n_invalid",
+            "reachable_probability",
+            "latency_min_ms",
+            "latency_avg_ms",
+            "latency_max_ms",
+            "hops_min",
+            "hops_avg",
+            "hops_max",
+            "gamma_median",
+            "stretch_max",
+            "frac_changes_le_20",
+        ]
+
+        def parts(stats):
+            values = [None] * 3 if stats is None else [getattr(stats, p) for p in SERIES_PARTS]
+            return [_cell(v, False) for v in values]
+
+        assert cells == [
+            [s.src_ei, s.dst_ei, s.algorithm]
+            + [str(int(n)) for n in (s.n_stamps, s.n_valid, s.n_invalid)]
+            + [_cell(s.reachable_probability, False)]
+            + parts(s.latency)
+            + parts(s.hops)
+            + [_cell(v, False) for v in (s.gamma_median, s.stretch_max, s.frac_changes_le_20)]
+            for s in tiny_result.summaries
+        ]
+
+    def test_paths_csv_cells(self, tiny_result, tmp_path):
+        export_result(tiny_result, "csv", tmp_path)
+        header, cells = self.read(tmp_path / "paths.csv")
+        assert header == [
+            "t",
+            "algorithm",
+            "src_station",
+            "dst_station",
+            "src_sat",
+            "hop_list",
+            "latency_ms",
+            "hops",
+            "status",
+        ]
+        assert cells == [
+            [_t(r.t), r.algorithm, r.src_station, r.dst_station, str(int(r.src_sat))]
+            + ["-".join(str(int(h)) for h in r.hop_list), _f(r.latency_ms)]
+            + [str(int(r.hops)), r.status]
+            for r in tiny_result.path_rows
+        ]
+
+    def test_latency_cdf_cells(self, tiny_result, tmp_path):
+        export_result(tiny_result, "csv", tmp_path)
+        header, cells = self.read(tmp_path / "latency_cdf.csv")
+        assert header == ["src_station", "dst_station", "algorithm", "value", "cum_fraction"]
+        expected = []
+        for s in tiny_result.series:
+            vals = sorted(st.latency_avg_ms for st in s.stamps if st.latency_avg_ms is not None)
+            expected += [
+                [s.src_ei, s.dst_ei, s.algorithm, _f(v), _f(i / len(vals))]
+                for i, v in enumerate(vals, start=1)
+            ]
+        assert len(expected) == 4 * 4
+        assert cells == expected
 
 
 class TestGeojson:
@@ -471,22 +609,33 @@ class TestGeojson:
 
 
     @pytest.mark.parametrize(
-        "field,value,message",
+        "fields,message",
         [
-            ("t", utc(2030, 1, 1), "stamp 2030-01-01 00:00:00.00:00 is outside the scenario"),
-            ("src_station", "zz", "connection zz->b is not in the scenario"),
-            ("algorithm", "flood", "algorithm 'flood' is not in the scenario"),
-            ("hop_list", (0, 999), "hop 999 is outside the shell's satellites 0..63"),
-            ("status", "bogus", "status 'bogus' is not one of"),
-            ("status", "dropped:teleport", "status 'dropped:teleport' is not one of"),
-            ("hops", 4, "hops 4 does not match the hop list"),
-            ("src_sat", 5, "src_sat 5 is not the first hop"),
+            ({"t": utc(2030, 1, 1)}, "stamp 2030-01-01 00:00:00.00:00 is outside the scenario"),
+            ({"src_station": "zz"}, "connection zz->b is not in the scenario"),
+            ({"algorithm": "flood"}, "algorithm 'flood' is not in the scenario"),
+            ({"hop_list": (0, 999)}, "hop 999 is outside the shell's satellites 0..63"),
+            ({"status": "bogus"}, "status 'bogus' is not one of"),
+            ({"status": "dropped:teleport"}, "status 'dropped:teleport' is not one of"),
+            ({"hops": 4}, "hops 4 does not match the hop list"),
+            ({"src_sat": 5}, "src_sat 5 is not the first hop"),
+            (NON_LINK, "hops 4 and 30 are not linked in the template"),
         ],
-        ids=["stamp", "connection", "algorithm", "hop", "status", "drop-reason", "hops", "src-sat"],
+        ids=[
+            "stamp",
+            "connection",
+            "algorithm",
+            "hop",
+            "status",
+            "drop-reason",
+            "hops",
+            "src-sat",
+            "non-link",
+        ],
     )
-    def test_row_outside_scenario_rejected(self, tiny_result, field, value, message):
+    def test_row_outside_scenario_rejected(self, tiny_result, fields, message):
         rows = [r for r in tiny_result.path_rows if r.status == "delivered"][:3]
-        rows[1] = dataclasses.replace(rows[1], **{field: value})
+        rows[1] = dataclasses.replace(rows[1], **fields)
         with pytest.raises(PathLogError, match=f"path log row 2: {message}") as err:
             paths_geojson(tiny_scenario(), rows)
         assert err.value.row == 2
