@@ -38,9 +38,9 @@ from .routing import (
     DecisionStats,
     LocationTable,
     PathSet,
-    enumerate_paths,
     ler_encapsulate,
     record_delivery,
+    stamp_path_sets,
 )
 from .scenario import Scenario
 from .topology import IslTemplate, Snapshot, build_persistent_isls, snapshot
@@ -161,19 +161,16 @@ def _compute_stamp(
         epoch = scenario.constellation.epoch
         # stamp-local view of the location service: every EI at its true position
         table = LocationTable()
-        for i, st in enumerate(scenario.stations):
-            table.update(st.ei, snap.station_ecef[i], t)
+        eis = [st.ei for st in scenario.stations]
+        for i, ei in enumerate(eis):
+            table.update(ei, snap.station_ecef[i], t)
 
-        pathsets: list[PathSet] = []
-        for si, di in _connection_indices(scenario):
-            src = scenario.stations[si]
-            dst = scenario.stations[di]
-            header = ler_encapsulate(table, src.ei, dst.ei, t, epoch)
-            for algo in scenario.algorithms:
-                dest_pos = header.dst_saddr if algo in _MPLF_ALGOS else None
-                pathsets.append(
-                    enumerate_paths(snap, algo, si, di, dest_pos=dest_pos, stats=stats)
-                )
+        # greedy traces aim at each header's frozen destination address
+        connections = [
+            (si, di, ler_encapsulate(table, eis[si], eis[di], t, epoch).dst_saddr)
+            for si, di in _connection_indices(scenario)
+        ]
+        pathsets = stamp_path_sets(snap, scenario.algorithms, connections, stats=stats)
         return _stamp_outcome(snap, pathsets, stats.comparisons)
     except Exception as exc:  # noqa: BLE001 - per-stamp isolation is the contract
         return repr(exc)

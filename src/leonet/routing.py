@@ -10,17 +10,24 @@ position, "nfp"). Neither rule requires progress; a relay that would hand
 the packet straight back drops it instead, and a relay with no neighbors
 drops it as a dead end.
 
+All greedy traces of a stamp, over every connection, source satellite and
+rule, run in one lockstep kernel (trace_lockstep): each step advances every
+live trace by one hop, ranking the padded neighbor rows of the template's
+adjacency table together. One trace (trace_path) and one decision
+(forward_cpi, forward_nfp) are batches of one under the same rule.
+
 Baselines are exact shortest paths over the satellite graph under a latency
-or unit (hop) weight. Distances from all source satellites of a connection
-come from one batched frontier relaxation over the template's adjacency; a
-vectorized pass then picks each node's lowest-id predecessor, and paths
-follow those pointers back from each destination satellite.
+or unit (hop) weight. Distances from the source satellites of all
+connections of a stamp come from one batched frontier relaxation over the
+template's adjacency; a vectorized pass then picks each node's lowest-id
+predecessor, and paths follow those pointers back from each destination
+satellite.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import datetime
 from typing import Sequence
 
@@ -97,6 +104,11 @@ class LocationTable:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LocationTable):
+            return NotImplemented
+        return self._entries == other._entries
+
 
 def ler_encapsulate(
     table: LocationTable, src_ei: str, dst_ei: str, t: datetime, epoch: datetime
@@ -137,19 +149,80 @@ class Drop:
     reason: str
 
 
+@dataclass
 class DecisionStats:
     """Collects the number of candidate evaluations per forwarding decision."""
 
-    def __init__(self) -> None:
-        self.comparisons: list[int] = []
+    comparisons: list[int] = field(default_factory=list)
 
     def record(self, n: int) -> None:
         self.comparisons.append(n)
 
 
-def _pick(ids: np.ndarray, key: np.ndarray) -> int:
-    # primary sort on the key, ties broken by the lowest satellite id
-    return int(ids[np.lexsort((ids, key))[0]])
+def _keys(
+    nfp: np.ndarray, here: np.ndarray, dest: np.ndarray, cand: np.ndarray, real: np.ndarray
+) -> np.ndarray:
+    """Ranking key of every candidate slot of a decision batch; lowest wins.
+
+    Row i decides at here[i] for the destination dest[i] among the candidate
+    positions cand[i], whose ids ascend along the row; real[i] marks the
+    slots that hold a neighbor. nfp[i] selects the nearest-position rule,
+    else closest pointing. A padding slot's key is infinite, so argmin along
+    a row, which takes the first of equal keys, picks the lowest id.
+
+    The array forms keep every key bit-identical to the arithmetic of a
+    single decision (1-D np.linalg.norm, `rel @ bearing`): sqrt of vecdot
+    for the bearing norm, norm along the last axis for the candidate norms,
+    stacked matmul for the cosine numerator. einsum and sum(x * x) differ in
+    the last ulp. So does the numerator of a row with one candidate (a
+    one-row `rel @ bearing` is a dot product), which cannot change its pick.
+    """
+    key = np.empty(real.shape)
+    cpi = ~nfp
+    if cpi.any():
+        rel = cand[cpi] - here[cpi][:, None]
+        bearing = dest[cpi] - here[cpi]
+        bn = np.sqrt(np.vecdot(bearing, bearing))
+        rn = np.linalg.norm(rel, axis=-1)
+        real_cpi = real[cpi]
+        if np.any(bn == 0.0) or np.any(rn[real_cpi] == 0.0):
+            raise ValueError("coincident nodes leave the bearing undefined")
+        rn[~real_cpi] = 1.0  # a padding slot repeats the relay itself
+        key[cpi] = -(np.matmul(rel, bearing[:, :, None])[..., 0] / (rn * bn[:, None]))
+    if nfp.any():
+        key[nfp] = np.linalg.norm(cand[nfp] - dest[nfp][:, None], axis=-1)
+    key[~real] = np.inf
+    return key
+
+
+def _forward(
+    nfp: bool,
+    current_pos: np.ndarray,
+    prev: int | None,
+    dest_pos: np.ndarray,
+    neighbor_ids: Sequence[int] | np.ndarray,
+    neighbor_pos: np.ndarray,
+    stats: DecisionStats | None,
+) -> Next | Drop:
+    """One decision, as a batch of one with the candidates in ascending id
+    order."""
+    ids = np.asarray(neighbor_ids, dtype=np.int64)
+    if ids.size == 0:
+        return Drop(DROP_DEAD_END)
+    if stats is not None:
+        stats.record(int(ids.size))
+    order = np.argsort(ids, kind="stable")
+    key = _keys(
+        np.array([nfp]),
+        np.asarray(current_pos, dtype=float)[None],
+        np.asarray(dest_pos, dtype=float)[None],
+        np.asarray(neighbor_pos, dtype=float)[order][None],
+        np.ones((1, ids.size), dtype=bool),
+    )
+    chosen = int(ids[order[key.argmin()]])
+    if prev is not None and chosen == prev:
+        return Drop(DROP_LOOP)
+    return Next(chosen)
 
 
 def forward_cpi(
@@ -167,22 +240,7 @@ def forward_cpi(
     lowest id. Handing the packet back to the previous relay is a loop drop;
     an empty candidate set is a dead end.
     """
-    ids = np.asarray(neighbor_ids, dtype=np.int64)
-    if ids.size == 0:
-        return Drop(DROP_DEAD_END)
-    if stats is not None:
-        stats.record(int(ids.size))
-    rel = np.asarray(neighbor_pos, dtype=float) - current_pos
-    bearing = np.asarray(dest_pos, dtype=float) - current_pos
-    bn = float(np.linalg.norm(bearing))
-    rn = np.linalg.norm(rel, axis=1)
-    if bn == 0.0 or np.any(rn == 0.0):
-        raise ValueError("coincident nodes leave the bearing undefined")
-    cos = (rel @ bearing) / (rn * bn)
-    chosen = _pick(ids, -cos)
-    if prev is not None and chosen == prev:
-        return Drop(DROP_LOOP)
-    return Next(chosen)
+    return _forward(False, current_pos, prev, dest_pos, neighbor_ids, neighbor_pos, stats)
 
 
 def forward_nfp(
@@ -199,19 +257,7 @@ def forward_nfp(
     distance plays no role. Ties resolve to the lowest id; returning to the
     previous relay is a loop drop, an empty candidate set a dead end.
     """
-    ids = np.asarray(neighbor_ids, dtype=np.int64)
-    if ids.size == 0:
-        return Drop(DROP_DEAD_END)
-    if stats is not None:
-        stats.record(int(ids.size))
-    d = np.linalg.norm(np.asarray(neighbor_pos, dtype=float) - dest_pos, axis=1)
-    chosen = _pick(ids, d)
-    if prev is not None and chosen == prev:
-        return Drop(DROP_LOOP)
-    return Next(chosen)
-
-
-_FORWARDERS = {STRATEGY_CPI: forward_cpi, STRATEGY_NFP: forward_nfp}
+    return _forward(True, current_pos, prev, dest_pos, neighbor_ids, neighbor_pos, stats)
 
 
 # -- paths -------------------------------------------------------------------
@@ -271,6 +317,109 @@ def default_max_hops(snap: Snapshot) -> int:
     return 4 * (cfg.sats_per_plane + cfg.planes)
 
 
+# how a lockstep trace ends: (status, drop reason), indexed by its end code
+_ENDS = (("delivered", None), ("dropped", DROP_DEAD_END), ("dropped", DROP_LOOP))
+_DELIVERED, _DEAD_END, _LOOP = range(len(_ENDS))
+
+
+def trace_lockstep(
+    snap: Snapshot,
+    strategies: Sequence[str],
+    src_sats: Sequence[int] | np.ndarray,
+    dest_stations: Sequence[int] | np.ndarray,
+    dest_pos: np.ndarray,
+    max_hops: int | None = None,
+    stats: DecisionStats | None = None,
+) -> list[Path]:
+    """Run a batch of greedy traces side by side, one hop per step.
+
+    Trace i leaves satellite src_sats[i] under strategies[i], aims at
+    dest_pos[i] and is delivered at a satellite that sees the station with
+    index dest_stations[i]. Every step applies trace_path's rule to all live
+    traces at once: delivery, then the hop cap, the dead end, the decision
+    and the loop drop. A trace's legs are the snapshot's slot lengths. The
+    decisions reach stats trace by trace in batch order, each trace's in hop
+    order. Memory grows with the hops taken, not with the hop cap.
+    """
+    for s in strategies:
+        if s not in (STRATEGY_CPI, STRATEGY_NFP):
+            raise ValueError(f"unknown strategy {s!r}")
+    if max_hops is None:
+        max_hops = default_max_hops(snap)
+    if max_hops < 1:
+        raise ValueError("max_hops must be >= 1")
+    tpl, pos = snap.template, snap.sat_positions
+    real = tpl.link < tpl.edge_count
+    degree = real.sum(axis=1)
+    src = np.asarray(src_sats, dtype=np.int64)
+    n = src.size
+    # visibility and down-link length of each destination station's satellites;
+    # np.unique would import numpy.ma
+    st = np.asarray(dest_stations, dtype=np.int64)
+    stations = np.flatnonzero(np.bincount(st, minlength=len(snap.stations)))
+    st = np.searchsorted(stations, st)
+    sees = np.zeros((stations.size, snap.sat_count), dtype=bool)
+    down = np.zeros(sees.shape)
+    for row, i in enumerate(stations.tolist()):
+        sees[row, snap.edge_sats[i]] = True
+        down[row, snap.edge_sats[i]] = snap.edge_lengths[i]
+
+    end = np.zeros(n, dtype=np.int8)
+    down_km = np.zeros(n)
+    none = np.zeros(0, dtype=np.int64)
+    moves = [(none, none, np.zeros(0))]  # (trace, next satellite, leg) per step
+    decisions = [(none, none)]  # (trace, candidate count) per step
+    # state of the live traces, compacted as traces end
+    live, cur, prev = np.arange(n), src, np.full(n, -1)
+    nfp = np.array([s == STRATEGY_NFP for s in strategies], dtype=bool)
+    dest = np.asarray(dest_pos, dtype=float).reshape(n, 3)
+    hops = 0
+    while live.size:
+        at = sees[st, cur]
+        down_km[live[at]] = down[st[at], cur[at]]
+        deg = degree[cur]
+        go = ~at & (deg > 0) & (hops < max_hops)
+        end[live[~at & ~go]] = _DEAD_END
+        live, cur, prev, st, nfp, dest, deg = (
+            a[go] for a in (live, cur, prev, st, nfp, dest, deg)
+        )
+        if not live.size:
+            break
+        decisions.append((live, deg))
+        col = _keys(nfp, pos[cur], dest, pos[tpl.nbr[cur]], real[cur]).argmin(axis=1)
+        nxt = tpl.nbr[cur, col]
+        on = nxt != prev
+        end[live[~on]] = _LOOP
+        moves.append((live[on], nxt[on], snap.slot_lengths[cur[on], col[on]]))
+        live, prev, cur, st, nfp, dest = (
+            a[on] for a in (live, cur, nxt, st, nfp, dest)
+        )
+        hops += 1
+
+    if stats is not None:
+        trace, count = (np.concatenate(a) for a in zip(*decisions))
+        stats.comparisons.extend(count[np.argsort(trace, kind="stable")].tolist())
+    trace, sat, leg = (np.concatenate(a) for a in zip(*moves))
+    order = np.argsort(trace, kind="stable")
+    sats, legs = sat[order].tolist(), leg[order].tolist()
+    stops = np.cumsum(np.bincount(trace, minlength=n)).tolist()
+    paths = []
+    start = 0
+    for s, stop, code, dn in zip(src.tolist(), stops, end.tolist(), down_km.tolist()):
+        status, reason = _ENDS[code]
+        paths.append(
+            Path(
+                (s, *sats[start:stop]),
+                tuple(legs[start:stop]),
+                status,
+                drop_reason=reason,
+                down_km=dn if code == _DELIVERED else None,
+            )
+        )
+        start = stop
+    return paths
+
+
 def trace_path(
     snap: Snapshot,
     strategy: str,
@@ -288,43 +437,14 @@ def trace_path(
     packet as a dead end. dest_pos overrides the destination coordinates,
     e.g. with the frozen header address; it defaults to the station's
     current inertial position. Leg and delivery-link lengths are the
-    snapshot's, the legs gathered once per trace from its adjacency layout.
+    snapshot's. This is the batch-of-one case of trace_lockstep.
     """
-    if strategy not in _FORWARDERS:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    forwarder = _FORWARDERS[strategy]
-    if max_hops is None:
-        max_hops = default_max_hops(snap)
-    if max_hops < 1:
-        raise ValueError("max_hops must be >= 1")
     dst_idx = snap.station_index(dest_station)
     if dest_pos is None:
         dest_pos = snap.station_positions[dst_idx]
-    dest_pos = np.asarray(dest_pos, dtype=float)
-
-    pos = snap.sat_positions
-    down_of = dict(zip(snap.edge_sats[dst_idx].tolist(), snap.edge_lengths[dst_idx].tolist()))
-    sats = [src_sat]
-
-    def path(status: str, drop_reason: str | None = None, down_km: float | None = None) -> Path:
-        a = np.array(sats[:-1], dtype=np.int64)
-        col = (snap.template.nbr[a] == np.array(sats[1:])[:, None]).argmax(axis=1)
-        legs = tuple(snap.slot_lengths[a, col].tolist())
-        return Path(tuple(sats), legs, status, drop_reason=drop_reason, down_km=down_km)
-
-    prev: int | None = None
-    current = src_sat
-    while True:
-        if current in down_of:
-            return path("delivered", down_km=down_of[current])
-        if len(sats) > max_hops:
-            return path("dropped", DROP_DEAD_END)
-        nbrs = snap.neighbors(current)
-        decision = forwarder(pos[current], prev, dest_pos, nbrs, pos[nbrs], stats)
-        if isinstance(decision, Drop):
-            return path("dropped", decision.reason)
-        sats.append(decision.neighbor)
-        prev, current = current, decision.neighbor
+    return trace_lockstep(
+        snap, [strategy], [src_sat], [dst_idx], np.asarray(dest_pos, dtype=float), max_hops, stats
+    )[0]
 
 
 # -- shortest-path baselines --------------------------------------------------
@@ -362,8 +482,10 @@ def _distances(
     frontier = np.flatnonzero(np.isfinite(flat))
     while frontier.size:
         node = frontier % n
-        target = nbr[node] + (frontier - node)[:, None]
-        cand = w[node] + flat[frontier][:, None]
+        target = nbr[node]
+        target += (frontier - node)[:, None]
+        cand = w[node]
+        cand += flat[frontier][:, None]
         fell = cand < flat[target]
         target = target[fell]
         np.minimum.at(flat, target, cand[fell])
@@ -385,8 +507,12 @@ def _predecessors(
     """
     nbr = snap.template.nbr
     n, width = nbr.shape
-    ok = dist[:, nbr] + _slot_weights(snap, weight) == dist[:, :, None]
-    pred = np.where(np.isfinite(dist), np.arange(n) * width + ok.argmax(axis=2), -1)
+    w = _slot_weights(snap, weight)
+    # the lowest matching column, one column at a time: no (rows, S, D) array
+    col = np.zeros(dist.shape, dtype=np.int64)
+    for j in reversed(range(width)):
+        col[dist[:, nbr[:, j]] + w[:, j] == dist] = j
+    pred = np.where(np.isfinite(dist), np.arange(n) * width + col, -1)
     for r, seeds in enumerate(seed_rows):
         for sat, offset in seeds.items():
             if dist[r, sat] == offset:
@@ -490,6 +616,103 @@ class PathSet:
         return len(self.paths) > 0
 
 
+_STRATEGY_OF = {ALGO_MPLF_CPI: STRATEGY_CPI, ALGO_MPLF_NFP: STRATEGY_NFP}
+_WEIGHT_OF = {ALGO_SP: WEIGHT_LATENCY, ALGO_LH: WEIGHT_UNIT}
+
+
+def _baseline_paths(
+    snap: Snapshot, weight: str, connections: Sequence[tuple[int, int]]
+) -> list[list[Path]]:
+    """Exact paths of each (source, destination station index) connection,
+    one per (source, destination satellite) pair that is connected.
+
+    One distance and one predecessor pass cover the distinct source
+    satellites of all connections; each connection reads its own rows.
+    """
+    srcs = np.flatnonzero(
+        np.bincount(
+            np.concatenate([snap.edge_sats[si] for si, _ in connections]),
+            minlength=snap.sat_count,
+        )
+    )
+    seed_rows = [{s: 0.0} for s in srcs.tolist()]
+    dist = _distances(snap, weight, seed_rows)
+    pred = _predecessors(snap, weight, dist, seed_rows)
+    nbr = snap.template.nbr.ravel().tolist()
+    lengths = snap.slot_lengths.ravel().tolist()
+    out = []
+    for si, di in connections:
+        rows = np.searchsorted(srcs, snap.edge_sats[si])
+        reached = np.isfinite(dist[rows[:, None], snap.edge_sats[di]]).tolist()
+        ends, downs = snap.edge_sats[di].tolist(), snap.edge_lengths[di].tolist()
+        paths = []
+        # one connection's rows as lists at a time: a row is S Python ints
+        for row, up, hit in zip(pred[rows].tolist(), snap.edge_lengths[si].tolist(), reached):
+            for end, down, ok in zip(ends, downs, hit):
+                if ok:
+                    sats, legs = _walk(row, nbr, lengths, end)
+                    paths.append(Path(sats, legs, "delivered", up_km=up, down_km=down))
+        out.append(paths)
+    return out
+
+
+def stamp_path_sets(
+    snap: Snapshot,
+    algorithms: Sequence[str],
+    connections: Sequence[tuple[str | int, str | int, np.ndarray | None]],
+    max_hops: int | None = None,
+    stats: DecisionStats | None = None,
+) -> list[PathSet]:
+    """The path sets of every connection under every algorithm at one stamp,
+    connection-major, algorithm-minor.
+
+    A connection is (source station, destination station, greedy destination
+    address); an address of None stands for the destination's current
+    inertial position. Greedy algorithms trace once per source-associated
+    satellite; all traces of the stamp run as one trace_lockstep batch in
+    (connection, algorithm, ascending source satellite) order, which is the
+    order their decisions reach stats. Baselines compute one path per
+    (source-associated, destination-associated) satellite pair; each weight
+    runs one batched distance pass for all connections. A connection with an
+    uncovered endpoint yields empty sets.
+    """
+    for algo in algorithms:
+        if algo not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {algo!r}")
+    conns = [(snap.station_index(a), snap.station_index(b), d) for a, b, d in connections]
+    # the connections whose endpoints both see a satellite
+    live = [(si, di) for si, di, _ in conns if snap.edge_sats[si].size and snap.edge_sats[di].size]
+    greedy = [
+        (_STRATEGY_OF[algo], s, di, snap.station_positions[di] if d is None else d)
+        for si, di, d in conns
+        if (si, di) in live
+        for algo in algorithms
+        if algo in _STRATEGY_OF
+        for s in snap.edge_sats[si].tolist()
+    ]
+    traces = iter(trace_lockstep(snap, *zip(*greedy), max_hops, stats) if greedy else ())
+    baselines = {
+        _WEIGHT_OF[algo]: dict(zip(live, _baseline_paths(snap, _WEIGHT_OF[algo], live)))
+        for algo in algorithms
+        if algo in _WEIGHT_OF and live
+    }
+
+    out = []
+    for si, di, _ in conns:
+        for algo in algorithms:
+            delivered: list[Path] = []
+            drops: list[Path] = []
+            if (si, di) in live and algo in _STRATEGY_OF:
+                for up in snap.edge_lengths[si].tolist():
+                    p = next(traces).with_up(up)
+                    (delivered if p.delivered else drops).append(p)
+            elif (si, di) in live:
+                delivered = baselines[_WEIGHT_OF[algo]][si, di]
+            ei = snap.stations[si].ei, snap.stations[di].ei
+            out.append(PathSet(*ei, snap.t, algo, tuple(delivered), tuple(drops)))
+    return out
+
+
 def enumerate_paths(
     snap: Snapshot,
     algorithm: str,
@@ -505,49 +728,8 @@ def enumerate_paths(
     id order). Baselines compute one path per (source-associated,
     destination-associated) satellite pair, so the set size is bounded by the
     product of the two association counts. An uncovered endpoint yields an
-    empty set.
+    empty set. This is the one-connection case of stamp_path_sets.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    si = snap.station_index(src_station)
-    di = snap.station_index(dst_station)
-    src_ei = snap.stations[si].ei
-    dst_ei = snap.stations[di].ei
-    src_sats = snap.edge_sats[si]
-    dst_sats = snap.edge_sats[di]
-    if src_sats.size == 0 or dst_sats.size == 0:
-        return PathSet(src_ei, dst_ei, snap.t, algorithm, ())
-
-    delivered: list[Path] = []
-    drops: list[Path] = []
-    if algorithm in (ALGO_MPLF_CPI, ALGO_MPLF_NFP):
-        strategy = STRATEGY_CPI if algorithm == ALGO_MPLF_CPI else STRATEGY_NFP
-        for k, s in enumerate(src_sats):
-            p = trace_path(
-                snap, strategy, int(s), di, max_hops=max_hops, dest_pos=dest_pos, stats=stats
-            ).with_up(float(snap.edge_lengths[si][k]))
-            (delivered if p.delivered else drops).append(p)
-    else:
-        weight = WEIGHT_LATENCY if algorithm == ALGO_SP else WEIGHT_UNIT
-        seed_rows = [{int(s1): 0.0} for s1 in src_sats]
-        dist = _distances(snap, weight, seed_rows)
-        pred = _predecessors(snap, weight, dist, seed_rows).tolist()
-        nbr = snap.template.nbr.ravel().tolist()
-        lengths = snap.slot_lengths.ravel().tolist()
-        ends = dst_sats.tolist()
-        reached = np.isfinite(dist[:, dst_sats]).tolist()
-        for k, row in enumerate(pred):
-            for m, end in enumerate(ends):
-                if not reached[k][m]:
-                    continue
-                sats, legs = _walk(row, nbr, lengths, end)
-                delivered.append(
-                    Path(
-                        sats,
-                        legs,
-                        "delivered",
-                        up_km=float(snap.edge_lengths[si][k]),
-                        down_km=float(snap.edge_lengths[di][m]),
-                    )
-                )
-    return PathSet(src_ei, dst_ei, snap.t, algorithm, tuple(delivered), tuple(drops))
+    return stamp_path_sets(
+        snap, [algorithm], [(src_station, dst_station, dest_pos)], max_hops, stats
+    )[0]

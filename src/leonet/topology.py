@@ -133,7 +133,6 @@ class IslTemplate:
     sat_count: int
     nbr: np.ndarray = field(init=False, repr=False)  # (S, D) int64
     link: np.ndarray = field(init=False, repr=False)  # (S, D) int64
-    adjacency: tuple[np.ndarray, ...] = field(init=False, repr=False)
     pair_keys: np.ndarray = field(init=False, repr=False)  # (E,) int64
 
     def __post_init__(self) -> None:
@@ -146,8 +145,7 @@ class IslTemplate:
         order = np.lexsort((src, dst))
         src, dst = src[order], dst[order]
         deg = np.bincount(dst, minlength=n)
-        ends = np.cumsum(deg)
-        col = np.arange(2 * e) - (ends - deg)[dst]
+        col = np.arange(2 * e) - (np.cumsum(deg) - deg)[dst]
         width = max(int(deg.max(initial=0)), 1)
         nbr = np.repeat(np.arange(n, dtype=np.int64)[:, None], width, axis=1)
         nbr[dst, col] = src
@@ -155,9 +153,6 @@ class IslTemplate:
         link[dst, col] = np.tile(np.arange(e), 2)[order]
         object.__setattr__(self, "nbr", nbr)
         object.__setattr__(self, "link", link)
-        object.__setattr__(
-            self, "adjacency", tuple(np.split(src.astype(np.int32), ends[:-1]))
-        )
         # sorted by (dst, src), the dst < src half lists each pair once as (min, max)
         object.__setattr__(self, "pair_keys", (dst * n + src)[dst < src])
 
@@ -301,7 +296,9 @@ class Snapshot:
         return self.edge_sats[self.station_index(station)].size > 0
 
     def neighbors(self, sat: int) -> np.ndarray:
-        return self.template.adjacency[sat]
+        """Ids of the satellites linked to sat, ascending."""
+        tpl = self.template
+        return tpl.nbr[sat][tpl.link[sat] < tpl.edge_count]
 
     def visible_sats(self, station: str | int) -> np.ndarray:
         return self.edge_sats[self.station_index(station)]

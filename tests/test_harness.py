@@ -163,6 +163,8 @@ class TestRunExperiment:
         assert par.path_rows == serial.path_rows
         assert par.series == serial.series
         assert par.records == serial.records
+        # the same result object as a whole, decision stats and location table too
+        assert par == serial
         assert {r.t for r in serial.path_rows} == set(tiny_scenario().time.stamps()) - {stamp}
         count = len(tiny_scenario().time.stamps())
         for s in serial.series:

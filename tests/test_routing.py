@@ -17,6 +17,8 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leonet.constellation import ConstellationConfig, build_walker
 from leonet.geometry import GeodeticPoint, ecef_to_eci, geodetic_to_ecef, utc
@@ -33,7 +35,11 @@ from leonet.routing import (
     Drop,
     LocationTable,
     Next,
+    Path,
     UnknownEquipmentError,
+    _distances,
+    _keys,
+    _predecessors,
     bellman_ford,
     default_max_hops,
     enumerate_paths,
@@ -41,6 +47,8 @@ from leonet.routing import (
     forward_nfp,
     ler_encapsulate,
     record_delivery,
+    stamp_path_sets,
+    trace_lockstep,
     trace_path,
 )
 from leonet.scenario import load_scenario
@@ -771,3 +779,217 @@ class TestBaselinesExact:
                         assert p.down_km == snap.edge_length(di, p.end_sat)
                         downs += 1
         assert legs > 100 and downs > 10
+
+
+# -- the lockstep kernel against the per-hop loop it replaced --------------------
+
+
+def _reference_forward(strategy, current_pos, prev, dest_pos, ids, neighbor_pos, stats):
+    """One decision as the per-hop rule computed it: 1-D norms, `rel @
+    bearing`, and a lexsort pick with the lowest id breaking ties."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size == 0:
+        return Drop(DROP_DEAD_END)
+    if stats is not None:
+        stats.record(int(ids.size))
+    if strategy == "cpi":
+        rel = neighbor_pos - current_pos
+        bearing = dest_pos - current_pos
+        bn = float(np.linalg.norm(bearing))
+        rn = np.linalg.norm(rel, axis=1)
+        if bn == 0.0 or np.any(rn == 0.0):
+            raise ValueError("coincident nodes leave the bearing undefined")
+        key = -((rel @ bearing) / (rn * bn))
+    else:
+        key = np.linalg.norm(neighbor_pos - dest_pos, axis=1)
+    chosen = int(ids[np.lexsort((ids, key))[0]])
+    if prev is not None and chosen == prev:
+        return Drop(DROP_LOOP)
+    return Next(chosen)
+
+
+def reference_trace(snap, strategy, src, station, max_hops, dest_pos, stats=None):
+    """The per-hop trace loop, one decision call per hop."""
+    dst = snap.station_index(station)
+    down_of = dict(zip(snap.edge_sats[dst].tolist(), snap.edge_lengths[dst].tolist()))
+    pos = snap.sat_positions
+    sats = [src]
+
+    def path(status, reason=None, down_km=None):
+        a = np.array(sats[:-1], dtype=np.int64)
+        col = (snap.template.nbr[a] == np.array(sats[1:])[:, None]).argmax(axis=1)
+        legs = tuple(snap.slot_lengths[a, col].tolist())
+        return Path(tuple(sats), legs, status, drop_reason=reason, down_km=down_km)
+
+    prev, current = None, src
+    while True:
+        if current in down_of:
+            return path("delivered", down_km=down_of[current])
+        if len(sats) > max_hops:
+            return path("dropped", DROP_DEAD_END)
+        nbrs = snap.neighbors(current)
+        d = _reference_forward(strategy, pos[current], prev, dest_pos, nbrs, pos[nbrs], stats)
+        if isinstance(d, Drop):
+            return path("dropped", d.reason)
+        sats.append(d.neighbor)
+        prev, current = current, d.neighbor
+
+
+@st.composite
+def lockstep_cases(draw):
+    """A small random mesh on a 50 km grid over the hub, and a batch of
+    traces. Grid coordinates make exact key ties common; sparse links leave
+    zero-degree satellites; small hop caps and the unreachable station make
+    cap hits and loop drops; a destination on a satellite's cell makes a
+    coincident bearing."""
+    n = draw(st.integers(2, 10))
+    cell = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+    cells = draw(st.lists(cell, min_size=n, max_size=n, unique=True))
+    links = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    pairs = sorted(draw(st.lists(st.sampled_from(links), unique=True, max_size=2 * n)))
+    elevation = draw(st.sampled_from([70.0, 80.0, 88.0]))
+    snap = synthetic(
+        [P + [0.0, 50.0 * y, 50.0 * z] for y, z in cells],
+        pairs,
+        stations=(ground("hub", 0.0, 0.0), ground("nowhere", 0.0, 180.0)),
+        min_elevation_deg=elevation,
+    )
+    trace = st.tuples(
+        st.sampled_from(["cpi", "nfp"]),
+        st.integers(0, n - 1),
+        st.sampled_from([0, 1]),
+        st.sampled_from([0.0, 0.0, 40.0]),
+        cell,
+    )
+    batch = draw(st.lists(trace, min_size=1, max_size=12))
+    return snap, batch, draw(st.integers(1, 8))
+
+
+class TestLockstepKernel:
+    @given(case=lockstep_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_equals_per_hop_loop(self, case):
+        snap, batch, cap = case
+        rules, srcs, stations, dx, cells = zip(*batch)
+        dests = np.array([P + [x, 50.0 * y, 50.0 * z] for x, (y, z) in zip(dx, cells)])
+        ref_stats, stats = DecisionStats(), DecisionStats()
+        try:
+            want = [
+                reference_trace(snap, r, s, g, cap, d, ref_stats)
+                for r, s, g, d in zip(rules, srcs, stations, dests)
+            ]
+        except ValueError:
+            with pytest.raises(ValueError, match="coincident"):
+                trace_lockstep(snap, rules, srcs, stations, dests, cap, stats)
+            return
+        got = trace_lockstep(snap, rules, srcs, stations, dests, cap, stats)
+        assert got == want
+        assert stats == ref_stats
+        # the batch of one is the same rule
+        one = DecisionStats()
+        singles = [
+            trace_path(snap, r, s, g, max_hops=cap, dest_pos=d, stats=one)
+            for r, s, g, d in zip(rules, srcs, stations, dests)
+        ]
+        assert singles == want
+        assert one == ref_stats
+
+    def test_kernel_sees_cap_hits_loops_dead_ends_and_deliveries(self):
+        snap = chain_snapshot(pairs=((1, 2), (2, 3)))
+        stats = DecisionStats()
+        got = trace_lockstep(
+            snap,
+            ["nfp", "nfp", "nfp", "cpi"],
+            [0, 3, 3, 3],
+            [1, 1, 0, 1],
+            np.array([FAR, FAR, FAR, P + [0, -250, 0]]),
+            max_hops=2,
+            stats=stats,
+        )
+        assert [(p.sats, p.status, p.drop_reason) for p in got] == [
+            ((0,), "dropped", DROP_DEAD_END),  # no links at all
+            ((3, 2), "dropped", DROP_LOOP),
+            ((3, 2), "delivered", None),
+            ((3, 2, 1), "dropped", DROP_DEAD_END),  # the hop cap
+        ]
+        assert got[2].down_km == snap.edge_length("hub", 2)
+        # trace by trace: no decision at 0, a loop decided at 2, none at a
+        # delivery or the cap
+        assert stats.comparisons == [1, 2, 1, 1, 2]
+
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(ValueError):
+            trace_lockstep(chain_snapshot(), ["nfp", "compass"], [0, 0], [0, 0], np.zeros((2, 3)))
+
+
+class TestKernelArrayForms:
+    """The kernel's stacked arithmetic equals the one-decision 1-D forms bit
+    for bit. On AVX-512 builds of numpy, `np.sum(x * x, axis=-1)` and einsum
+    differ from them in the last ulp on thousands of these vectors, so either
+    substitution fails here."""
+
+    def vectors(self, rng, shape):
+        scale = 10.0 ** rng.uniform(-1.0, 4.0, size=shape[:-1] + (1,))
+        return rng.normal(size=shape) * scale
+
+    def test_bearing_norm_is_the_1d_norm(self):
+        b = self.vectors(np.random.default_rng(11), (50_000, 3))
+        want = np.array([np.linalg.norm(x) for x in b])
+        assert np.array_equal(np.sqrt(np.vecdot(b, b)), want)
+
+    @pytest.mark.parametrize("nfp", [False, True])
+    def test_keys_are_the_one_decision_keys(self, nfp):
+        rng = np.random.default_rng(12 + nfp)
+        rows, width = 10_000, 5  # 50,000 candidate vectors
+        here = P + self.vectors(rng, (rows, 3))
+        dest = P + self.vectors(rng, (rows, 3))
+        cand = here[:, None] + self.vectors(rng, (rows, width, 3))
+        # a lone candidate is picked whatever its key, and its one-row
+        # `rel @ bearing` is a dot product, not the matrix-vector form
+        real = np.arange(width) < rng.integers(2, width + 1, size=(rows, 1))
+        key = _keys(np.full(rows, nfp), here, dest, cand, real)
+        assert np.all(np.isinf(key[~real]))
+        for i in range(rows):
+            c = cand[i][real[i]]
+            if nfp:
+                want = np.linalg.norm(c - dest[i], axis=1)
+            else:
+                rel, bearing = c - here[i], dest[i] - here[i]
+                want = -((rel @ bearing) / (np.linalg.norm(rel, axis=1) * np.linalg.norm(bearing)))
+            assert np.array_equal(key[i][real[i]], want), i
+
+
+class TestStampPathSets:
+    def stations(self):
+        return [ground("a", 45.0, 10.0), ground("b", -30.0, 100.0), ground("c", 30.0, 60.0)]
+
+    def test_equals_one_connection_at_a_time(self):
+        snap = snapshot_shell(self.stations(), seconds=300)
+        conns = [("a", "b", None), ("b", "c", FAR), ("c", "a", None), ("a", "c", None)]
+        stats = DecisionStats()
+        got = stamp_path_sets(snap, ALGORITHMS, conns, stats=stats)
+        one = DecisionStats()
+        want = [
+            enumerate_paths(snap, algo, src, dst, dest_pos=dp, stats=one)
+            for src, dst, dp in conns
+            for algo in ALGORITHMS
+        ]
+        assert got == want
+        assert stats == one and stats.comparisons
+        assert sum(len(ps.paths) for ps in got) > 20
+
+    @pytest.mark.parametrize("weight", ["latency", "unit"])
+    def test_batched_baseline_rows_equal_per_connection_calls(self, weight):
+        snap = snapshot_shell(self.stations(), seconds=300)
+        per_conn = [[{s: 0.0} for s in snap.edge_sats[i].tolist()] for i in range(3)]
+        batched = [row for rows in per_conn for row in rows]
+        dist = _distances(snap, weight, batched)
+        pred = _predecessors(snap, weight, dist, batched)
+        start = 0
+        for rows in per_conn:
+            d = _distances(snap, weight, rows)
+            stop = start + len(rows)
+            assert np.array_equal(dist[start:stop], d)
+            assert np.array_equal(pred[start:stop], _predecessors(snap, weight, d, rows))
+            start = stop
+        assert start > 3
