@@ -164,12 +164,6 @@ class Constellation:
             raise ValueError(f"satellite {sat} outside the shell")
         return sat.plane * cfg.sats_per_plane + sat.slot
 
-    def id_of(self, index: int) -> SatelliteId:
-        n = self.config.sats_per_plane
-        if not 0 <= index < self.sat_count:
-            raise ValueError(f"satellite index {index} outside the shell")
-        return SatelliteId(index // n, index % n)
-
     def _arg_lat(self, t: datetime) -> np.ndarray:
         dt = elapsed_seconds(t, self.config.epoch)
         return self._u0 + self.config.mean_motion_rad_per_s * dt

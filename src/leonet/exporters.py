@@ -311,17 +311,18 @@ def path_geojson(snap: Snapshot, row: PathLogRow) -> dict:
 
 
 def paths_geojson(scenario: Scenario, rows: Sequence[PathLogRow]) -> dict:
-    """All delivered log rows as LineString features (snapshots rebuilt per
-    stamp). A row that does not fit the scenario raises PathLogError."""
+    """All delivered log rows as LineString features. Only the current row's
+    snapshot is kept, rebuilt whenever the stamp changes, so its coordinates
+    are dropped with it. A row that does not fit the scenario raises
+    PathLogError."""
     snapshot_of, template = snapshot_at(scenario)
-    cache: dict[datetime, Snapshot] = {}
+    snap: Snapshot | None = None
     feats = []
     for _, _, r in index_path_log(scenario, rows, template):
         if r.status != "delivered":
             continue
-        snap = cache.get(r.t)
-        if snap is None:
-            snap = cache[r.t] = snapshot_of(r.t)
+        if snap is None or snap.t != r.t:
+            snap = snapshot_of(r.t)
         feats.append(path_geojson(snap, r))
     return _collection(feats)
 

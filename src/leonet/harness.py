@@ -1,12 +1,12 @@
 """Experiment runner: sweep the time grid, trace paths per connection and
 algorithm, and assemble connection metrics.
 
-Per-stamp work is independent by construction (the destination address in a
-header is derived from the location table as refreshed at that same stamp),
-so stamps may be computed in parallel and merged in stamp order. The
-run-level location table is maintained serially in stamp order: a refresh of
-every station entry per stamp, then a delivery update of the source entry
-for every delivered greedy path.
+Per-stamp work is independent by construction: a stamp is routed from its
+snapshot alone, greedy traces aiming at the destination station's inertial
+position in that snapshot, so stamps may be computed in parallel and merged
+in stamp order. The run's one location table is maintained serially in
+stamp order by the merge: a refresh of every station entry per stamp, then
+a delivery update of the source entry for every delivered greedy path.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from functools import partial
 from itertools import chain, product, starmap
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -152,32 +152,25 @@ def _stamp_outcome(
 
 
 def _compute_stamp(
-    snapshot_of: Callable[[datetime], Snapshot], scenario: Scenario, t: datetime
+    snapshot_of: Callable[[datetime], Snapshot],
+    algorithms: Sequence[str],
+    pairs: Sequence[tuple[int, int]],
+    t: datetime,
 ) -> StampOutcome | str:
-    """The stamp's outcome, or the repr of the exception it raised."""
+    """The stamp's outcome, routed from its snapshot alone, or the repr of the
+    exception it raised."""
     stats = DecisionStats()
     try:
         snap = snapshot_of(t)
-        epoch = scenario.constellation.epoch
-        # stamp-local view of the location service: every EI at its true position
-        table = LocationTable()
-        eis = [st.ei for st in scenario.stations]
-        for i, ei in enumerate(eis):
-            table.update(ei, snap.station_ecef[i], t)
-
-        # greedy traces aim at each header's frozen destination address
-        connections = [
-            (si, di, ler_encapsulate(table, eis[si], eis[di], t, epoch).dst_saddr)
-            for si, di in _connection_indices(scenario)
-        ]
-        pathsets = stamp_path_sets(snap, scenario.algorithms, connections, stats=stats)
+        pathsets = stamp_path_sets(snap, algorithms, pairs, stats=stats)
         return _stamp_outcome(snap, pathsets, stats.comparisons)
     except Exception as exc:  # noqa: BLE001 - per-stamp isolation is the contract
         return repr(exc)
 
 
 def _stamp_runner(scenario: Scenario) -> Callable[[datetime], StampOutcome | str]:
-    return partial(_compute_stamp, snapshot_at(scenario)[0], scenario)
+    pairs = _connection_indices(scenario)
+    return partial(_compute_stamp, snapshot_at(scenario)[0], scenario.algorithms, pairs)
 
 
 _WORKER_STATE: dict = {}

@@ -3,12 +3,14 @@
 The greedy strategies operate hop by hop on frozen destination coordinates:
 the ingress node converts the destination's Earth-fixed position to the
 inertial frame once, stamps it into the header, and every relay reuses that
-address unchanged. Two per-hop rules are provided: pick the neighbor whose
-direction best aligns with the destination bearing (closest pointing,
-"cpi"), or the neighbor closest to the destination in space (nearest
-position, "nfp"). Neither rule requires progress; a relay that would hand
-the packet straight back drops it instead, and a relay with no neighbors
-drops it as a dead end.
+address unchanged. A stamp's traces are instantaneous, so stamp_path_sets
+aims them at Snapshot.station_positions: bit for bit the address that
+ler_encapsulate derives from a location table refreshed at that stamp.
+Two per-hop rules are provided: pick the neighbor whose direction best
+aligns with the destination bearing (closest pointing, "cpi"), or the
+neighbor closest to the destination in space (nearest position, "nfp").
+Neither rule requires progress; a relay that would hand the packet straight
+back drops it instead, and a relay with no neighbors drops it as a dead end.
 
 All greedy traces of a stamp, over every connection, source satellite and
 rule, run in one lockstep kernel (trace_lockstep): each step advances every
@@ -353,16 +355,13 @@ def trace_lockstep(
     degree = real.sum(axis=1)
     src = np.asarray(src_sats, dtype=np.int64)
     n = src.size
-    # visibility and down-link length of each destination station's satellites;
-    # np.unique would import numpy.ma
     st = np.asarray(dest_stations, dtype=np.int64)
-    stations = np.flatnonzero(np.bincount(st, minlength=len(snap.stations)))
-    st = np.searchsorted(stations, st)
-    sees = np.zeros((stations.size, snap.sat_count), dtype=bool)
+    # visibility and down-link length of each station's satellites
+    sees = np.zeros((len(snap.stations), snap.sat_count), dtype=bool)
     down = np.zeros(sees.shape)
-    for row, i in enumerate(stations.tolist()):
-        sees[row, snap.edge_sats[i]] = True
-        down[row, snap.edge_sats[i]] = snap.edge_lengths[i]
+    for i, (sats, lengths) in enumerate(zip(snap.edge_sats, snap.edge_lengths)):
+        sees[i, sats] = True
+        down[i, sats] = lengths
 
     end = np.zeros(n, dtype=np.int8)
     down_km = np.zeros(n)
@@ -459,11 +458,9 @@ def _slot_weights(snap: Snapshot, weight: str) -> np.ndarray:
     return np.where(snap.template.link < snap.template.edge_count, 1.0, np.inf)
 
 
-def _distances(
-    snap: Snapshot, weight: str, seed_rows: Sequence[dict[int, float]]
-) -> np.ndarray:
-    """Distances over the satellite graph, one row per seed set (satellite ->
-    offset), by frontier relaxation to the fixed point.
+def _distances(snap: Snapshot, weight: str, seeds: np.ndarray) -> np.ndarray:
+    """Distances over the satellite graph from each row of seed offsets (inf
+    where a satellite is no seed), by frontier relaxation to the fixed point.
 
     Each round relaxes only the out-edges of the nodes whose distance fell in
     the previous round. Weights are positive and rounding is monotone, so the
@@ -472,10 +469,7 @@ def _distances(
     w = _slot_weights(snap, weight)
     nbr = snap.template.nbr
     n = snap.sat_count
-    dist = np.full((len(seed_rows), n), np.inf)
-    for r, seeds in enumerate(seed_rows):
-        for sat, offset in seeds.items():
-            dist[r, sat] = offset
+    dist = np.array(seeds, dtype=float)
     flat = dist.reshape(-1)
     # marks the next frontier once per node; np.unique would import numpy.ma
     mark = np.zeros(flat.size, dtype=bool)
@@ -496,10 +490,10 @@ def _distances(
 
 
 def _predecessors(
-    snap: Snapshot, weight: str, dist: np.ndarray, seed_rows: Sequence[dict[int, float]]
+    snap: Snapshot, weight: str, dist: np.ndarray, seeds: np.ndarray
 ) -> np.ndarray:
     """Predecessor of each node as a flat index into the adjacency table, one
-    row per seed set.
+    row per row of seed offsets.
 
     The predecessor of v is its lowest-id neighbor u with dist[u] + w ==
     dist[v]. A seed whose distance equals its offset, and an unreached node,
@@ -512,12 +506,7 @@ def _predecessors(
     col = np.zeros(dist.shape, dtype=np.int64)
     for j in reversed(range(width)):
         col[dist[:, nbr[:, j]] + w[:, j] == dist] = j
-    pred = np.where(np.isfinite(dist), np.arange(n) * width + col, -1)
-    for r, seeds in enumerate(seed_rows):
-        for sat, offset in seeds.items():
-            if dist[r, sat] == offset:
-                pred[r, sat] = -1
-    return pred
+    return np.where(np.isfinite(dist) & (dist != seeds), np.arange(n) * width + col, -1)
 
 
 def _walk(
@@ -527,13 +516,15 @@ def _walk(
     sats = [end]
     legs: list[float] = []
     k = pred[end]
-    while k >= 0:
-        if len(legs) == len(pred):
-            raise RuntimeError("path reconstruction exceeded the node count")
+    for _ in range(len(pred)):
+        if k < 0:
+            break
         legs.append(lengths[k])
         end = nbr[k]
         sats.append(end)
         k = pred[end]
+    else:
+        raise RuntimeError("path reconstruction exceeded the node count")
     sats.reverse()
     legs.reverse()
     return tuple(sats), tuple(legs)
@@ -552,21 +543,14 @@ def bellman_ford(
     src_station = isinstance(src, str) or (isinstance(src, int) and src >= snap.sat_count)
     dst_station = isinstance(dst, str) or (isinstance(dst, int) and dst >= snap.sat_count)
 
-    up_of: dict[int, float] = {}
+    seeds = np.full((1, snap.sat_count), np.inf)
     if src_station:
         i = snap.station_index(src)
-        for s, ln in zip(snap.edge_sats[i], snap.edge_lengths[i]):
-            up_of[int(s)] = float(ln)
-        if weight == WEIGHT_LATENCY:
-            seeds = {s: ln for s, ln in up_of.items()}
-        else:
-            seeds = {s: 0.0 for s in up_of}
+        seeds[0, snap.edge_sats[i]] = snap.edge_lengths[i] if weight == WEIGHT_LATENCY else 0.0
     else:
-        seeds = {int(src): 0.0}
-    if not seeds:
-        return None
+        seeds[0, int(src)] = 0.0
 
-    rows = _distances(snap, weight, [seeds])
+    rows = _distances(snap, weight, seeds)
     dist = rows[0]
 
     if dst_station:
@@ -585,11 +569,11 @@ def bellman_ford(
         if not math.isfinite(dist[end]):
             return None
 
-    pred = _predecessors(snap, weight, rows, [seeds])[0]
+    pred = _predecessors(snap, weight, rows, seeds)[0]
     sats, lengths = _walk(
         pred.tolist(), snap.template.nbr.ravel().tolist(), snap.slot_lengths.ravel().tolist(), end
     )
-    up = up_of.get(sats[0]) if src_station else None
+    up = snap.edge_length(i, sats[0]) if src_station else None
     return Path(sats, lengths, "delivered", up_km=up, down_km=down)
 
 
@@ -635,9 +619,10 @@ def _baseline_paths(
             minlength=snap.sat_count,
         )
     )
-    seed_rows = [{s: 0.0} for s in srcs.tolist()]
-    dist = _distances(snap, weight, seed_rows)
-    pred = _predecessors(snap, weight, dist, seed_rows)
+    seeds = np.full((srcs.size, snap.sat_count), np.inf)
+    seeds[np.arange(srcs.size), srcs] = 0.0
+    dist = _distances(snap, weight, seeds)
+    pred = _predecessors(snap, weight, dist, seeds)
     nbr = snap.template.nbr.ravel().tolist()
     lengths = snap.slot_lengths.ravel().tolist()
     out = []
@@ -659,33 +644,31 @@ def _baseline_paths(
 def stamp_path_sets(
     snap: Snapshot,
     algorithms: Sequence[str],
-    connections: Sequence[tuple[str | int, str | int, np.ndarray | None]],
+    connections: Sequence[tuple[str | int, str | int]],
     max_hops: int | None = None,
     stats: DecisionStats | None = None,
 ) -> list[PathSet]:
-    """The path sets of every connection under every algorithm at one stamp,
-    connection-major, algorithm-minor.
+    """The path sets of every (source, destination) station pair under every
+    algorithm at one stamp, connection-major, algorithm-minor.
 
-    A connection is (source station, destination station, greedy destination
-    address); an address of None stands for the destination's current
-    inertial position. Greedy algorithms trace once per source-associated
-    satellite; all traces of the stamp run as one trace_lockstep batch in
-    (connection, algorithm, ascending source satellite) order, which is the
-    order their decisions reach stats. Baselines compute one path per
-    (source-associated, destination-associated) satellite pair; each weight
-    runs one batched distance pass for all connections. A connection with an
-    uncovered endpoint yields empty sets.
+    Greedy algorithms trace once per source-associated satellite toward the
+    destination's inertial position in the snapshot; all traces of the stamp
+    run as one trace_lockstep batch in (connection, algorithm, ascending
+    source satellite) order, which is the order their decisions reach stats.
+    Baselines compute one path per (source-associated,
+    destination-associated) satellite pair; each weight runs one batched
+    distance pass for all connections. A connection with an uncovered
+    endpoint yields empty sets.
     """
     for algo in algorithms:
         if algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algo!r}")
-    conns = [(snap.station_index(a), snap.station_index(b), d) for a, b, d in connections]
+    conns = [(snap.station_index(a), snap.station_index(b)) for a, b in connections]
     # the connections whose endpoints both see a satellite
-    live = [(si, di) for si, di, _ in conns if snap.edge_sats[si].size and snap.edge_sats[di].size]
+    live = [(si, di) for si, di in conns if snap.edge_sats[si].size and snap.edge_sats[di].size]
     greedy = [
-        (_STRATEGY_OF[algo], s, di, snap.station_positions[di] if d is None else d)
-        for si, di, d in conns
-        if (si, di) in live
+        (_STRATEGY_OF[algo], s, di, snap.station_positions[di])
+        for si, di in live
         for algo in algorithms
         if algo in _STRATEGY_OF
         for s in snap.edge_sats[si].tolist()
@@ -698,7 +681,7 @@ def stamp_path_sets(
     }
 
     out = []
-    for si, di, _ in conns:
+    for si, di in conns:
         for algo in algorithms:
             delivered: list[Path] = []
             drops: list[Path] = []
@@ -718,7 +701,6 @@ def enumerate_paths(
     algorithm: str,
     src_station: str | int,
     dst_station: str | int,
-    dest_pos: np.ndarray | None = None,
     max_hops: int | None = None,
     stats: DecisionStats | None = None,
 ) -> PathSet:
@@ -730,6 +712,4 @@ def enumerate_paths(
     product of the two association counts. An uncovered endpoint yields an
     empty set. This is the one-connection case of stamp_path_sets.
     """
-    return stamp_path_sets(
-        snap, [algorithm], [(src_station, dst_station, dest_pos)], max_hops, stats
-    )[0]
+    return stamp_path_sets(snap, [algorithm], [(src_station, dst_station)], max_hops, stats)[0]

@@ -609,6 +609,16 @@ class TestGeojson:
         geo = paths_geojson(tiny_scenario(), rows)
         assert len(geo["features"]) == len(tiny_result.path_rows)
 
+    def test_rows_alternating_between_stamps(self, tiny_result):
+        scn = tiny_scenario()
+        t0, t1 = scn.time.stamps()[:2]
+        first = [r for r in tiny_result.path_rows if r.t == t0 and r.status == "delivered"]
+        second = [r for r in tiny_result.path_rows if r.t == t1 and r.status == "delivered"]
+        rows = [r for pair in zip(first, second) for r in pair]
+        assert len(rows) >= 4
+        snapshot_of, _ = harness.snapshot_at(scn)
+        want = [path_geojson(snapshot_of(r.t), r) for r in rows]
+        assert paths_geojson(scn, rows)["features"] == want
 
     @pytest.mark.parametrize(
         "fields,message",

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from leonet.constellation import ConstellationConfig, build_walker
 from leonet.geometry import GeodeticPoint, ecef_to_eci, geodetic_to_ecef, utc
-from leonet.harness import _connection_indices
+from leonet.harness import _connection_indices, snapshot_at
 from leonet.routing import (
     ALGO_LH,
     ALGO_MPLF_CPI,
@@ -40,6 +40,7 @@ from leonet.routing import (
     _distances,
     _keys,
     _predecessors,
+    _walk,
     bellman_ford,
     default_max_hops,
     enumerate_paths,
@@ -204,6 +205,31 @@ class TestHeaderLifecycle:
         pos, when = receiver.lookup("src")
         assert when == t
         assert np.allclose(pos, src_ecef, atol=1e-9)
+
+    def test_header_address_is_the_snapshot_station_position(self):
+        # greedy traces aim at Snapshot.station_positions in place of the
+        # header address, so the two must agree bit for bit at every stamp
+        sc = load_scenario(SCENARIO_DIR / "experiment3_moving.json")
+        snapshot_of, _ = snapshot_at(sc)
+        epoch = sc.constellation.epoch
+        eis = [st.ei for st in sc.stations]
+        table = LocationTable()
+        for t in sc.time.stamps():
+            snap = snapshot_of(t)
+            for i, ei in enumerate(eis):
+                table.update(ei, snap.station_ecef[i], t)
+            for si, di in _connection_indices(sc):
+                hdr = ler_encapsulate(table, eis[si], eis[di], t, epoch)
+                assert np.array_equal(hdr.dst_saddr, snap.station_positions[di])
+                assert np.array_equal(hdr.src_saddr, snap.station_positions[si])
+
+    def test_batch_rotation_equals_row_rotation(self):
+        rng = np.random.default_rng(5)
+        ecef = rng.normal(size=(2000, 3)) * 10.0 ** rng.uniform(0.0, 4.0, size=(2000, 1))
+        for seconds in (0.0, 1.0, 3600.0, 86_399.5, 1e7):
+            t = EPOCH + timedelta(seconds=seconds)
+            batch = ecef_to_eci(ecef, t, EPOCH)
+            assert np.array_equal(batch, np.array([ecef_to_eci(p, t, EPOCH) for p in ecef]))
 
 
 def chain_snapshot(pairs=((0, 1), (1, 2), (2, 3))):
@@ -470,6 +496,14 @@ class TestBellmanFord:
         snap = synthetic(positions, [(0, 1), (2, 3)])
         assert bellman_ford(snap, "latency", 0, 3) is None
         assert bellman_ford(snap, "unit", 0, 3) is None
+
+    def test_walk_stops_on_a_cyclic_predecessor_row(self):
+        # satellites 0 and 1 point at each other; 2 hangs off 1
+        pred, nbr, lengths = [0, 1, 2], [1, 0, 1], [5.0, 6.0, 7.0]
+        with pytest.raises(RuntimeError, match="exceeded the node count"):
+            _walk(pred, nbr, lengths, 2)
+        # the longest acyclic walk, n - 1 legs, is not cut
+        assert _walk([-1, 0, 1], [0, 1], [1.0, 2.0], 2) == ((0, 1, 2), (1.0, 2.0))
 
     def test_tie_break_walks_lowest_id_predecessor(self):
         # 2x4 ladder, every edge weight 1: many equal-hop routes
@@ -965,24 +999,42 @@ class TestStampPathSets:
 
     def test_equals_one_connection_at_a_time(self):
         snap = snapshot_shell(self.stations(), seconds=300)
-        conns = [("a", "b", None), ("b", "c", FAR), ("c", "a", None), ("a", "c", None)]
+        conns = [("a", "b"), ("b", "c"), ("c", "a"), ("a", "c")]
         stats = DecisionStats()
         got = stamp_path_sets(snap, ALGORITHMS, conns, stats=stats)
         one = DecisionStats()
         want = [
-            enumerate_paths(snap, algo, src, dst, dest_pos=dp, stats=one)
-            for src, dst, dp in conns
+            enumerate_paths(snap, algo, src, dst, stats=one)
+            for src, dst in conns
             for algo in ALGORITHMS
         ]
         assert got == want
         assert stats == one and stats.comparisons
         assert sum(len(ps.paths) for ps in got) > 20
+        # one batch aims each trace at its own point: the station or FAR
+        batch = [
+            (rule, sat, dest)
+            for rule in ("cpi", "nfp")
+            for sat in snap.visible_sats("b").tolist()
+            for dest in (snap.station_positions[2], FAR)
+        ]
+        rules, sats, dests = zip(*batch)
+        stats, one = DecisionStats(), DecisionStats()
+        got = trace_lockstep(snap, rules, sats, [2] * len(batch), np.array(dests), stats=stats)
+        assert got == [trace_path(snap, r, s, "c", dest_pos=d, stats=one) for r, s, d in batch]
+        assert got[::2] == [trace_path(snap, r, s, "c") for r, s, _ in batch[::2]]
+        assert stats == one
+        assert got[::2] != got[1::2]
 
     @pytest.mark.parametrize("weight", ["latency", "unit"])
     def test_batched_baseline_rows_equal_per_connection_calls(self, weight):
         snap = snapshot_shell(self.stations(), seconds=300)
-        per_conn = [[{s: 0.0} for s in snap.edge_sats[i].tolist()] for i in range(3)]
-        batched = [row for rows in per_conn for row in rows]
+        per_conn = []
+        for sats in snap.edge_sats:
+            rows = np.full((sats.size, snap.sat_count), np.inf)
+            rows[np.arange(sats.size), sats] = 0.0
+            per_conn.append(rows)
+        batched = np.concatenate(per_conn)
         dist = _distances(snap, weight, batched)
         pred = _predecessors(snap, weight, dist, batched)
         start = 0
@@ -993,3 +1045,14 @@ class TestStampPathSets:
             assert np.array_equal(pred[start:stop], _predecessors(snap, weight, d, rows))
             start = stop
         assert start > 3
+        # a row of several seeds: a seed keeps its pointer only where a relay
+        # beats its offset
+        seeds = np.full((1, snap.sat_count), np.inf)
+        sats = snap.edge_sats[0]
+        seeds[0, sats] = 0.0
+        seeds[0, sats[-1]] = 1e6
+        d = _distances(snap, weight, seeds)
+        p = _predecessors(snap, weight, d, seeds)
+        assert np.array_equal(p[0, sats] == -1, d[0, sats] == seeds[0, sats])
+        assert (p[0, sats] == -1).any() and (p[0, sats] >= 0).any()
+        assert np.array_equal(p[0] == -1, np.isinf(d[0]) | (d[0] == seeds[0]))
