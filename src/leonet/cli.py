@@ -102,11 +102,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
+    if args.format != FORMAT_GEOJSON:
+        raise SystemExit("export converts a path log to geojson; use --format geojson")
     scenario = load_scenario(args.scenario)
     rows = read_paths_csv(FsPath(args.paths))
     out = _out_dir(args)
-    if args.format != FORMAT_GEOJSON:
-        raise SystemExit("export converts a path log to geojson; use --format geojson")
     _geo(paths_geojson(scenario, rows), out / "paths.geojson")
     return 0
 

@@ -6,7 +6,9 @@ snapshot alone, greedy traces aiming at the destination station's inertial
 position in that snapshot, so stamps may be computed in parallel and merged
 in stamp order. The run's one location table is maintained serially in
 stamp order by the merge: a refresh of every station entry per stamp, then
-a delivery update of the source entry for every delivered greedy path.
+a delivery update of the source entry for every delivered greedy path. The
+merge also reads the candidate count of every forwarding decision off the
+greedy paths it folds, so simulate and analyze report the same counts.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from functools import partial
 from itertools import chain, product, starmap
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -38,6 +41,7 @@ from .routing import (
     DecisionStats,
     LocationTable,
     PathSet,
+    decision_counts,
     ler_encapsulate,
     record_delivery,
     stamp_path_sets,
@@ -79,12 +83,10 @@ class PathLogRow:
 class StampOutcome:
     """Everything computed for one stamp, independent of other stamps."""
 
-    t: datetime
     station_points: tuple[GeodeticPoint, ...]
     station_ecef: np.ndarray
     covered: tuple[bool, ...]
     pathsets: tuple[PathSet, ...]  # connection-major, algorithm-minor
-    comparisons: tuple[int, ...] = ()  # candidates per forwarding decision
 
 
 @dataclass
@@ -138,16 +140,12 @@ def snapshot_at(scenario: Scenario) -> tuple[Callable[[datetime], Snapshot], Isl
     return at, template
 
 
-def _stamp_outcome(
-    snap: Snapshot, pathsets: Iterable[PathSet], comparisons: Iterable[int] = ()
-) -> StampOutcome:
+def _stamp_outcome(snap: Snapshot, pathsets: Iterable[PathSet]) -> StampOutcome:
     return StampOutcome(
-        t=snap.t,
         station_points=snap.station_geodetic,
         station_ecef=snap.station_ecef,
         covered=tuple(snap.covered(i) for i in range(len(snap.stations))),
         pathsets=tuple(pathsets),
-        comparisons=tuple(comparisons),
     )
 
 
@@ -159,25 +157,25 @@ def _compute_stamp(
 ) -> StampOutcome | str:
     """The stamp's outcome, routed from its snapshot alone, or the repr of the
     exception it raised."""
-    stats = DecisionStats()
     try:
         snap = snapshot_of(t)
-        pathsets = stamp_path_sets(snap, algorithms, pairs, stats=stats)
-        return _stamp_outcome(snap, pathsets, stats.comparisons)
+        return _stamp_outcome(snap, stamp_path_sets(snap, algorithms, pairs))
     except Exception as exc:  # noqa: BLE001 - per-stamp isolation is the contract
         return repr(exc)
 
 
-def _stamp_runner(scenario: Scenario) -> Callable[[datetime], StampOutcome | str]:
+def _stamp_runner(
+    scenario: Scenario, snapshot_of: Callable[[datetime], Snapshot]
+) -> Callable[[datetime], StampOutcome | str]:
     pairs = _connection_indices(scenario)
-    return partial(_compute_stamp, snapshot_at(scenario)[0], scenario.algorithms, pairs)
+    return partial(_compute_stamp, snapshot_of, scenario.algorithms, pairs)
 
 
 _WORKER_STATE: dict = {}
 
 
 def _worker_init(scenario: Scenario) -> None:
-    _WORKER_STATE["run"] = _stamp_runner(scenario)
+    _WORKER_STATE["run"] = _stamp_runner(scenario, snapshot_at(scenario)[0])
 
 
 def _worker_run(t: datetime) -> StampOutcome | str:
@@ -209,21 +207,23 @@ def run_experiment(scenario: Scenario, parallel: int = 1) -> ExperimentResult:
     if parallel < 1:
         raise ValueError("parallel must be >= 1")
     stamps = scenario.time.stamps()
+    snapshot_of, template = snapshot_at(scenario)
     if parallel == 1:
-        return _merge(scenario, map(_stamp_runner(scenario), stamps))
+        return _merge(scenario, template, map(_stamp_runner(scenario, snapshot_of), stamps))
     with ProcessPoolExecutor(
         max_workers=parallel, initializer=_worker_init, initargs=(scenario,)
     ) as pool:
-        return _merge(scenario, pool.map(_worker_run, stamps))
+        return _merge(scenario, template, pool.map(_worker_run, stamps))
 
 
 def _merge(
-    scenario: Scenario, results: Iterable[StampOutcome | str]
+    scenario: Scenario, template: IslTemplate, results: Iterable[StampOutcome | str]
 ) -> ExperimentResult:
     """Fold per-stamp results, one at a time in stamp order, into the run's
     result, keeping no outcome once it is folded. A failed stamp (the repr of
     its exception) is logged, contributes nothing and leaves the next stamp
-    without a predecessor; decision counts are merged, not kept per stamp."""
+    without a predecessor. The decision counts are read off each greedy path
+    set's traces in source-satellite order, the order they were traced in."""
     epoch = scenario.constellation.epoch
     sets = _path_sets(scenario)
     failures: list[tuple[datetime, str]] = []
@@ -237,17 +237,19 @@ def _merge(
             failures.append((t, r))
             prev = [None] * len(sets)
             continue
-        stats.comparisons.extend(r.comparisons)
         for i, st in enumerate(scenario.stations):
             table.update(st.ei, r.station_ecef[i], t)
         for k, (ps, ((si, di), _)) in enumerate(zip(r.pathsets, sets)):
             for p in chain(ps.paths, ps.drops):
                 path_rows.append(_row_from_path(t, ps.algorithm, ps.src_ei, ps.dst_ei, p))
-            if ps.algorithm in _MPLF_ALGOS and ps.any_delivered:
-                header = ler_encapsulate(table, ps.src_ei, ps.dst_ei, t, epoch)
-                record_delivery(table, header, epoch)
+            if ps.algorithm in _MPLF_ALGOS:
+                traces = sorted(chain(ps.paths, ps.drops), key=attrgetter("src_sat"))
+                stats.comparisons.extend(decision_counts(template.degree, traces))
+                if ps.any_delivered:
+                    header = ler_encapsulate(table, ps.src_ei, ps.dst_ei, t, epoch)
+                    record_delivery(table, header, epoch)
             st = make_stamp_stats(
-                t=r.t,
+                t=t,
                 covered_src=r.covered[si],
                 covered_dst=r.covered[di],
                 delivered=ps.paths,
@@ -392,4 +394,4 @@ def analyze_rows(scenario: Scenario, rows: Iterable[PathLogRow]) -> ExperimentRe
             pathsets.append(PathSet(src, dst, t, algo, tuple(delivered), tuple(dropped)))
         return _stamp_outcome(snapshot_of(t), pathsets)
 
-    return _merge(scenario, starmap(outcome, enumerate(scenario.time.stamps())))
+    return _merge(scenario, template, starmap(outcome, enumerate(scenario.time.stamps())))

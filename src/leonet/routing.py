@@ -16,7 +16,9 @@ All greedy traces of a stamp, over every connection, source satellite and
 rule, run in one lockstep kernel (trace_lockstep): each step advances every
 live trace by one hop, ranking the padded neighbor rows of the template's
 adjacency table together. One trace (trace_path) and one decision
-(forward_cpi, forward_nfp) are batches of one under the same rule.
+(forward_cpi, forward_nfp) are batches of one under the same rule. Routing
+keeps no run state: the candidate count of every decision follows from the
+traced path itself (decision_counts).
 
 Baselines are exact shortest paths over the satellite graph under a latency
 or unit (hop) weight. Distances from the source satellites of all
@@ -31,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from datetime import datetime
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -153,12 +155,9 @@ class Drop:
 
 @dataclass
 class DecisionStats:
-    """Collects the number of candidate evaluations per forwarding decision."""
+    """The number of candidate evaluations per forwarding decision."""
 
     comparisons: list[int] = field(default_factory=list)
-
-    def record(self, n: int) -> None:
-        self.comparisons.append(n)
 
 
 def _keys(
@@ -204,15 +203,12 @@ def _forward(
     dest_pos: np.ndarray,
     neighbor_ids: Sequence[int] | np.ndarray,
     neighbor_pos: np.ndarray,
-    stats: DecisionStats | None,
 ) -> Next | Drop:
     """One decision, as a batch of one with the candidates in ascending id
     order."""
     ids = np.asarray(neighbor_ids, dtype=np.int64)
     if ids.size == 0:
         return Drop(DROP_DEAD_END)
-    if stats is not None:
-        stats.record(int(ids.size))
     order = np.argsort(ids, kind="stable")
     key = _keys(
         np.array([nfp]),
@@ -233,7 +229,6 @@ def forward_cpi(
     dest_pos: np.ndarray,
     neighbor_ids: Sequence[int] | np.ndarray,
     neighbor_pos: np.ndarray,
-    stats: DecisionStats | None = None,
 ) -> Next | Drop:
     """Pick the neighbor whose direction is most aligned with the destination.
 
@@ -242,7 +237,7 @@ def forward_cpi(
     lowest id. Handing the packet back to the previous relay is a loop drop;
     an empty candidate set is a dead end.
     """
-    return _forward(False, current_pos, prev, dest_pos, neighbor_ids, neighbor_pos, stats)
+    return _forward(False, current_pos, prev, dest_pos, neighbor_ids, neighbor_pos)
 
 
 def forward_nfp(
@@ -251,7 +246,6 @@ def forward_nfp(
     dest_pos: np.ndarray,
     neighbor_ids: Sequence[int] | np.ndarray,
     neighbor_pos: np.ndarray,
-    stats: DecisionStats | None = None,
 ) -> Next | Drop:
     """Pick the neighbor spatially closest to the destination.
 
@@ -259,7 +253,7 @@ def forward_nfp(
     distance plays no role. Ties resolve to the lowest id; returning to the
     previous relay is a loop drop, an empty candidate set a dead end.
     """
-    return _forward(True, current_pos, prev, dest_pos, neighbor_ids, neighbor_pos, stats)
+    return _forward(True, current_pos, prev, dest_pos, neighbor_ids, neighbor_pos)
 
 
 # -- paths -------------------------------------------------------------------
@@ -331,7 +325,6 @@ def trace_lockstep(
     dest_stations: Sequence[int] | np.ndarray,
     dest_pos: np.ndarray,
     max_hops: int | None = None,
-    stats: DecisionStats | None = None,
 ) -> list[Path]:
     """Run a batch of greedy traces side by side, one hop per step.
 
@@ -339,9 +332,8 @@ def trace_lockstep(
     dest_pos[i] and is delivered at a satellite that sees the station with
     index dest_stations[i]. Every step applies trace_path's rule to all live
     traces at once: delivery, then the hop cap, the dead end, the decision
-    and the loop drop. A trace's legs are the snapshot's slot lengths. The
-    decisions reach stats trace by trace in batch order, each trace's in hop
-    order. Memory grows with the hops taken, not with the hop cap.
+    and the loop drop. A trace's legs are the snapshot's slot lengths.
+    Memory grows with the hops taken, not with the hop cap.
     """
     for s in strategies:
         if s not in (STRATEGY_CPI, STRATEGY_NFP):
@@ -351,8 +343,6 @@ def trace_lockstep(
     if max_hops < 1:
         raise ValueError("max_hops must be >= 1")
     tpl, pos = snap.template, snap.sat_positions
-    real = tpl.link < tpl.edge_count
-    degree = real.sum(axis=1)
     src = np.asarray(src_sats, dtype=np.int64)
     n = src.size
     st = np.asarray(dest_stations, dtype=np.int64)
@@ -367,7 +357,6 @@ def trace_lockstep(
     down_km = np.zeros(n)
     none = np.zeros(0, dtype=np.int64)
     moves = [(none, none, np.zeros(0))]  # (trace, next satellite, leg) per step
-    decisions = [(none, none)]  # (trace, candidate count) per step
     # state of the live traces, compacted as traces end
     live, cur, prev = np.arange(n), src, np.full(n, -1)
     nfp = np.array([s == STRATEGY_NFP for s in strategies], dtype=bool)
@@ -376,28 +365,19 @@ def trace_lockstep(
     while live.size:
         at = sees[st, cur]
         down_km[live[at]] = down[st[at], cur[at]]
-        deg = degree[cur]
-        go = ~at & (deg > 0) & (hops < max_hops)
+        go = ~at & (tpl.degree[cur] > 0) & (hops < max_hops)
         end[live[~at & ~go]] = _DEAD_END
-        live, cur, prev, st, nfp, dest, deg = (
-            a[go] for a in (live, cur, prev, st, nfp, dest, deg)
-        )
+        live, cur, prev, st, nfp, dest = (a[go] for a in (live, cur, prev, st, nfp, dest))
         if not live.size:
             break
-        decisions.append((live, deg))
-        col = _keys(nfp, pos[cur], dest, pos[tpl.nbr[cur]], real[cur]).argmin(axis=1)
+        col = _keys(nfp, pos[cur], dest, pos[tpl.nbr[cur]], tpl.real[cur]).argmin(axis=1)
         nxt = tpl.nbr[cur, col]
         on = nxt != prev
         end[live[~on]] = _LOOP
         moves.append((live[on], nxt[on], snap.slot_lengths[cur[on], col[on]]))
-        live, prev, cur, st, nfp, dest = (
-            a[on] for a in (live, cur, nxt, st, nfp, dest)
-        )
+        live, prev, cur, st, nfp, dest = (a[on] for a in (live, cur, nxt, st, nfp, dest))
         hops += 1
 
-    if stats is not None:
-        trace, count = (np.concatenate(a) for a in zip(*decisions))
-        stats.comparisons.extend(count[np.argsort(trace, kind="stable")].tolist())
     trace, sat, leg = (np.concatenate(a) for a in zip(*moves))
     order = np.argsort(trace, kind="stable")
     sats, legs = sat[order].tolist(), leg[order].tolist()
@@ -405,16 +385,8 @@ def trace_lockstep(
     paths = []
     start = 0
     for s, stop, code, dn in zip(src.tolist(), stops, end.tolist(), down_km.tolist()):
-        status, reason = _ENDS[code]
-        paths.append(
-            Path(
-                (s, *sats[start:stop]),
-                tuple(legs[start:stop]),
-                status,
-                drop_reason=reason,
-                down_km=dn if code == _DELIVERED else None,
-            )
-        )
+        route = (s, *sats[start:stop]), tuple(legs[start:stop])
+        paths.append(Path(*route, *_ENDS[code], down_km=dn if code == _DELIVERED else None))
         start = stop
     return paths
 
@@ -426,7 +398,6 @@ def trace_path(
     dest_station: str | int,
     max_hops: int | None = None,
     dest_pos: np.ndarray | None = None,
-    stats: DecisionStats | None = None,
 ) -> Path:
     """Run one greedy trace from an ingress satellite toward a station.
 
@@ -442,8 +413,23 @@ def trace_path(
     if dest_pos is None:
         dest_pos = snap.station_positions[dst_idx]
     return trace_lockstep(
-        snap, [strategy], [src_sat], [dst_idx], np.asarray(dest_pos, dtype=float), max_hops, stats
+        snap, [strategy], [src_sat], [dst_idx], np.asarray(dest_pos, dtype=float), max_hops
     )[0]
+
+
+def decision_counts(degree: np.ndarray, traces: Iterable) -> list[int]:
+    """The candidate count of every forwarding decision of the given traces
+    (anything with sats and drop_reason), trace by trace, each in hop order.
+
+    A decision ranks every neighbor of its relay: its count is the relay's
+    degree. A trace decides at each satellite it leaves, and at its last one
+    too when dropped for a loop; delivery, a dead end and the hop cap are not
+    decisions.
+    """
+    relays = [
+        s for p in traces for s in (p.sats if p.drop_reason == DROP_LOOP else p.sats[:-1])
+    ]
+    return degree[relays].tolist()
 
 
 # -- shortest-path baselines --------------------------------------------------
@@ -455,18 +441,18 @@ def _slot_weights(snap: Snapshot, weight: str) -> np.ndarray:
         raise ValueError(f"unknown weight {weight!r}")
     if weight == WEIGHT_LATENCY:
         return snap.slot_lengths
-    return np.where(snap.template.link < snap.template.edge_count, 1.0, np.inf)
+    return np.where(snap.template.real, 1.0, np.inf)
 
 
-def _distances(snap: Snapshot, weight: str, seeds: np.ndarray) -> np.ndarray:
-    """Distances over the satellite graph from each row of seed offsets (inf
-    where a satellite is no seed), by frontier relaxation to the fixed point.
+def _distances(snap: Snapshot, w: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """Distances over the satellite graph under the slot weights w (from
+    _slot_weights) from each row of seed offsets (inf where a satellite is no
+    seed), by frontier relaxation to the fixed point.
 
     Each round relaxes only the out-edges of the nodes whose distance fell in
     the previous round. Weights are positive and rounding is monotone, so the
     fixed point is unique and any complete relaxation order reaches it.
     """
-    w = _slot_weights(snap, weight)
     nbr = snap.template.nbr
     n = snap.sat_count
     dist = np.array(seeds, dtype=float)
@@ -490,7 +476,7 @@ def _distances(snap: Snapshot, weight: str, seeds: np.ndarray) -> np.ndarray:
 
 
 def _predecessors(
-    snap: Snapshot, weight: str, dist: np.ndarray, seeds: np.ndarray
+    snap: Snapshot, w: np.ndarray, dist: np.ndarray, seeds: np.ndarray
 ) -> np.ndarray:
     """Predecessor of each node as a flat index into the adjacency table, one
     row per row of seed offsets.
@@ -501,7 +487,6 @@ def _predecessors(
     """
     nbr = snap.template.nbr
     n, width = nbr.shape
-    w = _slot_weights(snap, weight)
     # the lowest matching column, one column at a time: no (rows, S, D) array
     col = np.zeros(dist.shape, dtype=np.int64)
     for j in reversed(range(width)):
@@ -540,6 +525,7 @@ def bellman_ford(
     Under the latency weight the cost is propagation delay; under the unit
     weight it is the satellite hop count. Ties resolve to the lowest node id.
     """
+    w = _slot_weights(snap, weight)
     src_station = isinstance(src, str) or (isinstance(src, int) and src >= snap.sat_count)
     dst_station = isinstance(dst, str) or (isinstance(dst, int) and dst >= snap.sat_count)
 
@@ -550,7 +536,7 @@ def bellman_ford(
     else:
         seeds[0, int(src)] = 0.0
 
-    rows = _distances(snap, weight, seeds)
+    rows = _distances(snap, w, seeds)
     dist = rows[0]
 
     if dst_station:
@@ -569,7 +555,7 @@ def bellman_ford(
         if not math.isfinite(dist[end]):
             return None
 
-    pred = _predecessors(snap, weight, rows, seeds)[0]
+    pred = _predecessors(snap, w, rows, seeds)[0]
     sats, lengths = _walk(
         pred.tolist(), snap.template.nbr.ravel().tolist(), snap.slot_lengths.ravel().tolist(), end
     )
@@ -621,8 +607,9 @@ def _baseline_paths(
     )
     seeds = np.full((srcs.size, snap.sat_count), np.inf)
     seeds[np.arange(srcs.size), srcs] = 0.0
-    dist = _distances(snap, weight, seeds)
-    pred = _predecessors(snap, weight, dist, seeds)
+    w = _slot_weights(snap, weight)
+    dist = _distances(snap, w, seeds)
+    pred = _predecessors(snap, w, dist, seeds)
     nbr = snap.template.nbr.ravel().tolist()
     lengths = snap.slot_lengths.ravel().tolist()
     out = []
@@ -646,7 +633,6 @@ def stamp_path_sets(
     algorithms: Sequence[str],
     connections: Sequence[tuple[str | int, str | int]],
     max_hops: int | None = None,
-    stats: DecisionStats | None = None,
 ) -> list[PathSet]:
     """The path sets of every (source, destination) station pair under every
     algorithm at one stamp, connection-major, algorithm-minor.
@@ -654,8 +640,7 @@ def stamp_path_sets(
     Greedy algorithms trace once per source-associated satellite toward the
     destination's inertial position in the snapshot; all traces of the stamp
     run as one trace_lockstep batch in (connection, algorithm, ascending
-    source satellite) order, which is the order their decisions reach stats.
-    Baselines compute one path per (source-associated,
+    source satellite) order. Baselines compute one path per (source-associated,
     destination-associated) satellite pair; each weight runs one batched
     distance pass for all connections. A connection with an uncovered
     endpoint yields empty sets.
@@ -673,7 +658,7 @@ def stamp_path_sets(
         if algo in _STRATEGY_OF
         for s in snap.edge_sats[si].tolist()
     ]
-    traces = iter(trace_lockstep(snap, *zip(*greedy), max_hops, stats) if greedy else ())
+    traces = iter(trace_lockstep(snap, *zip(*greedy), max_hops) if greedy else ())
     baselines = {
         _WEIGHT_OF[algo]: dict(zip(live, _baseline_paths(snap, _WEIGHT_OF[algo], live)))
         for algo in algorithms
@@ -702,7 +687,6 @@ def enumerate_paths(
     src_station: str | int,
     dst_station: str | int,
     max_hops: int | None = None,
-    stats: DecisionStats | None = None,
 ) -> PathSet:
     """All equal-role paths between two stations under one algorithm.
 
@@ -712,4 +696,4 @@ def enumerate_paths(
     product of the two association counts. An uncovered endpoint yields an
     empty set. This is the one-connection case of stamp_path_sets.
     """
-    return stamp_path_sets(snap, [algorithm], [(src_station, dst_station)], max_hops, stats)[0]
+    return stamp_path_sets(snap, [algorithm], [(src_station, dst_station)], max_hops)[0]

@@ -131,8 +131,8 @@ def _require(obj: dict, key: str, path: str) -> Any:
 
 def _number(obj: dict, key: str, path: str) -> float:
     v = _require(obj, key, path)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ScenarioError(f"{path}.{key}: expected a number")
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ScenarioError(f"{path}.{key}: expected a finite number")
     return float(v)
 
 
@@ -158,11 +158,13 @@ def _station_from_dict(raw: Any, path: str, default_start: datetime) -> Station:
         raise ScenarioError(f"{path}.name: expected a non-empty string")
     kind = _require(raw, "kind", path)
     ei = raw.get("ei", name)
+    if not isinstance(ei, str) or not ei:
+        raise ScenarioError(f"{path}.ei: expected a non-empty string")
     if kind == "ground":
         point = GeodeticPoint(
             _number(raw, "lat_deg", path),
             _number(raw, "lon_deg", path),
-            float(raw.get("alt_km", 0.0)),
+            _number(raw, "alt_km", path) if "alt_km" in raw else 0.0,
         )
         return Station(name=name, ei=ei, kind="ground", provider=FixedPosition(point))
     if kind == "mobile":
@@ -243,9 +245,14 @@ def scenario_from_dict(root: Any, name: str = "scenario") -> Scenario:
     st_raw = _require(root, "stations", "scenario")
     if not isinstance(st_raw, list):
         raise ScenarioError("scenario.stations: expected a list")
-    stations = tuple(
-        _station_from_dict(s, f"stations[{i}]", grid.start) for i, s in enumerate(st_raw)
-    )
+    stations = []
+    for i, s in enumerate(st_raw):
+        try:
+            stations.append(_station_from_dict(s, f"stations[{i}]", grid.start))
+        except ScenarioError:
+            raise
+        except ValueError as exc:  # a point or track outside its domain
+            raise ScenarioError(f"stations[{i}]: {exc}") from exc
     names = [s.name for s in stations]
     if len(set(names)) != len(names):
         raise ScenarioError("scenario.stations: station names must be unique")
@@ -293,7 +300,7 @@ def scenario_from_dict(root: Any, name: str = "scenario") -> Scenario:
         constellation=config,
         pattern=pattern,
         time=grid,
-        stations=stations,
+        stations=tuple(stations),
         connections=tuple(connections),
         algorithms=tuple(algo_raw),
         elevation_min_deg=elev,

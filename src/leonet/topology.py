@@ -118,11 +118,12 @@ class IslTemplate:
     """Time-invariant persistent-link edge list (canonical a < b, sorted) over
     sat_count satellites, with its adjacency built once.
 
-    The adjacency is a padded table: row v of nbr lists the neighbors of
-    satellite v in ascending id order, and link[v, j] indexes pairs with the
-    link to nbr[v, j]. Rows shorter than the highest degree are padded with v
-    itself and the link index E (the edge count), which a snapshot maps to an
-    infinite length.
+    The adjacency is a padded table: row v of nbr lists the degree[v]
+    neighbors of satellite v in ascending id order, and link[v, j] indexes
+    pairs with the link to nbr[v, j]. Rows shorter than the highest degree
+    are padded at the end with v itself and the link index E (the edge
+    count), which a snapshot maps to an infinite length; real marks the
+    slots that hold a link.
 
     pair_keys holds min(a, b) * S + max(a, b) for every pair, sorted, so a
     pair can be looked up in either orientation.
@@ -133,6 +134,8 @@ class IslTemplate:
     sat_count: int
     nbr: np.ndarray = field(init=False, repr=False)  # (S, D) int64
     link: np.ndarray = field(init=False, repr=False)  # (S, D) int64
+    degree: np.ndarray = field(init=False, repr=False)  # (S,) int64
+    real: np.ndarray = field(init=False, repr=False)  # (S, D) bool
     pair_keys: np.ndarray = field(init=False, repr=False)  # (E,) int64
 
     def __post_init__(self) -> None:
@@ -153,6 +156,8 @@ class IslTemplate:
         link[dst, col] = np.tile(np.arange(e), 2)[order]
         object.__setattr__(self, "nbr", nbr)
         object.__setattr__(self, "link", link)
+        object.__setattr__(self, "degree", deg)
+        object.__setattr__(self, "real", np.arange(width) < deg[:, None])
         # sorted by (dst, src), the dst < src half lists each pair once as (min, max)
         object.__setattr__(self, "pair_keys", (dst * n + src)[dst < src])
 
@@ -297,8 +302,7 @@ class Snapshot:
 
     def neighbors(self, sat: int) -> np.ndarray:
         """Ids of the satellites linked to sat, ascending."""
-        tpl = self.template
-        return tpl.nbr[sat][tpl.link[sat] < tpl.edge_count]
+        return self.template.nbr[sat][self.template.real[sat]]
 
     def visible_sats(self, station: str | int) -> np.ndarray:
         return self.edge_sats[self.station_index(station)]

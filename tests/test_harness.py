@@ -1,8 +1,9 @@
 """End-to-end runner, exporters, log reanalysis, and the CLI.
 
 A deliberately small shell keeps every case here under a second while still
-delivering real paths on all four algorithms; only the serial/parallel
-decision-stats check runs a shipped scenario.
+delivering real paths on all four algorithms; only the decision-stats
+checks (serial against parallel, and a run against its reanalysis) run a
+shipped scenario.
 """
 
 import copy
@@ -175,7 +176,8 @@ class TestRunExperiment:
 
     def test_merge_keeps_no_folded_stamp(self, tiny_result):
         scn = tiny_scenario()
-        run = harness._stamp_runner(scn)
+        snapshot_of, template = harness.snapshot_at(scn)
+        run = harness._stamp_runner(scn, snapshot_of)
         refs = []
 
         def outcomes():
@@ -186,11 +188,12 @@ class TestRunExperiment:
                 refs.append([weakref.ref(ps) for ps in out.pathsets])
                 yield out
 
-        res = harness._merge(scn, outcomes())
+        res = harness._merge(scn, template, outcomes())
         assert len(refs) == len(scn.time.stamps())
         assert res.series == tiny_result.series
         assert res.records == tiny_result.records
         assert res.path_rows == tiny_result.path_rows
+        assert res.decision_stats == tiny_result.decision_stats
 
 
 class TestAnalyzeRows:
@@ -267,6 +270,18 @@ class TestAnalyzeRows:
         ) as err:
             analyze_rows(tiny_scenario(), rows)
         assert err.value.row == 2
+
+    def test_reanalysis_reproduces_decision_stats(self, tiny_result):
+        res2 = analyze_rows(tiny_scenario(), tiny_result.path_rows)
+        assert res2.decision_stats.comparisons
+        assert res2.decision_stats == tiny_result.decision_stats
+
+    def test_reanalysis_of_shipped_run_reproduces_decision_stats(self, exp1_small):
+        serial, _ = exp1_small
+        scn = load_scenario(SCENARIO_DIR / "experiment1_20x20.json")
+        # loop drops decide at their last satellite too
+        assert any(r.status == "dropped:loop" for r in serial.path_rows)
+        assert analyze_rows(scn, serial.path_rows).decision_stats == serial.decision_stats
 
     def test_reanalysis_reproduces_rows_records_and_location_table(self, tiny_result):
         res2 = analyze_rows(tiny_scenario(), tiny_result.path_rows)
@@ -757,6 +772,13 @@ class TestCli:
                     str(out),
                 ]
             )
+
+    def test_export_checks_format_before_reading(self, tiny_file, tmp_path):
+        out = tmp_path / "geo"
+        argv = ["export", "--scenario", str(tiny_file), "--out", str(out)]
+        with pytest.raises(SystemExit, match="use --format geojson"):
+            main([*argv, "--paths", str(tmp_path / "missing.csv")])
+        assert not out.exists()
 
     def test_generate_writes_topology_artifacts(self, tiny_file, tmp_path):
         out = tmp_path / "gen"

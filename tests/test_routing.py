@@ -31,7 +31,6 @@ from leonet.routing import (
     ALGORITHMS,
     DROP_DEAD_END,
     DROP_LOOP,
-    DecisionStats,
     Drop,
     LocationTable,
     Next,
@@ -40,8 +39,10 @@ from leonet.routing import (
     _distances,
     _keys,
     _predecessors,
+    _slot_weights,
     _walk,
     bellman_ford,
+    decision_counts,
     default_max_hops,
     enumerate_paths,
     forward_cpi,
@@ -129,15 +130,6 @@ class TestForwardRules:
         pos = np.array([P + [0, 100, 0]])
         assert rule(P, 5, dest, [5], pos) == Drop(DROP_LOOP)
         assert rule(P, 6, dest, [5], pos) == Next(5)
-
-    @pytest.mark.parametrize("rule", [forward_cpi, forward_nfp])
-    def test_stats_count_candidates(self, rule):
-        stats = DecisionStats()
-        dest = P + [0.0, 1000.0, 0.0]
-        pos = np.array([P + [0, 100, 0], P + [0, 200, 0], P + [0, 300, 0]])
-        rule(P, None, dest, [1, 2, 3], pos, stats)
-        rule(P, None, dest, [1], pos[:1], stats)
-        assert stats.comparisons == [3, 1]
 
     def test_cpi_rejects_coincident_nodes(self):
         with pytest.raises(ValueError):
@@ -633,10 +625,10 @@ class TestEnumeratePaths:
 
     def test_single_bias_grid_needs_exactly_four_comparisons(self):
         snap = snapshot_shell(self.stations(), seconds=300)
-        stats = DecisionStats()
-        enumerate_paths(snap, ALGO_MPLF_CPI, "a", "b", stats=stats)
-        assert stats.comparisons  # at least one decision was recorded
-        assert set(stats.comparisons) == {4}
+        ps = enumerate_paths(snap, ALGO_MPLF_CPI, "a", "b")
+        counts = decision_counts(snap.template.degree, ps.paths + ps.drops)
+        assert counts  # at least one decision was made
+        assert set(counts) == {4}
 
 
 # -- exactness of the baselines against a from-scratch reference ----------------
@@ -818,14 +810,14 @@ class TestBaselinesExact:
 # -- the lockstep kernel against the per-hop loop it replaced --------------------
 
 
-def _reference_forward(strategy, current_pos, prev, dest_pos, ids, neighbor_pos, stats):
+def _reference_forward(strategy, current_pos, prev, dest_pos, ids, neighbor_pos, counts):
     """One decision as the per-hop rule computed it: 1-D norms, `rel @
-    bearing`, and a lexsort pick with the lowest id breaking ties."""
+    bearing`, and a lexsort pick with the lowest id breaking ties. The
+    candidate count of the decision is appended to counts."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size == 0:
         return Drop(DROP_DEAD_END)
-    if stats is not None:
-        stats.record(int(ids.size))
+    counts.append(int(ids.size))
     if strategy == "cpi":
         rel = neighbor_pos - current_pos
         bearing = dest_pos - current_pos
@@ -842,8 +834,9 @@ def _reference_forward(strategy, current_pos, prev, dest_pos, ids, neighbor_pos,
     return Next(chosen)
 
 
-def reference_trace(snap, strategy, src, station, max_hops, dest_pos, stats=None):
-    """The per-hop trace loop, one decision call per hop."""
+def reference_trace(snap, strategy, src, station, max_hops, dest_pos, counts):
+    """The per-hop trace loop, one decision call per hop; each decision's
+    candidate count is appended to counts."""
     dst = snap.station_index(station)
     down_of = dict(zip(snap.edge_sats[dst].tolist(), snap.edge_lengths[dst].tolist()))
     pos = snap.sat_positions
@@ -862,7 +855,7 @@ def reference_trace(snap, strategy, src, station, max_hops, dest_pos, stats=None
         if len(sats) > max_hops:
             return path("dropped", DROP_DEAD_END)
         nbrs = snap.neighbors(current)
-        d = _reference_forward(strategy, pos[current], prev, dest_pos, nbrs, pos[nbrs], stats)
+        d = _reference_forward(strategy, pos[current], prev, dest_pos, nbrs, pos[nbrs], counts)
         if isinstance(d, Drop):
             return path("dropped", d.reason)
         sats.append(d.neighbor)
@@ -906,31 +899,29 @@ class TestLockstepKernel:
         snap, batch, cap = case
         rules, srcs, stations, dx, cells = zip(*batch)
         dests = np.array([P + [x, 50.0 * y, 50.0 * z] for x, (y, z) in zip(dx, cells)])
-        ref_stats, stats = DecisionStats(), DecisionStats()
+        counts = []
         try:
             want = [
-                reference_trace(snap, r, s, g, cap, d, ref_stats)
+                reference_trace(snap, r, s, g, cap, d, counts)
                 for r, s, g, d in zip(rules, srcs, stations, dests)
             ]
         except ValueError:
             with pytest.raises(ValueError, match="coincident"):
-                trace_lockstep(snap, rules, srcs, stations, dests, cap, stats)
+                trace_lockstep(snap, rules, srcs, stations, dests, cap)
             return
-        got = trace_lockstep(snap, rules, srcs, stations, dests, cap, stats)
+        got = trace_lockstep(snap, rules, srcs, stations, dests, cap)
         assert got == want
-        assert stats == ref_stats
+        # the paths alone give every decision the loop made, in its order
+        assert decision_counts(snap.template.degree, got) == counts
         # the batch of one is the same rule
-        one = DecisionStats()
         singles = [
-            trace_path(snap, r, s, g, max_hops=cap, dest_pos=d, stats=one)
+            trace_path(snap, r, s, g, max_hops=cap, dest_pos=d)
             for r, s, g, d in zip(rules, srcs, stations, dests)
         ]
         assert singles == want
-        assert one == ref_stats
 
     def test_kernel_sees_cap_hits_loops_dead_ends_and_deliveries(self):
         snap = chain_snapshot(pairs=((1, 2), (2, 3)))
-        stats = DecisionStats()
         got = trace_lockstep(
             snap,
             ["nfp", "nfp", "nfp", "cpi"],
@@ -938,7 +929,6 @@ class TestLockstepKernel:
             [1, 1, 0, 1],
             np.array([FAR, FAR, FAR, P + [0, -250, 0]]),
             max_hops=2,
-            stats=stats,
         )
         assert [(p.sats, p.status, p.drop_reason) for p in got] == [
             ((0,), "dropped", DROP_DEAD_END),  # no links at all
@@ -949,7 +939,7 @@ class TestLockstepKernel:
         assert got[2].down_km == snap.edge_length("hub", 2)
         # trace by trace: no decision at 0, a loop decided at 2, none at a
         # delivery or the cap
-        assert stats.comparisons == [1, 2, 1, 1, 2]
+        assert decision_counts(snap.template.degree, got) == [1, 2, 1, 1, 2]
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
@@ -1000,16 +990,9 @@ class TestStampPathSets:
     def test_equals_one_connection_at_a_time(self):
         snap = snapshot_shell(self.stations(), seconds=300)
         conns = [("a", "b"), ("b", "c"), ("c", "a"), ("a", "c")]
-        stats = DecisionStats()
-        got = stamp_path_sets(snap, ALGORITHMS, conns, stats=stats)
-        one = DecisionStats()
-        want = [
-            enumerate_paths(snap, algo, src, dst, stats=one)
-            for src, dst in conns
-            for algo in ALGORITHMS
-        ]
+        got = stamp_path_sets(snap, ALGORITHMS, conns)
+        want = [enumerate_paths(snap, algo, src, dst) for src, dst in conns for algo in ALGORITHMS]
         assert got == want
-        assert stats == one and stats.comparisons
         assert sum(len(ps.paths) for ps in got) > 20
         # one batch aims each trace at its own point: the station or FAR
         batch = [
@@ -1019,11 +1002,9 @@ class TestStampPathSets:
             for dest in (snap.station_positions[2], FAR)
         ]
         rules, sats, dests = zip(*batch)
-        stats, one = DecisionStats(), DecisionStats()
-        got = trace_lockstep(snap, rules, sats, [2] * len(batch), np.array(dests), stats=stats)
-        assert got == [trace_path(snap, r, s, "c", dest_pos=d, stats=one) for r, s, d in batch]
+        got = trace_lockstep(snap, rules, sats, [2] * len(batch), np.array(dests))
+        assert got == [trace_path(snap, r, s, "c", dest_pos=d) for r, s, d in batch]
         assert got[::2] == [trace_path(snap, r, s, "c") for r, s, _ in batch[::2]]
-        assert stats == one
         assert got[::2] != got[1::2]
 
     @pytest.mark.parametrize("weight", ["latency", "unit"])
@@ -1035,14 +1016,15 @@ class TestStampPathSets:
             rows[np.arange(sats.size), sats] = 0.0
             per_conn.append(rows)
         batched = np.concatenate(per_conn)
-        dist = _distances(snap, weight, batched)
-        pred = _predecessors(snap, weight, dist, batched)
+        w = _slot_weights(snap, weight)
+        dist = _distances(snap, w, batched)
+        pred = _predecessors(snap, w, dist, batched)
         start = 0
         for rows in per_conn:
-            d = _distances(snap, weight, rows)
+            d = _distances(snap, w, rows)
             stop = start + len(rows)
             assert np.array_equal(dist[start:stop], d)
-            assert np.array_equal(pred[start:stop], _predecessors(snap, weight, d, rows))
+            assert np.array_equal(pred[start:stop], _predecessors(snap, w, d, rows))
             start = stop
         assert start > 3
         # a row of several seeds: a seed keeps its pointer only where a relay
@@ -1051,8 +1033,8 @@ class TestStampPathSets:
         sats = snap.edge_sats[0]
         seeds[0, sats] = 0.0
         seeds[0, sats[-1]] = 1e6
-        d = _distances(snap, weight, seeds)
-        p = _predecessors(snap, weight, d, seeds)
+        d = _distances(snap, w, seeds)
+        p = _predecessors(snap, w, d, seeds)
         assert np.array_equal(p[0, sats] == -1, d[0, sats] == seeds[0, sats])
         assert (p[0, sats] == -1).any() and (p[0, sats] >= 0).any()
         assert np.array_equal(p[0] == -1, np.isinf(d[0]) | (d[0] == seeds[0]))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from datetime import timedelta, timezone
 
 import pytest
@@ -215,6 +216,61 @@ class TestValidationMessages:
         with pytest.raises(ScenarioError) as err:
             scenario_from_dict(root)
         assert needle in str(err.value)
+
+    @pytest.mark.parametrize(
+        "mutate,needle",
+        [
+            (lambda r: r["stations"][0].update(ei=7), "stations[0].ei"),
+            (lambda r: r["stations"][0].update(ei=None), "stations[0].ei"),
+            (lambda r: r["stations"][0].update(ei=""), "stations[0].ei"),
+            (lambda r: r["stations"][0].update(lat_deg=95.0), "stations[0]: latitude 95.0"),
+            (lambda r: r["stations"][0].update(lat_deg=math.nan), "stations[0].lat_deg"),
+            (lambda r: r["stations"][0].update(alt_km="x"), "stations[0].alt_km"),
+            (lambda r: r["stations"][0].update(alt_km=True), "stations[0].alt_km"),
+            (lambda r: r["stations"][0].update(alt_km=-1.0), "stations[0]: altitude -1.0"),
+            (
+                lambda r: r["stations"][1]["trajectory"]["end"].update(lat_deg=-91.0),
+                "stations[1]: latitude -91.0",
+            ),
+            (
+                lambda r: r["stations"][1]["trajectory"].update(speed_kms=math.inf),
+                "stations[1].trajectory.speed_kms",
+            ),
+            (lambda r: r["stations"][1]["trajectory"].update(speed_kms=0.0), "stations[1]: speed"),
+            (lambda r: r["constellation"].update(altitude_km=math.nan), "constellation.altitude_km"),
+            (lambda r: r["eisl"].update(L_h_km=math.nan), "eisl.L_h_km"),
+            (lambda r: r["time"].update(step_s=math.nan), "time.step_s"),
+            (lambda r: r.update(elevation_min_deg=-math.inf), "scenario.elevation_min_deg"),
+        ],
+        ids=[
+            "ei-int",
+            "ei-null",
+            "ei-empty",
+            "lat-95",
+            "lat-nan",
+            "alt-string",
+            "alt-bool",
+            "alt-negative",
+            "track-lat",
+            "track-speed-inf",
+            "track-speed-zero",
+            "altitude-nan",
+            "l_h-nan",
+            "step-nan",
+            "elevation-inf",
+        ],
+    )
+    def test_bad_value_names_field(self, mutate, needle, tmp_path):
+        root = base_dict()
+        mutate(root)
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(root)
+        assert needle in str(err.value)
+        # json writes and reads non-finite numbers as NaN and Infinity
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(root))
+        with pytest.raises(ScenarioError, match=re.escape(needle)):
+            load_scenario(f)
 
     def test_duplicate_station_names(self):
         root = base_dict()

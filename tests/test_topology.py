@@ -298,6 +298,7 @@ class TestSnapshot:
         tpl = snap.template
         for s in range(const.sat_count):
             real = tpl.link[s] < tpl.edge_count
+            assert np.array_equal(tpl.real[s], real) and tpl.degree[s] == real.sum()
             src, ln = tpl.nbr[s][real], snap.slot_lengths[s][real]
             assert np.array_equal(np.sort(src), snap.neighbors(s))
             for a, d in zip(src, ln):
