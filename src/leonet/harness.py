@@ -36,8 +36,7 @@ from .metrics import (
 from .routing import (
     ALGO_MPLF_CPI,
     ALGO_MPLF_NFP,
-    DROP_DEAD_END,
-    DROP_LOOP,
+    STATUSES,
     DecisionStats,
     LocationTable,
     PathSet,
@@ -50,7 +49,6 @@ from .scenario import Scenario
 from .topology import IslTemplate, Snapshot, build_persistent_isls, snapshot
 
 _MPLF_ALGOS = (ALGO_MPLF_CPI, ALGO_MPLF_NFP)
-_STATUSES = ("delivered", f"dropped:{DROP_DEAD_END}", f"dropped:{DROP_LOOP}")
 
 
 class PathLogError(ValueError):
@@ -182,19 +180,16 @@ def _worker_run(t: datetime) -> StampOutcome | str:
     return _WORKER_STATE["run"](t)
 
 
-def _row_from_path(t: datetime, algo: str, src_ei: str, dst_ei: str, p) -> PathLogRow:
-    status = "delivered" if p.delivered else f"dropped:{p.drop_reason}"
-    return PathLogRow(
-        t=t,
-        algorithm=algo,
-        src_station=src_ei,
-        dst_station=dst_ei,
-        src_sat=p.src_sat,
-        hop_list=tuple(p.sats),
-        latency_ms=p.latency_ms,
-        hops=p.hops,
-        status=status,
-    )
+def _log_rows(t: datetime, ps: PathSet) -> Iterator[PathLogRow]:
+    """The path-log rows of a set: its delivered paths, then its drops, each
+    group in trace order."""
+    routes, latency, end = ps.routes(), ps.latency_ms.tolist(), ps.end.tolist()
+    for i in np.argsort(~ps.delivered, kind="stable").tolist():
+        route = routes[i]
+        yield PathLogRow(
+            t, ps.algorithm, ps.src_ei, ps.dst_ei, route[0], route, latency[i], len(route) - 1,
+            STATUSES[end[i]],
+        )
 
 
 def run_experiment(scenario: Scenario, parallel: int = 1) -> ExperimentResult:
@@ -223,7 +218,8 @@ def _merge(
     result, keeping no outcome once it is folded. A failed stamp (the repr of
     its exception) is logged, contributes nothing and leaves the next stamp
     without a predecessor. The decision counts are read off each greedy path
-    set's traces in source-satellite order, the order they were traced in."""
+    set's traces in set order: source-satellite order, the order they were
+    traced in."""
     epoch = scenario.constellation.epoch
     sets = _path_sets(scenario)
     failures: list[tuple[datetime, str]] = []
@@ -240,26 +236,23 @@ def _merge(
         for i, st in enumerate(scenario.stations):
             table.update(st.ei, r.station_ecef[i], t)
         for k, (ps, ((si, di), _)) in enumerate(zip(r.pathsets, sets)):
-            for p in chain(ps.paths, ps.drops):
-                path_rows.append(_row_from_path(t, ps.algorithm, ps.src_ei, ps.dst_ei, p))
+            path_rows.extend(_log_rows(t, ps))
             if ps.algorithm in _MPLF_ALGOS:
-                traces = sorted(chain(ps.paths, ps.drops), key=attrgetter("src_sat"))
-                stats.comparisons.extend(decision_counts(template.degree, traces))
-                if ps.any_delivered:
+                stats.comparisons.extend(decision_counts(template.degree, ps))
+                if ps.delivered.any():
                     header = ler_encapsulate(table, ps.src_ei, ps.dst_ei, t, epoch)
                     record_delivery(table, header, epoch)
             st = make_stamp_stats(
                 t=t,
                 covered_src=r.covered[si],
                 covered_dst=r.covered[di],
-                delivered=ps.paths,
-                n_drops=len(ps.drops),
+                paths=ps,
                 src_point=r.station_points[si],
                 dst_point=r.station_points[di],
-                prev_delivered=prev[k],
+                prev=prev[k],
             )
             stamps[k].append(st)
-            prev[k] = ps.paths if st.valid else None
+            prev[k] = ps if st.valid else None
 
     eis = [st.ei for st in scenario.stations]
     series = [
@@ -286,35 +279,6 @@ def _merge(
 # -- reanalysis from a path log ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LoggedPath:
-    """Path surface reconstructed from a log row (lengths folded into latency)."""
-
-    sats: tuple[int, ...]
-    status: str
-    latency_ms: float
-
-    @property
-    def delivered(self) -> bool:
-        return self.status == "delivered"
-
-    @property
-    def drop_reason(self) -> str | None:
-        return self.status.split(":", 1)[1] if ":" in self.status else None
-
-    @property
-    def src_sat(self) -> int:
-        return self.sats[0]
-
-    @property
-    def hops(self) -> int:
-        return len(self.sats) - 1
-
-    @property
-    def total_km(self) -> float:
-        return self.latency_ms / float(link_latency_ms(1.0))
-
-
 def _path_sets(scenario: Scenario) -> list[tuple[tuple[int, int], str]]:
     """((source, destination station index), algorithm) of each path set of a
     stamp, connection-major, algorithm-minor."""
@@ -328,8 +292,9 @@ def index_path_log(
 
     A row whose stamp, connection, algorithm or hop ids do not fit the
     scenario, whose status, hops or src_sat are not those of a traced path, or
-    whose consecutive hops are not a link of the scenario's template, raises
-    PathLogError with its 1-based number.
+    whose consecutive hops are not a link of the scenario's template, or that
+    repeats a greedy set's source satellite or a baseline set's (source, end)
+    satellite pair, raises PathLogError with its 1-based number.
     """
     index_of = {t: i for i, t in enumerate(scenario.time.stamps())}
     eis = [st.ei for st in scenario.stations]
@@ -341,6 +306,7 @@ def index_path_log(
     sats = scenario.constellation.total_sats
     links = {(a, b) for a, b in template.pairs.tolist()}
     links |= {(b, a) for a, b in links}
+    first: dict[tuple, int] = {}
     for n, r in enumerate(rows, start=1):
         if r.t not in index_of:
             raise PathLogError(n, f"stamp {r.t} is outside the scenario time grid")
@@ -356,8 +322,8 @@ def index_path_log(
                 raise PathLogError(
                     n, f"hop {h} is outside the shell's satellites 0..{sats - 1}"
                 )
-        if r.status not in _STATUSES:
-            raise PathLogError(n, f"status {r.status!r} is not one of {', '.join(_STATUSES)}")
+        if r.status not in STATUSES:
+            raise PathLogError(n, f"status {r.status!r} is not one of {', '.join(STATUSES)}")
         if r.hops != len(r.hop_list) - 1:
             raise PathLogError(n, f"hops {r.hops} does not match the hop list {r.hop_list}")
         if tuple(r.hop_list[:1]) != (r.src_sat,):
@@ -366,7 +332,13 @@ def index_path_log(
         if not links.issuperset(zip(hops, hops[1:])):
             a, b = next(s for s in zip(hops, hops[1:]) if s not in links)
             raise PathLogError(n, f"hops {a} and {b} are not linked in the template")
-        yield index_of[r.t], set_of[conn, r.algorithm], r
+        # one greedy trace per source satellite, one baseline path per (source, end) pair
+        i, k = index_of[r.t], set_of[conn, r.algorithm]
+        key = (i, k, r.src_sat) if r.algorithm in _MPLF_ALGOS else (i, k, r.src_sat, hops[-1])
+        if key in first:
+            raise PathLogError(n, f"repeats the {r.algorithm} path of row {first[key]}")
+        first[key] = n
+        yield i, k, r
 
 
 def analyze_rows(scenario: Scenario, rows: Iterable[PathLogRow]) -> ExperimentResult:
@@ -378,20 +350,28 @@ def analyze_rows(scenario: Scenario, rows: Iterable[PathLogRow]) -> ExperimentRe
     the logged latencies.
     """
     snapshot_of, template = snapshot_at(scenario)
-    grouped: dict[tuple[int, int], tuple[list[LoggedPath], list[LoggedPath]]] = {}
+    grouped: dict[tuple[int, int], list[PathLogRow]] = {}
     for i, k, r in index_path_log(scenario, rows, template):
-        delivered, dropped = grouped.setdefault((i, k), ([], []))
-        p = LoggedPath(sats=r.hop_list, status=r.status, latency_ms=r.latency_ms)
-        (delivered if p.delivered else dropped).append(p)
+        grouped.setdefault((i, k), []).append(r)
 
     sets = _path_sets(scenario)
+    eis = [st.ei for st in scenario.stations]
+
+    def path_set(t: datetime, si: int, di: int, algo: str, logged: list[PathLogRow]) -> PathSet:
+        if algo in _MPLF_ALGOS:
+            logged.sort(key=attrgetter("src_sat"))  # trace order
+        starts = np.cumsum([0] + [len(r.hop_list) for r in logged])
+        sats = np.fromiter(chain.from_iterable(r.hop_list for r in logged), np.int64, starts[-1])
+        end = np.array([STATUSES.index(r.status) for r in logged], dtype=np.int8)
+        latency = np.array([r.latency_ms for r in logged])
+        total = latency / float(link_latency_ms(1.0))
+        return PathSet(eis[si], eis[di], t, algo, sats, starts, end, total, latency)
 
     def outcome(i: int, t: datetime) -> StampOutcome:
-        pathsets = []
-        for k, ((si, di), algo) in enumerate(sets):
-            delivered, dropped = grouped.get((i, k), ([], []))
-            src, dst = scenario.stations[si].ei, scenario.stations[di].ei
-            pathsets.append(PathSet(src, dst, t, algo, tuple(delivered), tuple(dropped)))
+        pathsets = [
+            path_set(t, si, di, algo, grouped.get((i, k), []))
+            for k, ((si, di), algo) in enumerate(sets)
+        ]
         return _stamp_outcome(snapshot_of(t), pathsets)
 
     return _merge(scenario, template, starmap(outcome, enumerate(scenario.time.stamps())))

@@ -1,4 +1,4 @@
-"""Connection-level metrics over traced path sets.
+"""Connection-level metrics over traced path sets (routing.PathSet columns).
 
 Conventions: a stamp produces a reachability record only when both stations
 are covered (an uncovered endpoint is an access gap, not a routing failure,
@@ -12,7 +12,9 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
 
 from .geometry import (
     SPEED_OF_LIGHT_KM_PER_S,
@@ -20,28 +22,12 @@ from .geometry import (
     geodesic_distance,
 )
 
+if TYPE_CHECKING:
+    from .routing import Path, PathSet
+
 # reference propagation speed for the geodesic yardstick: two thirds of c,
 # the usual fiber-optic figure
 FIBER_SPEED_KM_PER_S = 2.0 * SPEED_OF_LIGHT_KM_PER_S / 3.0
-
-
-class RoutedPath(Protocol):
-    """Minimal path surface the metrics need; satisfied by routing.Path and
-    by rows parsed back from a path log."""
-
-    sats: tuple[int, ...]
-
-    @property
-    def delivered(self) -> bool: ...
-
-    @property
-    def hops(self) -> int: ...
-
-    @property
-    def total_km(self) -> float: ...
-
-    @property
-    def latency_ms(self) -> float: ...
 
 
 @dataclass(frozen=True)
@@ -65,39 +51,33 @@ def reachable_probability(records: Sequence[ReachabilityRecord]) -> float:
     return sum(r.psi for r in records) / len(records)
 
 
-def path_independence(paths: Iterable[RoutedPath]) -> float:
-    """Vertex count over edge count of the deduplicated satellite-only union.
+def path_independence(paths: PathSet) -> float:
+    """Vertex count over edge count of the deduplicated satellite-only union
+    of a set's delivered paths.
 
     Higher values mean less shared infrastructure between the paths. The
     union must contain at least one satellite link; edge links never count.
     """
-    verts: set[int] = set()
-    edges: set[tuple[int, int]] = set()
-    n = 0
-    for p in paths:
-        n += 1
-        verts.update(p.sats)
-        for a, b in zip(p.sats, p.sats[1:]):
-            edges.add((a, b) if a < b else (b, a))
-    if n == 0:
+    if not paths.vertices.size:
         raise ValueError("path set is empty")
-    if not edges:
+    # entry j of a delivered path links to entry j + 1 unless a path starts there
+    link = np.repeat(paths.delivered, paths.hops + 1)[:-1]
+    link[paths.starts[1:-1] - 1] = False
+    a, b = paths.sats[:-1][link], paths.sats[1:][link]
+    if not a.size:
         raise ValueError("path union has no satellite links")
-    return len(verts) / len(edges)
+    edges = np.sort(np.minimum(a, b) << 32 | np.maximum(a, b))
+    return paths.vertices.size / (1 + np.count_nonzero(edges[1:] != edges[:-1]))
 
 
-def path_evolution(before: Iterable[RoutedPath], after: Iterable[RoutedPath]) -> int:
-    """Size of the symmetric difference of the two sets' satellite vertices."""
-    va: set[int] = set()
-    vb: set[int] = set()
-    for p in before:
-        va.update(p.sats)
-    for p in after:
-        vb.update(p.sats)
-    return len(va ^ vb)
+def path_evolution(before: PathSet, after: PathSet) -> int:
+    """Size of the symmetric difference of the satellite vertices of the two
+    sets' delivered paths."""
+    both = np.sort(np.concatenate((before.vertices, after.vertices)))
+    return both.size - 2 * int(np.count_nonzero(both[1:] == both[:-1]))
 
 
-def stretch(path: RoutedPath, src: GeodeticPoint, dst: GeodeticPoint) -> float:
+def stretch(path: Path, src: GeodeticPoint, dst: GeodeticPoint) -> float:
     """Traveled length (edge links included) over the station great-circle.
 
     Only meaningful for delivered paths and distinct station positions.
@@ -147,61 +127,46 @@ class StampStats:
         return self.covered_src and self.covered_dst and self.n_paths > 0
 
 
+def _spread(values: list) -> tuple:
+    """(min, mean, max) of the values by Python's min, sum and max; Nones if none."""
+    return (min(values), sum(values) / len(values), max(values)) if values else (None,) * 3
+
+
 def make_stamp_stats(
     t: datetime,
     covered_src: bool,
     covered_dst: bool,
-    delivered: Sequence[RoutedPath],
-    n_drops: int,
+    paths: PathSet,
     src_point: GeodeticPoint,
     dst_point: GeodeticPoint,
-    prev_delivered: Sequence[RoutedPath] | None,
+    prev: PathSet | None,
 ) -> StampStats:
-    """Aggregate one stamp's delivered paths into a stats row.
+    """Aggregate one stamp's path set into a stats row, the spreads over its
+    delivered paths in set order.
 
-    prev_delivered is the delivered set of the directly preceding valid
-    stamp, or None when there is no such stamp (evolution undefined).
+    prev is the path set of the directly preceding valid stamp, or None when
+    there is no such stamp (evolution undefined).
     """
     geo = geodesic_distance(src_point, dst_point)
-    covered = covered_src and covered_dst
-    psi = (1 if delivered else 0) if covered else None
-    lat = hop = gam = st = None
-    stretch_vals: list[float] | None = None
-    if delivered:
-        lats = [p.latency_ms for p in delivered]
-        hops = [p.hops for p in delivered]
-        lat = (min(lats), sum(lats) / len(lats), max(lats))
-        hop = (min(hops), sum(hops) / len(hops), max(hops))
-        try:
-            gam = path_independence(delivered)
-        except ValueError:
-            gam = None  # all-bent-pipe union has no satellite links
-        if geo > 0.0:
-            stretch_vals = [p.total_km / geo for p in delivered]
-            st = (min(stretch_vals), sum(stretch_vals) / len(stretch_vals), max(stretch_vals))
-    changes = (
-        path_evolution(prev_delivered, delivered)
-        if delivered and prev_delivered is not None
-        else None
-    )
-    return StampStats(
-        t=t,
-        covered_src=covered_src,
-        covered_dst=covered_dst,
-        n_paths=len(delivered),
-        n_drops=n_drops,
-        psi=psi,
-        latency_min_ms=lat[0] if lat else None,
-        latency_avg_ms=lat[1] if lat else None,
-        latency_max_ms=lat[2] if lat else None,
-        hops_min=hop[0] if hop else None,
-        hops_avg=hop[1] if hop else None,
-        hops_max=hop[2] if hop else None,
-        gamma=gam,
-        stretch_min=st[0] if st else None,
-        stretch_avg=st[1] if st else None,
-        stretch_max=st[2] if st else None,
-        vertex_changes=changes,
+    delivered = paths.delivered
+    n_paths = int(np.count_nonzero(delivered))
+    try:
+        gamma = path_independence(paths)
+    except ValueError:
+        gamma = None  # nothing delivered, or an all-bent-pipe union with no satellite link
+    stretches = (paths.total_km[delivered] / geo).tolist() if geo > 0.0 else []
+    return StampStats(  # positional in field order, up to the last spread
+        t,
+        covered_src,
+        covered_dst,
+        n_paths,
+        delivered.size - n_paths,
+        (1 if n_paths else 0) if covered_src and covered_dst else None,
+        *_spread(paths.latency_ms[delivered].tolist()),
+        *_spread(paths.hops[delivered].tolist()),
+        gamma,
+        *_spread(stretches),
+        vertex_changes=path_evolution(prev, paths) if n_paths and prev is not None else None,
         geodesic_km=geo,
         geodesic_latency_ms=geodesic_reference_latency_ms(geo),
     )

@@ -15,25 +15,27 @@ back drops it instead, and a relay with no neighbors drops it as a dead end.
 All greedy traces of a stamp, over every connection, source satellite and
 rule, run in one lockstep kernel (trace_lockstep): each step advances every
 live trace by one hop, ranking the padded neighbor rows of the template's
-adjacency table together. One trace (trace_path) and one decision
-(forward_cpi, forward_nfp) are batches of one under the same rule. Routing
-keeps no run state: the candidate count of every decision follows from the
-traced path itself (decision_counts).
+adjacency table together. One decision (forward_cpi, forward_nfp) is a
+batch of one under the same rule. Routing keeps no run state: the candidate
+count of every decision follows from the traced paths (decision_counts).
 
 Baselines are exact shortest paths over the satellite graph under a latency
-or unit (hop) weight. Distances from the source satellites of all
-connections of a stamp come from one batched frontier relaxation over the
-template's adjacency; a vectorized pass then picks each node's lowest-id
-predecessor, and paths follow those pointers back from each destination
-satellite.
+or unit (hop) weight. Distances from the sources of all connections of a
+stamp come from one batched frontier relaxation over the template's
+adjacency; a vectorized pass picks each node's lowest-id predecessor, and
+every route follows those pointers back from its end, all in lockstep.
+
+Paths stay in columns from the kernels to the metrics: a PathSet holds its
+paths' satellites end to end with per-path offsets, end codes and totals.
+trace_path and bellman_ford return a single Path, row 0 of a batch of one.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -304,18 +306,61 @@ class Path:
     def latency_ms(self) -> float:
         return float(link_latency_ms(self.total_km))
 
-    def with_up(self, up_km: float) -> "Path":
-        return replace(self, up_km=up_km)
-
 
 def default_max_hops(snap: Snapshot) -> int:
     cfg = snap.constellation.config
     return 4 * (cfg.sats_per_plane + cfg.planes)
 
 
-# how a lockstep trace ends: (status, drop reason), indexed by its end code
-_ENDS = (("delivered", None), ("dropped", DROP_DEAD_END), ("dropped", DROP_LOOP))
-_DELIVERED, _DEAD_END, _LOOP = range(len(_ENDS))
+# how a path ends, indexed by its end code, as the path log writes it
+STATUSES = ("delivered", f"dropped:{DROP_DEAD_END}", f"dropped:{DROP_LOOP}")
+_DELIVERED, _DEAD_END, _LOOP = range(len(STATUSES))
+
+
+class Routes(NamedTuple):
+    """A batch of routes in columns. Route i visits sats[starts[i]:starts[i + 1]];
+    legs[j] is the length of the link into sats[j], 0 at a route's first
+    satellite. end[i] is its end code, down_km[i] its delivery link (or 0)."""
+
+    sats: np.ndarray
+    starts: np.ndarray
+    legs: np.ndarray
+    end: np.ndarray
+    down_km: np.ndarray
+
+
+def _routes(steps: Sequence[tuple], end: np.ndarray, down_km: np.ndarray) -> Routes:
+    """Routes from per-step (route, satellite, leg into it) visit arrays, each
+    route's visits in step order."""
+    route, sats, legs = (np.concatenate(a) for a in zip(*steps))
+    order = np.argsort(route, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(route, minlength=end.size))))
+    return Routes(sats[order], starts, legs[order], end, down_km)
+
+
+def _leg_sums(legs: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The sum of each run of counts[i] legs, one zero-padded column at a
+    time: as x + 0.0 == x, the left-to-right sum Python's sum gives."""
+    pad = np.zeros((counts.size, counts.max(initial=0)))
+    pad[np.arange(pad.shape[1]) < counts[:, None]] = legs
+    total = np.zeros(counts.size)
+    for col in pad.T:
+        total += col
+    return total
+
+
+def _path_columns(r: Routes, up_km: np.ndarray, counts: Sequence[int]) -> list[tuple]:
+    """The PathSet columns (sats, starts, end, total_km, latency_ms) of
+    consecutive runs of counts[k] routes of a batch. Each route's legs are
+    summed once, then its up and down links added, as Path.total_km does."""
+    s = r.starts
+    total = _leg_sums(r.legs, s[1:] - s[:-1]) + up_km + r.down_km
+    latency = link_latency_ms(total)
+    bounds = np.cumsum([0, *counts]).tolist()
+    return [
+        (r.sats[s[a] : s[b]], s[a : b + 1] - s[a], r.end[a:b], total[a:b], latency[a:b])
+        for a, b in zip(bounds, bounds[1:])
+    ]
 
 
 def trace_lockstep(
@@ -325,7 +370,7 @@ def trace_lockstep(
     dest_stations: Sequence[int] | np.ndarray,
     dest_pos: np.ndarray,
     max_hops: int | None = None,
-) -> list[Path]:
+) -> Routes:
     """Run a batch of greedy traces side by side, one hop per step.
 
     Trace i leaves satellite src_sats[i] under strategies[i], aims at
@@ -333,7 +378,8 @@ def trace_lockstep(
     index dest_stations[i]. Every step applies trace_path's rule to all live
     traces at once: delivery, then the hop cap, the dead end, the decision
     and the loop drop. A trace's legs are the snapshot's slot lengths.
-    Memory grows with the hops taken, not with the hop cap.
+    Memory grows with the hops taken, not with the hop cap. Returns the
+    traces' Routes in batch order.
     """
     for s in strategies:
         if s not in (STRATEGY_CPI, STRATEGY_NFP):
@@ -355,8 +401,7 @@ def trace_lockstep(
 
     end = np.zeros(n, dtype=np.int8)
     down_km = np.zeros(n)
-    none = np.zeros(0, dtype=np.int64)
-    moves = [(none, none, np.zeros(0))]  # (trace, next satellite, leg) per step
+    steps = [(np.arange(n), src, np.zeros(n))]
     # state of the live traces, compacted as traces end
     live, cur, prev = np.arange(n), src, np.full(n, -1)
     nfp = np.array([s == STRATEGY_NFP for s in strategies], dtype=bool)
@@ -374,21 +419,10 @@ def trace_lockstep(
         nxt = tpl.nbr[cur, col]
         on = nxt != prev
         end[live[~on]] = _LOOP
-        moves.append((live[on], nxt[on], snap.slot_lengths[cur[on], col[on]]))
+        steps.append((live[on], nxt[on], snap.slot_lengths[cur[on], col[on]]))
         live, prev, cur, st, nfp, dest = (a[on] for a in (live, cur, nxt, st, nfp, dest))
         hops += 1
-
-    trace, sat, leg = (np.concatenate(a) for a in zip(*moves))
-    order = np.argsort(trace, kind="stable")
-    sats, legs = sat[order].tolist(), leg[order].tolist()
-    stops = np.cumsum(np.bincount(trace, minlength=n)).tolist()
-    paths = []
-    start = 0
-    for s, stop, code, dn in zip(src.tolist(), stops, end.tolist(), down_km.tolist()):
-        route = (s, *sats[start:stop]), tuple(legs[start:stop])
-        paths.append(Path(*route, *_ENDS[code], down_km=dn if code == _DELIVERED else None))
-        start = stop
-    return paths
+    return _routes(steps, end, down_km)
 
 
 def trace_path(
@@ -412,24 +446,28 @@ def trace_path(
     dst_idx = snap.station_index(dest_station)
     if dest_pos is None:
         dest_pos = snap.station_positions[dst_idx]
-    return trace_lockstep(
+    r = trace_lockstep(
         snap, [strategy], [src_sat], [dst_idx], np.asarray(dest_pos, dtype=float), max_hops
-    )[0]
+    )
+    status, _, reason = STATUSES[r.end[0]].partition(":")
+    down = float(r.down_km[0]) if r.end[0] == _DELIVERED else None
+    legs = tuple(r.legs[1:].tolist())
+    return Path(tuple(r.sats.tolist()), legs, status, reason or None, down_km=down)
 
 
-def decision_counts(degree: np.ndarray, traces: Iterable) -> list[int]:
-    """The candidate count of every forwarding decision of the given traces
-    (anything with sats and drop_reason), trace by trace, each in hop order.
+def decision_counts(degree: np.ndarray, paths: PathSet | Routes) -> list[int]:
+    """The candidate count of every forwarding decision of a batch of traces
+    (anything with sats, starts and end columns), trace by trace, each in hop
+    order.
 
     A decision ranks every neighbor of its relay: its count is the relay's
     degree. A trace decides at each satellite it leaves, and at its last one
     too when dropped for a loop; delivery, a dead end and the hop cap are not
     decisions.
     """
-    relays = [
-        s for p in traces for s in (p.sats if p.drop_reason == DROP_LOOP else p.sats[:-1])
-    ]
-    return degree[relays].tolist()
+    relay = np.ones(paths.sats.size, dtype=bool)
+    relay[paths.starts[1:] - 1] = paths.end == _LOOP
+    return degree[paths.sats[relay]].tolist()
 
 
 # -- shortest-path baselines --------------------------------------------------
@@ -494,25 +532,73 @@ def _predecessors(
     return np.where(np.isfinite(dist) & (dist != seeds), np.arange(n) * width + col, -1)
 
 
-def _walk(
-    pred: list[int], nbr: list[int], lengths: list[float], end: int
-) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """Satellite sequence and link lengths of the tree path ending at end."""
-    sats = [end]
-    legs: list[float] = []
-    k = pred[end]
-    for _ in range(len(pred)):
-        if k < 0:
+def _walk_back(
+    pred: np.ndarray, nbr: np.ndarray, lengths: np.ndarray, row: np.ndarray, end: np.ndarray
+) -> Routes:
+    """The tree route of each (row, end) pair, following the pointers of
+    pred[row] (flat indices into nbr and lengths, -1 at a root) back from end,
+    one step for all pairs at a time. A chain as long as a row raises."""
+    m = end.size
+    steps = []
+    live, cur, k = np.arange(m), end, pred[row, end]
+    for _ in range(pred.shape[1]):
+        root = k < 0  # a route's first satellite: no link into it
+        steps.append((live[root], cur[root], np.zeros(np.count_nonzero(root))))
+        live, row, cur, k = (a[~root] for a in (live, row, cur, k))
+        if not live.size:
             break
-        legs.append(lengths[k])
-        end = nbr[k]
-        sats.append(end)
-        k = pred[end]
+        steps.append((live, cur, lengths[k]))
+        cur = nbr[k]
+        k = pred[row, cur]
     else:
         raise RuntimeError("path reconstruction exceeded the node count")
-    sats.reverse()
-    legs.reverse()
-    return tuple(sats), tuple(legs)
+    # later steps first: each route reads from its root to its end
+    return _routes(steps[::-1], np.zeros(m, dtype=np.int8), np.zeros(m))
+
+
+def _is_station(snap: Snapshot, node: str | int) -> bool:
+    return isinstance(node, str) or node >= snap.sat_count
+
+
+def _terminal(snap: Snapshot, weight: str, node: str | int) -> tuple[np.ndarray, np.ndarray]:
+    """The satellites a node stands for, with offsets: a satellite itself at
+    0; a station each satellite it sees, at its edge-link length (latency) or 0."""
+    if not _is_station(snap, node):
+        return np.array([node], dtype=np.int64), np.zeros(1)
+    i = snap.station_index(node)
+    offsets = snap.edge_lengths[i] if weight == WEIGHT_LATENCY else np.zeros(len(snap.edge_sats[i]))
+    return snap.edge_sats[i], offsets
+
+
+def _baseline_routes(
+    snap: Snapshot, weight: str, pairs: Sequence[tuple[str | int, str | int]]
+) -> tuple[np.ndarray, Routes]:
+    """The indices of the reached (source, destination) node pairs, and their
+    exact shortest routes.
+
+    One distance and one predecessor pass cover the distinct sources, each a
+    row seeded with its terminal's offsets. A pair ends at the destination
+    satellite of least distance plus offset, the lowest id among equals, if
+    that is finite, and its route walks the predecessors back from there.
+    """
+    w = _slot_weights(snap, weight)
+    rows = {s: r for r, s in enumerate(dict.fromkeys(s for s, _ in pairs))}
+    seeds = np.full((len(rows), snap.sat_count), np.inf)
+    for s, r in rows.items():
+        sats, offsets = _terminal(snap, weight, s)
+        seeds[r, sats] = offsets
+    dist = _distances(snap, w, seeds)
+    ends = [_terminal(snap, weight, d) for _, d in pairs]
+    pair = np.repeat(np.arange(len(pairs)), [e.size for e, _ in ends])
+    cand, offsets = (np.concatenate(a) for a in zip(*ends))
+    row = np.array([rows[s] for s, _ in pairs], dtype=np.int64)[pair]
+    key = dist[row, cand] + offsets
+    order = np.lexsort((cand, key, pair))
+    first = order[np.diff(pair[order], prepend=-1) > 0]  # each pair's best candidate
+    first = first[np.isfinite(key[first])]
+    pred = _predecessors(snap, w, dist, seeds)
+    nbr, lengths = snap.template.nbr.ravel(), snap.slot_lengths.ravel()
+    return pair[first], _walk_back(pred, nbr, lengths, row[first], cand[first])
 
 
 def bellman_ford(
@@ -524,108 +610,71 @@ def bellman_ford(
     act only as terminals: a route never relays through a third station.
     Under the latency weight the cost is propagation delay; under the unit
     weight it is the satellite hop count. Ties resolve to the lowest node id.
+    This is the one-pair case of the batched baselines.
     """
-    w = _slot_weights(snap, weight)
-    src_station = isinstance(src, str) or (isinstance(src, int) and src >= snap.sat_count)
-    dst_station = isinstance(dst, str) or (isinstance(dst, int) and dst >= snap.sat_count)
-
-    seeds = np.full((1, snap.sat_count), np.inf)
-    if src_station:
-        i = snap.station_index(src)
-        seeds[0, snap.edge_sats[i]] = snap.edge_lengths[i] if weight == WEIGHT_LATENCY else 0.0
-    else:
-        seeds[0, int(src)] = 0.0
-
-    rows = _distances(snap, w, seeds)
-    dist = rows[0]
-
-    if dst_station:
-        j = snap.station_index(dst)
-        ends = snap.edge_sats[j]
-        if ends.size == 0:
-            return None
-        downs = snap.edge_lengths[j]
-        totals = dist[ends] + (downs if weight == WEIGHT_LATENCY else 0.0)
-        if not np.any(np.isfinite(totals)):
-            return None
-        k = int(np.lexsort((ends, totals))[0])
-        end, down = int(ends[k]), float(downs[k])
-    else:
-        end, down = int(dst), None
-        if not math.isfinite(dist[end]):
-            return None
-
-    pred = _predecessors(snap, w, rows, seeds)[0]
-    sats, lengths = _walk(
-        pred.tolist(), snap.template.nbr.ravel().tolist(), snap.slot_lengths.ravel().tolist(), end
-    )
-    up = snap.edge_length(i, sats[0]) if src_station else None
-    return Path(sats, lengths, "delivered", up_km=up, down_km=down)
+    reached, r = _baseline_routes(snap, weight, [(src, dst)])
+    if not reached.size:
+        return None
+    sats = tuple(r.sats.tolist())
+    up = snap.edge_length(src, sats[0]) if _is_station(snap, src) else None
+    down = snap.edge_length(dst, sats[-1]) if _is_station(snap, dst) else None
+    return Path(sats, tuple(r.legs[1:].tolist()), "delivered", up_km=up, down_km=down)
 
 
 # -- station-to-station path sets ---------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathSet:
-    """Equal-role paths between two stations at one stamp.
+    """Equal-role paths between two stations at one stamp, in columns.
 
-    `paths` holds delivered routes only; failed greedy traces are kept
-    separately in `drops` for accounting.
+    Path i visits sats[starts[i]:starts[i + 1]] and ends with the code end[i],
+    an index into STATUSES. Delivered paths and dropped greedy traces stand
+    together in trace order. total_km and latency_ms count the edge links: the
+    up-link always, the down-link of a delivered path.
     """
 
     src_ei: str
     dst_ei: str
     t: datetime
     algorithm: str
-    paths: tuple[Path, ...]
-    drops: tuple[Path, ...] = ()
+    sats: np.ndarray
+    starts: np.ndarray
+    end: np.ndarray
+    total_km: np.ndarray
+    latency_ms: np.ndarray
+
+    @cached_property
+    def delivered(self) -> np.ndarray:
+        return self.end == _DELIVERED
 
     @property
-    def any_delivered(self) -> bool:
-        return len(self.paths) > 0
+    def paths(self) -> np.ndarray:
+        """The indices of the delivered paths."""
+        return np.flatnonzero(self.delivered)
+
+    @cached_property
+    def hops(self) -> np.ndarray:
+        return self.starts[1:] - self.starts[:-1] - 1
+
+    @cached_property
+    def vertices(self) -> np.ndarray:
+        """The distinct satellites of the delivered paths, ascending."""
+        mark = np.zeros(self.sats.max(initial=-1) + 1, dtype=bool)
+        mark[self.sats[np.repeat(self.delivered, self.hops + 1)]] = True
+        return np.flatnonzero(mark)
+
+    def routes(self) -> list[tuple[int, ...]]:
+        """Each path's satellite sequence."""
+        sats, starts = self.sats.tolist(), self.starts.tolist()
+        return [tuple(sats[a:b]) for a, b in zip(starts, starts[1:])]
 
 
 _STRATEGY_OF = {ALGO_MPLF_CPI: STRATEGY_CPI, ALGO_MPLF_NFP: STRATEGY_NFP}
 _WEIGHT_OF = {ALGO_SP: WEIGHT_LATENCY, ALGO_LH: WEIGHT_UNIT}
-
-
-def _baseline_paths(
-    snap: Snapshot, weight: str, connections: Sequence[tuple[int, int]]
-) -> list[list[Path]]:
-    """Exact paths of each (source, destination station index) connection,
-    one per (source, destination satellite) pair that is connected.
-
-    One distance and one predecessor pass cover the distinct source
-    satellites of all connections; each connection reads its own rows.
-    """
-    srcs = np.flatnonzero(
-        np.bincount(
-            np.concatenate([snap.edge_sats[si] for si, _ in connections]),
-            minlength=snap.sat_count,
-        )
-    )
-    seeds = np.full((srcs.size, snap.sat_count), np.inf)
-    seeds[np.arange(srcs.size), srcs] = 0.0
-    w = _slot_weights(snap, weight)
-    dist = _distances(snap, w, seeds)
-    pred = _predecessors(snap, w, dist, seeds)
-    nbr = snap.template.nbr.ravel().tolist()
-    lengths = snap.slot_lengths.ravel().tolist()
-    out = []
-    for si, di in connections:
-        rows = np.searchsorted(srcs, snap.edge_sats[si])
-        reached = np.isfinite(dist[rows[:, None], snap.edge_sats[di]]).tolist()
-        ends, downs = snap.edge_sats[di].tolist(), snap.edge_lengths[di].tolist()
-        paths = []
-        # one connection's rows as lists at a time: a row is S Python ints
-        for row, up, hit in zip(pred[rows].tolist(), snap.edge_lengths[si].tolist(), reached):
-            for end, down, ok in zip(ends, downs, hit):
-                if ok:
-                    sats, legs = _walk(row, nbr, lengths, end)
-                    paths.append(Path(sats, legs, "delivered", up_km=up, down_km=down))
-        out.append(paths)
-    return out
+# the columns of an empty set
+_NO_PATHS = (np.zeros(0, np.int64), np.zeros(1, np.int64), np.zeros(0, np.int8), np.zeros(0),
+             np.zeros(0))
 
 
 def stamp_path_sets(
@@ -641,44 +690,43 @@ def stamp_path_sets(
     destination's inertial position in the snapshot; all traces of the stamp
     run as one trace_lockstep batch in (connection, algorithm, ascending
     source satellite) order. Baselines compute one path per (source-associated,
-    destination-associated) satellite pair; each weight runs one batched
-    distance pass for all connections. A connection with an uncovered
-    endpoint yields empty sets.
+    destination-associated) satellite pair; each runs one batch for all
+    connections. A connection with an uncovered endpoint yields empty sets.
+    Each batch sums its paths' legs once, then adds the edge links.
     """
     for algo in algorithms:
         if algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algo!r}")
     conns = [(snap.station_index(a), snap.station_index(b)) for a, b in connections]
+    sats, lengths = snap.edge_sats, snap.edge_lengths
     # the connections whose endpoints both see a satellite
-    live = [(si, di) for si, di in conns if snap.edge_sats[si].size and snap.edge_sats[di].size]
-    greedy = [
-        (_STRATEGY_OF[algo], s, di, snap.station_positions[di])
-        for si, di in live
+    live = [(si, di) for si, di in conns if sats[si].size and sats[di].size]
+    columns = {}
+    greedy = [(si, di, algo) for si, di in live for algo in algorithms if algo in _STRATEGY_OF]
+    if greedy:
+        rules, srcs, dests, up = zip(*(
+            (_STRATEGY_OF[algo], s, di, up)
+            for si, di, algo in greedy
+            for s, up in zip(sats[si].tolist(), lengths[si].tolist())
+        ))
+        r = trace_lockstep(snap, rules, srcs, dests, snap.station_positions[list(dests)], max_hops)
+        counts = [sats[si].size for si, _, _ in greedy]
+        columns.update(zip(greedy, _path_columns(r, np.array(up), counts)))
+    for algo in (a for a in algorithms if a in _WEIGHT_OF and live):
+        pairs = [(s, e) for si, di in live for s in sats[si].tolist() for e in sats[di].tolist()]
+        up = np.concatenate([np.repeat(lengths[si], sats[di].size) for si, di in live])
+        down = np.concatenate([np.tile(lengths[di], sats[si].size) for si, di in live])
+        hit, r = _baseline_routes(snap, _WEIGHT_OF[algo], pairs)
+        bounds = np.cumsum([0] + [sats[si].size * sats[di].size for si, di in live])
+        counts = np.diff(np.searchsorted(hit, bounds)).tolist()
+        cut = _path_columns(r._replace(down_km=down[hit]), up[hit], counts)
+        columns.update(((si, di, algo), c) for (si, di), c in zip(live, cut))
+    eis = [st.ei for st in snap.stations]
+    return [
+        PathSet(eis[si], eis[di], snap.t, algo, *columns.get((si, di, algo), _NO_PATHS))
+        for si, di in conns
         for algo in algorithms
-        if algo in _STRATEGY_OF
-        for s in snap.edge_sats[si].tolist()
     ]
-    traces = iter(trace_lockstep(snap, *zip(*greedy), max_hops) if greedy else ())
-    baselines = {
-        _WEIGHT_OF[algo]: dict(zip(live, _baseline_paths(snap, _WEIGHT_OF[algo], live)))
-        for algo in algorithms
-        if algo in _WEIGHT_OF and live
-    }
-
-    out = []
-    for si, di in conns:
-        for algo in algorithms:
-            delivered: list[Path] = []
-            drops: list[Path] = []
-            if (si, di) in live and algo in _STRATEGY_OF:
-                for up in snap.edge_lengths[si].tolist():
-                    p = next(traces).with_up(up)
-                    (delivered if p.delivered else drops).append(p)
-            elif (si, di) in live:
-                delivered = baselines[_WEIGHT_OF[algo]][si, di]
-            ei = snap.stations[si].ei, snap.stations[di].ei
-            out.append(PathSet(*ei, snap.t, algo, tuple(delivered), tuple(drops)))
-    return out
 
 
 def enumerate_paths(

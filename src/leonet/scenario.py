@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path as FsPath
@@ -123,6 +124,17 @@ def _parse_utc(raw: Any, path: str) -> datetime:
     return t.astimezone(timezone.utc)
 
 
+@contextmanager
+def _block_errors(path: str):
+    """Prefix a block's plain ValueError with its path; a ScenarioError passes."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
+
+
 def _require(obj: dict, key: str, path: str) -> Any:
     if key not in obj:
         raise ScenarioError(f"{path}.{key}: missing required field")
@@ -207,7 +219,7 @@ def scenario_from_dict(root: Any, name: str = "scenario") -> Scenario:
     phase = _integer(c, "F", "constellation")
     if planes >= 1 and phase == planes:
         phase = 0  # same satellite set; canonical form
-    try:
+    with _block_errors("constellation"):
         config = ConstellationConfig(
             sats_per_plane=_integer(c, "N", "constellation"),
             planes=planes,
@@ -216,8 +228,6 @@ def scenario_from_dict(root: Any, name: str = "scenario") -> Scenario:
             inclination_deg=_number(c, "inclination_deg", "constellation"),
             epoch=_parse_utc(_require(c, "epoch", "constellation"), "constellation.epoch"),
         )
-    except ValueError as exc:
-        raise ScenarioError(f"constellation: {exc}") from exc
 
     p = _block(root, "pattern")
     bias_raw = _require(p, "bias", "pattern")
@@ -225,20 +235,16 @@ def scenario_from_dict(root: Any, name: str = "scenario") -> Scenario:
         isinstance(b, int) and not isinstance(b, bool) for b in bias_raw
     ):
         raise ScenarioError("pattern.bias: expected a list of integers")
-    try:
+    with _block_errors("pattern"):
         pattern = IslPattern(grid=_require(p, "grid", "pattern"), bias=tuple(bias_raw))
-    except ValueError as exc:
-        raise ScenarioError(f"pattern: {exc}") from exc
 
     tm = _block(root, "time")
-    try:
+    with _block_errors("time"):
         grid = TimeGrid(
             start=_parse_utc(_require(tm, "start", "time"), "time.start"),
             step_s=_number(tm, "step_s", "time"),
             count=_integer(tm, "count", "time"),
         )
-    except ValueError as exc:
-        raise ScenarioError(f"time: {exc}") from exc
     if grid.start < config.epoch:
         raise ScenarioError("time.start: precedes the constellation epoch")
 
@@ -247,12 +253,8 @@ def scenario_from_dict(root: Any, name: str = "scenario") -> Scenario:
         raise ScenarioError("scenario.stations: expected a list")
     stations = []
     for i, s in enumerate(st_raw):
-        try:
+        with _block_errors(f"stations[{i}]"):  # a point or track outside its domain
             stations.append(_station_from_dict(s, f"stations[{i}]", grid.start))
-        except ScenarioError:
-            raise
-        except ValueError as exc:  # a point or track outside its domain
-            raise ScenarioError(f"stations[{i}]: {exc}") from exc
     names = [s.name for s in stations]
     if len(set(names)) != len(names):
         raise ScenarioError("scenario.stations: station names must be unique")

@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leonet.cli import main
 from leonet.constellation import ConstellationConfig, build_walker
@@ -37,6 +39,7 @@ from leonet.exporters import (
 )
 from leonet import harness
 from leonet.harness import PathLogError, PathLogRow, analyze_rows, run_experiment
+from leonet.routing import ALGORITHMS
 from leonet.scenario import load_scenario, scenario_from_dict
 from leonet.topology import IslPattern, snapshot
 from leonet.geometry import utc
@@ -71,10 +74,41 @@ TINY = {
 NON_LINK = {"hop_list": (4, 30), "hops": 1, "src_sat": 4}
 
 
+def repeat_first(algorithm):
+    """A case built from the log: its first row under algorithm, that row
+    again, and the row after it."""
+
+    def rows(log):
+        i = next(i for i, r in enumerate(log) if r.algorithm == algorithm)
+        return [log[i], log[i], log[i + 1]]
+
+    return rows
+
+
 def tiny_scenario(**overrides):
     root = copy.deepcopy(TINY)
     root.update(overrides)
     return scenario_from_dict(root)
+
+
+@st.composite
+def small_scenarios(draw):
+    """TINY with the shell size, ground stations, connections, algorithms and
+    stamp count drawn, and the index of a stamp to fail."""
+    root = copy.deepcopy(TINY)
+    root["constellation"].update(N=draw(st.integers(4, 10)), P=draw(st.integers(4, 10)))
+    points = st.tuples(st.floats(-60, 60), st.floats(-180, 180))
+    root["stations"] = [
+        {"name": f"g{i}", "kind": "ground", "lat_deg": lat, "lon_deg": lon}
+        for i, (lat, lon) in enumerate(draw(st.lists(points, min_size=2, max_size=3)))
+    ]
+    names = [s["name"] for s in root["stations"]]
+    pairs = [(a, b) for a in names for b in names if a != b]
+    conns = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3, unique=True))
+    root["connections"] = [list(c) for c in conns]
+    root["algorithms"] = draw(st.lists(st.sampled_from(ALGORITHMS), min_size=1, unique=True))
+    root["time"]["count"] = draw(st.integers(2, 4))
+    return scenario_from_dict(root), draw(st.integers(0, root["time"]["count"] - 1))
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +208,25 @@ class TestRunExperiment:
             assert s.stamps[1].vertex_changes is None
             assert s.stamps[2].vertex_changes is not None
 
+    @given(case=small_scenarios())
+    @settings(max_examples=10, deadline=None)
+    def test_parallel_equals_serial_on_random_scenarios(self, case):
+        scn, bad = case
+        stamp = scn.time.stamps()[bad]
+        real_snapshot = harness.snapshot
+
+        def flaky(constellation, stations, pattern, t, *args, **kwargs):
+            if t == stamp:
+                raise RuntimeError("injected")
+            return real_snapshot(constellation, stations, pattern, t, *args, **kwargs)
+
+        # patched before the pool starts, so forked workers inherit it
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "snapshot", flaky)
+            serial = run_experiment(scn)
+            assert serial.failures == [(stamp, "RuntimeError('injected')")]
+            assert run_experiment(scn, parallel=2) == serial
+
     def test_merge_keeps_no_folded_stamp(self, tiny_result):
         scn = tiny_scenario()
         snapshot_of, template = harness.snapshot_at(scn)
@@ -248,6 +301,10 @@ class TestAnalyzeRows:
             ({"hops": 4}, "hops 4 does not match the hop list"),
             ({"src_sat": 5}, "src_sat 5 is not the first hop"),
             (NON_LINK, "hops 4 and 30 are not linked in the template"),
+            pytest.param(
+                repeat_first("mplf-cpi"), "repeats the mplf-cpi path of row 1", id="repeat-greedy"
+            ),
+            pytest.param(repeat_first("sp"), "repeats the sp path of row 1", id="repeat-baseline"),
         ],
         # a one-field case keeps the "field-value-message" id it has always had
         ids=lambda case: "-".join(f"{k}-{v}" for k, v in case.items())
@@ -255,8 +312,11 @@ class TestAnalyzeRows:
         else case,
     )
     def test_row_outside_scenario_names_its_number(self, tiny_result, fields, message):
-        rows = list(tiny_result.path_rows[:3])
-        rows[1] = dataclasses.replace(rows[1], **fields)
+        if callable(fields):
+            rows = fields(tiny_result.path_rows)
+        else:
+            rows = list(tiny_result.path_rows[:3])
+            rows[1] = dataclasses.replace(rows[1], **fields)
         with pytest.raises(PathLogError, match=f"path log row 2: {message}") as err:
             analyze_rows(tiny_scenario(), rows)
         assert err.value.row == 2
@@ -647,6 +707,8 @@ class TestGeojson:
             ({"hops": 4}, "hops 4 does not match the hop list"),
             ({"src_sat": 5}, "src_sat 5 is not the first hop"),
             (NON_LINK, "hops 4 and 30 are not linked in the template"),
+            (repeat_first("mplf-cpi"), "repeats the mplf-cpi path of row 1"),
+            (repeat_first("sp"), "repeats the sp path of row 1"),
         ],
         ids=[
             "stamp",
@@ -658,11 +720,17 @@ class TestGeojson:
             "hops",
             "src-sat",
             "non-link",
+            "repeat-greedy",
+            "repeat-baseline",
         ],
     )
     def test_row_outside_scenario_rejected(self, tiny_result, fields, message):
-        rows = [r for r in tiny_result.path_rows if r.status == "delivered"][:3]
-        rows[1] = dataclasses.replace(rows[1], **fields)
+        delivered = [r for r in tiny_result.path_rows if r.status == "delivered"]
+        if callable(fields):
+            rows = fields(delivered)
+        else:
+            rows = delivered[:3]
+            rows[1] = dataclasses.replace(rows[1], **fields)
         with pytest.raises(PathLogError, match=f"path log row 2: {message}") as err:
             paths_geojson(tiny_scenario(), rows)
         assert err.value.row == 2

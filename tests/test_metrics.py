@@ -4,6 +4,7 @@ import math
 from dataclasses import dataclass
 from datetime import timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from leonet.geometry import (
     geodesic_distance,
     utc,
 )
+from leonet.routing import STATUSES, PathSet
 from leonet.metrics import (
     FIBER_SPEED_KM_PER_S,
     ConnectionSeries,
@@ -36,7 +38,7 @@ EPOCH = utc(2025, 1, 1)
 
 @dataclass(frozen=True)
 class FakePath:
-    """Stand-in satisfying the path protocol, with explicit totals."""
+    """Stand-in for one path, with explicit totals."""
 
     sats: tuple[int, ...]
     status: str = "delivered"
@@ -65,28 +67,45 @@ def path(*sats, **kw):
     return FakePath(tuple(sats), **kw)
 
 
+def path_set(paths, drops=0):
+    """The columns of the given paths, then of `drops` dead-end traces."""
+    paths = list(paths) + [path(0, status="dropped")] * drops
+    ends = ["delivered" if p.delivered else "dropped:dead-end" for p in paths]
+    return PathSet(
+        "a",
+        "b",
+        EPOCH,
+        "mplf-nfp",
+        np.array([s for p in paths for s in p.sats], dtype=np.int64),
+        np.cumsum([0] + [len(p.sats) for p in paths]),
+        np.array([STATUSES.index(e) for e in ends], dtype=np.int8),
+        np.array([p.total_km for p in paths], dtype=float),
+        np.array([p.latency_ms for p in paths], dtype=float),
+    )
+
+
 class TestPathIndependence:
     def test_single_path(self):
         # five vertices over four links
-        assert path_independence([path(1, 2, 3, 4, 5)]) == pytest.approx(1.25)
+        assert path_independence(path_set([path(1, 2, 3, 4, 5)])) == pytest.approx(1.25)
 
     def test_two_disjoint_paths(self):
-        got = path_independence([path(0, 1, 2, 3, 4, 5), path(10, 11, 12, 13, 14, 15)])
+        got = path_independence(path_set([path(0, 1, 2, 3, 4, 5), path(10, 11, 12, 13, 14, 15)]))
         assert got == pytest.approx(12 / 10)
 
     def test_repeating_a_path_changes_nothing(self):
-        one = path_independence([path(1, 2, 3)])
-        two = path_independence([path(1, 2, 3), path(1, 2, 3)])
+        one = path_independence(path_set([path(1, 2, 3)]))
+        two = path_independence(path_set([path(1, 2, 3), path(1, 2, 3)]))
         assert one == two == pytest.approx(1.5)
 
     def test_direction_does_not_matter(self):
         # reversed traversal uses the same undirected links
-        got = path_independence([path(1, 2, 3), path(3, 2, 1)])
+        got = path_independence(path_set([path(1, 2, 3), path(3, 2, 1)]))
         assert got == pytest.approx(1.5)
 
     def test_shared_vertex_lowers_ratio_vs_disjoint(self):
-        disjoint = path_independence([path(1, 2), path(3, 4)])
-        shared = path_independence([path(1, 2), path(2, 3)])
+        disjoint = path_independence(path_set([path(1, 2), path(3, 4)]))
+        shared = path_independence(path_set([path(1, 2), path(2, 3)]))
         assert disjoint == pytest.approx(2.0)
         assert shared == pytest.approx(1.5)
         assert shared < disjoint
@@ -97,16 +116,16 @@ class TestPathIndependence:
         paths = [
             path(*range(i * verts, (i + 1) * verts)) for i in range(k)
         ]
-        assert path_independence(paths) == pytest.approx(verts / (verts - 1))
+        assert path_independence(path_set(paths)) == pytest.approx(verts / (verts - 1))
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
-            path_independence([])
+            path_independence(path_set([]))
 
     def test_linkless_union_rejected(self):
         # bent-pipe only: single-satellite paths have no satellite links
         with pytest.raises(ValueError):
-            path_independence([path(7), path(9)])
+            path_independence(path_set([path(7), path(9)]))
 
 
 class TestReachability:
@@ -130,22 +149,22 @@ class TestPathEvolution:
     def test_counts_vertex_turnover(self):
         before = [path(1, 2, 3)]
         after = [path(2, 3, 4)]
-        assert path_evolution(before, after) == 2  # 1 left, 4 arrived
+        assert path_evolution(path_set(before), path_set(after)) == 2  # 1 left, 4 arrived
 
     def test_identical_sets_do_not_move(self):
-        assert path_evolution([path(1, 2, 3)], [path(3, 2, 1)]) == 0
+        assert path_evolution(path_set([path(1, 2, 3)]), path_set([path(3, 2, 1)])) == 0
 
     def test_union_across_paths(self):
         before = [path(1, 2), path(3, 4)]
         after = [path(1, 2, 3, 4)]
-        assert path_evolution(before, after) == 0
+        assert path_evolution(path_set(before), path_set(after)) == 0
 
     @given(
         st.lists(st.integers(0, 30), min_size=2, max_size=10),
         st.lists(st.integers(0, 30), min_size=2, max_size=10),
     )
     def test_matches_symmetric_difference(self, a, b):
-        got = path_evolution([FakePath(tuple(a))], [FakePath(tuple(b))])
+        got = path_evolution(path_set([FakePath(tuple(a))]), path_set([FakePath(tuple(b))]))
         assert got == len(set(a) ^ set(b))
 
     @given(
@@ -155,9 +174,8 @@ class TestPathEvolution:
     )
     def test_triangle_inequality(self, a, b, c):
         pa, pb, pc = (FakePath(tuple(sorted(x))) for x in (a, b, c))
-        assert path_evolution([pa], [pb]) <= path_evolution([pa], [pc]) + path_evolution(
-            [pc], [pb]
-        )
+        pa, pb, pc = (path_set([p]) for p in (pa, pb, pc))
+        assert path_evolution(pa, pb) <= path_evolution(pa, pc) + path_evolution(pc, pb)
 
 
 QUARTER = EARTH_RADIUS_KM * math.pi / 2  # equator, 90 degrees apart
@@ -228,7 +246,7 @@ class TestStampStats:
             path(1, 2, up_km=500, down_km=500, isl_km_each=2000),  # total 3000
             path(3, 4, 5, up_km=250, down_km=250, isl_km_each=2000),  # total 4500
         ]
-        row = make_stamp_stats(self.t(), True, True, delivered, 1, SRC, DST, None)
+        row = make_stamp_stats(self.t(), True, True, path_set(delivered, 1), SRC, DST, None)
         assert row.valid and row.psi == 1
         assert row.n_paths == 2 and row.n_drops == 1
         ms = 1000.0 / SPEED_OF_LIGHT_KM_PER_S
@@ -246,25 +264,25 @@ class TestStampStats:
         )
 
     def test_covered_but_undelivered(self):
-        row = make_stamp_stats(self.t(), True, True, [], 3, SRC, DST, None)
+        row = make_stamp_stats(self.t(), True, True, path_set([], 3), SRC, DST, None)
         assert row.psi == 0
         assert not row.valid
         assert row.latency_avg_ms is None and row.gamma is None
 
     def test_uncovered_endpoint_invalidates(self):
-        row = make_stamp_stats(self.t(), True, False, [], 0, SRC, DST, None)
+        row = make_stamp_stats(self.t(), True, False, path_set([]), SRC, DST, None)
         assert row.psi is None
         assert not row.valid
 
     def test_evolution_against_previous_stamp(self):
         prev = [path(1, 2, 3)]
         cur = [path(2, 3, 4)]
-        row = make_stamp_stats(self.t(10), True, True, cur, 0, SRC, DST, prev)
+        row = make_stamp_stats(self.t(10), True, True, path_set(cur), SRC, DST, path_set(prev))
         assert row.vertex_changes == 2
 
     def test_bent_pipe_only_stamp_has_no_gamma(self):
         row = make_stamp_stats(
-            self.t(), True, True, [path(9, up_km=600, down_km=600)], 0, SRC, DST, None
+            self.t(), True, True, path_set([path(9, up_km=600, down_km=600)]), SRC, DST, None
         )
         assert row.valid
         assert row.gamma is None
@@ -278,8 +296,7 @@ def make_series():
             EPOCH,
             True,
             True,
-            [path(1, 2, isl_km_each=3000)],
-            0,
+            path_set([path(1, 2, isl_km_each=3000)]),
             SRC,
             DST,
             None,
@@ -288,14 +305,15 @@ def make_series():
             EPOCH + timedelta(seconds=10),
             True,
             True,
-            [path(2, 3, isl_km_each=5000)],
-            1,
+            path_set([path(2, 3, isl_km_each=5000)], 1),
             SRC,
             DST,
-            [path(1, 2, isl_km_each=3000)],
+            path_set([path(1, 2, isl_km_each=3000)]),
         ),
-        make_stamp_stats(EPOCH + timedelta(seconds=20), True, True, [], 2, SRC, DST, None),
-        make_stamp_stats(EPOCH + timedelta(seconds=30), False, True, [], 0, SRC, DST, None),
+        make_stamp_stats(
+            EPOCH + timedelta(seconds=20), True, True, path_set([], 2), SRC, DST, None
+        ),
+        make_stamp_stats(EPOCH + timedelta(seconds=30), False, True, path_set([]), SRC, DST, None),
     ]
     return ConnectionSeries("a", "b", "mplf-nfp", tuple(rows))
 
@@ -319,7 +337,7 @@ class TestSeries:
         assert (stats.minimum, stats.average, stats.maximum) == (1.0, 1.0, 1.0)
 
     def test_all_invalid_series_rejected(self):
-        rows = [make_stamp_stats(EPOCH, True, True, [], 0, SRC, DST, None)]
+        rows = [make_stamp_stats(EPOCH, True, True, path_set([]), SRC, DST, None)]
         series = ConnectionSeries("a", "b", "sp", tuple(rows))
         with pytest.raises(ValueError):
             latency_stats(series)
@@ -337,7 +355,7 @@ class TestSeries:
         assert s.latency is not None and s.hops is not None
 
     def test_summary_of_blind_series(self):
-        rows = [make_stamp_stats(EPOCH, False, False, [], 0, SRC, DST, None)]
+        rows = [make_stamp_stats(EPOCH, False, False, path_set([]), SRC, DST, None)]
         s = summarize(ConnectionSeries("a", "b", "sp", tuple(rows)))
         assert s.reachable_probability is None
         assert s.latency is None and s.hops is None

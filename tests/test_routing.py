@@ -34,13 +34,15 @@ from leonet.routing import (
     Drop,
     LocationTable,
     Next,
+    STATUSES,
     Path,
     UnknownEquipmentError,
     _distances,
     _keys,
+    _leg_sums,
     _predecessors,
     _slot_weights,
-    _walk,
+    _walk_back,
     bellman_ford,
     decision_counts,
     default_max_hops,
@@ -94,6 +96,33 @@ def synthetic(positions, pairs, stations=(), lengths=None, min_elevation_deg=70.
 
 
 P = np.array([7000.0, 0.0, 0.0])
+
+
+def as_paths(r):
+    """The routes of a trace_lockstep batch as Path objects, read off the
+    column layout that Routes documents."""
+    sats, starts, legs = r.sats.tolist(), r.starts.tolist(), r.legs.tolist()
+    out = []
+    for i, (a, b) in enumerate(zip(starts, starts[1:])):
+        status, _, reason = STATUSES[r.end[i]].partition(":")
+        down = float(r.down_km[i]) if status == "delivered" else None
+        out.append(Path(tuple(sats[a:b]), tuple(legs[a + 1 : b]), status, reason or None,
+                        down_km=down))
+    return out
+
+
+def snapshot_legs(snap, route):
+    """The snapshot's slot length of each link of a route, in route order."""
+    a = np.array(route[:-1], dtype=np.int64)
+    col = (snap.template.nbr[a] == np.array(route[1:])[:, None]).argmax(axis=1)
+    return tuple(snap.slot_lengths[a, col].tolist())
+
+
+def set_columns(ps):
+    """A PathSet's header and columns as plain values, for ==."""
+    head = (ps.src_ei, ps.dst_ei, ps.t, ps.algorithm)
+    columns = (ps.sats, ps.starts, ps.end, ps.total_km, ps.latency_ms)
+    return head + tuple(c.tolist() for c in columns)
 
 
 class TestForwardRules:
@@ -491,11 +520,13 @@ class TestBellmanFord:
 
     def test_walk_stops_on_a_cyclic_predecessor_row(self):
         # satellites 0 and 1 point at each other; 2 hangs off 1
-        pred, nbr, lengths = [0, 1, 2], [1, 0, 1], [5.0, 6.0, 7.0]
+        pred, nbr, lengths = [[0, 1, 2]], [1, 0, 1], [5.0, 6.0, 7.0]
+        one = np.array([0]), np.array([2])  # row 0, ending at 2
         with pytest.raises(RuntimeError, match="exceeded the node count"):
-            _walk(pred, nbr, lengths, 2)
+            _walk_back(np.array(pred), np.array(nbr), np.array(lengths), *one)
         # the longest acyclic walk, n - 1 legs, is not cut
-        assert _walk([-1, 0, 1], [0, 1], [1.0, 2.0], 2) == ((0, 1, 2), (1.0, 2.0))
+        r = _walk_back(np.array([[-1, 0, 1]]), np.array([0, 1]), np.array([1.0, 2.0]), *one)
+        assert (r.sats.tolist(), r.legs[1:].tolist()) == ([0, 1, 2], [1.0, 2.0])
 
     def test_tie_break_walks_lowest_id_predecessor(self):
         # 2x4 ladder, every edge weight 1: many equal-hop routes
@@ -566,20 +597,23 @@ class TestEnumeratePaths:
         n_src = snap.visible_sats("a").size
         for algo in (ALGO_MPLF_CPI, ALGO_MPLF_NFP):
             ps = enumerate_paths(snap, algo, "a", "b")
-            assert len(ps.paths) + len(ps.drops) == n_src
-            assert all(p.delivered for p in ps.paths)
-            assert all(not p.delivered for p in ps.drops)
-            starts = sorted(p.src_sat for p in ps.paths + ps.drops)
+            assert ps.end.size == n_src  # delivered and dropped traces together
+            delivered = ps.end == STATUSES.index("delivered")
+            assert ps.paths.tolist() == np.flatnonzero(delivered).tolist()
+            starts = sorted(r[0] for r in ps.routes())
             assert starts == sorted(snap.visible_sats("a").tolist())
 
     def test_greedy_paths_carry_edge_links(self):
         snap = snapshot_shell(self.stations(), seconds=300)
         ps = enumerate_paths(snap, ALGO_MPLF_NFP, "a", "b")
-        assert ps.any_delivered
-        for p in ps.paths:
-            assert p.up_km == pytest.approx(snap.edge_length("a", p.src_sat))
+        assert ps.delivered.any()
+        routes = ps.routes()
+        for i in ps.paths:
+            p = trace_path(snap, "nfp", routes[i][0], "b")
+            assert p.sats == routes[i]
             assert p.down_km == pytest.approx(snap.edge_length("b", p.end_sat))
-            assert p.total_km == pytest.approx(p.up_km + p.isl_km + p.down_km)
+            up = snap.edge_length("a", p.src_sat)
+            assert ps.total_km[i] == pytest.approx(up + p.isl_km + p.down_km)
 
     def test_baseline_set_covers_all_pairs(self):
         snap = snapshot_shell(self.stations(), seconds=300)
@@ -587,8 +621,8 @@ class TestEnumeratePaths:
         for algo in (ALGO_SP, ALGO_LH):
             ps = enumerate_paths(snap, algo, "a", "b")
             assert len(ps.paths) == n  # +Grid shell is connected
-            assert len(ps.drops) == 0
-            ends = {(p.src_sat, p.end_sat) for p in ps.paths}
+            assert ps.delivered.all()
+            ends = {(r[0], r[-1]) for r in ps.routes()}
             assert len(ends) == n
 
     def test_baseline_pair_paths_are_optimal(self):
@@ -600,23 +634,23 @@ class TestEnumeratePaths:
             adj[y].append((x, w))
         ps = enumerate_paths(snap, ALGO_SP, "a", "b")
         by_src = {}
-        for p in ps.paths:
-            by_src.setdefault(p.src_sat, {})[p.end_sat] = p
+        for r in ps.routes():
+            by_src.setdefault(r[0], {})[r[-1]] = r
         for s1, group in by_src.items():
             dist = dijkstra(adj, s1)
-            for s2, p in group.items():
-                assert p.isl_km == pytest.approx(dist[s2], rel=1e-12)
+            for s2, r in group.items():
+                assert sum(snapshot_legs(snap, r)) == pytest.approx(dist[s2], rel=1e-12)
         lh = enumerate_paths(snap, ALGO_LH, "a", "b")
-        for p in lh.paths:
-            assert p.hops == bfs_hops(adj, p.src_sat)[p.end_sat]
+        for r, hops in zip(lh.routes(), lh.hops.tolist()):
+            assert hops == bfs_hops(adj, r[0])[r[-1]]
 
     def test_uncovered_endpoint_yields_empty_set(self):
         sts = [ground("a", 45.0, 10.0), ground("pole", -89.9, 0.0)]
         snap = snapshot_shell(sts)
         for algo in ALGORITHMS:
             ps = enumerate_paths(snap, algo, "a", "pole")
-            assert ps.paths == () and ps.drops == ()
-            assert not ps.any_delivered
+            assert ps.end.size == 0
+            assert not ps.delivered.any()
 
     def test_unknown_algorithm_rejected(self):
         snap = snapshot_shell(self.stations())
@@ -626,7 +660,7 @@ class TestEnumeratePaths:
     def test_single_bias_grid_needs_exactly_four_comparisons(self):
         snap = snapshot_shell(self.stations(), seconds=300)
         ps = enumerate_paths(snap, ALGO_MPLF_CPI, "a", "b")
-        counts = decision_counts(snap.template.degree, ps.paths + ps.drops)
+        counts = decision_counts(snap.template.degree, ps)
         assert counts  # at least one decision was made
         assert set(counts) == {4}
 
@@ -777,12 +811,13 @@ class TestBaselinesExact:
                             )
                             if sats is not None:
                                 want.append((sats, legs, float(up), float(down), dist[s2]))
-                    got = enumerate_paths(snap, algo, si, di).paths
-                    assert [(p.sats, p.isl_lengths_km, p.up_km, p.down_km) for p in got] == [
-                        w[:4] for w in want
-                    ]
-                    for p, w in zip(got, want):
-                        assert (p.isl_km if weight == "latency" else p.hops) == w[4]
+                    ps = enumerate_paths(snap, algo, si, di)
+                    got = ps.routes()
+                    assert [(r, snapshot_legs(snap, r)) for r in got] == [w[:2] for w in want]
+                    # legs summed in order, then the up and the down link
+                    assert ps.total_km.tolist() == [sum(w[1]) + w[2] + w[3] for w in want]
+                    for hops, w in zip(ps.hops.tolist(), want):
+                        assert (sum(w[1]) if weight == "latency" else hops) == w[4]
                     checked += len(got)
         assert checked > 20
 
@@ -796,14 +831,15 @@ class TestBaselinesExact:
             for si, di in _connection_indices(sc):
                 for algo in (ALGO_MPLF_CPI, ALGO_MPLF_NFP):
                     ps = enumerate_paths(snap, algo, si, di)
-                    for p in ps.paths + ps.drops:
-                        for a, b, km in zip(p.sats, p.sats[1:], p.isl_lengths_km):
-                            col = int(np.flatnonzero(tpl.nbr[a] == b)[0])
-                            assert km == snap.slot_lengths[a, col]
-                            legs += 1
-                    for p in ps.paths:
-                        assert p.down_km == snap.edge_length(di, p.end_sat)
-                        downs += 1
+                    for r, total, ok in zip(ps.routes(), ps.total_km.tolist(), ps.delivered):
+                        kms = [
+                            snap.slot_lengths[a, int(np.flatnonzero(tpl.nbr[a] == b)[0])]
+                            for a, b in zip(r, r[1:])
+                        ]
+                        legs += len(kms)
+                        down = snap.edge_length(di, r[-1]) if ok else 0.0
+                        downs += bool(ok)
+                        assert total == sum(kms) + snap.edge_length(si, r[0]) + down
         assert legs > 100 and downs > 10
 
 
@@ -910,7 +946,7 @@ class TestLockstepKernel:
                 trace_lockstep(snap, rules, srcs, stations, dests, cap)
             return
         got = trace_lockstep(snap, rules, srcs, stations, dests, cap)
-        assert got == want
+        assert as_paths(got) == want
         # the paths alone give every decision the loop made, in its order
         assert decision_counts(snap.template.degree, got) == counts
         # the batch of one is the same rule
@@ -930,13 +966,13 @@ class TestLockstepKernel:
             np.array([FAR, FAR, FAR, P + [0, -250, 0]]),
             max_hops=2,
         )
-        assert [(p.sats, p.status, p.drop_reason) for p in got] == [
+        assert [(p.sats, p.status, p.drop_reason) for p in as_paths(got)] == [
             ((0,), "dropped", DROP_DEAD_END),  # no links at all
             ((3, 2), "dropped", DROP_LOOP),
             ((3, 2), "delivered", None),
             ((3, 2, 1), "dropped", DROP_DEAD_END),  # the hop cap
         ]
-        assert got[2].down_km == snap.edge_length("hub", 2)
+        assert as_paths(got)[2].down_km == snap.edge_length("hub", 2)
         # trace by trace: no decision at 0, a loop decided at 2, none at a
         # delivery or the cap
         assert decision_counts(snap.template.degree, got) == [1, 2, 1, 1, 2]
@@ -992,7 +1028,7 @@ class TestStampPathSets:
         conns = [("a", "b"), ("b", "c"), ("c", "a"), ("a", "c")]
         got = stamp_path_sets(snap, ALGORITHMS, conns)
         want = [enumerate_paths(snap, algo, src, dst) for src, dst in conns for algo in ALGORITHMS]
-        assert got == want
+        assert [set_columns(ps) for ps in got] == [set_columns(ps) for ps in want]
         assert sum(len(ps.paths) for ps in got) > 20
         # one batch aims each trace at its own point: the station or FAR
         batch = [
@@ -1002,7 +1038,7 @@ class TestStampPathSets:
             for dest in (snap.station_positions[2], FAR)
         ]
         rules, sats, dests = zip(*batch)
-        got = trace_lockstep(snap, rules, sats, [2] * len(batch), np.array(dests))
+        got = as_paths(trace_lockstep(snap, rules, sats, [2] * len(batch), np.array(dests)))
         assert got == [trace_path(snap, r, s, "c", dest_pos=d) for r, s, d in batch]
         assert got[::2] == [trace_path(snap, r, s, "c") for r, s, _ in batch[::2]]
         assert got[::2] != got[1::2]
@@ -1038,3 +1074,62 @@ class TestStampPathSets:
         assert np.array_equal(p[0, sats] == -1, d[0, sats] == seeds[0, sats])
         assert (p[0, sats] == -1).any() and (p[0, sats] >= 0).any()
         assert np.array_equal(p[0] == -1, np.isinf(d[0]) | (d[0] == seeds[0]))
+
+
+def _walk(pred, nbr, lengths, end):
+    """One tree route, as the per-pair loop before the lockstep walk built it:
+    satellites and link lengths from the root to end."""
+    sats, legs = [end], []
+    k = pred[end]
+    for _ in range(len(pred)):
+        if k < 0:
+            break
+        legs.append(lengths[k])
+        end = nbr[k]
+        sats.append(end)
+        k = pred[end]
+    else:
+        raise RuntimeError("path reconstruction exceeded the node count")
+    return tuple(reversed(sats)), tuple(reversed(legs))
+
+
+class TestColumnForms:
+    """The columnar forms equal the per-path forms they replaced, bit for bit."""
+
+    def test_leg_sums_are_python_sums(self):
+        rng = np.random.default_rng(21)
+        rows = [
+            (rng.uniform(1.0, 5000.0, size=n) * 10.0 ** rng.uniform(-3, 3, size=n)).tolist()
+            for n in rng.integers(1, 61, size=2000)
+        ]
+        got = _leg_sums(np.concatenate(rows), np.array([len(r) for r in rows]))
+        assert got.tolist() == [float(sum(r)) for r in rows]
+
+    def test_lockstep_walk_equals_per_pair_walk(self):
+        rng = np.random.default_rng(22)
+        for _ in range(50):
+            n, width, rows = rng.integers(2, 40), rng.integers(1, 7), rng.integers(1, 4)
+            nbr = rng.integers(0, n, size=(n, width))
+            lengths = rng.uniform(1.0, 3000.0, size=(n, width))
+            pred = np.full((rows, n), -1)
+            for row in pred:
+                # a node points at a neighbor of lower rank, if it has one
+                rank = rng.permutation(n)
+                for v in range(n):
+                    cols = np.flatnonzero(rank[nbr[v]] < rank[v])
+                    if cols.size and rng.random() < 0.9:
+                        row[v] = v * width + rng.choice(cols)
+            m = rng.integers(1, 30)
+            row, end = rng.integers(rows, size=m), rng.integers(n, size=m)
+            got = _walk_back(pred, nbr.ravel(), lengths.ravel(), row, end)
+            sats, starts, legs = got.sats.tolist(), got.starts.tolist(), got.legs.tolist()
+            flat_nbr, flat_len = nbr.ravel().tolist(), lengths.ravel().tolist()
+            for i, (r, e) in enumerate(zip(row.tolist(), end.tolist())):
+                a, b = starts[i], starts[i + 1]
+                want = _walk(pred[r].tolist(), flat_nbr, flat_len, e)
+                assert legs[a] == 0.0
+                assert (tuple(sats[a:b]), tuple(legs[a + 1 : b])) == want
+        # a cyclic row still raises, as a batch of any size
+        cyclic = np.array([[-1, -1, -1], [0, 1, 2]])
+        with pytest.raises(RuntimeError, match="exceeded the node count"):
+            _walk_back(cyclic, np.array([1, 0, 1]), np.ones(3), np.array([0, 1]), np.array([2, 2]))

@@ -272,6 +272,33 @@ class TestValidationMessages:
         with pytest.raises(ScenarioError, match=re.escape(needle)):
             load_scenario(f)
 
+    @pytest.mark.parametrize(
+        "mutate,message",
+        [
+            (
+                lambda r: r["constellation"].update(altitude_km=math.nan),
+                "constellation.altitude_km: expected a finite number",
+            ),
+            (lambda r: r["constellation"].update(N="six"), "constellation.N: expected an integer"),
+            (lambda r: r["time"].update(step_s=math.nan), "time.step_s: expected a finite number"),
+            (lambda r: r["pattern"].pop("grid"), "pattern.grid: missing required field"),
+            (
+                lambda r: r["constellation"].update(N=0),
+                "constellation: sats_per_plane must be >= 1",
+            ),
+            (lambda r: r["time"].update(count=0), "time: count must be >= 1"),
+        ],
+        ids=["altitude-nan", "n-string", "step-nan", "grid-missing", "n-zero", "count-zero"],
+    )
+    def test_block_error_names_the_field_once(self, mutate, message):
+        """A field's own error passes through its block unchanged; only a
+        constructor's plain ValueError gets the block prefix."""
+        root = base_dict()
+        mutate(root)
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(root)
+        assert str(err.value) == message
+
     def test_duplicate_station_names(self):
         root = base_dict()
         root["stations"].append(
