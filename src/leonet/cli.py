@@ -36,7 +36,7 @@ from .exporters import (
     write_metrics_csv,
     write_summary_csv,
 )
-from .harness import analyze_rows, run_experiment, snapshot_at
+from .harness import ExperimentResult, analyze_rows, run_experiment, snapshot_at
 from .scenario import load_scenario
 from .topology import DirectionHistogram, EislTracker
 
@@ -81,13 +81,16 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _report_failures(result: ExperimentResult) -> None:
+    for t, msg in result.failures:
+        print(f"stamp {t} failed: {msg}", file=sys.stderr)
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     result = run_experiment(scenario, parallel=args.parallel)
     export_result(result, args.format, _out_dir(args))
-    if result.failures:
-        for t, msg in result.failures:
-            print(f"stamp {t} failed: {msg}", file=sys.stderr)
+    _report_failures(result)
     return 0
 
 
@@ -98,6 +101,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     write_metrics_csv(result.series, out / "metrics.csv")
     write_summary_csv(result.summaries, out / "summary.csv")
+    _report_failures(result)
     return 0
 
 

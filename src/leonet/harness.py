@@ -3,34 +3,35 @@ algorithm, and assemble connection metrics.
 
 Per-stamp work is independent by construction: a stamp is routed from its
 snapshot alone, greedy traces aiming at the destination station's inertial
-position in that snapshot, so stamps may be computed in parallel and merged
-in stamp order. The run's one location table is maintained serially in
-stamp order by the merge: a refresh of every station entry per stamp, then
-a delivery update of the source entry for every delivered greedy path. The
-merge also reads the candidate count of every forwarding decision off the
-greedy paths it folds, so simulate and analyze report the same counts.
+position in that snapshot. One isolating function, _stamp, finishes a stamp
+from its path sets, routed or read from a log, for serial runs, workers and
+reanalysis alike: set stats, path-log rows and decision counts. The merge
+folds stamps in stamp order and does only what crosses them: the evolution
+chain, the failure reset, and the location table, which is the last folded
+stamp's (every station refreshed, then each delivering greedy set's source).
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime
 from functools import partial
-from itertools import chain, product, starmap
+from itertools import chain, product
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .constellation import build_walker
-from .geometry import GeodeticPoint, link_latency_ms
+from .geometry import link_latency_ms
 from .metrics import (
     ConnectionSeries,
     ConnectionSummary,
     ReachabilityRecord,
     StampStats,
     make_stamp_stats,
+    path_evolution,
     summarize,
 )
 from .routing import (
@@ -79,12 +80,15 @@ class PathLogRow:
 
 @dataclass(frozen=True)
 class StampOutcome:
-    """Everything computed for one stamp, independent of other stamps."""
+    """What one stamp determines. Per set, connection-major, algorithm-minor:
+    stats with vertex_changes None, and the sorted PathSet.vertices."""
 
-    station_points: tuple[GeodeticPoint, ...]
+    t: datetime
     station_ecef: np.ndarray
-    covered: tuple[bool, ...]
-    pathsets: tuple[PathSet, ...]  # connection-major, algorithm-minor
+    stats: tuple[StampStats, ...]
+    vertices: tuple[np.ndarray, ...]
+    path_rows: list[PathLogRow]
+    comparisons: list[int]  # the candidate count of every forwarding decision
 
 
 @dataclass
@@ -138,26 +142,25 @@ def snapshot_at(scenario: Scenario) -> tuple[Callable[[datetime], Snapshot], Isl
     return at, template
 
 
-def _stamp_outcome(snap: Snapshot, pathsets: Iterable[PathSet]) -> StampOutcome:
-    return StampOutcome(
-        station_points=snap.station_geodetic,
-        station_ecef=snap.station_ecef,
-        covered=tuple(snap.covered(i) for i in range(len(snap.stations))),
-        pathsets=tuple(pathsets),
-    )
-
-
-def _compute_stamp(
+def _stamp(
     snapshot_of: Callable[[datetime], Snapshot],
-    algorithms: Sequence[str],
-    pairs: Sequence[tuple[int, int]],
+    path_sets_of: Callable[[Snapshot], Iterable[PathSet]],
     t: datetime,
 ) -> StampOutcome | str:
-    """The stamp's outcome, routed from its snapshot alone, or the repr of the
-    exception it raised."""
+    """Finish one stamp from its snapshot and path sets, or return the repr of
+    the exception it raised. Decision counts follow set, then trace order."""
     try:
         snap = snapshot_of(t)
-        return _stamp_outcome(snap, stamp_path_sets(snap, algorithms, pairs))
+        stats, vertices, rows, comparisons = [], [], [], []
+        for ps in path_sets_of(snap):
+            si, di = snap.station_index(ps.src_ei), snap.station_index(ps.dst_ei)
+            points = snap.station_geodetic[si], snap.station_geodetic[di]
+            stats.append(make_stamp_stats(t, snap.covered(si), snap.covered(di), ps, *points))
+            vertices.append(ps.vertices)
+            rows.extend(_log_rows(t, ps))
+            if ps.algorithm in _MPLF_ALGOS:
+                comparisons.extend(decision_counts(snap.template.degree, ps))
+        return StampOutcome(t, snap.station_ecef, tuple(stats), tuple(vertices), rows, comparisons)
     except Exception as exc:  # noqa: BLE001 - per-stamp isolation is the contract
         return repr(exc)
 
@@ -166,7 +169,8 @@ def _stamp_runner(
     scenario: Scenario, snapshot_of: Callable[[datetime], Snapshot]
 ) -> Callable[[datetime], StampOutcome | str]:
     pairs = _connection_indices(scenario)
-    return partial(_compute_stamp, snapshot_of, scenario.algorithms, pairs)
+    route = partial(stamp_path_sets, algorithms=scenario.algorithms, connections=pairs)
+    return partial(_stamp, snapshot_of, route)
 
 
 _WORKER_STATE: dict = {}
@@ -195,66 +199,58 @@ def _log_rows(t: datetime, ps: PathSet) -> Iterator[PathLogRow]:
 def run_experiment(scenario: Scenario, parallel: int = 1) -> ExperimentResult:
     """Execute a scenario over its full time grid.
 
-    parallel > 1 distributes stamps over worker processes; results are merged
-    in stamp order either way, so the output is identical. A stamp that
-    raises is logged under failures and skipped; the run continues.
+    parallel > 1 distributes stamps over at most one worker process per
+    stamp; results are merged in stamp order either way, so the output is
+    identical. A stamp that raises is logged under failures and skipped; the
+    run continues.
     """
     if parallel < 1:
         raise ValueError("parallel must be >= 1")
     stamps = scenario.time.stamps()
-    snapshot_of, template = snapshot_at(scenario)
-    if parallel == 1:
-        return _merge(scenario, template, map(_stamp_runner(scenario, snapshot_of), stamps))
+    workers = min(parallel, len(stamps))
+    if workers == 1:
+        return _merge(scenario, map(_stamp_runner(scenario, snapshot_at(scenario)[0]), stamps))
     with ProcessPoolExecutor(
-        max_workers=parallel, initializer=_worker_init, initargs=(scenario,)
+        max_workers=workers, initializer=_worker_init, initargs=(scenario,)
     ) as pool:
-        return _merge(scenario, template, pool.map(_worker_run, stamps))
+        return _merge(scenario, pool.map(_worker_run, stamps))
 
 
-def _merge(
-    scenario: Scenario, template: IslTemplate, results: Iterable[StampOutcome | str]
-) -> ExperimentResult:
-    """Fold per-stamp results, one at a time in stamp order, into the run's
-    result, keeping no outcome once it is folded. A failed stamp (the repr of
-    its exception) is logged, contributes nothing and leaves the next stamp
-    without a predecessor. The decision counts are read off each greedy path
-    set's traces in set order: source-satellite order, the order they were
-    traced in."""
-    epoch = scenario.constellation.epoch
+def _merge(scenario: Scenario, results: Iterable[StampOutcome | str]) -> ExperimentResult:
+    """Fold finished stamps in stamp order, keeping only the last one. A failed
+    stamp (its exception's repr) is logged and leaves the next stamp without a
+    predecessor for vertex_changes. Every stamp overwrites every station entry
+    of the location table, so it is built once, from the last folded stamp."""
     sets = _path_sets(scenario)
     failures: list[tuple[datetime, str]] = []
     path_rows: list[PathLogRow] = []
     stamps: list[list[StampStats]] = [[] for _ in sets]
-    prev: list[tuple | None] = [None] * len(sets)
+    prev: list[np.ndarray | None] = [None] * len(sets)
     stats = DecisionStats()
-    table = LocationTable()
+    last: StampOutcome | None = None
     for t, r in zip(scenario.time.stamps(), results):
         if isinstance(r, str):
             failures.append((t, r))
             prev = [None] * len(sets)
             continue
-        for i, st in enumerate(scenario.stations):
-            table.update(st.ei, r.station_ecef[i], t)
-        for k, (ps, ((si, di), _)) in enumerate(zip(r.pathsets, sets)):
-            path_rows.extend(_log_rows(t, ps))
-            if ps.algorithm in _MPLF_ALGOS:
-                stats.comparisons.extend(decision_counts(template.degree, ps))
-                if ps.delivered.any():
-                    header = ler_encapsulate(table, ps.src_ei, ps.dst_ei, t, epoch)
-                    record_delivery(table, header, epoch)
-            st = make_stamp_stats(
-                t=t,
-                covered_src=r.covered[si],
-                covered_dst=r.covered[di],
-                paths=ps,
-                src_point=r.station_points[si],
-                dst_point=r.station_points[di],
-                prev=prev[k],
-            )
+        path_rows.extend(r.path_rows)
+        stats.comparisons.extend(r.comparisons)
+        for k, (st, vertices) in enumerate(zip(r.stats, r.vertices)):
+            if st.n_paths and prev[k] is not None:
+                st = replace(st, vertex_changes=path_evolution(prev[k], vertices))
             stamps[k].append(st)
-            prev[k] = ps if st.valid else None
+            prev[k] = vertices if st.valid else None
+        last = r
 
     eis = [st.ei for st in scenario.stations]
+    table = LocationTable()
+    if last is not None:
+        t, epoch = last.t, scenario.constellation.epoch
+        for ei, ecef in zip(eis, last.station_ecef):
+            table.update(ei, ecef, t)
+        for ((si, di), algo), st in zip(sets, last.stats):
+            if algo in _MPLF_ALGOS and st.n_paths:
+                record_delivery(table, ler_encapsulate(table, eis[si], eis[di], t, epoch), epoch)
     series = [
         ConnectionSeries(eis[si], eis[di], algo, tuple(s))
         for ((si, di), algo), s in zip(sets, stamps)
@@ -291,10 +287,11 @@ def index_path_log(
     """Each path-log row with its (stamp index, path-set index).
 
     A row whose stamp, connection, algorithm or hop ids do not fit the
-    scenario, whose status, hops or src_sat are not those of a traced path, or
-    whose consecutive hops are not a link of the scenario's template, or that
-    repeats a greedy set's source satellite or a baseline set's (source, end)
-    satellite pair, raises PathLogError with its 1-based number.
+    scenario, whose status, hops or src_sat are not those of a traced path,
+    whose latency is not finite and non-negative, whose consecutive hops are
+    not a link of the scenario's template, or that repeats a greedy set's
+    source satellite or a baseline set's (source, end) satellite pair, raises
+    PathLogError with its 1-based number.
     """
     index_of = {t: i for i, t in enumerate(scenario.time.stamps())}
     eis = [st.ei for st in scenario.stations]
@@ -324,6 +321,8 @@ def index_path_log(
                 )
         if r.status not in STATUSES:
             raise PathLogError(n, f"status {r.status!r} is not one of {', '.join(STATUSES)}")
+        if not 0.0 <= r.latency_ms < np.inf:
+            raise PathLogError(n, f"latency_ms {r.latency_ms} is not finite and non-negative")
         if r.hops != len(r.hop_list) - 1:
             raise PathLogError(n, f"hops {r.hops} does not match the hop list {r.hop_list}")
         if tuple(r.hop_list[:1]) != (r.src_sat,):
@@ -345,14 +344,16 @@ def analyze_rows(scenario: Scenario, rows: Iterable[PathLogRow]) -> ExperimentRe
     """Recompute every connection metric from a path log.
 
     Station coverage and positions are rebuilt from the scenario (a cheap
-    topology-only sweep); paths come from the log. The series, summaries and
-    location table match the original run to the six-decimal precision of
-    the logged latencies.
+    topology-only sweep); paths come from the log, and a stamp that raises is
+    listed under failures, as in a run. The series, summaries and location
+    table match the original run to the six-decimal precision of the logged
+    latencies.
     """
     snapshot_of, template = snapshot_at(scenario)
-    grouped: dict[tuple[int, int], list[PathLogRow]] = {}
+    stamps = scenario.time.stamps()
+    grouped: dict[tuple[datetime, int], list[PathLogRow]] = {}
     for i, k, r in index_path_log(scenario, rows, template):
-        grouped.setdefault((i, k), []).append(r)
+        grouped.setdefault((stamps[i], k), []).append(r)
 
     sets = _path_sets(scenario)
     eis = [st.ei for st in scenario.stations]
@@ -367,11 +368,10 @@ def analyze_rows(scenario: Scenario, rows: Iterable[PathLogRow]) -> ExperimentRe
         total = latency / float(link_latency_ms(1.0))
         return PathSet(eis[si], eis[di], t, algo, sats, starts, end, total, latency)
 
-    def outcome(i: int, t: datetime) -> StampOutcome:
-        pathsets = [
-            path_set(t, si, di, algo, grouped.get((i, k), []))
+    def path_sets_of(snap: Snapshot) -> list[PathSet]:
+        return [
+            path_set(snap.t, si, di, algo, grouped.get((snap.t, k), []))
             for k, ((si, di), algo) in enumerate(sets)
         ]
-        return _stamp_outcome(snapshot_of(t), pathsets)
 
-    return _merge(scenario, template, starmap(outcome, enumerate(scenario.time.stamps())))
+    return _merge(scenario, map(partial(_stamp, snapshot_of, path_sets_of), stamps))

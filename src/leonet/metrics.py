@@ -70,10 +70,10 @@ def path_independence(paths: PathSet) -> float:
     return paths.vertices.size / (1 + np.count_nonzero(edges[1:] != edges[:-1]))
 
 
-def path_evolution(before: PathSet, after: PathSet) -> int:
-    """Size of the symmetric difference of the satellite vertices of the two
-    sets' delivered paths."""
-    both = np.sort(np.concatenate((before.vertices, after.vertices)))
+def path_evolution(before: np.ndarray, after: np.ndarray) -> int:
+    """Size of the symmetric difference of two sets' delivered satellites,
+    each given as its distinct ids (PathSet.vertices)."""
+    both = np.sort(np.concatenate((before, after)))
     return both.size - 2 * int(np.count_nonzero(both[1:] == both[:-1]))
 
 
@@ -139,13 +139,12 @@ def make_stamp_stats(
     paths: PathSet,
     src_point: GeodeticPoint,
     dst_point: GeodeticPoint,
-    prev: PathSet | None,
 ) -> StampStats:
     """Aggregate one stamp's path set into a stats row, the spreads over its
     delivered paths in set order.
 
-    prev is the path set of the directly preceding valid stamp, or None when
-    there is no such stamp (evolution undefined).
+    vertex_changes is left None: it compares the set with the preceding valid
+    stamp's (path_evolution), which the stamp alone does not know.
     """
     geo = geodesic_distance(src_point, dst_point)
     delivered = paths.delivered
@@ -166,7 +165,7 @@ def make_stamp_stats(
         *_spread(paths.hops[delivered].tolist()),
         gamma,
         *_spread(stretches),
-        vertex_changes=path_evolution(prev, paths) if n_paths and prev is not None else None,
+        vertex_changes=None,
         geodesic_km=geo,
         geodesic_latency_ms=geodesic_reference_latency_ms(geo),
     )

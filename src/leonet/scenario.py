@@ -275,6 +275,9 @@ def scenario_from_dict(root: Any, name: str = "scenario") -> Scenario:
                 raise ScenarioError(f"connections[{i}]: unknown station {end!r}")
         if src == dst:
             raise ScenarioError(f"connections[{i}]: src and dst must differ")
+        if (src, dst) in connections:
+            j = connections.index((src, dst))
+            raise ScenarioError(f"connections[{i}]: repeats connections[{j}]")
         connections.append((src, dst))
 
     algo_raw = _require(root, "algorithms", "scenario")
@@ -285,6 +288,8 @@ def scenario_from_dict(root: Any, name: str = "scenario") -> Scenario:
             raise ScenarioError(
                 f"algorithms[{i}]: unknown algorithm {a!r}, expected one of {ALGORITHMS}"
             )
+        if a in algo_raw[:i]:
+            raise ScenarioError(f"algorithms[{i}]: repeats algorithms[{algo_raw.index(a)}]")
 
     elev = _number(root, "elevation_min_deg", "scenario")
     if not 0.0 <= elev < 90.0:

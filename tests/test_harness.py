@@ -39,7 +39,13 @@ from leonet.exporters import (
 )
 from leonet import harness
 from leonet.harness import PathLogError, PathLogRow, analyze_rows, run_experiment
-from leonet.routing import ALGORITHMS
+from leonet.routing import (
+    ALGORITHMS,
+    LocationTable,
+    ler_encapsulate,
+    record_delivery,
+    stamp_path_sets,
+)
 from leonet.scenario import load_scenario, scenario_from_dict
 from leonet.topology import IslPattern, snapshot
 from leonet.geometry import utc
@@ -73,6 +79,14 @@ TINY = {
 # a delivered row rewritten to one hop between satellites that share no link
 NON_LINK = {"hop_list": (4, 30), "hops": 1, "src_sat": 4}
 
+# latencies no traced path has
+LATENCY_CASES = [
+    pytest.param(
+        {"latency_ms": v}, f"latency_ms {v} is not finite and non-negative", id=f"latency-{v}"
+    )
+    for v in (float("nan"), float("inf"), -1.0)
+]
+
 
 def repeat_first(algorithm):
     """A case built from the log: its first row under algorithm, that row
@@ -83,6 +97,18 @@ def repeat_first(algorithm):
         return [log[i], log[i], log[i + 1]]
 
     return rows
+
+
+def failing_at(stamp):
+    """harness.snapshot, raising RuntimeError('injected') at one stamp."""
+    real_snapshot = harness.snapshot
+
+    def flaky(constellation, stations, pattern, t, *args, **kwargs):
+        if t == stamp:
+            raise RuntimeError("injected")
+        return real_snapshot(constellation, stations, pattern, t, *args, **kwargs)
+
+    return flaky
 
 
 def tiny_scenario(**overrides):
@@ -182,15 +208,8 @@ class TestRunExperiment:
 
     def test_failing_stamp_is_isolated_serial_and_parallel(self, monkeypatch):
         stamp = tiny_scenario().time.stamps()[1]
-        real_snapshot = harness.snapshot
-
-        def flaky(constellation, stations, pattern, t, *args, **kwargs):
-            if t == stamp:
-                raise RuntimeError("injected")
-            return real_snapshot(constellation, stations, pattern, t, *args, **kwargs)
-
         # patched before the pool starts, so forked workers inherit it
-        monkeypatch.setattr(harness, "snapshot", flaky)
+        monkeypatch.setattr(harness, "snapshot", failing_at(stamp))
         serial = run_experiment(tiny_scenario())
         par = run_experiment(tiny_scenario(), parallel=2)
         assert serial.failures == [(stamp, "RuntimeError('injected')")]
@@ -213,40 +232,82 @@ class TestRunExperiment:
     def test_parallel_equals_serial_on_random_scenarios(self, case):
         scn, bad = case
         stamp = scn.time.stamps()[bad]
-        real_snapshot = harness.snapshot
-
-        def flaky(constellation, stations, pattern, t, *args, **kwargs):
-            if t == stamp:
-                raise RuntimeError("injected")
-            return real_snapshot(constellation, stations, pattern, t, *args, **kwargs)
-
         # patched before the pool starts, so forked workers inherit it
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(harness, "snapshot", flaky)
+            mp.setattr(harness, "snapshot", failing_at(stamp))
             serial = run_experiment(scn)
             assert serial.failures == [(stamp, "RuntimeError('injected')")]
             assert run_experiment(scn, parallel=2) == serial
 
     def test_merge_keeps_no_folded_stamp(self, tiny_result):
         scn = tiny_scenario()
-        snapshot_of, template = harness.snapshot_at(scn)
-        run = harness._stamp_runner(scn, snapshot_of)
+        run = harness._stamp_runner(scn, harness.snapshot_at(scn)[0])
         refs = []
 
         def outcomes():
-            for i, t in enumerate(scn.time.stamps()):
-                if i >= 2:
-                    assert all(ref() is None for ref in refs[i - 2])
+            for t in scn.time.stamps():
+                # the merge holds the last folded outcome at most
+                assert all(ref() is None for ref in refs[:-1])
                 out = run(t)
-                refs.append([weakref.ref(ps) for ps in out.pathsets])
+                refs.append(weakref.ref(out))
                 yield out
 
-        res = harness._merge(scn, template, outcomes())
+        res = harness._merge(scn, outcomes())
         assert len(refs) == len(scn.time.stamps())
-        assert res.series == tiny_result.series
-        assert res.records == tiny_result.records
-        assert res.path_rows == tiny_result.path_rows
-        assert res.decision_stats == tiny_result.decision_stats
+        assert res == tiny_result
+
+    def test_location_table_is_the_last_folded_stamps(self, monkeypatch):
+        # two greedy connections share the source a, and the last stamp fails
+        c = {"name": "c", "kind": "ground", "lat_deg": 0.0, "lon_deg": 40.0}
+        scn = tiny_scenario(stations=[*TINY["stations"], c], connections=[["a", "b"], ["a", "c"]])
+        stamps = scn.time.stamps()
+        snapshot_of, _ = harness.snapshot_at(scn)
+        monkeypatch.setattr(harness, "snapshot", failing_at(stamps[-1]))
+        res = run_experiment(scn)
+        assert res.failures == [(stamps[-1], "RuntimeError('injected')")]
+        # the fold of every folded stamp: each station refreshed, then a
+        # delivery recorded per greedy set that delivered, in set order
+        epoch = scn.constellation.epoch
+        table, refreshed = LocationTable(), LocationTable()
+        for t in stamps[:-1]:
+            snap = snapshot_of(t)
+            for st, ecef in zip(scn.stations, snap.station_ecef):
+                table.update(st.ei, ecef, t)
+                refreshed.update(st.ei, ecef, t)
+            for ps in stamp_path_sets(snap, scn.algorithms, scn.connections):
+                if ps.algorithm in ("mplf-cpi", "mplf-nfp") and ps.delivered.any():
+                    header = ler_encapsulate(table, ps.src_ei, ps.dst_ei, t, epoch)
+                    record_delivery(table, header, epoch)
+        assert res.location_table == table
+        # the delivery updates moved the shared source's entry
+        assert res.location_table != refreshed
+        assert res.location_table.lookup("a")[1] == stamps[-2]
+
+    def test_pool_is_capped_at_the_stamp_count(self, tiny_result, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness, "_WORKER_STATE", {})
+        assert run_experiment(tiny_scenario(), parallel=64) == tiny_result
+        assert sizes == [len(tiny_scenario().time.stamps())]
+        # a single stamp runs serially, with no pool
+        one = tiny_scenario(time={**TINY["time"], "count": 1})
+        assert run_experiment(one, parallel=64) == run_experiment(one)
+        assert sizes == [len(tiny_scenario().time.stamps())]
 
 
 class TestAnalyzeRows:
@@ -305,6 +366,7 @@ class TestAnalyzeRows:
                 repeat_first("mplf-cpi"), "repeats the mplf-cpi path of row 1", id="repeat-greedy"
             ),
             pytest.param(repeat_first("sp"), "repeats the sp path of row 1", id="repeat-baseline"),
+            *LATENCY_CASES,
         ],
         # a one-field case keeps the "field-value-message" id it has always had
         ids=lambda case: "-".join(f"{k}-{v}" for k, v in case.items())
@@ -342,6 +404,22 @@ class TestAnalyzeRows:
         # loop drops decide at their last satellite too
         assert any(r.status == "dropped:loop" for r in serial.path_rows)
         assert analyze_rows(scn, serial.path_rows).decision_stats == serial.decision_stats
+
+    def test_raising_stamp_is_listed_under_failures(self, monkeypatch):
+        scn = tiny_scenario()
+        stamp = scn.time.stamps()[1]
+        monkeypatch.setattr(harness, "snapshot", failing_at(stamp))
+        run = run_experiment(scn)
+        res = analyze_rows(scn, run.path_rows)
+        assert res.failures == run.failures == [(stamp, "RuntimeError('injected')")]
+        assert res.path_rows == run.path_rows
+        assert res.records == run.records
+        assert res.location_table == run.location_table
+        assert res.decision_stats == run.decision_stats
+        for s in res.series:
+            # the failure leaves the next stamp without a predecessor
+            assert s.stamps[1].vertex_changes is None
+            assert s.stamps[2].vertex_changes is not None
 
     def test_reanalysis_reproduces_rows_records_and_location_table(self, tiny_result):
         res2 = analyze_rows(tiny_scenario(), tiny_result.path_rows)
@@ -709,6 +787,7 @@ class TestGeojson:
             (NON_LINK, "hops 4 and 30 are not linked in the template"),
             (repeat_first("mplf-cpi"), "repeats the mplf-cpi path of row 1"),
             (repeat_first("sp"), "repeats the sp path of row 1"),
+            *LATENCY_CASES,
         ],
         ids=[
             "stamp",
@@ -722,6 +801,7 @@ class TestGeojson:
             "non-link",
             "repeat-greedy",
             "repeat-baseline",
+            *(case.id for case in LATENCY_CASES),
         ],
     )
     def test_row_outside_scenario_rejected(self, tiny_result, fields, message):
@@ -808,6 +888,16 @@ class TestCli:
         assert code == 0
         assert (ana_dir / "metrics.csv").exists()
         assert (ana_dir / "summary.csv").exists()
+
+    def test_analyze_reports_failed_stamps(self, tiny_file, tmp_path, monkeypatch, capsys):
+        run_dir = tmp_path / "run"
+        main(["simulate", "--scenario", str(tiny_file), "--out", str(run_dir)])
+        stamp = tiny_scenario().time.stamps()[1]
+        monkeypatch.setattr(harness, "snapshot", failing_at(stamp))
+        paths = str(run_dir / "paths.csv")
+        out = str(tmp_path / "ana")
+        assert main(["analyze", "--scenario", str(tiny_file), "--paths", paths, "--out", out]) == 0
+        assert f"stamp {stamp} failed: RuntimeError('injected')" in capsys.readouterr().err
 
     def test_export_requires_geojson(self, tiny_file, tmp_path):
         run_dir = tmp_path / "run"

@@ -1,7 +1,7 @@
 """Connection metrics against closed-form oracles on synthetic path sets."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import timedelta
 
 import numpy as np
@@ -84,6 +84,11 @@ def path_set(paths, drops=0):
     )
 
 
+def vertices(paths):
+    """The distinct delivered satellites of the given paths' set."""
+    return path_set(paths).vertices
+
+
 class TestPathIndependence:
     def test_single_path(self):
         # five vertices over four links
@@ -149,22 +154,22 @@ class TestPathEvolution:
     def test_counts_vertex_turnover(self):
         before = [path(1, 2, 3)]
         after = [path(2, 3, 4)]
-        assert path_evolution(path_set(before), path_set(after)) == 2  # 1 left, 4 arrived
+        assert path_evolution(vertices(before), vertices(after)) == 2  # 1 left, 4 arrived
 
     def test_identical_sets_do_not_move(self):
-        assert path_evolution(path_set([path(1, 2, 3)]), path_set([path(3, 2, 1)])) == 0
+        assert path_evolution(vertices([path(1, 2, 3)]), vertices([path(3, 2, 1)])) == 0
 
     def test_union_across_paths(self):
         before = [path(1, 2), path(3, 4)]
         after = [path(1, 2, 3, 4)]
-        assert path_evolution(path_set(before), path_set(after)) == 0
+        assert path_evolution(vertices(before), vertices(after)) == 0
 
     @given(
         st.lists(st.integers(0, 30), min_size=2, max_size=10),
         st.lists(st.integers(0, 30), min_size=2, max_size=10),
     )
     def test_matches_symmetric_difference(self, a, b):
-        got = path_evolution(path_set([FakePath(tuple(a))]), path_set([FakePath(tuple(b))]))
+        got = path_evolution(vertices([FakePath(tuple(a))]), vertices([FakePath(tuple(b))]))
         assert got == len(set(a) ^ set(b))
 
     @given(
@@ -174,7 +179,7 @@ class TestPathEvolution:
     )
     def test_triangle_inequality(self, a, b, c):
         pa, pb, pc = (FakePath(tuple(sorted(x))) for x in (a, b, c))
-        pa, pb, pc = (path_set([p]) for p in (pa, pb, pc))
+        pa, pb, pc = (vertices([p]) for p in (pa, pb, pc))
         assert path_evolution(pa, pb) <= path_evolution(pa, pc) + path_evolution(pc, pb)
 
 
@@ -246,7 +251,7 @@ class TestStampStats:
             path(1, 2, up_km=500, down_km=500, isl_km_each=2000),  # total 3000
             path(3, 4, 5, up_km=250, down_km=250, isl_km_each=2000),  # total 4500
         ]
-        row = make_stamp_stats(self.t(), True, True, path_set(delivered, 1), SRC, DST, None)
+        row = make_stamp_stats(self.t(), True, True, path_set(delivered, 1), SRC, DST)
         assert row.valid and row.psi == 1
         assert row.n_paths == 2 and row.n_drops == 1
         ms = 1000.0 / SPEED_OF_LIGHT_KM_PER_S
@@ -264,25 +269,27 @@ class TestStampStats:
         )
 
     def test_covered_but_undelivered(self):
-        row = make_stamp_stats(self.t(), True, True, path_set([], 3), SRC, DST, None)
+        row = make_stamp_stats(self.t(), True, True, path_set([], 3), SRC, DST)
         assert row.psi == 0
         assert not row.valid
         assert row.latency_avg_ms is None and row.gamma is None
 
     def test_uncovered_endpoint_invalidates(self):
-        row = make_stamp_stats(self.t(), True, False, path_set([]), SRC, DST, None)
+        row = make_stamp_stats(self.t(), True, False, path_set([]), SRC, DST)
         assert row.psi is None
         assert not row.valid
 
     def test_evolution_against_previous_stamp(self):
-        prev = [path(1, 2, 3)]
-        cur = [path(2, 3, 4)]
-        row = make_stamp_stats(self.t(10), True, True, path_set(cur), SRC, DST, path_set(prev))
-        assert row.vertex_changes == 2
+        prev = path_set([path(1, 2, 3)])
+        cur = path_set([path(2, 3, 4)])
+        # the stamp alone does not know its predecessor: the merge sets the count
+        row = make_stamp_stats(self.t(10), True, True, cur, SRC, DST)
+        assert row.valid and row.vertex_changes is None
+        assert path_evolution(prev.vertices, cur.vertices) == 2
 
     def test_bent_pipe_only_stamp_has_no_gamma(self):
         row = make_stamp_stats(
-            self.t(), True, True, path_set([path(9, up_km=600, down_km=600)]), SRC, DST, None
+            self.t(), True, True, path_set([path(9, up_km=600, down_km=600)]), SRC, DST
         )
         assert row.valid
         assert row.gamma is None
@@ -292,28 +299,20 @@ class TestStampStats:
 def make_series():
     """Four stamps: two valid, one covered-but-empty, one uncovered."""
     rows = [
-        make_stamp_stats(
-            EPOCH,
-            True,
-            True,
-            path_set([path(1, 2, isl_km_each=3000)]),
-            SRC,
-            DST,
-            None,
+        make_stamp_stats(EPOCH, True, True, path_set([path(1, 2, isl_km_each=3000)]), SRC, DST),
+        replace(
+            make_stamp_stats(
+                EPOCH + timedelta(seconds=10),
+                True,
+                True,
+                path_set([path(2, 3, isl_km_each=5000)], 1),
+                SRC,
+                DST,
+            ),
+            vertex_changes=path_evolution(vertices([path(1, 2)]), vertices([path(2, 3)])),
         ),
-        make_stamp_stats(
-            EPOCH + timedelta(seconds=10),
-            True,
-            True,
-            path_set([path(2, 3, isl_km_each=5000)], 1),
-            SRC,
-            DST,
-            path_set([path(1, 2, isl_km_each=3000)]),
-        ),
-        make_stamp_stats(
-            EPOCH + timedelta(seconds=20), True, True, path_set([], 2), SRC, DST, None
-        ),
-        make_stamp_stats(EPOCH + timedelta(seconds=30), False, True, path_set([]), SRC, DST, None),
+        make_stamp_stats(EPOCH + timedelta(seconds=20), True, True, path_set([], 2), SRC, DST),
+        make_stamp_stats(EPOCH + timedelta(seconds=30), False, True, path_set([]), SRC, DST),
     ]
     return ConnectionSeries("a", "b", "mplf-nfp", tuple(rows))
 
@@ -337,7 +336,7 @@ class TestSeries:
         assert (stats.minimum, stats.average, stats.maximum) == (1.0, 1.0, 1.0)
 
     def test_all_invalid_series_rejected(self):
-        rows = [make_stamp_stats(EPOCH, True, True, path_set([]), SRC, DST, None)]
+        rows = [make_stamp_stats(EPOCH, True, True, path_set([]), SRC, DST)]
         series = ConnectionSeries("a", "b", "sp", tuple(rows))
         with pytest.raises(ValueError):
             latency_stats(series)
@@ -355,7 +354,7 @@ class TestSeries:
         assert s.latency is not None and s.hops is not None
 
     def test_summary_of_blind_series(self):
-        rows = [make_stamp_stats(EPOCH, False, False, path_set([]), SRC, DST, None)]
+        rows = [make_stamp_stats(EPOCH, False, False, path_set([]), SRC, DST)]
         s = summarize(ConnectionSeries("a", "b", "sp", tuple(rows)))
         assert s.reachable_probability is None
         assert s.latency is None and s.hops is None

@@ -241,6 +241,14 @@ class TestValidationMessages:
             (lambda r: r["eisl"].update(L_h_km=math.nan), "eisl.L_h_km"),
             (lambda r: r["time"].update(step_s=math.nan), "time.step_s"),
             (lambda r: r.update(elevation_min_deg=-math.inf), "scenario.elevation_min_deg"),
+            (
+                lambda r: r["connections"].append(["rover", "alpha"]),
+                "connections[1]: repeats connections[0]",
+            ),
+            (
+                lambda r: r["algorithms"].append("mplf-nfp"),
+                "algorithms[2]: repeats algorithms[0]",
+            ),
         ],
         ids=[
             "ei-int",
@@ -258,6 +266,8 @@ class TestValidationMessages:
             "l_h-nan",
             "step-nan",
             "elevation-inf",
+            "repeat-connection",
+            "repeat-algorithm",
         ],
     )
     def test_bad_value_names_field(self, mutate, needle, tmp_path):
