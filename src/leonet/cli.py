@@ -7,8 +7,9 @@ Subcommands:
   analyze   recompute metrics from an existing path log
   export    convert a path log to GeoJSON
 
-Common flags: --scenario, --out, --format {csv,geojson}; simulate also
-takes --parallel N.
+Common flags: --scenario, --out; all but analyze take --format
+{csv,geojson}; simulate also takes --parallel N, and analyze and export
+take --paths.
 The LEONET_OUT environment variable overrides the output directory (and
 nothing else).
 """
@@ -122,10 +123,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, parallel: bool = False) -> None:
+    def common(p: argparse.ArgumentParser, fmt: bool = True, parallel: bool = False) -> None:
         p.add_argument("--scenario", required=True, help="scenario JSON file")
         p.add_argument("--out", help=f"output directory (or set {ENV_OUT})")
-        p.add_argument("--format", choices=FORMATS, default=FORMAT_CSV)
+        if fmt:
+            p.add_argument("--format", choices=FORMATS, default=FORMAT_CSV)
         if parallel:
             p.add_argument("--parallel", type=int, default=1, help="worker processes")
 
@@ -138,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_ana = sub.add_parser("analyze", help="recompute metrics from a path log")
-    common(p_ana)
+    common(p_ana, fmt=False)
     p_ana.add_argument("--paths", required=True, help="paths.csv from a previous run")
     p_ana.set_defaults(func=_cmd_analyze)
 

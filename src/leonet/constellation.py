@@ -126,7 +126,6 @@ class Constellation:
     """
 
     config: ConstellationConfig
-    _raan: np.ndarray = field(init=False, repr=False)
     _u0: np.ndarray = field(init=False, repr=False)
     _p_axis: np.ndarray = field(init=False, repr=False)
     _q_axis: np.ndarray = field(init=False, repr=False)
@@ -149,7 +148,6 @@ class Constellation:
             [-sin_o * math.cos(inc), cos_o * math.cos(inc), np.full_like(raan, math.sin(inc))],
             axis=1,
         )
-        object.__setattr__(self, "_raan", raan)
         object.__setattr__(self, "_u0", u0)
         object.__setattr__(self, "_p_axis", np.repeat(p_axis, n, axis=0))
         object.__setattr__(self, "_q_axis", np.repeat(q_axis, n, axis=0))
@@ -181,16 +179,12 @@ class Constellation:
         return va * (-np.sin(u)[:, None] * self._p_axis + np.cos(u)[:, None] * self._q_axis)
 
     def satellite_state(self, sat: SatelliteId | int, t: datetime) -> EciState:
-        """State of one satellite; accepts a SatelliteId or a flat index."""
+        """State of one satellite, row idx of positions_at and velocities_at;
+        accepts a SatelliteId or a flat index."""
         idx = sat if isinstance(sat, int) else self.index_of(sat)
         if not 0 <= idx < self.sat_count:
             raise ValueError(f"satellite index {idx} outside the shell")
-        u = float(self._arg_lat(t)[idx])
-        a = self.config.semi_major_axis_km
-        va = a * self.config.mean_motion_rad_per_s
-        pos = a * (math.cos(u) * self._p_axis[idx] + math.sin(u) * self._q_axis[idx])
-        vel = va * (-math.sin(u) * self._p_axis[idx] + math.cos(u) * self._q_axis[idx])
-        return EciState(position=pos, velocity=vel, time=t)
+        return EciState(self.positions_at(t)[idx], self.velocities_at(t)[idx], t)
 
 
 def build_walker(config: ConstellationConfig) -> Constellation:

@@ -132,11 +132,16 @@ def write_paths_csv(rows: Sequence[PathLogRow], path: FsPath) -> None:
 
 
 def read_paths_csv(path: FsPath) -> list[PathLogRow]:
-    """Read a path log; a malformed row raises PathLogError with its number."""
+    """Read a path log; a malformed row raises PathLogError with its number,
+    and a header that lacks a column (an empty file has none) with row 0."""
     rows: list[PathLogRow] = []
     parsers = [(c, parse) for c, (_, parse) in _PATH_LOG.items()]
     with path.open(newline="") as fh:
-        for n, rec in enumerate(csv.DictReader(fh), start=1):
+        reader = csv.DictReader(fh)
+        missing = [c for c in _PATH_LOG if c not in (reader.fieldnames or ())]
+        if missing:
+            raise PathLogError(0, f"missing column(s) {', '.join(missing)}")
+        for n, rec in enumerate(reader, start=1):
             missing = [c for c in _PATH_LOG if rec.get(c) is None]
             if missing:
                 raise PathLogError(n, f"missing column(s) {', '.join(missing)}")

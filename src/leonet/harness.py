@@ -5,10 +5,12 @@ Per-stamp work is independent by construction: a stamp is routed from its
 snapshot alone, greedy traces aiming at the destination station's inertial
 position in that snapshot. One isolating function, _stamp, finishes a stamp
 from its path sets, routed or read from a log, for serial runs, workers and
-reanalysis alike: set stats, path-log rows and decision counts. The merge
-folds stamps in stamp order and does only what crosses them: the evolution
-chain, the failure reset, and the location table, which is the last folded
-stamp's (every station refreshed, then each delivering greedy set's source).
+reanalysis alike: set stats, path-log rows and decision counts. The sets
+carry no names; _path_sets is the one list that names and orders them. The
+merge folds stamps in stamp order and does only what crosses them: the
+evolution chain, the failure reset, and the location table, which is the last
+folded stamp's (every station refreshed, then each delivering greedy set's
+source).
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .geometry import link_latency_ms
 from .metrics import (
     ConnectionSeries,
     ConnectionSummary,
-    ReachabilityRecord,
     StampStats,
     make_stamp_stats,
     path_evolution,
@@ -55,7 +56,8 @@ _MPLF_ALGOS = (ALGO_MPLF_CPI, ALGO_MPLF_NFP)
 class PathLogError(ValueError):
     """A path-log row that cannot be read or does not fit the scenario.
 
-    row is the 1-based data-row number (the header line not counted).
+    row is the 1-based data-row number (the header line not counted); 0
+    means the header itself.
     """
 
     def __init__(self, row: int, message: str) -> None:
@@ -97,7 +99,6 @@ class ExperimentResult:
     series: list[ConnectionSeries]
     summaries: list[ConnectionSummary]
     path_rows: list[PathLogRow]
-    records: list[ReachabilityRecord]
     failures: list[tuple[datetime, str]]
     location_table: LocationTable
     decision_stats: DecisionStats
@@ -118,6 +119,12 @@ class ExperimentResult:
 def _connection_indices(scenario: Scenario) -> list[tuple[int, int]]:
     by_name = {s.name: i for i, s in enumerate(scenario.stations)}
     return [(by_name[a], by_name[b]) for a, b in scenario.connections]
+
+
+def _path_sets(scenario: Scenario) -> list[tuple[tuple[int, int], str]]:
+    """((source, destination station index), algorithm) of each path set of a
+    stamp, connection-major, algorithm-minor."""
+    return list(product(_connection_indices(scenario), scenario.algorithms))
 
 
 def snapshot_at(scenario: Scenario) -> tuple[Callable[[datetime], Snapshot], IslTemplate]:
@@ -143,22 +150,23 @@ def snapshot_at(scenario: Scenario) -> tuple[Callable[[datetime], Snapshot], Isl
 
 
 def _stamp(
+    sets: list[tuple[tuple[int, int], str]],
     snapshot_of: Callable[[datetime], Snapshot],
     path_sets_of: Callable[[Snapshot], Iterable[PathSet]],
     t: datetime,
 ) -> StampOutcome | str:
-    """Finish one stamp from its snapshot and path sets, or return the repr of
-    the exception it raised. Decision counts follow set, then trace order."""
+    """Finish one stamp from its snapshot and path sets, one per entry of sets
+    (_path_sets), or return the repr of the exception it raised. Decision
+    counts follow set, then trace order."""
     try:
         snap = snapshot_of(t)
         stats, vertices, rows, comparisons = [], [], [], []
-        for ps in path_sets_of(snap):
-            si, di = snap.station_index(ps.src_ei), snap.station_index(ps.dst_ei)
+        for ((si, di), algo), ps in zip(sets, path_sets_of(snap), strict=True):
             points = snap.station_geodetic[si], snap.station_geodetic[di]
             stats.append(make_stamp_stats(t, snap.covered(si), snap.covered(di), ps, *points))
             vertices.append(ps.vertices)
-            rows.extend(_log_rows(t, ps))
-            if ps.algorithm in _MPLF_ALGOS:
+            rows.extend(_log_rows(t, algo, snap.stations[si].ei, snap.stations[di].ei, ps))
+            if algo in _MPLF_ALGOS:
                 comparisons.extend(decision_counts(snap.template.degree, ps))
         return StampOutcome(t, snap.station_ecef, tuple(stats), tuple(vertices), rows, comparisons)
     except Exception as exc:  # noqa: BLE001 - per-stamp isolation is the contract
@@ -170,7 +178,7 @@ def _stamp_runner(
 ) -> Callable[[datetime], StampOutcome | str]:
     pairs = _connection_indices(scenario)
     route = partial(stamp_path_sets, algorithms=scenario.algorithms, connections=pairs)
-    return partial(_stamp, snapshot_of, route)
+    return partial(_stamp, _path_sets(scenario), snapshot_of, route)
 
 
 _WORKER_STATE: dict = {}
@@ -184,15 +192,14 @@ def _worker_run(t: datetime) -> StampOutcome | str:
     return _WORKER_STATE["run"](t)
 
 
-def _log_rows(t: datetime, ps: PathSet) -> Iterator[PathLogRow]:
-    """The path-log rows of a set: its delivered paths, then its drops, each
-    group in trace order."""
+def _log_rows(t: datetime, algo: str, src: str, dst: str, ps: PathSet) -> Iterator[PathLogRow]:
+    """The path-log rows of the set of src->dst under algo: its delivered
+    paths, then its drops, each group in trace order."""
     routes, latency, end = ps.routes(), ps.latency_ms.tolist(), ps.end.tolist()
     for i in np.argsort(~ps.delivered, kind="stable").tolist():
         route = routes[i]
         yield PathLogRow(
-            t, ps.algorithm, ps.src_ei, ps.dst_ei, route[0], route, latency[i], len(route) - 1,
-            STATUSES[end[i]],
+            t, algo, src, dst, route[0], route, latency[i], len(route) - 1, STATUSES[end[i]]
         )
 
 
@@ -260,12 +267,6 @@ def _merge(scenario: Scenario, results: Iterable[StampOutcome | str]) -> Experim
         series=series,
         summaries=[summarize(s) for s in series],
         path_rows=path_rows,
-        records=[
-            ReachabilityRecord(s.src_ei, s.dst_ei, st.t, st.psi)
-            for s in series
-            for st in s.stamps
-            if st.psi is not None
-        ],
         failures=failures,
         location_table=table,
         decision_stats=stats,
@@ -273,12 +274,6 @@ def _merge(scenario: Scenario, results: Iterable[StampOutcome | str]) -> Experim
 
 
 # -- reanalysis from a path log ------------------------------------------------
-
-
-def _path_sets(scenario: Scenario) -> list[tuple[tuple[int, int], str]]:
-    """((source, destination station index), algorithm) of each path set of a
-    stamp, connection-major, algorithm-minor."""
-    return list(product(_connection_indices(scenario), scenario.algorithms))
 
 
 def index_path_log(
@@ -356,9 +351,8 @@ def analyze_rows(scenario: Scenario, rows: Iterable[PathLogRow]) -> ExperimentRe
         grouped.setdefault((stamps[i], k), []).append(r)
 
     sets = _path_sets(scenario)
-    eis = [st.ei for st in scenario.stations]
 
-    def path_set(t: datetime, si: int, di: int, algo: str, logged: list[PathLogRow]) -> PathSet:
+    def path_set(algo: str, logged: list[PathLogRow]) -> PathSet:
         if algo in _MPLF_ALGOS:
             logged.sort(key=attrgetter("src_sat"))  # trace order
         starts = np.cumsum([0] + [len(r.hop_list) for r in logged])
@@ -366,12 +360,9 @@ def analyze_rows(scenario: Scenario, rows: Iterable[PathLogRow]) -> ExperimentRe
         end = np.array([STATUSES.index(r.status) for r in logged], dtype=np.int8)
         latency = np.array([r.latency_ms for r in logged])
         total = latency / float(link_latency_ms(1.0))
-        return PathSet(eis[si], eis[di], t, algo, sats, starts, end, total, latency)
+        return PathSet(sats, starts, end, total, latency)
 
     def path_sets_of(snap: Snapshot) -> list[PathSet]:
-        return [
-            path_set(snap.t, si, di, algo, grouped.get((snap.t, k), []))
-            for k, ((si, di), algo) in enumerate(sets)
-        ]
+        return [path_set(algo, grouped.get((snap.t, k), [])) for k, (_, algo) in enumerate(sets)]
 
-    return _merge(scenario, map(partial(_stamp, snapshot_of, path_sets_of), stamps))
+    return _merge(scenario, map(partial(_stamp, sets, snapshot_of, path_sets_of), stamps))

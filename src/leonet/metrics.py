@@ -1,10 +1,12 @@
 """Connection-level metrics over traced path sets (routing.PathSet columns).
 
-Conventions: a stamp produces a reachability record only when both stations
-are covered (an uncovered endpoint is an access gap, not a routing failure,
-and is reported separately as an invalid stamp). A stamp is "valid" for
+Conventions: a stamp has a reachability indicator psi (StampStats.psi) only
+when both stations are covered (an uncovered endpoint is an access gap, not a
+routing failure, and is reported separately as an invalid stamp); a series'
+reachable probability is the mean of its psi. A stamp is "valid" for
 latency/hop/diversity statistics when both stations are covered and at least
 one path was delivered. Edge-link lengths count toward latency and stretch.
+The per-stamp CDF tables are written from the series by the exporters.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 from datetime import datetime
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,27 +30,6 @@ if TYPE_CHECKING:
 # reference propagation speed for the geodesic yardstick: two thirds of c,
 # the usual fiber-optic figure
 FIBER_SPEED_KM_PER_S = 2.0 * SPEED_OF_LIGHT_KM_PER_S / 3.0
-
-
-@dataclass(frozen=True)
-class ReachabilityRecord:
-    """Delivery outcome for one (connection, stamp): 1 if any path arrived."""
-
-    src_ei: str
-    dst_ei: str
-    t: datetime
-    psi: int
-
-    def __post_init__(self) -> None:
-        if self.psi not in (0, 1):
-            raise ValueError("psi must be 0 or 1")
-
-
-def reachable_probability(records: Sequence[ReachabilityRecord]) -> float:
-    """Mean delivery indicator over records (pairs x stamps)."""
-    if not records:
-        raise ValueError("no reachability records")
-    return sum(r.psi for r in records) / len(records)
 
 
 def path_independence(paths: PathSet) -> float:
@@ -191,35 +172,15 @@ class SeriesStats:
     minimum: float
     average: float
     maximum: float
-    cdf: tuple[tuple[float, float], ...]  # (value, cumulative fraction)
-
-
-def cdf_table(values: Sequence[float]) -> tuple[tuple[float, float], ...]:
-    if not values:
-        raise ValueError("no values")
-    xs = sorted(values)
-    n = len(xs)
-    out: list[tuple[float, float]] = []
-    for i, x in enumerate(xs, start=1):
-        if out and out[-1][0] == x:
-            out[-1] = (x, i / n)
-        else:
-            out.append((x, i / n))
-    return tuple(out)
 
 
 def _series_stats(mins: list[float], avgs: list[float], maxs: list[float]) -> SeriesStats:
-    return SeriesStats(
-        minimum=min(mins),
-        average=sum(avgs) / len(avgs),
-        maximum=max(maxs),
-        cdf=cdf_table(avgs),
-    )
+    return SeriesStats(min(mins), sum(avgs) / len(avgs), max(maxs))
 
 
 def latency_stats(series: ConnectionSeries) -> SeriesStats:
-    """Latency summary over valid stamps: global min/max, mean of per-stamp
-    means, CDF over per-stamp means. All-invalid series are rejected."""
+    """Latency summary over valid stamps: global min/max and the mean of
+    per-stamp means. All-invalid series are rejected."""
     valid = series.valid_stamps()
     if not valid:
         raise ValueError("series has no valid stamps")

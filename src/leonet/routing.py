@@ -631,13 +631,10 @@ class PathSet:
     Path i visits sats[starts[i]:starts[i + 1]] and ends with the code end[i],
     an index into STATUSES. Delivered paths and dropped greedy traces stand
     together in trace order. total_km and latency_ms count the edge links: the
-    up-link always, the down-link of a delivered path.
+    up-link always, the down-link of a delivered path. A set carries no
+    names: its place in stamp_path_sets' order says whose paths it holds.
     """
 
-    src_ei: str
-    dst_ei: str
-    t: datetime
-    algorithm: str
     sats: np.ndarray
     starts: np.ndarray
     end: np.ndarray
@@ -721,11 +718,8 @@ def stamp_path_sets(
         counts = np.diff(np.searchsorted(hit, bounds)).tolist()
         cut = _path_columns(r._replace(down_km=down[hit]), up[hit], counts)
         columns.update(((si, di, algo), c) for (si, di), c in zip(live, cut))
-    eis = [st.ei for st in snap.stations]
     return [
-        PathSet(eis[si], eis[di], snap.t, algo, *columns.get((si, di, algo), _NO_PATHS))
-        for si, di in conns
-        for algo in algorithms
+        PathSet(*columns.get((si, di, algo), _NO_PATHS)) for si, di in conns for algo in algorithms
     ]
 
 

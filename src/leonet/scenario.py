@@ -12,9 +12,12 @@ A scenario is a JSON object with blocks:
   eisl:          {L_h_km: number}   (optional)
 
 Ground stations carry lat_deg/lon_deg (alt_km optional); mobile stations
-carry a trajectory {start: {lat_deg, lon_deg}, end: {...}, speed_kms}.
-Timestamps are ISO 8601 UTC. A phase factor equal to the plane count is
-accepted and normalized to zero (the generated satellite sets coincide).
+carry a trajectory {start: {lat_deg, lon_deg}, end: {...}, speed_kms,
+start_time (optional, default time.start)} and wait at its start until
+start_time. A station's ei defaults to its name and may not be another
+station's name. Timestamps are ISO 8601 UTC. A phase factor equal to the
+plane count is accepted and normalized to zero (the generated satellite sets
+coincide).
 """
 
 from __future__ import annotations
@@ -83,13 +86,17 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class TrajectoryProvider:
-    """Adapts a trajectory and its reference start time to station placement."""
+    """Adapts a trajectory and its reference start time to station placement.
+
+    The station waits at the track's start point until start_time, as it
+    stays at the end point once the track is flown.
+    """
 
     trajectory: Trajectory
     start_time: datetime
 
     def position_at(self, t: datetime) -> GeodeticPoint:
-        return self.trajectory.position_after((t - self.start_time).total_seconds())
+        return self.trajectory.position_after(max((t - self.start_time).total_seconds(), 0.0))
 
 
 @dataclass(frozen=True)
@@ -261,6 +268,10 @@ def scenario_from_dict(root: Any, name: str = "scenario") -> Scenario:
     eis = [s.ei for s in stations]
     if len(set(eis)) != len(eis):
         raise ScenarioError("scenario.stations: station EIs must be unique")
+    for i, ei in enumerate(eis):  # a station is looked up by name or EI
+        if ei in names and names.index(ei) != i:
+            j = names.index(ei)
+            raise ScenarioError(f"stations[{i}].ei: {ei!r} is the name of stations[{j}]")
 
     conn_raw = _require(root, "connections", "scenario")
     if not isinstance(conn_raw, list):

@@ -9,12 +9,14 @@ shipped scenario.
 import copy
 import csv
 import dataclasses
+import functools
 import json
 import os
 import subprocess
 import sys
 import weakref
 from datetime import timedelta
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +139,11 @@ def small_scenarios(draw):
     return scenario_from_dict(root), draw(st.integers(0, root["time"]["count"] - 1))
 
 
+def psis(result):
+    """Each series' psi, stamp by stamp: the reachability of a run."""
+    return [[st.psi for st in s.stamps] for s in result.series]
+
+
 @pytest.fixture(scope="module")
 def tiny_result():
     return run_experiment(tiny_scenario())
@@ -165,9 +172,8 @@ class TestRunExperiment:
             assert r.src_sat == r.hop_list[0]
 
     def test_records_only_for_covered_stamps(self, tiny_result):
-        res = tiny_result
-        assert len(res.records) == 4 * 4  # every stamp covered, 4 algorithms
-        assert all(r.psi == 1 for r in res.records)
+        # every stamp covered, 4 algorithms: psi is 1 throughout
+        assert psis(tiny_result) == [[1] * 4] * 4
 
     def test_lookup_helpers(self, tiny_result):
         res = tiny_result
@@ -204,7 +210,6 @@ class TestRunExperiment:
         res2 = run_experiment(tiny_scenario(), parallel=2)
         assert res2.path_rows == tiny_result.path_rows
         assert res2.series == tiny_result.series
-        assert res2.records == tiny_result.records
 
     def test_failing_stamp_is_isolated_serial_and_parallel(self, monkeypatch):
         stamp = tiny_scenario().time.stamps()[1]
@@ -216,7 +221,6 @@ class TestRunExperiment:
         assert par.failures == serial.failures
         assert par.path_rows == serial.path_rows
         assert par.series == serial.series
-        assert par.records == serial.records
         # the same result object as a whole, decision stats and location table too
         assert par == serial
         assert {r.t for r in serial.path_rows} == set(tiny_scenario().time.stamps()) - {stamp}
@@ -238,6 +242,25 @@ class TestRunExperiment:
             serial = run_experiment(scn)
             assert serial.failures == [(stamp, "RuntimeError('injected')")]
             assert run_experiment(scn, parallel=2) == serial
+
+    def test_missing_path_set_is_a_listed_failure(self, tiny_result):
+        scn = tiny_scenario()
+        stamps = scn.time.stamps()
+        snapshot_of, _ = harness.snapshot_at(scn)
+        conns = harness._connection_indices(scn)
+
+        def path_sets_of(snap):
+            sets = stamp_path_sets(snap, scn.algorithms, conns)
+            return sets[:-1] if snap.t == stamps[2] else sets
+
+        sets = harness._path_sets(scn)
+        stamp = functools.partial(harness._stamp, sets, snapshot_of, path_sets_of)
+        res = harness._merge(scn, map(stamp, stamps))
+        assert [t for t, _ in res.failures] == [stamps[2]]
+        assert res.failures[0][1].startswith("ValueError('zip()")
+        for s, want in zip(res.series, tiny_result.series):
+            assert s.stamps[:2] == want.stamps[:2]
+            assert len(s.stamps) == len(stamps) - 1
 
     def test_merge_keeps_no_folded_stamp(self, tiny_result):
         scn = tiny_scenario()
@@ -274,9 +297,10 @@ class TestRunExperiment:
             for st, ecef in zip(scn.stations, snap.station_ecef):
                 table.update(st.ei, ecef, t)
                 refreshed.update(st.ei, ecef, t)
-            for ps in stamp_path_sets(snap, scn.algorithms, scn.connections):
-                if ps.algorithm in ("mplf-cpi", "mplf-nfp") and ps.delivered.any():
-                    header = ler_encapsulate(table, ps.src_ei, ps.dst_ei, t, epoch)
+            sets = stamp_path_sets(snap, scn.algorithms, scn.connections)
+            for ((src, dst), algo), ps in zip(product(scn.connections, scn.algorithms), sets):
+                if algo in ("mplf-cpi", "mplf-nfp") and ps.delivered.any():
+                    header = ler_encapsulate(table, src, dst, t, epoch)
                     record_delivery(table, header, epoch)
         assert res.location_table == table
         # the delivery updates moved the shared source's entry
@@ -413,7 +437,7 @@ class TestAnalyzeRows:
         res = analyze_rows(scn, run.path_rows)
         assert res.failures == run.failures == [(stamp, "RuntimeError('injected')")]
         assert res.path_rows == run.path_rows
-        assert res.records == run.records
+        assert psis(res) == psis(run)
         assert res.location_table == run.location_table
         assert res.decision_stats == run.decision_stats
         for s in res.series:
@@ -424,7 +448,7 @@ class TestAnalyzeRows:
     def test_reanalysis_reproduces_rows_records_and_location_table(self, tiny_result):
         res2 = analyze_rows(tiny_scenario(), tiny_result.path_rows)
         assert res2.path_rows == tiny_result.path_rows
-        assert res2.records == tiny_result.records
+        assert psis(res2) == psis(tiny_result)
         assert len(res2.location_table) == len(tiny_result.location_table) == 2
         for st in tiny_scenario().stations:
             pos, when = res2.location_table.lookup(st.ei)
@@ -500,9 +524,10 @@ class TestPathsCsv:
         f.write_text("\n".join(lines) + "\n")
         with pytest.raises(PathLogError, match="path log row 2: missing column.s. status"):
             read_paths_csv(f)
+        # a header without the column fails before any row, as row 0
         g = tmp_path / "no_status.csv"
         g.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines[:2]) + "\n")
-        with pytest.raises(PathLogError, match="path log row 1: missing column.s. status"):
+        with pytest.raises(PathLogError, match="path log row 0: missing column.s. status"):
             read_paths_csv(g)
 
 
@@ -930,6 +955,58 @@ class TestCli:
                     str(out),
                 ]
             )
+
+    def test_analyze_takes_no_format(self, tiny_file, tmp_path):
+        argv = ["analyze", "--scenario", str(tiny_file), "--out", str(tmp_path / "ana")]
+        with pytest.raises(SystemExit):
+            main([*argv, "--paths", str(tmp_path / "paths.csv"), "--format", "csv"])
+
+    @pytest.mark.parametrize("text", ["", "a,b,c\n"], ids=["empty", "wrong-header"])
+    def test_path_log_without_its_header_fails(self, tiny_file, tmp_path, capsys, text):
+        log = tmp_path / "paths.csv"
+        log.write_text(text)
+        common = ["--scenario", str(tiny_file), "--paths", str(log), "--out", str(tmp_path)]
+        assert main(["analyze", *common]) == 1
+        assert main(["export", *common, "--format", "geojson"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        want = "error: path log row 0: missing column(s) t, algorithm, src_station"
+        assert len(err) == 2 and all(line.startswith(want) for line in err)
+        assert not (tmp_path / "metrics.csv").exists()
+        assert not (tmp_path / "paths.geojson").exists()
+
+    def test_header_only_path_log_is_valid(self, tiny_file, tmp_path):
+        log = tmp_path / "paths.csv"
+        write_paths_csv([], log)
+        common = ["--scenario", str(tiny_file), "--paths", str(log), "--out", str(tmp_path)]
+        assert main(["analyze", *common]) == 0
+        with (tmp_path / "summary.csv").open(newline="") as fh:
+            assert {r["reachable_probability"] for r in csv.DictReader(fh)} == {"0.000000"}
+        assert main(["export", *common, "--format", "geojson"]) == 0
+        assert (tmp_path / "paths.geojson").read_text() == (
+            '{"features":[],"type":"FeatureCollection"}\n'
+        )
+
+    def test_late_departure_waits_at_its_start(self, tmp_path):
+        # a shipped scenario cut to 4 stamps, plus an aircraft that leaves 20 s in
+        root = json.loads((SCENARIO_DIR / "experiment1_20x20.json").read_text())
+        root["time"]["count"] = 4
+        track = {
+            "start": {"lat_deg": 40.0, "lon_deg": 116.0},
+            "end": {"lat_deg": 51.0, "lon_deg": 0.0},
+            "speed_kms": 0.25,
+            "start_time": "2025-01-01T01:00:20Z",
+        }
+        root["stations"].append({"name": "Plane", "kind": "mobile", "trajectory": track})
+        root["connections"].append(["Plane", "London"])
+        f = tmp_path / "late.json"
+        f.write_text(json.dumps(root))
+        res = run_experiment(load_scenario(f))
+        assert res.failures == []
+        assert all(len(s.stamps) == 4 for s in res.series)
+        plane = res.series_for("Plane", "London", "sp").stamps
+        assert plane[0].geodesic_km == plane[1].geodesic_km == plane[2].geodesic_km
+        assert plane[3].geodesic_km != plane[2].geodesic_km
+        assert main(["generate", "--scenario", str(f), "--out", str(tmp_path / "gen")]) == 0
 
     def test_export_checks_format_before_reading(self, tiny_file, tmp_path):
         out = tmp_path / "geo"

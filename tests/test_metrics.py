@@ -20,15 +20,12 @@ from leonet.routing import STATUSES, PathSet
 from leonet.metrics import (
     FIBER_SPEED_KM_PER_S,
     ConnectionSeries,
-    ReachabilityRecord,
-    cdf_table,
     geodesic_reference_latency_ms,
     hop_stats,
     latency_stats,
     make_stamp_stats,
     path_evolution,
     path_independence,
-    reachable_probability,
     stretch,
     summarize,
 )
@@ -72,10 +69,6 @@ def path_set(paths, drops=0):
     paths = list(paths) + [path(0, status="dropped")] * drops
     ends = ["delivered" if p.delivered else "dropped:dead-end" for p in paths]
     return PathSet(
-        "a",
-        "b",
-        EPOCH,
-        "mplf-nfp",
         np.array([s for p in paths for s in p.sats], dtype=np.int64),
         np.cumsum([0] + [len(p.sats) for p in paths]),
         np.array([STATUSES.index(e) for e in ends], dtype=np.int8),
@@ -131,23 +124,6 @@ class TestPathIndependence:
         # bent-pipe only: single-satellite paths have no satellite links
         with pytest.raises(ValueError):
             path_independence(path_set([path(7), path(9)]))
-
-
-class TestReachability:
-    def rec(self, psi, s=0):
-        return ReachabilityRecord("a", "b", EPOCH + timedelta(seconds=s), psi)
-
-    def test_mean_indicator(self):
-        records = [self.rec(1, 0), self.rec(0, 10), self.rec(1, 20), self.rec(1, 30)]
-        assert reachable_probability(records) == pytest.approx(0.75)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            reachable_probability([])
-
-    def test_indicator_domain(self):
-        with pytest.raises(ValueError):
-            self.rec(2)
 
 
 class TestPathEvolution:
@@ -215,31 +191,6 @@ class TestStretch:
         assert geodesic_reference_latency_ms(QUARTER) == pytest.approx(
             geodesic_distance(SRC, DST) / (2.0 * 299792.458 / 3.0) * 1000.0
         )
-
-
-class TestCdfTable:
-    def test_duplicate_values_collapse(self):
-        assert cdf_table([3.0, 1.0, 2.0, 2.0]) == (
-            (1.0, 0.25),
-            (2.0, 0.75),
-            (3.0, 1.0),
-        )
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            cdf_table([])
-
-    @given(st.lists(st.floats(0, 1000, allow_nan=False), min_size=1, max_size=50))
-    def test_monotone_and_complete(self, values):
-        table = cdf_table(values)
-        xs = [x for x, _ in table]
-        fs = [f for _, f in table]
-        assert xs == sorted(set(xs))
-        assert all(b > a for a, b in zip(fs, fs[1:]))
-        assert fs[-1] == pytest.approx(1.0)
-        # fraction at x counts values <= x
-        for x, f in table:
-            assert f == pytest.approx(sum(1 for v in values if v <= x) / len(values))
 
 
 class TestStampStats:
@@ -329,7 +280,6 @@ class TestSeries:
         assert stats.minimum == pytest.approx(3000 * ms)
         assert stats.average == pytest.approx(4000 * ms)
         assert stats.maximum == pytest.approx(5000 * ms)
-        assert stats.cdf[-1][1] == pytest.approx(1.0)
 
     def test_hop_stats_pool_valid_stamps(self):
         stats = hop_stats(make_series())

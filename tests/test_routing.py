@@ -119,10 +119,8 @@ def snapshot_legs(snap, route):
 
 
 def set_columns(ps):
-    """A PathSet's header and columns as plain values, for ==."""
-    head = (ps.src_ei, ps.dst_ei, ps.t, ps.algorithm)
-    columns = (ps.sats, ps.starts, ps.end, ps.total_km, ps.latency_ms)
-    return head + tuple(c.tolist() for c in columns)
+    """A PathSet's columns as plain values, for ==."""
+    return tuple(c.tolist() for c in (ps.sats, ps.starts, ps.end, ps.total_km, ps.latency_ms))
 
 
 class TestForwardRules:

@@ -103,6 +103,12 @@ class TestTrajectory:
         later = prov.position_at(t0 + timedelta(seconds=100))
         assert later.lon_deg == pytest.approx(math.degrees(1000.0 / EARTH_RADIUS_KM))
 
+    def test_provider_waits_at_start_point_before_start_time(self):
+        t0 = utc(2025, 1, 1, 1)
+        prov = TrajectoryProvider(self.equator_track(), t0)
+        for early in (1.0, 20.0, 1e6):
+            assert prov.position_at(t0 - timedelta(seconds=early)) == prov.position_at(t0)
+
 
 class TestParsing:
     def test_full_dict(self):
@@ -249,6 +255,10 @@ class TestValidationMessages:
                 lambda r: r["algorithms"].append("mplf-nfp"),
                 "algorithms[2]: repeats algorithms[0]",
             ),
+            (
+                lambda r: (r["stations"][0].update(ei="rover"), r["stations"][1].update(ei="RVR")),
+                "stations[0].ei: 'rover' is the name of stations[1]",
+            ),
         ],
         ids=[
             "ei-int",
@@ -268,6 +278,7 @@ class TestValidationMessages:
             "elevation-inf",
             "repeat-connection",
             "repeat-algorithm",
+            "ei-is-another-name",
         ],
     )
     def test_bad_value_names_field(self, mutate, needle, tmp_path):
