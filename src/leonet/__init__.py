@@ -22,7 +22,7 @@ from .geometry import (
     link_equator_angle,
 )
 from .harness import ExperimentResult, analyze_rows, run_experiment
-from .metrics import path_evolution, path_independence, stretch
+from .metrics import path_evolution, path_independence
 from .routing import (
     ALGORITHMS,
     LocationTable,
@@ -31,8 +31,6 @@ from .routing import (
     PathSet,
     bellman_ford,
     enumerate_paths,
-    forward_cpi,
-    forward_nfp,
     ler_encapsulate,
     trace_path,
 )
@@ -82,8 +80,6 @@ __all__ = [
     "eci_to_ecef",
     "elevation_angle",
     "enumerate_paths",
-    "forward_cpi",
-    "forward_nfp",
     "geodesic_distance",
     "geodetic_to_ecef",
     "ler_encapsulate",
@@ -94,6 +90,5 @@ __all__ = [
     "path_independence",
     "run_experiment",
     "snapshot",
-    "stretch",
     "trace_path",
 ]

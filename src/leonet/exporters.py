@@ -132,8 +132,9 @@ def write_paths_csv(rows: Sequence[PathLogRow], path: FsPath) -> None:
 
 
 def read_paths_csv(path: FsPath) -> list[PathLogRow]:
-    """Read a path log; a malformed row raises PathLogError with its number,
-    and a header that lacks a column (an empty file has none) with row 0."""
+    """Read a path log; a malformed row, or one with more cells than the
+    header, raises PathLogError with its number, and a header that lacks a
+    column (an empty file has none) with row 0."""
     rows: list[PathLogRow] = []
     parsers = [(c, parse) for c, (_, parse) in _PATH_LOG.items()]
     with path.open(newline="") as fh:
@@ -145,6 +146,8 @@ def read_paths_csv(path: FsPath) -> list[PathLogRow]:
             missing = [c for c in _PATH_LOG if rec.get(c) is None]
             if missing:
                 raise PathLogError(n, f"missing column(s) {', '.join(missing)}")
+            if None in rec:  # DictReader files the cells beyond the header here
+                raise PathLogError(n, f"{len(rec[None])} cell(s) beyond the header")
             try:
                 rows.append(PathLogRow(**{c: parse(rec[c]) for c, parse in parsers}))
             except ValueError as exc:

@@ -282,11 +282,12 @@ def index_path_log(
     """Each path-log row with its (stamp index, path-set index).
 
     A row whose stamp, connection, algorithm or hop ids do not fit the
-    scenario, whose status, hops or src_sat are not those of a traced path,
-    whose latency is not finite and non-negative, whose consecutive hops are
-    not a link of the scenario's template, or that repeats a greedy set's
-    source satellite or a baseline set's (source, end) satellite pair, raises
-    PathLogError with its 1-based number.
+    scenario, whose status, hops or src_sat are not those of a traced path (a
+    baseline path is always delivered), whose latency is not finite and
+    non-negative, whose consecutive hops are not a link of the scenario's
+    template, or that repeats a greedy set's source satellite or a baseline
+    set's (source, end) satellite pair, raises PathLogError with its 1-based
+    number.
     """
     index_of = {t: i for i, t in enumerate(scenario.time.stamps())}
     eis = [st.ei for st in scenario.stations]
@@ -316,6 +317,8 @@ def index_path_log(
                 )
         if r.status not in STATUSES:
             raise PathLogError(n, f"status {r.status!r} is not one of {', '.join(STATUSES)}")
+        if r.status != "delivered" and r.algorithm not in _MPLF_ALGOS:
+            raise PathLogError(n, f"status {r.status!r}: {r.algorithm} paths are never dropped")
         if not 0.0 <= r.latency_ms < np.inf:
             raise PathLogError(n, f"latency_ms {r.latency_ms} is not finite and non-negative")
         if r.hops != len(r.hop_list) - 1:

@@ -6,6 +6,10 @@ routing failure, and is reported separately as an invalid stamp); a series'
 reachable probability is the mean of its psi. A stamp is "valid" for
 latency/hop/diversity statistics when both stations are covered and at least
 one path was delivered. Edge-link lengths count toward latency and stretch.
+make_stamp_stats is the only stretch: each delivered path's total length over
+the stations' great circle, None for coincident stations. summarize rolls
+latency and hops up by one rule over the valid stamps: the global minimum,
+the mean of the per-stamp means and the global maximum.
 The per-stamp CDF tables are written from the series by the exporters.
 """
 
@@ -25,7 +29,7 @@ from .geometry import (
 )
 
 if TYPE_CHECKING:
-    from .routing import Path, PathSet
+    from .routing import PathSet
 
 # reference propagation speed for the geodesic yardstick: two thirds of c,
 # the usual fiber-optic figure
@@ -56,19 +60,6 @@ def path_evolution(before: np.ndarray, after: np.ndarray) -> int:
     each given as its distinct ids (PathSet.vertices)."""
     both = np.sort(np.concatenate((before, after)))
     return both.size - 2 * int(np.count_nonzero(both[1:] == both[:-1]))
-
-
-def stretch(path: Path, src: GeodeticPoint, dst: GeodeticPoint) -> float:
-    """Traveled length (edge links included) over the station great-circle.
-
-    Only meaningful for delivered paths and distinct station positions.
-    """
-    if not path.delivered:
-        raise ValueError("stretch is defined for delivered paths only")
-    geo = geodesic_distance(src, dst)
-    if geo == 0.0:
-        raise ValueError("coincident stations have no stretch")
-    return path.total_km / geo
 
 
 def geodesic_reference_latency_ms(geodesic_km: float) -> float:
@@ -174,33 +165,14 @@ class SeriesStats:
     maximum: float
 
 
-def _series_stats(mins: list[float], avgs: list[float], maxs: list[float]) -> SeriesStats:
+def _series_stats(valid: tuple[StampStats, ...], *fields: str) -> SeriesStats | None:
+    """One quantity over the valid stamps, read as floats from its (min, avg,
+    max) StampStats fields: the global min, the mean of the per-stamp means
+    and the global max; None if no stamp is valid."""
+    if not valid:
+        return None
+    mins, avgs, maxs = ([float(getattr(s, f)) for s in valid] for f in fields)
     return SeriesStats(min(mins), sum(avgs) / len(avgs), max(maxs))
-
-
-def latency_stats(series: ConnectionSeries) -> SeriesStats:
-    """Latency summary over valid stamps: global min/max and the mean of
-    per-stamp means. All-invalid series are rejected."""
-    valid = series.valid_stamps()
-    if not valid:
-        raise ValueError("series has no valid stamps")
-    return _series_stats(
-        [s.latency_min_ms for s in valid],
-        [s.latency_avg_ms for s in valid],
-        [s.latency_max_ms for s in valid],
-    )
-
-
-def hop_stats(series: ConnectionSeries) -> SeriesStats:
-    """Hop-count summary over valid stamps, same shape as latency_stats."""
-    valid = series.valid_stamps()
-    if not valid:
-        raise ValueError("series has no valid stamps")
-    return _series_stats(
-        [float(s.hops_min) for s in valid],
-        [float(s.hops_avg) for s in valid],
-        [float(s.hops_max) for s in valid],
-    )
 
 
 @dataclass(frozen=True)
@@ -235,8 +207,8 @@ def summarize(series: ConnectionSeries) -> ConnectionSummary:
         n_valid=len(valid),
         n_invalid=len(series.stamps) - len(valid),
         reachable_probability=(sum(psis) / len(psis)) if psis else None,
-        latency=latency_stats(series) if valid else None,
-        hops=hop_stats(series) if valid else None,
+        latency=_series_stats(valid, "latency_min_ms", "latency_avg_ms", "latency_max_ms"),
+        hops=_series_stats(valid, "hops_min", "hops_avg", "hops_max"),
         gamma_median=statistics.median(gammas) if gammas else None,
         stretch_max=max(stretches) if stretches else None,
         frac_changes_le_20=(

@@ -13,10 +13,10 @@ Neither rule requires progress; a relay that would hand the packet straight
 back drops it instead, and a relay with no neighbors drops it as a dead end.
 
 All greedy traces of a stamp, over every connection, source satellite and
-rule, run in one lockstep kernel (trace_lockstep): each step advances every
-live trace by one hop, ranking the padded neighbor rows of the template's
-adjacency table together. One decision (forward_cpi, forward_nfp) is a
-batch of one under the same rule. Routing keeps no run state: the candidate
+rule, run in one lockstep kernel (trace_lockstep), the only implementation of
+the per-hop rule: each step advances every live trace by one hop, ranking
+the padded neighbor rows of the template's adjacency table together.
+trace_path is its batch of one. Routing keeps no run state: the candidate
 count of every decision follows from the traced paths (decision_counts).
 
 Baselines are exact shortest paths over the satellite graph under a latency
@@ -145,16 +145,6 @@ def record_delivery(table: LocationTable, header: MplfHeader, epoch: datetime) -
 # -- per-hop decisions -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Next:
-    neighbor: int
-
-
-@dataclass(frozen=True)
-class Drop:
-    reason: str
-
-
 @dataclass
 class DecisionStats:
     """The number of candidate evaluations per forwarding decision."""
@@ -196,66 +186,6 @@ def _keys(
         key[nfp] = np.linalg.norm(cand[nfp] - dest[nfp][:, None], axis=-1)
     key[~real] = np.inf
     return key
-
-
-def _forward(
-    nfp: bool,
-    current_pos: np.ndarray,
-    prev: int | None,
-    dest_pos: np.ndarray,
-    neighbor_ids: Sequence[int] | np.ndarray,
-    neighbor_pos: np.ndarray,
-) -> Next | Drop:
-    """One decision, as a batch of one with the candidates in ascending id
-    order."""
-    ids = np.asarray(neighbor_ids, dtype=np.int64)
-    if ids.size == 0:
-        return Drop(DROP_DEAD_END)
-    order = np.argsort(ids, kind="stable")
-    key = _keys(
-        np.array([nfp]),
-        np.asarray(current_pos, dtype=float)[None],
-        np.asarray(dest_pos, dtype=float)[None],
-        np.asarray(neighbor_pos, dtype=float)[order][None],
-        np.ones((1, ids.size), dtype=bool),
-    )
-    chosen = int(ids[order[key.argmin()]])
-    if prev is not None and chosen == prev:
-        return Drop(DROP_LOOP)
-    return Next(chosen)
-
-
-def forward_cpi(
-    current_pos: np.ndarray,
-    prev: int | None,
-    dest_pos: np.ndarray,
-    neighbor_ids: Sequence[int] | np.ndarray,
-    neighbor_pos: np.ndarray,
-) -> Next | Drop:
-    """Pick the neighbor whose direction is most aligned with the destination.
-
-    Alignment is the cosine between the neighbor displacement and the
-    destination bearing from the current node. Equal cosines resolve to the
-    lowest id. Handing the packet back to the previous relay is a loop drop;
-    an empty candidate set is a dead end.
-    """
-    return _forward(False, current_pos, prev, dest_pos, neighbor_ids, neighbor_pos)
-
-
-def forward_nfp(
-    current_pos: np.ndarray,
-    prev: int | None,
-    dest_pos: np.ndarray,
-    neighbor_ids: Sequence[int] | np.ndarray,
-    neighbor_pos: np.ndarray,
-) -> Next | Drop:
-    """Pick the neighbor spatially closest to the destination.
-
-    Pure greedy minimum over the candidate set; the current node's own
-    distance plays no role. Ties resolve to the lowest id; returning to the
-    previous relay is a loop drop, an empty candidate set a dead end.
-    """
-    return _forward(True, current_pos, prev, dest_pos, neighbor_ids, neighbor_pos)
 
 
 # -- paths -------------------------------------------------------------------
@@ -375,11 +305,13 @@ def trace_lockstep(
 
     Trace i leaves satellite src_sats[i] under strategies[i], aims at
     dest_pos[i] and is delivered at a satellite that sees the station with
-    index dest_stations[i]. Every step applies trace_path's rule to all live
-    traces at once: delivery, then the hop cap, the dead end, the decision
-    and the loop drop. A trace's legs are the snapshot's slot lengths.
-    Memory grows with the hops taken, not with the hop cap. Returns the
-    traces' Routes in batch order.
+    index dest_stations[i]. Every step applies the per-hop rule to all live
+    traces at once: delivery; a dead end at the hop cap max_hops (default
+    4 * (sats_per_plane + planes)) or at a satellite with no neighbor; the
+    neighbor of least _keys key, the lowest id among equals; a loop drop if
+    that is the previous relay. Coincident nodes raise ValueError. A trace's
+    legs are the snapshot's slot lengths. Memory grows with the hops taken,
+    not with the hop cap. Returns the traces' Routes in batch order.
     """
     for s in strategies:
         if s not in (STRATEGY_CPI, STRATEGY_NFP):
@@ -435,13 +367,9 @@ def trace_path(
 ) -> Path:
     """Run one greedy trace from an ingress satellite toward a station.
 
-    At every relay the station association is checked first (delivery), then
-    the per-hop rule picks the next relay. The hop count is capped at
-    max_hops (default 4 * (sats_per_plane + planes)); exceeding it drops the
-    packet as a dead end. dest_pos overrides the destination coordinates,
-    e.g. with the frozen header address; it defaults to the station's
-    current inertial position. Leg and delivery-link lengths are the
-    snapshot's. This is the batch-of-one case of trace_lockstep.
+    dest_pos overrides the destination coordinates, e.g. with the frozen
+    header address; it defaults to the station's current inertial position.
+    This is the batch-of-one case of trace_lockstep, whose rule it follows.
     """
     dst_idx = snap.station_index(dest_station)
     if dest_pos is None:
@@ -678,7 +606,6 @@ def stamp_path_sets(
     snap: Snapshot,
     algorithms: Sequence[str],
     connections: Sequence[tuple[str | int, str | int]],
-    max_hops: int | None = None,
 ) -> list[PathSet]:
     """The path sets of every (source, destination) station pair under every
     algorithm at one stamp, connection-major, algorithm-minor.
@@ -706,7 +633,7 @@ def stamp_path_sets(
             for si, di, algo in greedy
             for s, up in zip(sats[si].tolist(), lengths[si].tolist())
         ))
-        r = trace_lockstep(snap, rules, srcs, dests, snap.station_positions[list(dests)], max_hops)
+        r = trace_lockstep(snap, rules, srcs, dests, snap.station_positions[list(dests)])
         counts = [sats[si].size for si, _, _ in greedy]
         columns.update(zip(greedy, _path_columns(r, np.array(up), counts)))
     for algo in (a for a in algorithms if a in _WEIGHT_OF and live):
@@ -728,7 +655,6 @@ def enumerate_paths(
     algorithm: str,
     src_station: str | int,
     dst_station: str | int,
-    max_hops: int | None = None,
 ) -> PathSet:
     """All equal-role paths between two stations under one algorithm.
 
@@ -738,4 +664,4 @@ def enumerate_paths(
     product of the two association counts. An uncovered endpoint yields an
     empty set. This is the one-connection case of stamp_path_sets.
     """
-    return stamp_path_sets(snap, [algorithm], [(src_station, dst_station)], max_hops)[0]
+    return stamp_path_sets(snap, [algorithm], [(src_station, dst_station)])[0]

@@ -101,6 +101,13 @@ def repeat_first(algorithm):
     return rows
 
 
+def dropped_baseline(log):
+    """A case built from the log: the first sp row logged as a loop drop,
+    between the rows around it."""
+    i = next(i for i, r in enumerate(log) if r.algorithm == "sp")
+    return [log[i - 1], dataclasses.replace(log[i], status="dropped:loop"), log[i + 1]]
+
+
 def failing_at(stamp):
     """harness.snapshot, raising RuntimeError('injected') at one stamp."""
     real_snapshot = harness.snapshot
@@ -390,6 +397,11 @@ class TestAnalyzeRows:
                 repeat_first("mplf-cpi"), "repeats the mplf-cpi path of row 1", id="repeat-greedy"
             ),
             pytest.param(repeat_first("sp"), "repeats the sp path of row 1", id="repeat-baseline"),
+            pytest.param(
+                dropped_baseline,
+                "status 'dropped:loop': sp paths are never dropped",
+                id="dropped-baseline",
+            ),
             *LATENCY_CASES,
         ],
         # a one-field case keeps the "field-value-message" id it has always had
@@ -529,6 +541,22 @@ class TestPathsCsv:
         g.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines[:2]) + "\n")
         with pytest.raises(PathLogError, match="path log row 0: missing column.s. status"):
             read_paths_csv(g)
+
+    def test_extra_cells_name_their_row(self, tiny_result, tiny_file, tmp_path, capsys):
+        f = tmp_path / "paths.csv"
+        write_paths_csv(tiny_result.path_rows[:3], f)
+        lines = f.read_text().splitlines()
+        lines[2] += ",999,junk"
+        f.write_text("\n".join(lines) + "\n")
+        with pytest.raises(PathLogError, match="path log row 2: 2 cell.s. beyond the header"):
+            read_paths_csv(f)
+        out = tmp_path / "out"
+        common = ["--scenario", str(tiny_file), "--paths", str(f), "--out", str(out)]
+        assert main(["analyze", *common]) == 1
+        assert main(["export", *common, "--format", "geojson"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("error: path log row 2: ") for line in err)
+        assert not (out / "metrics.csv").exists() and not (out / "paths.geojson").exists()
 
 
 # metrics.csv columns after t and the connection, all StampStats attributes
@@ -812,6 +840,7 @@ class TestGeojson:
             (NON_LINK, "hops 4 and 30 are not linked in the template"),
             (repeat_first("mplf-cpi"), "repeats the mplf-cpi path of row 1"),
             (repeat_first("sp"), "repeats the sp path of row 1"),
+            (dropped_baseline, "status 'dropped:loop': sp paths are never dropped"),
             *LATENCY_CASES,
         ],
         ids=[
@@ -826,6 +855,7 @@ class TestGeojson:
             "non-link",
             "repeat-greedy",
             "repeat-baseline",
+            "dropped-baseline",
             *(case.id for case in LATENCY_CASES),
         ],
     )

@@ -21,12 +21,9 @@ from leonet.metrics import (
     FIBER_SPEED_KM_PER_S,
     ConnectionSeries,
     geodesic_reference_latency_ms,
-    hop_stats,
-    latency_stats,
     make_stamp_stats,
     path_evolution,
     path_independence,
-    stretch,
     summarize,
 )
 
@@ -165,23 +162,12 @@ DST = GeodeticPoint(0.0, 90.0, 0.0)
 
 
 class TestStretch:
-    def test_travel_over_geodesic(self):
-        p = path(1, 2, up_km=500.0, down_km=500.0, isl_km_each=9007.543898280421)
-        # total = 500 + 9007.54... + 500; geodesic = quarter circumference
-        assert stretch(p, SRC, DST) == pytest.approx(p.total_km / QUARTER)
-
-    def test_bent_pipe_closed_form(self):
-        p = path(3, up_km=700.0, down_km=800.0)
-        assert stretch(p, SRC, DST) == pytest.approx(1500.0 / QUARTER)
-
-    def test_undelivered_rejected(self):
-        p = path(1, 2, status="dropped")
-        with pytest.raises(ValueError):
-            stretch(p, SRC, DST)
-
-    def test_coincident_stations_rejected(self):
-        with pytest.raises(ValueError):
-            stretch(path(1, 2), SRC, SRC)
+    def test_coincident_stations_have_no_stretch(self):
+        paths = path_set([path(1, 2, up_km=500, down_km=500), path(3, up_km=600, down_km=600)])
+        row = make_stamp_stats(EPOCH, True, True, paths, SRC, SRC)
+        assert row.valid and row.n_paths == 2 and row.geodesic_km == 0.0
+        assert (row.stretch_min, row.stretch_avg, row.stretch_max) == (None, None, None)
+        assert summarize(ConnectionSeries("a", "a", "sp", (row,))).stretch_max is None
 
     def test_reference_latency_uses_fiber_speed(self):
         assert FIBER_SPEED_KM_PER_S == pytest.approx(2.0 * SPEED_OF_LIGHT_KM_PER_S / 3.0)
@@ -275,23 +261,29 @@ class TestSeries:
         assert len(series.valid_stamps()) == 2
 
     def test_latency_stats_pool_valid_stamps(self):
-        stats = latency_stats(make_series())
+        stats = summarize(make_series()).latency
         ms = 1000.0 / SPEED_OF_LIGHT_KM_PER_S
         assert stats.minimum == pytest.approx(3000 * ms)
         assert stats.average == pytest.approx(4000 * ms)
         assert stats.maximum == pytest.approx(5000 * ms)
 
     def test_hop_stats_pool_valid_stamps(self):
-        stats = hop_stats(make_series())
+        series = make_series()
+        stats = summarize(series).hops
         assert (stats.minimum, stats.average, stats.maximum) == (1.0, 1.0, 1.0)
+        # a third valid stamp, of 1 and 3 hops, moves all three
+        t = EPOCH + timedelta(seconds=40)
+        more = make_stamp_stats(t, True, True, path_set([path(4, 5), path(6, 7, 8, 9)]), SRC, DST)
+        stats = summarize(replace(series, stamps=(*series.stamps, more))).hops
+        assert (stats.minimum, stats.average, stats.maximum) == (1.0, 4 / 3, 3.0)
+        # hops roll up as floats, like latency
+        assert [type(v) for v in (stats.minimum, stats.average, stats.maximum)] == [float] * 3
 
-    def test_all_invalid_series_rejected(self):
+    def test_all_invalid_covered_series_has_no_latency_or_hops(self):
         rows = [make_stamp_stats(EPOCH, True, True, path_set([]), SRC, DST)]
-        series = ConnectionSeries("a", "b", "sp", tuple(rows))
-        with pytest.raises(ValueError):
-            latency_stats(series)
-        with pytest.raises(ValueError):
-            hop_stats(series)
+        s = summarize(ConnectionSeries("a", "b", "sp", tuple(rows)))
+        assert s.n_valid == 0 and s.reachable_probability == 0.0
+        assert s.latency is None and s.hops is None
 
     def test_summary_rollup(self):
         s = summarize(make_series())

@@ -13,6 +13,7 @@ import heapq
 import math
 import random
 from collections import deque
+from dataclasses import dataclass
 from datetime import timedelta
 
 import numpy as np
@@ -31,9 +32,7 @@ from leonet.routing import (
     ALGORITHMS,
     DROP_DEAD_END,
     DROP_LOOP,
-    Drop,
     LocationTable,
-    Next,
     STATUSES,
     Path,
     UnknownEquipmentError,
@@ -47,8 +46,6 @@ from leonet.routing import (
     decision_counts,
     default_max_hops,
     enumerate_paths,
-    forward_cpi,
-    forward_nfp,
     ler_encapsulate,
     record_delivery,
     stamp_path_sets,
@@ -123,46 +120,66 @@ def set_columns(ps):
     return tuple(c.tolist() for c in (ps.sats, ps.starts, ps.end, ps.total_km, ps.latency_ms))
 
 
+NOWHERE = ground("nowhere", 0.0, 180.0)  # sees none of the satellites near P
+
+
+def decide(rule, neighbors, dest, prev=None):
+    """The path of one forwarding decision at satellite 0 (at P), whose
+    neighbors are satellites 1, 2, ... at the given positions, toward dest
+    with no station in sight. The trace leaves 0 with a one-hop cap; with
+    prev, it leaves that neighbor, whose lone link leads to 0, with a cap of
+    two, so 0 decides with prev as its previous relay."""
+    pairs = [(0, k) for k in range(1, len(neighbors) + 1)]
+    snap = synthetic([P, *neighbors], pairs, stations=(NOWHERE,))
+    src, cap = (0, 1) if prev is None else (prev, 2)
+    return as_paths(trace_lockstep(snap, [rule], [src], [0], np.array([dest]), cap))[0]
+
+
 class TestForwardRules:
+    """Single decisions, each traced by trace_lockstep on a synthetic star."""
+
     def test_cpi_picks_best_aligned(self):
         dest = P + [0.0, 1000.0, 0.0]
-        ids = [5, 7, 9]
-        pos = np.array([P + [0, 100, 0], P + [0, 0, 100], P + [0, -100, 0]])
-        assert forward_cpi(P, None, dest, ids, pos) == Next(5)
+        pos = [P + [0, 0, 100], P + [0, -100, 0], P + [0, 100, 0]]
+        assert decide("cpi", pos, dest).sats == (0, 3)
 
     def test_cpi_tie_resolves_to_lowest_id(self):
         dest = P + [0.0, 1000.0, 0.0]
         # mirrored offsets have identical alignment with the +y bearing
-        pos = np.array([P + [0, 100, 100], P + [0, 100, -100]])
-        assert forward_cpi(P, None, dest, [9, 3], pos) == Next(3)
+        pos = [P + [0, 100, 100], P + [0, 100, -100]]
+        assert decide("cpi", pos, dest).sats == decide("cpi", pos[::-1], dest).sats == (0, 1)
 
     def test_nfp_picks_nearest_to_destination(self):
         dest = P + [0.0, 1000.0, 0.0]
-        pos = np.array([P + [0, 300, 0], P + [0, 600, 0], P + [0, -50, 0]])
-        assert forward_nfp(P, None, dest, [4, 6, 8], pos) == Next(6)
+        pos = [P + [0, 300, 0], P + [0, 600, 0], P + [0, -50, 0]]
+        assert decide("nfp", pos, dest).sats == (0, 2)
 
     def test_nfp_tie_resolves_to_lowest_id(self):
         dest = P + [0.0, 1000.0, 0.0]
-        pos = np.array([P + [0, 900, 0], P + [0, 1100, 0]])
-        assert forward_nfp(P, None, dest, [12, 2], pos) == Next(2)
+        pos = [P + [0, 900, 0], P + [0, 1100, 0]]
+        assert decide("nfp", pos, dest).sats == decide("nfp", pos[::-1], dest).sats == (0, 1)
 
-    @pytest.mark.parametrize("rule", [forward_cpi, forward_nfp])
+    @pytest.mark.parametrize("rule", ["cpi", "nfp"])
     def test_empty_candidates_is_dead_end(self, rule):
-        out = rule(P, None, P + [0, 1000, 0], [], np.zeros((0, 3)))
-        assert out == Drop(DROP_DEAD_END)
+        # satellite 0 has no link; 1 and 2 only link each other
+        snap = synthetic([P, P + [0, 100, 0], P + [0, 200, 0]], [(1, 2)], stations=(NOWHERE,))
+        (p,) = as_paths(trace_lockstep(snap, [rule], [0], [0], np.array([FAR])))
+        assert (p.sats, p.status, p.drop_reason) == ((0,), "dropped", DROP_DEAD_END)
 
-    @pytest.mark.parametrize("rule", [forward_cpi, forward_nfp])
+    @pytest.mark.parametrize("rule", ["cpi", "nfp"])
     def test_handing_back_is_loop_drop(self, rule):
         dest = P + [0.0, 1000.0, 0.0]
-        pos = np.array([P + [0, 100, 0]])
-        assert rule(P, 5, dest, [5], pos) == Drop(DROP_LOOP)
-        assert rule(P, 6, dest, [5], pos) == Next(5)
+        pos = [P + [0, 100, 0], P + [0, -100, 0]]
+        back = decide(rule, pos, dest, prev=1)
+        assert (back.sats, back.drop_reason) == ((1, 0), DROP_LOOP)
+        on = decide(rule, pos, dest, prev=2)
+        assert (on.sats, on.drop_reason) == ((2, 0, 1), DROP_DEAD_END)  # the hop cap
 
     def test_cpi_rejects_coincident_nodes(self):
-        with pytest.raises(ValueError):
-            forward_cpi(P, None, P, [1], np.array([P + [0, 100, 0]]))
-        with pytest.raises(ValueError):
-            forward_cpi(P, None, P + [0, 1000, 0], [1], np.array([P]))
+        with pytest.raises(ValueError, match="coincident"):
+            decide("cpi", [P + [0, 100, 0]], P)
+        with pytest.raises(ValueError, match="coincident"):
+            decide("cpi", [P], P + [0, 1000, 0])
 
 
 class TestLocationTable:
@@ -255,9 +272,7 @@ def chain_snapshot(pairs=((0, 1), (1, 2), (2, 3))):
     """Four sats along +y; 'hub' sees the middle two at 70 deg, 'nowhere'
     sits on the far side of Earth and sees nothing."""
     positions = [P + [0, -300, 0], P + [0, -100, 0], P + [0, 100, 0], P + [0, 300, 0]]
-    hub = ground("hub", 0.0, 0.0)
-    nowhere = ground("nowhere", 0.0, 180.0)
-    return synthetic(positions, pairs, stations=(hub, nowhere))
+    return synthetic(positions, pairs, stations=(ground("hub", 0.0, 0.0), NOWHERE))
 
 
 FAR = P + [0.0, 10000.0, 0.0]
@@ -842,6 +857,16 @@ class TestBaselinesExact:
 
 
 # -- the lockstep kernel against the per-hop loop it replaced --------------------
+
+
+@dataclass(frozen=True)
+class Next:
+    neighbor: int
+
+
+@dataclass(frozen=True)
+class Drop:
+    reason: str
 
 
 def _reference_forward(strategy, current_pos, prev, dest_pos, ids, neighbor_pos, counts):
