@@ -3,8 +3,6 @@
 from .constellation import (
     ConstellationConfig,
     Constellation,
-    EciState,
-    SatelliteId,
     TimeGrid,
     build_walker,
     max_phase_factor,
@@ -37,7 +35,6 @@ from .routing import (
 from .scenario import Scenario, Trajectory, load_scenario
 from .topology import (
     IslPattern,
-    Link,
     Snapshot,
     Station,
     build_persistent_isls,
@@ -54,16 +51,13 @@ __all__ = [
     "ConstellationConfig",
     "EARTH_RADIUS_KM",
     "EARTH_ROTATION_RAD_PER_S",
-    "EciState",
     "ExperimentResult",
     "GeodeticPoint",
     "IslPattern",
-    "Link",
     "LocationTable",
     "MplfHeader",
     "Path",
     "PathSet",
-    "SatelliteId",
     "Scenario",
     "Snapshot",
     "SPEED_OF_LIGHT_KM_PER_S",

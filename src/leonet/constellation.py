@@ -80,23 +80,6 @@ class ConstellationConfig:
 
 
 @dataclass(frozen=True)
-class SatelliteId:
-    """Plane index and in-plane slot index, both zero-based."""
-
-    plane: int
-    slot: int
-
-
-@dataclass(frozen=True)
-class EciState:
-    """Inertial position/velocity (km, km/s) at a UTC instant."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    time: datetime
-
-
-@dataclass(frozen=True)
 class TimeGrid:
     """Uniform UTC sampling grid: start, positive step, stamp count."""
 
@@ -123,6 +106,8 @@ class Constellation:
     """A propagatable Walker delta shell.
 
     Satellites are indexed plane-major: index = plane * sats_per_plane + slot.
+    The state of satellite idx at t is row idx of positions_at(t) and
+    velocities_at(t).
     """
 
     config: ConstellationConfig
@@ -156,12 +141,6 @@ class Constellation:
     def sat_count(self) -> int:
         return self.config.total_sats
 
-    def index_of(self, sat: SatelliteId) -> int:
-        cfg = self.config
-        if not (0 <= sat.plane < cfg.planes and 0 <= sat.slot < cfg.sats_per_plane):
-            raise ValueError(f"satellite {sat} outside the shell")
-        return sat.plane * cfg.sats_per_plane + sat.slot
-
     def _arg_lat(self, t: datetime) -> np.ndarray:
         dt = elapsed_seconds(t, self.config.epoch)
         return self._u0 + self.config.mean_motion_rad_per_s * dt
@@ -177,14 +156,6 @@ class Constellation:
         u = self._arg_lat(t)
         va = self.config.semi_major_axis_km * self.config.mean_motion_rad_per_s
         return va * (-np.sin(u)[:, None] * self._p_axis + np.cos(u)[:, None] * self._q_axis)
-
-    def satellite_state(self, sat: SatelliteId | int, t: datetime) -> EciState:
-        """State of one satellite, row idx of positions_at and velocities_at;
-        accepts a SatelliteId or a flat index."""
-        idx = sat if isinstance(sat, int) else self.index_of(sat)
-        if not 0 <= idx < self.sat_count:
-            raise ValueError(f"satellite index {idx} outside the shell")
-        return EciState(self.positions_at(t)[idx], self.velocities_at(t)[idx], t)
 
 
 def build_walker(config: ConstellationConfig) -> Constellation:

@@ -14,7 +14,7 @@ from datetime import datetime, timezone
 from itertools import chain, repeat
 from operator import attrgetter
 from pathlib import Path as FsPath
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,6 +23,8 @@ from .harness import (
     ExperimentResult,
     PathLogError,
     PathLogRow,
+    _path_sets,
+    check_attachment,
     index_path_log,
     snapshot_at,
 )
@@ -182,31 +184,38 @@ def write_cdf_csv(series: Sequence[ConnectionSeries], quantity: str, path: FsPat
     _write_csv(path, header, chain.from_iterable(map(rows, series)))
 
 
-def _link_rows(ts: str, ends, kinds, lengths: np.ndarray):
-    latencies = link_latency_ms(lengths).tolist()
-    return (
-        [ts, a, b, kind, f"{length:.6f}", f"{latency:.6f}"]
-        for (a, b), kind, length, latency in zip(ends, kinds, lengths.tolist(), latencies)
-    )
+def _links(snap: Snapshot) -> Iterator[tuple[list, Iterable[str], list, list]]:
+    """A snapshot's links in blocks of parallel columns (ends, kinds,
+    lengths_km, latencies_ms): its persistent links in template order,
+    _EDGE_BLOCK at a time, then each station's edge links, station by
+    station. Ends are snapshot node ids; blocks bound the Python lists alive
+    at once."""
+
+    def block(ends: list, kinds: Iterable[str], lengths: np.ndarray):
+        return ends, kinds, lengths.tolist(), link_latency_ms(lengths).tolist()
+
+    for lo in range(0, snap.template.edge_count, _EDGE_BLOCK):
+        part = slice(lo, lo + _EDGE_BLOCK)
+        kinds = [ISL_KIND_NAMES[k] for k in snap.isl_kinds[part].tolist()]
+        yield block(snap.isl_pairs[part].tolist(), kinds, snap.isl_lengths[part])
+    for i, st in enumerate(snap.stations):
+        node = snap.station_node(i)
+        ends = [(s, node) for s in snap.edge_sats[i].tolist()]
+        kind = KIND_GSL if st.kind == "ground" else KIND_MSL
+        yield block(ends, repeat(kind), snap.edge_lengths[i])
 
 
 def write_edges_csv(snapshots: Iterable[Snapshot], path: FsPath) -> None:
-    """One row per link and stamp, in Snapshot.iter_links order, formatted
-    from the snapshot arrays; persistent links go a block at a time, which
-    bounds the Python lists alive at once."""
+    """One row per link and stamp, in _links order."""
 
     def blocks():
         for snap in snapshots:
             ts = _t(snap.t)
-            for lo in range(0, snap.template.edge_count, _EDGE_BLOCK):
-                part = slice(lo, lo + _EDGE_BLOCK)
-                kinds = [ISL_KIND_NAMES[k] for k in snap.isl_kinds[part].tolist()]
-                yield _link_rows(ts, snap.isl_pairs[part].tolist(), kinds, snap.isl_lengths[part])
-            for i, st in enumerate(snap.stations):
-                node = snap.station_node(i)
-                ends = [(s, node) for s in snap.edge_sats[i].tolist()]
-                kind = KIND_GSL if st.kind == "ground" else KIND_MSL
-                yield _link_rows(ts, ends, repeat(kind), snap.edge_lengths[i])
+            for ends, kinds, lengths, latencies in _links(snap):
+                yield (
+                    [ts, a, b, kind, f"{length:.6f}", f"{latency:.6f}"]
+                    for (a, b), kind, length, latency in zip(ends, kinds, lengths, latencies)
+                )
 
     header = ("t", "src", "dst", "kind", "length_km", "latency_ms")
     _write_csv(path, header, chain.from_iterable(blocks()))
@@ -286,14 +295,11 @@ def snapshot_links_geojson(snap: Snapshot) -> dict:
     return _collection(
         _feature(
             "LineString",
-            [_lonlat(snap, link.node_a), _lonlat(snap, link.node_b)],
-            {
-                "kind": link.kind,
-                "length_km": round(link.length_km, 3),
-                "latency_ms": round(link.latency_ms, 6),
-            },
+            [_lonlat(snap, a), _lonlat(snap, b)],
+            {"kind": kind, "length_km": round(length, 3), "latency_ms": round(latency, 6)},
         )
-        for link in snap.iter_links()
+        for ends, kinds, lengths, latencies in _links(snap)
+        for (a, b), kind, length, latency in zip(ends, kinds, lengths, latencies)
     )
 
 
@@ -321,17 +327,18 @@ def path_geojson(snap: Snapshot, row: PathLogRow) -> dict:
 def paths_geojson(scenario: Scenario, rows: Sequence[PathLogRow]) -> dict:
     """All delivered log rows as LineString features. Only the current row's
     snapshot is kept, rebuilt whenever the stamp changes, so its coordinates
-    are dropped with it. A row that does not fit the scenario raises
-    PathLogError."""
+    are dropped with it. A row that does not fit the scenario, or whose ends
+    its stations do not see (check_attachment), raises PathLogError."""
     snapshot_of, template = snapshot_at(scenario)
+    sets = _path_sets(scenario)
     snap: Snapshot | None = None
     feats = []
-    for _, _, r in index_path_log(scenario, rows, template):
-        if r.status != "delivered":
-            continue
+    for n, _, k, r in index_path_log(scenario, rows, template):
         if snap is None or snap.t != r.t:
             snap = snapshot_of(r.t)
-        feats.append(path_geojson(snap, r))
+        check_attachment(snap, sets[k][0], n, r)
+        if r.status == "delivered":
+            feats.append(path_geojson(snap, r))
     return _collection(feats)
 
 

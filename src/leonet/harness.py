@@ -169,6 +169,8 @@ def _stamp(
             if algo in _MPLF_ALGOS:
                 comparisons.extend(decision_counts(snap.template.degree, ps))
         return StampOutcome(t, snap.station_ecef, tuple(stats), tuple(vertices), rows, comparisons)
+    except PathLogError:
+        raise  # a log row that does not fit the scenario fails the whole reanalysis
     except Exception as exc:  # noqa: BLE001 - per-stamp isolation is the contract
         return repr(exc)
 
@@ -278,8 +280,9 @@ def _merge(scenario: Scenario, results: Iterable[StampOutcome | str]) -> Experim
 
 def index_path_log(
     scenario: Scenario, rows: Iterable[PathLogRow], template: IslTemplate
-) -> Iterator[tuple[int, int, PathLogRow]]:
-    """Each path-log row with its (stamp index, path-set index).
+) -> Iterator[tuple[int, int, int, PathLogRow]]:
+    """Each path-log row with its (1-based row number, stamp index, path-set
+    index).
 
     A row whose stamp, connection, algorithm or hop ids do not fit the
     scenario, whose status, hops or src_sat are not those of a traced path (a
@@ -335,7 +338,18 @@ def index_path_log(
         if key in first:
             raise PathLogError(n, f"repeats the {r.algorithm} path of row {first[key]}")
         first[key] = n
-        yield i, k, r
+        yield n, i, k, r
+
+
+def check_attachment(snap: Snapshot, conn: tuple[int, int], n: int, r: PathLogRow) -> None:
+    """Raise PathLogError with row number n unless, in the snapshot of the
+    row's stamp, the source station conn[0] sees the row's first satellite
+    and, for a delivered row, the destination station conn[1] its last."""
+    si, di = conn
+    if r.hop_list[0] not in snap.edge_sats[si].tolist():
+        raise PathLogError(n, f"first hop {r.hop_list[0]} is not in view of {r.src_station}")
+    if r.status == "delivered" and r.hop_list[-1] not in snap.edge_sats[di].tolist():
+        raise PathLogError(n, f"last hop {r.hop_list[-1]} is not in view of {r.dst_station}")
 
 
 def analyze_rows(scenario: Scenario, rows: Iterable[PathLogRow]) -> ExperimentResult:
@@ -343,19 +357,26 @@ def analyze_rows(scenario: Scenario, rows: Iterable[PathLogRow]) -> ExperimentRe
 
     Station coverage and positions are rebuilt from the scenario (a cheap
     topology-only sweep); paths come from the log, and a stamp that raises is
-    listed under failures, as in a run. The series, summaries and location
-    table match the original run to the six-decimal precision of the logged
-    latencies.
+    listed under failures, as in a run. A row that does not fit the scenario
+    (index_path_log), or whose ends its stations do not see in its stamp's
+    snapshot (check_attachment), raises PathLogError. The series, summaries
+    and location table match the original run to the six-decimal precision
+    of the logged latencies.
     """
     snapshot_of, template = snapshot_at(scenario)
     stamps = scenario.time.stamps()
-    grouped: dict[tuple[datetime, int], list[PathLogRow]] = {}
-    for i, k, r in index_path_log(scenario, rows, template):
-        grouped.setdefault((stamps[i], k), []).append(r)
+    grouped: dict[tuple[datetime, int], list[tuple[int, PathLogRow]]] = {}
+    for n, i, k, r in index_path_log(scenario, rows, template):
+        grouped.setdefault((stamps[i], k), []).append((n, r))
 
     sets = _path_sets(scenario)
 
-    def path_set(algo: str, logged: list[PathLogRow]) -> PathSet:
+    def path_set(snap: Snapshot, k: int) -> PathSet:
+        conn, algo = sets[k]
+        numbered = grouped.get((snap.t, k), [])
+        for n, r in numbered:
+            check_attachment(snap, conn, n, r)
+        logged = [r for _, r in numbered]
         if algo in _MPLF_ALGOS:
             logged.sort(key=attrgetter("src_sat"))  # trace order
         starts = np.cumsum([0] + [len(r.hop_list) for r in logged])
@@ -366,6 +387,6 @@ def analyze_rows(scenario: Scenario, rows: Iterable[PathLogRow]) -> ExperimentRe
         return PathSet(sats, starts, end, total, latency)
 
     def path_sets_of(snap: Snapshot) -> list[PathSet]:
-        return [path_set(algo, grouped.get((snap.t, k), [])) for k, (_, algo) in enumerate(sets)]
+        return [path_set(snap, k) for k in range(len(sets))]
 
     return _merge(scenario, map(partial(_stamp, sets, snapshot_of, path_sets_of), stamps))

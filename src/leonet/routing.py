@@ -20,10 +20,15 @@ trace_path is its batch of one. Routing keeps no run state: the candidate
 count of every decision follows from the traced paths (decision_counts).
 
 Baselines are exact shortest paths over the satellite graph under a latency
-or unit (hop) weight. Distances from the sources of all connections of a
-stamp come from one batched frontier relaxation over the template's
-adjacency; a vectorized pass picks each node's lowest-id predecessor, and
-every route follows those pointers back from its end, all in lockstep.
+or unit (hop) weight, one per (source, end) satellite pair; bellman_ford is
+the one-pair case. Distances from the distinct sources of a stamp come from
+one batched frontier relaxation over the template's adjacency; a vectorized
+pass picks each node's lowest-id predecessor, and every route follows those
+pointers back from its end, all in lockstep.
+
+Stations are indices into the snapshot's stations, satellites flat ids; no
+function here takes a name. trace_path, bellman_ford, stamp_path_sets and
+enumerate_paths raise IndexError on an index out of range.
 
 Paths stay in columns from the kernels to the metrics: a PathSet holds its
 paths' satellites end to end with per-path offsets, end codes and totals.
@@ -35,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -242,6 +247,13 @@ def default_max_hops(snap: Snapshot) -> int:
     return 4 * (cfg.sats_per_plane + cfg.planes)
 
 
+def _check_indices(what: str, indices: Iterable[int], count: int) -> None:
+    """Raise IndexError unless every index is in 0..count - 1."""
+    for i in indices:
+        if not 0 <= i < count:
+            raise IndexError(f"{what} index {i} outside 0..{count - 1}")
+
+
 # how a path ends, indexed by its end code, as the path log writes it
 STATUSES = ("delivered", f"dropped:{DROP_DEAD_END}", f"dropped:{DROP_LOOP}")
 _DELIVERED, _DEAD_END, _LOOP = range(len(STATUSES))
@@ -361,21 +373,23 @@ def trace_path(
     snap: Snapshot,
     strategy: str,
     src_sat: int,
-    dest_station: str | int,
+    dest_station: int,
     max_hops: int | None = None,
     dest_pos: np.ndarray | None = None,
 ) -> Path:
-    """Run one greedy trace from an ingress satellite toward a station.
+    """Run one greedy trace from an ingress satellite toward the station with
+    index dest_station.
 
     dest_pos overrides the destination coordinates, e.g. with the frozen
     header address; it defaults to the station's current inertial position.
     This is the batch-of-one case of trace_lockstep, whose rule it follows.
     """
-    dst_idx = snap.station_index(dest_station)
+    _check_indices("satellite", [src_sat], snap.sat_count)
+    _check_indices("station", [dest_station], len(snap.stations))
     if dest_pos is None:
-        dest_pos = snap.station_positions[dst_idx]
+        dest_pos = snap.station_positions[dest_station]
     r = trace_lockstep(
-        snap, [strategy], [src_sat], [dst_idx], np.asarray(dest_pos, dtype=float), max_hops
+        snap, [strategy], [src_sat], [dest_station], np.asarray(dest_pos, dtype=float), max_hops
     )
     status, _, reason = STATUSES[r.end[0]].partition(":")
     down = float(r.down_km[0]) if r.end[0] == _DELIVERED else None
@@ -484,69 +498,42 @@ def _walk_back(
     return _routes(steps[::-1], np.zeros(m, dtype=np.int8), np.zeros(m))
 
 
-def _is_station(snap: Snapshot, node: str | int) -> bool:
-    return isinstance(node, str) or node >= snap.sat_count
-
-
-def _terminal(snap: Snapshot, weight: str, node: str | int) -> tuple[np.ndarray, np.ndarray]:
-    """The satellites a node stands for, with offsets: a satellite itself at
-    0; a station each satellite it sees, at its edge-link length (latency) or 0."""
-    if not _is_station(snap, node):
-        return np.array([node], dtype=np.int64), np.zeros(1)
-    i = snap.station_index(node)
-    offsets = snap.edge_lengths[i] if weight == WEIGHT_LATENCY else np.zeros(len(snap.edge_sats[i]))
-    return snap.edge_sats[i], offsets
-
-
 def _baseline_routes(
-    snap: Snapshot, weight: str, pairs: Sequence[tuple[str | int, str | int]]
+    snap: Snapshot, weight: str, src: np.ndarray, end: np.ndarray
 ) -> tuple[np.ndarray, Routes]:
-    """The indices of the reached (source, destination) node pairs, and their
+    """The indices of the reached (src[i], end[i]) satellite pairs, and their
     exact shortest routes.
 
     One distance and one predecessor pass cover the distinct sources, each a
-    row seeded with its terminal's offsets. A pair ends at the destination
-    satellite of least distance plus offset, the lowest id among equals, if
-    that is finite, and its route walks the predecessors back from there.
+    row seeded at 0. A pair is reached where its end's distance is finite, and
+    its route walks the predecessors back from there.
     """
     w = _slot_weights(snap, weight)
-    rows = {s: r for r, s in enumerate(dict.fromkeys(s for s, _ in pairs))}
-    seeds = np.full((len(rows), snap.sat_count), np.inf)
-    for s, r in rows.items():
-        sats, offsets = _terminal(snap, weight, s)
-        seeds[r, sats] = offsets
+    mark = np.zeros(snap.sat_count, dtype=bool)
+    mark[src] = True
+    sources = np.flatnonzero(mark)
+    row = np.cumsum(mark)[src] - 1  # each pair's source row
+    seeds = np.full((sources.size, snap.sat_count), np.inf)
+    seeds[np.arange(sources.size), sources] = 0.0
     dist = _distances(snap, w, seeds)
-    ends = [_terminal(snap, weight, d) for _, d in pairs]
-    pair = np.repeat(np.arange(len(pairs)), [e.size for e, _ in ends])
-    cand, offsets = (np.concatenate(a) for a in zip(*ends))
-    row = np.array([rows[s] for s, _ in pairs], dtype=np.int64)[pair]
-    key = dist[row, cand] + offsets
-    order = np.lexsort((cand, key, pair))
-    first = order[np.diff(pair[order], prepend=-1) > 0]  # each pair's best candidate
-    first = first[np.isfinite(key[first])]
+    reached = np.flatnonzero(np.isfinite(dist[row, end]))
     pred = _predecessors(snap, w, dist, seeds)
     nbr, lengths = snap.template.nbr.ravel(), snap.slot_lengths.ravel()
-    return pair[first], _walk_back(pred, nbr, lengths, row[first], cand[first])
+    return reached, _walk_back(pred, nbr, lengths, row[reached], end[reached])
 
 
-def bellman_ford(
-    snap: Snapshot, weight: str, src: str | int, dst: str | int
-) -> Path | None:
-    """Exact shortest path between two snapshot nodes, or None if unreachable.
+def bellman_ford(snap: Snapshot, weight: str, src_sat: int, dst_sat: int) -> Path | None:
+    """Exact shortest path between two satellites, or None if unreachable.
 
-    Nodes are satellite indices or stations (EI, name, or node id). Stations
-    act only as terminals: a route never relays through a third station.
     Under the latency weight the cost is propagation delay; under the unit
-    weight it is the satellite hop count. Ties resolve to the lowest node id.
+    weight it is the hop count. Ties resolve to the lowest-id predecessor.
     This is the one-pair case of the batched baselines.
     """
-    reached, r = _baseline_routes(snap, weight, [(src, dst)])
+    _check_indices("satellite", [src_sat, dst_sat], snap.sat_count)
+    reached, r = _baseline_routes(snap, weight, np.array([src_sat]), np.array([dst_sat]))
     if not reached.size:
         return None
-    sats = tuple(r.sats.tolist())
-    up = snap.edge_length(src, sats[0]) if _is_station(snap, src) else None
-    down = snap.edge_length(dst, sats[-1]) if _is_station(snap, dst) else None
-    return Path(sats, tuple(r.legs[1:].tolist()), "delivered", up_km=up, down_km=down)
+    return Path(tuple(r.sats.tolist()), tuple(r.legs[1:].tolist()), "delivered")
 
 
 # -- station-to-station path sets ---------------------------------------------
@@ -605,10 +592,10 @@ _NO_PATHS = (np.zeros(0, np.int64), np.zeros(1, np.int64), np.zeros(0, np.int8),
 def stamp_path_sets(
     snap: Snapshot,
     algorithms: Sequence[str],
-    connections: Sequence[tuple[str | int, str | int]],
+    connections: Sequence[tuple[int, int]],
 ) -> list[PathSet]:
-    """The path sets of every (source, destination) station pair under every
-    algorithm at one stamp, connection-major, algorithm-minor.
+    """The path sets of every (source, destination) station index pair under
+    every algorithm at one stamp, connection-major, algorithm-minor.
 
     Greedy algorithms trace once per source-associated satellite toward the
     destination's inertial position in the snapshot; all traces of the stamp
@@ -621,10 +608,10 @@ def stamp_path_sets(
     for algo in algorithms:
         if algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algo!r}")
-    conns = [(snap.station_index(a), snap.station_index(b)) for a, b in connections]
+    _check_indices("station", [i for conn in connections for i in conn], len(snap.stations))
     sats, lengths = snap.edge_sats, snap.edge_lengths
     # the connections whose endpoints both see a satellite
-    live = [(si, di) for si, di in conns if sats[si].size and sats[di].size]
+    live = [(si, di) for si, di in connections if sats[si].size and sats[di].size]
     columns = {}
     greedy = [(si, di, algo) for si, di in live for algo in algorithms if algo in _STRATEGY_OF]
     if greedy:
@@ -637,26 +624,25 @@ def stamp_path_sets(
         counts = [sats[si].size for si, _, _ in greedy]
         columns.update(zip(greedy, _path_columns(r, np.array(up), counts)))
     for algo in (a for a in algorithms if a in _WEIGHT_OF and live):
-        pairs = [(s, e) for si, di in live for s in sats[si].tolist() for e in sats[di].tolist()]
+        src = np.concatenate([np.repeat(sats[si], sats[di].size) for si, di in live])
+        end = np.concatenate([np.tile(sats[di], sats[si].size) for si, di in live])
         up = np.concatenate([np.repeat(lengths[si], sats[di].size) for si, di in live])
         down = np.concatenate([np.tile(lengths[di], sats[si].size) for si, di in live])
-        hit, r = _baseline_routes(snap, _WEIGHT_OF[algo], pairs)
+        hit, r = _baseline_routes(snap, _WEIGHT_OF[algo], src, end)
         bounds = np.cumsum([0] + [sats[si].size * sats[di].size for si, di in live])
         counts = np.diff(np.searchsorted(hit, bounds)).tolist()
         cut = _path_columns(r._replace(down_km=down[hit]), up[hit], counts)
         columns.update(((si, di, algo), c) for (si, di), c in zip(live, cut))
     return [
-        PathSet(*columns.get((si, di, algo), _NO_PATHS)) for si, di in conns for algo in algorithms
+        PathSet(*columns.get((si, di, algo), _NO_PATHS))
+        for si, di in connections
+        for algo in algorithms
     ]
 
 
-def enumerate_paths(
-    snap: Snapshot,
-    algorithm: str,
-    src_station: str | int,
-    dst_station: str | int,
-) -> PathSet:
-    """All equal-role paths between two stations under one algorithm.
+def enumerate_paths(snap: Snapshot, algorithm: str, src_station: int, dst_station: int) -> PathSet:
+    """All equal-role paths between the stations with indices src_station and
+    dst_station under one algorithm.
 
     Greedy algorithms trace once per source-associated satellite (ascending
     id order). Baselines compute one path per (source-associated,

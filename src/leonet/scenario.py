@@ -37,7 +37,6 @@ from .geometry import (
     geodesic_distance,
     great_circle_point,
     initial_bearing,
-    EARTH_RADIUS_KM,
 )
 from .routing import ALGORITHMS
 from .topology import FixedPosition, IslPattern, Station
@@ -110,12 +109,6 @@ class Scenario:
     algorithms: tuple[str, ...]
     elevation_min_deg: float
     eisl_l_h_km: float | None
-
-    def station(self, name: str) -> Station:
-        for s in self.stations:
-            if s.name == name or s.ei == name:
-                return s
-        raise KeyError(f"no station named {name!r}")
 
 
 def _parse_utc(raw: Any, path: str) -> datetime:
@@ -268,7 +261,7 @@ def scenario_from_dict(root: Any, name: str = "scenario") -> Scenario:
     eis = [s.ei for s in stations]
     if len(set(eis)) != len(eis):
         raise ScenarioError("scenario.stations: station EIs must be unique")
-    for i, ei in enumerate(eis):  # a station is looked up by name or EI
+    for i, ei in enumerate(eis):  # names (connections) and EIs (path log) must not collide
         if ei in names and names.index(ei) != i:
             j = names.index(ei)
             raise ScenarioError(f"stations[{i}].ei: {ei!r} is the name of stations[{j}]")

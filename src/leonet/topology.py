@@ -8,15 +8,17 @@ the double-bias pattern degree 6. Transient crossing-mesh links (between an
 ascending and a descending satellite within an activation radius) are detected
 for statistics only and never enter the routing graph.
 
-Node ids in a snapshot: satellites 0..S-1 (plane-major), stations S..S+G-1.
+A satellite is its flat id 0..S-1 (plane-major), a station its index
+0..G-1 in the snapshot's station tuple, which is scenario order; names and
+EIs are resolved before a snapshot is queried. Node ids (satellites 0..S-1,
+stations S..S+G-1, station_node) appear only in exported link and node lists.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Iterable, Iterator, Protocol
+from typing import Iterable, Protocol
 
 import numpy as np
 
@@ -27,7 +29,6 @@ from .geometry import (
     elevation_angle,
     geodetic_to_ecef,
     link_equator_angle,
-    link_latency_ms,
 )
 
 GRID_PLUS = "+Grid"
@@ -99,20 +100,6 @@ class Station:
         return self.provider.position_at(t)
 
 
-@dataclass(frozen=True)
-class Link:
-    """One undirected link at a stamp; endpoints are snapshot node ids."""
-
-    node_a: int
-    node_b: int
-    kind: str
-    length_km: float
-
-    @property
-    def latency_ms(self) -> float:
-        return float(link_latency_ms(self.length_km))
-
-
 @dataclass(frozen=True, eq=False)
 class IslTemplate:
     """Time-invariant persistent-link edge list (canonical a < b, sorted) over
@@ -164,9 +151,6 @@ class IslTemplate:
     @property
     def edge_count(self) -> int:
         return int(self.pairs.shape[0])
-
-    def kind_name(self, edge: int) -> str:
-        return ISL_KIND_NAMES[int(self.kinds[edge])]
 
 
 def build_persistent_isls(constellation: Constellation, pattern: IslPattern) -> IslTemplate:
@@ -268,62 +252,22 @@ class Snapshot:
 
         # link lengths laid out like the template's adjacency table
         self.slot_lengths = np.append(isl_lengths, np.inf)[template.link]
-        self._ei_index = {s.ei: i for i, s in enumerate(stations)}
-        self._name_index = {s.name: i for i, s in enumerate(stations)}
 
     # -- node id scheme -------------------------------------------------
     @property
     def sat_count(self) -> int:
         return self.constellation.sat_count
 
-    @property
-    def node_count(self) -> int:
-        return self.sat_count + len(self.stations)
-
     def station_node(self, index: int) -> int:
         return self.sat_count + index
 
-    def station_index(self, key: str | int) -> int:
-        """Resolve a station by EI, name, or snapshot node id."""
-        if isinstance(key, int):
-            idx = key - self.sat_count if key >= self.sat_count else key
-            if not 0 <= idx < len(self.stations):
-                raise KeyError(f"no station for node {key}")
-            return idx
-        if key in self._ei_index:
-            return self._ei_index[key]
-        if key in self._name_index:
-            return self._name_index[key]
-        raise KeyError(f"unknown station {key!r}")
-
     # -- queries ---------------------------------------------------------
-    def covered(self, station: str | int) -> bool:
-        return self.edge_sats[self.station_index(station)].size > 0
+    def covered(self, index: int) -> bool:
+        return self.edge_sats[index].size > 0
 
     def neighbors(self, sat: int) -> np.ndarray:
         """Ids of the satellites linked to sat, ascending."""
         return self.template.nbr[sat][self.template.real[sat]]
-
-    def visible_sats(self, station: str | int) -> np.ndarray:
-        return self.edge_sats[self.station_index(station)]
-
-    def edge_length(self, station: str | int, sat: int) -> float:
-        i = self.station_index(station)
-        sats = self.edge_sats[i]
-        k = int(np.searchsorted(sats, sat))
-        if k >= sats.size or sats[k] != sat:
-            raise KeyError(f"station {self.stations[i].ei} has no link to sat {sat}")
-        return float(self.edge_lengths[i][k])
-
-    def iter_links(self) -> Iterator[Link]:
-        for e in range(self.template.edge_count):
-            a, b = self.isl_pairs[e]
-            yield Link(int(a), int(b), self.template.kind_name(e), float(self.isl_lengths[e]))
-        for i, st in enumerate(self.stations):
-            kind = KIND_GSL if st.kind == "ground" else KIND_MSL
-            node = self.station_node(i)
-            for s, ln in zip(self.edge_sats[i], self.edge_lengths[i]):
-                yield Link(int(s), node, kind, float(ln))
 
 
 def snapshot(

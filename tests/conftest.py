@@ -5,9 +5,22 @@ the result together with the wall-clock runtime of the run.
 """
 
 import time
+import warnings
 from pathlib import Path
 
 import pytest
+
+# Hypothesis imports its failure-patch helper only to report a failing
+# property, and that import raises a DeprecationWarning from a dependency
+# (libcst's use of mypy_extensions). Under -W error the warning would crash
+# the session instead of reporting the failure, so the helper is imported
+# once here, with warnings ignored for that import alone.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst: Hypothesis reports without patches
+        pass
 
 from leonet.harness import run_experiment
 from leonet.scenario import load_scenario

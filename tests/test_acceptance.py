@@ -215,7 +215,7 @@ def test_02_greedy_choices_match_exhaustive_oracle():
         )
         src = rng.randrange(n)
         for strategy in (STRATEGY_CPI, STRATEGY_NFP):
-            path = trace_path(snap, strategy, src, "sink", max_hops=4 * n, dest_pos=dest)
+            path = trace_path(snap, strategy, src, 0, max_hops=4 * n, dest_pos=dest)
             sats, reason = _oracle_walk(snap, strategy, src, dest, 4 * n)
             assert list(path.sats) == sats, f"trial {trial} {strategy}"
             assert path.status == "dropped" and path.drop_reason == reason

@@ -10,8 +10,6 @@ from leonet.constellation import (
     MU_EARTH_KM3_PER_S2,
     Constellation,
     ConstellationConfig,
-    EciState,
-    SatelliteId,
     TimeGrid,
     build_walker,
     max_phase_factor,
@@ -148,15 +146,6 @@ class TestPropagation:
             np.testing.assert_allclose(
                 pos[plane * 8], oracle_position(cfg, plane, 0, EPOCH), atol=1e-6
             )
-
-    def test_satellite_state_accepts_id_and_int(self):
-        c = build_walker(make_config(sats=4, planes=3))
-        t = EPOCH + timedelta(seconds=10)
-        by_int = c.satellite_state(5, t)
-        by_id = c.satellite_state(SatelliteId(plane=1, slot=1), t)
-        assert isinstance(by_int, EciState)
-        np.testing.assert_allclose(by_int.position, by_id.position)
-        np.testing.assert_allclose(by_int.velocity, by_id.velocity)
 
     def test_time_before_epoch_rejected(self):
         c = build_walker(make_config())

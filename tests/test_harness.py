@@ -49,8 +49,8 @@ from leonet.routing import (
     stamp_path_sets,
 )
 from leonet.scenario import load_scenario, scenario_from_dict
-from leonet.topology import IslPattern, snapshot
-from leonet.geometry import utc
+from leonet.topology import ISL_KIND_NAMES, IslPattern, snapshot
+from leonet.geometry import link_latency_ms, utc
 from leonet import cli, exporters
 
 from conftest import SCENARIO_DIR
@@ -80,6 +80,27 @@ TINY = {
 
 # a delivered row rewritten to one hop between satellites that share no link
 NON_LINK = {"hop_list": (4, 30), "hops": 1, "src_sat": 4}
+
+# the second row of the tiny log, (4, 12, 20, 19, 27, 26) from a to b, changed
+# so that its stations do not see its ends: a sees satellite 4 only, b sees
+# 26 and 48; a dropped row may end anywhere, but must start where a sees
+ATTACHMENT_CASES = [
+    pytest.param(
+        {"hop_list": (4, 12, 20, 19, 27), "hops": 4},
+        "last hop 27 is not in view of b",
+        id="unseen-end",
+    ),
+    pytest.param(
+        {"hop_list": (12, 20, 19, 27, 26), "hops": 4, "src_sat": 12},
+        "first hop 12 is not in view of a",
+        id="unseen-start",
+    ),
+    pytest.param(
+        {"hop_list": (12, 20), "hops": 1, "src_sat": 12, "status": "dropped:loop"},
+        "first hop 12 is not in view of a",
+        id="unseen-start-dropped",
+    ),
+]
 
 # latencies no traced path has
 LATENCY_CASES = [
@@ -304,7 +325,7 @@ class TestRunExperiment:
             for st, ecef in zip(scn.stations, snap.station_ecef):
                 table.update(st.ei, ecef, t)
                 refreshed.update(st.ei, ecef, t)
-            sets = stamp_path_sets(snap, scn.algorithms, scn.connections)
+            sets = stamp_path_sets(snap, scn.algorithms, harness._connection_indices(scn))
             for ((src, dst), algo), ps in zip(product(scn.connections, scn.algorithms), sets):
                 if algo in ("mplf-cpi", "mplf-nfp") and ps.delivered.any():
                     header = ler_encapsulate(table, src, dst, t, epoch)
@@ -403,6 +424,7 @@ class TestAnalyzeRows:
                 id="dropped-baseline",
             ),
             *LATENCY_CASES,
+            *ATTACHMENT_CASES,
         ],
         # a one-field case keeps the "field-value-message" id it has always had
         ids=lambda case: "-".join(f"{k}-{v}" for k, v in case.items())
@@ -759,7 +781,9 @@ class TestGeojson:
     def test_links_match_snapshot(self):
         snap = self.snap()
         geo = snapshot_links_geojson(snap)
-        assert len(geo["features"]) == sum(1 for _ in snap.iter_links())
+        assert len(geo["features"]) == snap.template.edge_count + sum(
+            s.size for s in snap.edge_sats
+        )
 
     def test_subpoints_converted_once_per_snapshot(self, monkeypatch):
         snap = self.snap()
@@ -799,21 +823,12 @@ class TestGeojson:
 
     def test_dropped_rows_are_not_rendered(self, tiny_result):
         rows = list(tiny_result.path_rows)
-        rows.append(
-            PathLogRow(
-                t=tiny_scenario().time.start,
-                algorithm="mplf-cpi",
-                src_station="a",
-                dst_station="b",
-                src_sat=0,
-                hop_list=(0, 1),
-                latency_ms=5.0,
-                hops=1,
-                status="dropped:loop",
-            )
-        )
+        # the first greedy trace, dropped short of the satellites b sees
+        assert rows[0].algorithm == "mplf-cpi"
+        rows[0] = dataclasses.replace(rows[0], hop_list=rows[0].hop_list[:3], hops=2,
+                                      status="dropped:loop")
         geo = paths_geojson(tiny_scenario(), rows)
-        assert len(geo["features"]) == len(tiny_result.path_rows)
+        assert len(geo["features"]) == len(tiny_result.path_rows) - 1
 
     def test_rows_alternating_between_stamps(self, tiny_result):
         scn = tiny_scenario()
@@ -842,6 +857,7 @@ class TestGeojson:
             (repeat_first("sp"), "repeats the sp path of row 1"),
             (dropped_baseline, "status 'dropped:loop': sp paths are never dropped"),
             *LATENCY_CASES,
+            *ATTACHMENT_CASES,
         ],
         ids=[
             "stamp",
@@ -856,7 +872,7 @@ class TestGeojson:
             "repeat-greedy",
             "repeat-baseline",
             "dropped-baseline",
-            *(case.id for case in LATENCY_CASES),
+            *(case.id for case in LATENCY_CASES + ATTACHMENT_CASES),
         ],
     )
     def test_row_outside_scenario_rejected(self, tiny_result, fields, message):
@@ -883,11 +899,19 @@ class TestEdgesCsv:
         write_edges_csv(snaps, path)
         with path.open(newline="") as fh:
             rows = list(csv.reader(fh))
-        expected = [
-            [_t(s.t), str(k.node_a), str(k.node_b), k.kind, _f(k.length_km), _f(k.latency_ms)]
-            for s in snaps
-            for k in s.iter_links()
-        ]
+        # the persistent links in template order, then each station's edge links
+        expected = []
+        for s in snaps:
+            isls = zip(s.isl_pairs.tolist(), s.isl_kinds.tolist(), s.isl_lengths.tolist())
+            links = [(a, b, ISL_KIND_NAMES[k], ln) for (a, b), k, ln in isls]
+            for i in range(len(s.stations)):
+                node = s.station_node(i)
+                edges = zip(s.edge_sats[i].tolist(), s.edge_lengths[i].tolist())
+                links += [(sat, node, "GSL", ln) for sat, ln in edges]
+            expected += [
+                [_t(s.t), str(a), str(b), kind, _f(ln), _f(link_latency_ms(ln))]
+                for a, b, kind, ln in links
+            ]
         assert rows[0] == ["t", "src", "dst", "kind", "length_km", "latency_ms"]
         assert rows[1:] == expected
         assert {r[3] for r in expected} == {"iISL", "sISL", "GSL"}
@@ -1083,6 +1107,26 @@ class TestCli:
         assert main([*argv, "--format", "geojson"]) != 0
         assert "path log row 2: connection zz->b" in capsys.readouterr().err
         assert not (out / "paths.geojson").exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "export"])
+    def test_row_off_its_stations_fails(self, tiny_file, tmp_path, capsys, command):
+        run_dir, out = tmp_path / "run", tmp_path / "out"
+        main(["simulate", "--scenario", str(tiny_file), "--out", str(run_dir)])
+        log = run_dir / "paths.csv"
+        lines = log.read_text().splitlines()
+        # the second row, cut by its last hop: b does not see satellite 27
+        assert ",4-12-20-19-27-26," in lines[2] and lines[2].endswith(",5,delivered")
+        cut = lines[2].replace(",4-12-20-19-27-26,", ",4-12-20-19-27,")
+        lines[2] = cut.removesuffix(",5,delivered") + ",4,delivered"
+        log.write_text("\n".join(lines) + "\n")
+        argv = [command, "--scenario", str(tiny_file), "--paths", str(log), "--out", str(out)]
+        if command == "export":
+            argv += ["--format", "geojson"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error: path log row 2: last hop 27 is not in view of b" in err
+        assert "failed" not in err  # no stamp failure either
+        assert not any(out.glob("*.*"))
 
     def test_env_var_overrides_out(self, tiny_file, tmp_path, monkeypatch):
         env_dir = tmp_path / "env-out"

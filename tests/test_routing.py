@@ -120,6 +120,11 @@ def set_columns(ps):
     return tuple(c.tolist() for c in (ps.sats, ps.starts, ps.end, ps.total_km, ps.latency_ms))
 
 
+def edge_length(snap, station, sat):
+    """The length of the edge link between a station index and a satellite."""
+    return dict(zip(snap.edge_sats[station].tolist(), snap.edge_lengths[station].tolist()))[sat]
+
+
 NOWHERE = ground("nowhere", 0.0, 180.0)  # sees none of the satellites near P
 
 
@@ -268,9 +273,12 @@ class TestHeaderLifecycle:
             assert np.array_equal(batch, np.array([ecef_to_eci(p, t, EPOCH) for p in ecef]))
 
 
+HUB, AWAY = 0, 1  # the station indices of a chain snapshot
+
+
 def chain_snapshot(pairs=((0, 1), (1, 2), (2, 3))):
-    """Four sats along +y; 'hub' sees the middle two at 70 deg, 'nowhere'
-    sits on the far side of Earth and sees nothing."""
+    """Four sats along +y; 'hub' (station HUB) sees the middle two at 70 deg,
+    'nowhere' (station AWAY) sits on the far side of Earth and sees nothing."""
     positions = [P + [0, -300, 0], P + [0, -100, 0], P + [0, 100, 0], P + [0, 300, 0]]
     return synthetic(positions, pairs, stations=(ground("hub", 0.0, 0.0), NOWHERE))
 
@@ -281,12 +289,12 @@ FAR = P + [0.0, 10000.0, 0.0]
 class TestTracePath:
     def test_association_coverage(self):
         snap = chain_snapshot()
-        assert snap.visible_sats("hub").tolist() == [1, 2]
-        assert snap.visible_sats("nowhere").size == 0
+        assert snap.edge_sats[HUB].tolist() == [1, 2]
+        assert snap.edge_sats[AWAY].size == 0
 
     def test_delivered_after_one_hop(self):
         snap = chain_snapshot()
-        p = trace_path(snap, "nfp", 0, "hub")
+        p = trace_path(snap, "nfp", 0, HUB)
         assert p.delivered
         assert p.sats == (0, 1)
         assert p.isl_lengths_km == (200.0,)
@@ -295,7 +303,7 @@ class TestTracePath:
 
     def test_ingress_satellite_delivers_zero_hops(self):
         snap = chain_snapshot()
-        p = trace_path(snap, "nfp", 1, "hub")
+        p = trace_path(snap, "nfp", 1, HUB)
         assert p.delivered
         assert p.sats == (1,)
         assert p.hops == 0
@@ -304,20 +312,20 @@ class TestTracePath:
     def test_delivery_checked_before_forwarding(self):
         snap = chain_snapshot()
         # greedy would chase the far-away override, association wins first
-        p = trace_path(snap, "nfp", 2, "hub", dest_pos=FAR)
+        p = trace_path(snap, "nfp", 2, HUB, dest_pos=FAR)
         assert p.delivered
         assert p.sats == (2,)
 
     def test_ping_pong_is_loop_drop(self):
         snap = chain_snapshot()
-        p = trace_path(snap, "nfp", 0, "nowhere", dest_pos=P + [0, -250, 0])
+        p = trace_path(snap, "nfp", 0, AWAY, dest_pos=P + [0, -250, 0])
         assert not p.delivered
         assert p.drop_reason == DROP_LOOP
         assert p.sats == (0, 1)
 
     def test_lone_candidate_behind_still_loops(self):
         snap = chain_snapshot()
-        p = trace_path(snap, "cpi", 0, "nowhere", dest_pos=FAR)
+        p = trace_path(snap, "cpi", 0, AWAY, dest_pos=FAR)
         # rides the chain to its end, then the only candidate is the relay
         # it came from
         assert p.sats == (0, 1, 2, 3)
@@ -325,22 +333,25 @@ class TestTracePath:
 
     def test_hop_cap_drops_as_dead_end(self):
         snap = chain_snapshot()
-        p = trace_path(snap, "nfp", 0, "nowhere", dest_pos=FAR, max_hops=2)
+        p = trace_path(snap, "nfp", 0, AWAY, dest_pos=FAR, max_hops=2)
         assert p.sats == (0, 1, 2)
         assert p.drop_reason == DROP_DEAD_END
 
     def test_isolated_ingress_is_dead_end(self):
         snap = chain_snapshot(pairs=((1, 2), (2, 3)))
-        p = trace_path(snap, "nfp", 0, "nowhere", dest_pos=FAR)
+        p = trace_path(snap, "nfp", 0, AWAY, dest_pos=FAR)
         assert p.sats == (0,)
         assert p.drop_reason == DROP_DEAD_END
 
     def test_invalid_arguments(self):
         snap = chain_snapshot()
         with pytest.raises(ValueError):
-            trace_path(snap, "compass", 0, "hub")
+            trace_path(snap, "compass", 0, HUB)
         with pytest.raises(ValueError):
-            trace_path(snap, "nfp", 0, "hub", max_hops=0)
+            trace_path(snap, "nfp", 0, HUB, max_hops=0)
+        for sat in (-1, 4):  # a negative id would otherwise wrap to the last satellite
+            with pytest.raises(IndexError, match=f"satellite index {sat} outside 0..3"):
+                trace_path(snap, "nfp", sat, HUB)
 
     def test_default_hop_cap(self):
         assert default_max_hops(chain_snapshot()) == 4 * (1 + 4)
@@ -424,7 +435,7 @@ class TestGreedyAgainstMeshOracle:
         for trial in range(25):
             k = rng.randint(3, 5)
             snap = self.mesh(rng, k)
-            visible = set(snap.visible_sats("hub").tolist())
+            visible = set(snap.edge_sats[0].tolist())
             dest_pos = P + [
                 0.0,
                 rng.uniform(-400, 400),
@@ -432,7 +443,7 @@ class TestGreedyAgainstMeshOracle:
             ]
             src = rng.randrange(k * k)
             cap = rng.choice([3, 8, 40])
-            got = trace_path(snap, strategy, src, "hub", max_hops=cap, dest_pos=dest_pos)
+            got = trace_path(snap, strategy, src, 0, max_hops=cap, dest_pos=dest_pos)
             sats, status, reason = oracle_trace(
                 snap, strategy, src, dest_pos, visible, cap
             )
@@ -564,11 +575,13 @@ class TestBellmanFord:
     def test_station_endpoints_attach_edge_links(self):
         sts = [ground("a", 45.0, 10.0), ground("b", -30.0, 100.0)]
         snap = snapshot_shell(sts, seconds=300)
-        path = bellman_ford(snap, "latency", "a", "b")
-        assert path is not None
-        assert path.up_km == pytest.approx(snap.edge_length("a", path.src_sat))
-        assert path.down_km == pytest.approx(snap.edge_length("b", path.end_sat))
-        assert path.total_km == pytest.approx(path.up_km + path.isl_km + path.down_km)
+        ps = enumerate_paths(snap, ALGO_SP, 0, 1)
+        assert ps.paths.size
+        for r, total in zip(ps.routes(), ps.total_km.tolist()):
+            path = bellman_ford(snap, "latency", r[0], r[-1])
+            assert (path.up_km, path.down_km) == (None, None)  # satellite to satellite
+            up, down = edge_length(snap, 0, r[0]), edge_length(snap, 1, r[-1])
+            assert total == pytest.approx(up + path.isl_km + down)
 
     def test_station_route_is_jointly_optimal(self):
         """The station-to-station latency optimum must include edge links,
@@ -585,20 +598,26 @@ class TestBellmanFord:
             dist = dijkstra(adj, int(s1))
             for s2, down in zip(snap.edge_sats[1], snap.edge_lengths[1]):
                 best = min(best, float(up) + dist[int(s2)] + float(down))
-        path = bellman_ford(snap, "latency", "a", "b")
-        assert path.total_km == pytest.approx(best, rel=1e-12)
+        # the best path of the set, one per satellite pair, is the joint optimum
+        assert enumerate_paths(snap, ALGO_SP, 0, 1).total_km.min() == pytest.approx(best, rel=1e-12)
 
     def test_uncovered_station_returns_none(self):
         # 53 deg shell never rises above 40 deg at the pole
         sts = [ground("a", 45.0, 10.0), ground("pole", -89.9, 0.0)]
         snap = snapshot_shell(sts)
-        assert not snap.covered("pole")
-        assert bellman_ford(snap, "latency", "a", "pole") is None
+        assert not snap.covered(1)
+        for algo in (ALGO_SP, ALGO_LH):
+            assert enumerate_paths(snap, algo, 0, 1).end.size == 0
 
     def test_unknown_weight_rejected(self):
         snap = chain_snapshot()
         with pytest.raises(ValueError):
             bellman_ford(snap, "euclid", 0, 3)
+
+    @pytest.mark.parametrize("src,dst", [(0, 4), (4, 0), (-1, 3), (0, -4)])
+    def test_satellite_outside_the_shell_raises(self, src, dst):
+        with pytest.raises(IndexError, match=r"satellite index -?\d outside 0\.\.3"):
+            bellman_ford(chain_snapshot(), "latency", src, dst)
 
 
 class TestEnumeratePaths:
@@ -607,32 +626,32 @@ class TestEnumeratePaths:
 
     def test_greedy_set_sized_by_source_coverage(self):
         snap = snapshot_shell(self.stations(), seconds=300)
-        n_src = snap.visible_sats("a").size
+        n_src = snap.edge_sats[0].size
         for algo in (ALGO_MPLF_CPI, ALGO_MPLF_NFP):
-            ps = enumerate_paths(snap, algo, "a", "b")
+            ps = enumerate_paths(snap, algo, 0, 1)
             assert ps.end.size == n_src  # delivered and dropped traces together
             delivered = ps.end == STATUSES.index("delivered")
             assert ps.paths.tolist() == np.flatnonzero(delivered).tolist()
             starts = sorted(r[0] for r in ps.routes())
-            assert starts == sorted(snap.visible_sats("a").tolist())
+            assert starts == sorted(snap.edge_sats[0].tolist())
 
     def test_greedy_paths_carry_edge_links(self):
         snap = snapshot_shell(self.stations(), seconds=300)
-        ps = enumerate_paths(snap, ALGO_MPLF_NFP, "a", "b")
+        ps = enumerate_paths(snap, ALGO_MPLF_NFP, 0, 1)
         assert ps.delivered.any()
         routes = ps.routes()
         for i in ps.paths:
-            p = trace_path(snap, "nfp", routes[i][0], "b")
+            p = trace_path(snap, "nfp", routes[i][0], 1)
             assert p.sats == routes[i]
-            assert p.down_km == pytest.approx(snap.edge_length("b", p.end_sat))
-            up = snap.edge_length("a", p.src_sat)
+            assert p.down_km == pytest.approx(edge_length(snap, 1, p.end_sat))
+            up = edge_length(snap, 0, p.src_sat)
             assert ps.total_km[i] == pytest.approx(up + p.isl_km + p.down_km)
 
     def test_baseline_set_covers_all_pairs(self):
         snap = snapshot_shell(self.stations(), seconds=300)
-        n = snap.visible_sats("a").size * snap.visible_sats("b").size
+        n = snap.edge_sats[0].size * snap.edge_sats[1].size
         for algo in (ALGO_SP, ALGO_LH):
-            ps = enumerate_paths(snap, algo, "a", "b")
+            ps = enumerate_paths(snap, algo, 0, 1)
             assert len(ps.paths) == n  # +Grid shell is connected
             assert ps.delivered.all()
             ends = {(r[0], r[-1]) for r in ps.routes()}
@@ -645,7 +664,7 @@ class TestEnumeratePaths:
             w = float(np.linalg.norm(snap.sat_positions[x] - snap.sat_positions[y]))
             adj[x].append((y, w))
             adj[y].append((x, w))
-        ps = enumerate_paths(snap, ALGO_SP, "a", "b")
+        ps = enumerate_paths(snap, ALGO_SP, 0, 1)
         by_src = {}
         for r in ps.routes():
             by_src.setdefault(r[0], {})[r[-1]] = r
@@ -653,26 +672,27 @@ class TestEnumeratePaths:
             dist = dijkstra(adj, s1)
             for s2, r in group.items():
                 assert sum(snapshot_legs(snap, r)) == pytest.approx(dist[s2], rel=1e-12)
-        lh = enumerate_paths(snap, ALGO_LH, "a", "b")
+        lh = enumerate_paths(snap, ALGO_LH, 0, 1)
         for r, hops in zip(lh.routes(), lh.hops.tolist()):
             assert hops == bfs_hops(adj, r[0])[r[-1]]
 
     def test_uncovered_endpoint_yields_empty_set(self):
         sts = [ground("a", 45.0, 10.0), ground("pole", -89.9, 0.0)]
         snap = snapshot_shell(sts)
+        assert not snap.covered(1)
         for algo in ALGORITHMS:
-            ps = enumerate_paths(snap, algo, "a", "pole")
+            ps = enumerate_paths(snap, algo, 0, 1)
             assert ps.end.size == 0
             assert not ps.delivered.any()
 
     def test_unknown_algorithm_rejected(self):
         snap = snapshot_shell(self.stations())
         with pytest.raises(ValueError):
-            enumerate_paths(snap, "flood", "a", "b")
+            enumerate_paths(snap, "flood", 0, 1)
 
     def test_single_bias_grid_needs_exactly_four_comparisons(self):
         snap = snapshot_shell(self.stations(), seconds=300)
-        ps = enumerate_paths(snap, ALGO_MPLF_CPI, "a", "b")
+        ps = enumerate_paths(snap, ALGO_MPLF_CPI, 0, 1)
         counts = decision_counts(snap.template.degree, ps)
         assert counts  # at least one decision was made
         assert set(counts) == {4}
@@ -772,39 +792,6 @@ class TestBaselinesExact:
                     else:
                         assert got.hops == dist[dst]
 
-    @pytest.mark.parametrize("weight", ["latency", "unit"])
-    def test_station_routes_seed_up_link_offsets(self, weight):
-        sts = [ground("a", 45.0, 10.0), ground("b", -30.0, 100.0), ground("c", 10.0, -60.0)]
-        multi_seed = 0
-        for seconds in (0, 300, 900):
-            snap = snapshot_shell(sts, seconds=seconds)
-            links = snapshot_links(snap)
-            for src, dst in (("a", "b"), ("b", "c"), ("c", "a")):
-                i, j = snap.station_index(src), snap.station_index(dst)
-                ups = dict(zip(snap.edge_sats[i].tolist(), snap.edge_lengths[i].tolist()))
-                downs = dict(zip(snap.edge_sats[j].tolist(), snap.edge_lengths[j].tolist()))
-                if not ups or not downs:
-                    assert bellman_ford(snap, weight, src, dst) is None
-                    continue
-                multi_seed += len(ups) > 1
-                seeds = ups if weight == "latency" else {s: 0.0 for s in ups}
-                dist, _, _ = reference_route(links, snap.sat_count, weight, seeds, 0)
-                total = {
-                    s: dist[s] + (down if weight == "latency" else 0.0)
-                    for s, down in downs.items()
-                }
-                end = min(total, key=lambda s: (total[s], s))
-                _, sats, legs = reference_route(links, snap.sat_count, weight, seeds, end)
-                got = bellman_ford(snap, weight, src, dst)
-                assert got.sats == sats
-                assert got.isl_lengths_km == legs
-                assert got.up_km == ups[sats[0]]
-                assert got.down_km == downs[end]
-                assert dist[got.end_sat] + (got.down_km if weight == "latency" else 0.0) == (
-                    total[end]
-                )
-        assert multi_seed > 0
-
     def test_enumerated_baselines_match_reference_on_shipped_shell(self):
         sc = load_scenario(SCENARIO_DIR / "experiment1_20x20.json")
         const = build_walker(sc.constellation)
@@ -850,9 +837,9 @@ class TestBaselinesExact:
                             for a, b in zip(r, r[1:])
                         ]
                         legs += len(kms)
-                        down = snap.edge_length(di, r[-1]) if ok else 0.0
+                        down = edge_length(snap, di, r[-1]) if ok else 0.0
                         downs += bool(ok)
-                        assert total == sum(kms) + snap.edge_length(si, r[0]) + down
+                        assert total == sum(kms) + edge_length(snap, si, r[0]) + down
         assert legs > 100 and downs > 10
 
 
@@ -896,8 +883,7 @@ def _reference_forward(strategy, current_pos, prev, dest_pos, ids, neighbor_pos,
 def reference_trace(snap, strategy, src, station, max_hops, dest_pos, counts):
     """The per-hop trace loop, one decision call per hop; each decision's
     candidate count is appended to counts."""
-    dst = snap.station_index(station)
-    down_of = dict(zip(snap.edge_sats[dst].tolist(), snap.edge_lengths[dst].tolist()))
+    down_of = dict(zip(snap.edge_sats[station].tolist(), snap.edge_lengths[station].tolist()))
     pos = snap.sat_positions
     sats = [src]
 
@@ -995,7 +981,7 @@ class TestLockstepKernel:
             ((3, 2), "delivered", None),
             ((3, 2, 1), "dropped", DROP_DEAD_END),  # the hop cap
         ]
-        assert as_paths(got)[2].down_km == snap.edge_length("hub", 2)
+        assert as_paths(got)[2].down_km == edge_length(snap, HUB, 2)
         # trace by trace: no decision at 0, a loop decided at 2, none at a
         # delivery or the cap
         assert decision_counts(snap.template.degree, got) == [1, 2, 1, 1, 2]
@@ -1048,7 +1034,7 @@ class TestStampPathSets:
 
     def test_equals_one_connection_at_a_time(self):
         snap = snapshot_shell(self.stations(), seconds=300)
-        conns = [("a", "b"), ("b", "c"), ("c", "a"), ("a", "c")]
+        conns = [(0, 1), (1, 2), (2, 0), (0, 2)]
         got = stamp_path_sets(snap, ALGORITHMS, conns)
         want = [enumerate_paths(snap, algo, src, dst) for src, dst in conns for algo in ALGORITHMS]
         assert [set_columns(ps) for ps in got] == [set_columns(ps) for ps in want]
@@ -1057,14 +1043,29 @@ class TestStampPathSets:
         batch = [
             (rule, sat, dest)
             for rule in ("cpi", "nfp")
-            for sat in snap.visible_sats("b").tolist()
+            for sat in snap.edge_sats[1].tolist()
             for dest in (snap.station_positions[2], FAR)
         ]
         rules, sats, dests = zip(*batch)
         got = as_paths(trace_lockstep(snap, rules, sats, [2] * len(batch), np.array(dests)))
-        assert got == [trace_path(snap, r, s, "c", dest_pos=d) for r, s, d in batch]
-        assert got[::2] == [trace_path(snap, r, s, "c") for r, s, _ in batch[::2]]
+        assert got == [trace_path(snap, r, s, 2, dest_pos=d) for r, s, d in batch]
+        assert got[::2] == [trace_path(snap, r, s, 2) for r, s, _ in batch[::2]]
         assert got[::2] != got[1::2]
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_station_index_outside_the_snapshot_raises(self, bad):
+        # a negative index would otherwise wrap to the last station
+        snap = snapshot_shell(self.stations(), seconds=300)
+        message = f"station index {bad} outside 0..2"
+        with pytest.raises(IndexError, match=message):
+            stamp_path_sets(snap, ALGORITHMS, [(0, 1), (bad, 1)])
+        with pytest.raises(IndexError, match=message):
+            stamp_path_sets(snap, [ALGO_MPLF_CPI], [(0, bad)])
+        for algo in ALGORITHMS:
+            with pytest.raises(IndexError, match=message):
+                enumerate_paths(snap, algo, bad, 0)
+        with pytest.raises(IndexError, match=message):
+            trace_path(snap, "cpi", int(snap.edge_sats[0][0]), bad)
 
     @pytest.mark.parametrize("weight", ["latency", "unit"])
     def test_batched_baseline_rows_equal_per_connection_calls(self, weight):

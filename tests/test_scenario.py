@@ -128,9 +128,6 @@ class TestParsing:
     def test_ei_defaults_to_name(self):
         s = scenario_from_dict(base_dict())
         assert s.stations[0].ei == "alpha"
-        assert s.station("alpha").name == "alpha"
-        with pytest.raises(KeyError):
-            s.station("missing")
 
     def test_z_suffix_and_offset_timestamps_agree(self):
         a = scenario_from_dict(base_dict())

@@ -21,11 +21,13 @@ from leonet.geometry import (
     link_latency_ms,
     utc,
 )
+from leonet.exporters import _links
 from leonet.routing import trace_path
 from leonet.scenario import load_scenario
 from leonet.topology import (
     GRID_PLUS,
     GRID_STAR,
+    ISL_KIND_NAMES,
     FixedPosition,
     IslPattern,
     Station,
@@ -194,7 +196,7 @@ class TestPersistentTemplate:
 
     def test_kind_name_lookup(self):
         tpl = build_persistent_isls(shell(4, 4), IslPattern(GRID_PLUS, (0,)))
-        names = {tpl.kind_name(e) for e in range(tpl.edge_count)}
+        names = {ISL_KIND_NAMES[k] for k in tpl.kinds.tolist()}
         assert names == {"iISL", "sISL"}
 
 
@@ -210,10 +212,10 @@ class TestSnapshot:
             for s in range(const.sat_count)
             if elevation_angle(snap.station_positions[0], snap.sat_positions[s]) >= 40.0
         }
-        assert set(snap.visible_sats("obs").tolist()) == oracle
-        for s in snap.visible_sats("obs"):
+        assert set(snap.edge_sats[0].tolist()) == oracle
+        for s, length in zip(snap.edge_sats[0], snap.edge_lengths[0]):
             want = np.linalg.norm(snap.sat_positions[s] - snap.station_positions[0])
-            assert snap.edge_length("obs", int(s)) == pytest.approx(float(want))
+            assert length == pytest.approx(float(want))
 
     def test_visibility_bounded_by_coverage_cone(self):
         const = shell(10, 10)
@@ -226,7 +228,7 @@ class TestSnapshot:
             np.linalg.norm(snap.sat_positions, axis=1) * np.linalg.norm(g)
         )
         central = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
-        vis = set(snap.visible_sats("obs").tolist())
+        vis = set(snap.edge_sats[0].tolist())
         for s in range(const.sat_count):
             if central[s] < COVERAGE_HALF_ANGLE_DEG - 1e-3:
                 assert s in vis
@@ -245,14 +247,8 @@ class TestSnapshot:
         sts = [ground("a", 10.0, 20.0), ground("b", -30.0, 40.0)]
         snap = snapshot(const, sts, IslPattern(GRID_PLUS, (0,)), EPOCH, 25.0)
         assert snap.sat_count == 25
-        assert snap.node_count == 27
         assert snap.station_node(0) == 25
         assert snap.station_node(1) == 26
-        assert snap.station_index("a") == 0
-        assert snap.station_index("b") == 1
-        assert snap.station_index(26) == 1
-        with pytest.raises(KeyError):
-            snap.station_index("nope")
 
     def test_duplicate_station_ei_rejected(self):
         const = shell(4, 4)
@@ -279,18 +275,24 @@ class TestSnapshot:
         diff = snap.sat_positions[snap.isl_pairs[:, 0]] - snap.sat_positions[snap.isl_pairs[:, 1]]
         assert np.allclose(snap.isl_lengths, np.linalg.norm(diff, axis=1))
 
-    def test_iter_links_covers_isls_and_edges(self):
+    def test_link_listing_covers_isls_and_edges(self):
         const = shell(10, 10)
         st = ground("obs", 45.0, 10.0)
         snap = snapshot(const, [st], IslPattern(GRID_PLUS, (0,)), EPOCH, 40.0)
-        links = list(snap.iter_links())
-        gsl = [l for l in links if l.kind == "GSL"]
-        isl = [l for l in links if l.kind in ("iISL", "sISL")]
+        links = [
+            (a, b, kind, length, latency)
+            for ends, kinds, lengths, latencies in _links(snap)
+            for (a, b), kind, length, latency in zip(ends, kinds, lengths, latencies)
+        ]
+        gsl = [l for l in links if l[2] == "GSL"]
+        isl = [l for l in links if l[2] in ("iISL", "sISL")]
         assert len(isl) == snap.template.edge_count
-        assert len(gsl) == snap.visible_sats("obs").size
-        assert all(l.node_b == snap.station_node(0) for l in gsl)
-        one = links[0]
-        assert one.latency_ms == pytest.approx(link_latency_ms(one.length_km))
+        assert [list(l[:2]) for l in isl] == snap.isl_pairs.tolist()
+        assert [l[0] for l in gsl] == snap.edge_sats[0].tolist()
+        assert all(l[1] == snap.station_node(0) for l in gsl)
+        assert len(links) == len(isl) + len(gsl)
+        for a, b, kind, length, latency in links:
+            assert latency == link_latency_ms(length)
 
     def test_template_adjacency_matches_neighbors(self):
         const = shell(5, 5)
@@ -348,10 +350,10 @@ class TestSyntheticSnapshot:
         snap = square_snapshot(lengths=[10.0, 20.0, 30.0, 40.0], stations=(nowhere,))
         dest = np.array([7000.0, 150.0, 110.0])
         # the walk turns back at satellite 2; both routes around the ring
-        p = trace_path(snap, "nfp", 0, "x", dest_pos=dest)
+        p = trace_path(snap, "nfp", 0, 0, dest_pos=dest)
         assert p.sats == (0, 1, 2)
         assert p.isl_lengths_km == (10.0, 20.0)
-        p = trace_path(snap, "nfp", 0, "x", dest_pos=dest[[0, 2, 1]])
+        p = trace_path(snap, "nfp", 0, 0, dest_pos=dest[[0, 2, 1]])
         assert p.sats == (0, 3, 2)
         assert p.isl_lengths_km == (40.0, 30.0)
 
