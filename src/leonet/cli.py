@@ -65,7 +65,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
     def stamps():
         # one snapshot per stamp, fed to every artifact while edges.csv is written
-        snaps = map(snapshot_at(scenario)[0], scenario.time.stamps())
+        snaps = map(snapshot_at(scenario), scenario.time.stamps())
         for i, snap in enumerate(snaps):
             hist.add(snap)
             if eisl is not None:
@@ -97,8 +97,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    rows = read_paths_csv(FsPath(args.paths))
-    result = analyze_rows(scenario, rows)
+    result = analyze_rows(scenario, read_paths_csv(FsPath(args.paths), scenario))
     out = _out_dir(args)
     write_metrics_csv(result.series, out / "metrics.csv")
     write_summary_csv(result.summaries, out / "summary.csv")
@@ -110,9 +109,9 @@ def _cmd_export(args: argparse.Namespace) -> int:
     if args.format != FORMAT_GEOJSON:
         raise SystemExit("export converts a path log to geojson; use --format geojson")
     scenario = load_scenario(args.scenario)
-    rows = read_paths_csv(FsPath(args.paths))
+    log = read_paths_csv(FsPath(args.paths), scenario)
     out = _out_dir(args)
-    _geo(paths_geojson(scenario, rows), out / "paths.geojson")
+    _geo(paths_geojson(scenario, log), out / "paths.geojson")
     return 0
 
 

@@ -1,8 +1,9 @@
-"""Deterministic artifact writers: CSV tables and GeoJSON documents.
+"""Deterministic artifact writers (CSV tables and GeoJSON) and the path-log reader.
 
 All floats are written with fixed six-decimal formatting and rows follow the
 run's natural order, so re-running an identical scenario reproduces the
-output byte for byte.
+output byte for byte. The path log is columns (harness.PathLog) on both sides
+of paths.csv; its rows are named from the scenario and checked as they are read.
 """
 
 from __future__ import annotations
@@ -10,25 +11,20 @@ from __future__ import annotations
 import csv
 import json
 import weakref
+from array import array
 from datetime import datetime, timezone
-from itertools import chain, repeat
+from itertools import chain, pairwise, repeat
 from operator import attrgetter
 from pathlib import Path as FsPath
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .geometry import eci_to_geodetic, link_latency_ms
-from .harness import (
-    ExperimentResult,
-    PathLogError,
-    PathLogRow,
-    _path_sets,
-    check_attachment,
-    index_path_log,
-    snapshot_at,
-)
+from .harness import _MPLF_ALGOS, ExperimentResult, PathLog, PathLogError, _path_sets
+from .harness import check_stamp, snapshot_at
 from .metrics import ConnectionSeries, ConnectionSummary
+from .routing import STATUSES
 from .scenario import Scenario, scenario_to_dict
 from .topology import ISL_KIND_NAMES, KIND_GSL, KIND_MSL, EislStats, Snapshot
 
@@ -37,6 +33,7 @@ FORMAT_GEOJSON = "geojson"
 FORMATS = (FORMAT_CSV, FORMAT_GEOJSON)
 
 _EDGE_BLOCK = 1024  # edges.csv rows formatted per batch
+_PATH_BLOCK = 256  # paths.csv rows formatted per batch
 
 
 def _f(x: float | None) -> str:
@@ -58,27 +55,8 @@ def _write_csv(path: FsPath, header: Sequence[str], rows: Iterable[Sequence]) ->
         w.writerows(rows)
 
 
-def _formatter(columns: dict[str, Callable]) -> Callable[[object], list]:
-    """A row of the named attributes, each through its column's formatter."""
-    get, fmts = attrgetter(*columns), tuple(columns.values())
-    return lambda obj: [f(v) for f, v in zip(fmts, get(obj))]
-
-
-# path log: PathLogRow field -> (format, parse), in file order
-_PATH_LOG = {
-    "t": (_t, datetime.fromisoformat),
-    "algorithm": (str, str),
-    "src_station": (str, str),
-    "dst_station": (str, str),
-    "src_sat": (str, int),
-    "hop_list": (
-        lambda hops: "-".join(str(s) for s in hops),
-        lambda text: tuple(int(s) for s in text.split("-")),
-    ),
-    "latency_ms": (_f, float),
-    "hops": (str, int),
-    "status": (str, str),
-}
+# the path log's columns, in file order
+_PATH_LOG = "t algorithm src_station dst_station src_sat hop_list latency_ms hops status".split()
 
 # the columns naming a series, after metrics.csv's t and first in the others
 _SERIES_COLUMNS = ("src_station", "dst_station", "algorithm")
@@ -128,17 +106,48 @@ _SUMMARY_COLUMNS = {
 _CDF_VALUES = {"latency": "latency_avg_ms", "hops": "hops_avg", "stretch": "stretch_max"}
 
 
-def write_paths_csv(rows: Sequence[PathLogRow], path: FsPath) -> None:
-    row = _formatter({c: fmt for c, (fmt, _) in _PATH_LOG.items()})
-    _write_csv(path, tuple(_PATH_LOG), map(row, rows))
+def _set_names(scenario: Scenario) -> list[tuple[str, str, str]]:
+    """(algorithm, source EI, destination EI) of each of _path_sets."""
+    eis = [st.ei for st in scenario.stations]
+    return [(algo, eis[si], eis[di]) for (si, di), algo in _path_sets(scenario)]
 
 
-def read_paths_csv(path: FsPath) -> list[PathLogRow]:
-    """Read a path log; a malformed row, or one with more cells than the
-    header, raises PathLogError with its number, and a header that lacks a
-    column (an empty file has none) with row 0."""
-    rows: list[PathLogRow] = []
-    parsers = [(c, parse) for c, (_, parse) in _PATH_LOG.items()]
+def write_paths_csv(scenario: Scenario, log: PathLog, path: FsPath) -> None:
+    """One row per log row, its stamp and set named from the scenario; rows are
+    formatted _PATH_BLOCK at a time, which bounds the Python lists alive at once."""
+    ts, names = [_t(t) for t in scenario.time.stamps()], _set_names(scenario)
+
+    def rows(lo: int) -> Iterator[list]:
+        part = log.take(np.arange(lo, min(lo + _PATH_BLOCK, log.end.size)))
+        sats, starts = part.sats.tolist(), part.starts.tolist()
+        cells = (c.tolist() for c in (part.stamp, part.path_set, part.latency_ms, part.end))
+        for i, k, ms, e, (a, b) in zip(*cells, pairwise(starts)):
+            hops = "-".join(map(str, sats[a:b]))
+            yield [ts[i], *names[k], sats[a], hops, _f(ms), b - a - 1, STATUSES[e]]
+
+    _write_csv(path, _PATH_LOG, chain.from_iterable(map(rows, range(0, log.end.size, _PATH_BLOCK))))
+
+
+def read_paths_csv(path: FsPath, scenario: Scenario) -> PathLog:
+    """Read a path log in one pass, resolving its names against the scenario.
+
+    Each row is checked as it is read: the first malformed row, or one with
+    more cells than the header, or whose stamp, connection, algorithm or hop
+    ids do not fit the scenario, whose status, hops or src_sat are not those
+    of a traced path (a baseline path is always delivered), whose latency is
+    not finite and non-negative, or that repeats a greedy set's source
+    satellite or a baseline set's (source, end) pair raises PathLogError with
+    its 1-based number; a header that lacks a column (an empty file has none)
+    raises it with row 0. Links and station visibility are check_stamp's.
+    """
+    stamp_of = {t: i for i, t in enumerate(scenario.time.stamps())}
+    set_of = {names: k for k, names in enumerate(_set_names(scenario))}
+    conns = {(src, dst) for _, src, dst in set_of}
+    code_of = {status: e for e, status in enumerate(STATUSES)}
+    count = scenario.constellation.total_sats
+    stamp, sets, end, latency = array("i"), array("i"), array("b"), array("d")
+    sats, starts = array("i"), array("q", [0])
+    first: dict[tuple, int] = {}
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in _PATH_LOG if c not in (reader.fieldnames or ())]
@@ -150,17 +159,49 @@ def read_paths_csv(path: FsPath) -> list[PathLogRow]:
                 raise PathLogError(n, f"missing column(s) {', '.join(missing)}")
             if None in rec:  # DictReader files the cells beyond the header here
                 raise PathLogError(n, f"{len(rec[None])} cell(s) beyond the header")
+            t, algo, src, dst, sat0, hop_list, ms, hops, status = map(rec.get, _PATH_LOG)
             try:
-                rows.append(PathLogRow(**{c: parse(rec[c]) for c, parse in parsers}))
+                t, sat0 = datetime.fromisoformat(t), int(sat0)
+                route, ms, hops = [*map(int, hop_list.split("-"))], float(ms), int(hops)
             except ValueError as exc:
                 raise PathLogError(n, str(exc)) from exc
-    return rows
+            i, k, e = stamp_of.get(t), set_of.get((algo, src, dst)), code_of.get(status)
+            if i is None:
+                raise PathLogError(n, f"stamp {t} is outside the scenario time grid")
+            if (src, dst) not in conns:
+                raise PathLogError(n, f"connection {src}->{dst} is not in the scenario")
+            if k is None:
+                raise PathLogError(n, f"algorithm {algo!r} is not in the scenario")
+            if min(route) < 0 or max(route) >= count:
+                h = next(h for h in route if not 0 <= h < count)
+                raise PathLogError(n, f"hop {h} is outside the shell's satellites 0..{count - 1}")
+            if e is None:
+                raise PathLogError(n, f"status {status!r} is not one of {', '.join(STATUSES)}")
+            if e and algo not in _MPLF_ALGOS:
+                raise PathLogError(n, f"status {status!r}: {algo} paths are never dropped")
+            if not 0.0 <= ms < np.inf:
+                raise PathLogError(n, f"latency_ms {ms} is not finite and non-negative")
+            if hops != len(route) - 1:
+                raise PathLogError(n, f"hops {hops} does not match the hop list {tuple(route)}")
+            if route[0] != sat0:
+                raise PathLogError(n, f"src_sat {sat0} is not the first hop")
+            # one greedy trace per source satellite, one baseline path per (source, end) pair
+            key = (i, k, sat0) if algo in _MPLF_ALGOS else (i, k, sat0, route[-1])
+            if first.setdefault(key, n) != n:
+                raise PathLogError(n, f"repeats the {algo} path of row {first[key]}")
+            for column, value in zip((stamp, sets, end, latency), (i, k, e, ms)):
+                column.append(value)
+            sats.extend(route)
+            starts.append(len(sats))
+    return PathLog(*map(np.asarray, (stamp, sets, end, latency, sats, starts)))
 
 
 def write_metrics_csv(series: Sequence[ConnectionSeries], path: FsPath) -> None:
-    stamp = _formatter(_STAMP_COLUMNS)
+    get, fmts = attrgetter(*_STAMP_COLUMNS), tuple(_STAMP_COLUMNS.values())
     rows = (
-        [_t(st.t), s.src_ei, s.dst_ei, s.algorithm, *stamp(st)] for s in series for st in s.stamps
+        [_t(st.t), s.src_ei, s.dst_ei, s.algorithm, *(f(v) for f, v in zip(fmts, get(st)))]
+        for s in series
+        for st in s.stamps
     )
     _write_csv(path, ("t", *_SERIES_COLUMNS, *_STAMP_COLUMNS), rows)
 
@@ -270,7 +311,9 @@ _LONLAT: weakref.WeakKeyDictionary[Snapshot, dict[int, tuple[float, float]]] = (
 def _lonlat(snap: Snapshot, node: int) -> list[float]:
     """A node's rounded (lon, lat), a satellite's sub-point or a station's
     position, worked out once per snapshot."""
-    memo = _LONLAT.setdefault(snap, {})
+    memo = _LONLAT.get(snap)
+    if memo is None:
+        memo = _LONLAT[snap] = {}
     point = memo.get(node)
     if point is None:
         n = snap.sat_count
@@ -303,42 +346,28 @@ def snapshot_links_geojson(snap: Snapshot) -> dict:
     )
 
 
-def path_geojson(snap: Snapshot, row: PathLogRow) -> dict:
-    """A delivered path as a LineString of satellite subpoints.
-
-    The hop_count property equals the vertex count minus one.
-    """
-    coords = [_lonlat(snap, s) for s in row.hop_list]
-    return _feature(
-        "LineString",
-        coords,
-        {
-            "t": _t(row.t),
-            "algorithm": row.algorithm,
-            "src_station": row.src_station,
-            "dst_station": row.dst_station,
-            "hop_count": len(coords) - 1,
-            "latency_ms": round(row.latency_ms, 6),
-            "status": row.status,
-        },
-    )
-
-
-def paths_geojson(scenario: Scenario, rows: Sequence[PathLogRow]) -> dict:
-    """All delivered log rows as LineString features. Only the current row's
-    snapshot is kept, rebuilt whenever the stamp changes, so its coordinates
-    are dropped with it. A row that does not fit the scenario, or whose ends
-    its stations do not see (check_attachment), raises PathLogError."""
-    snapshot_of, template = snapshot_at(scenario)
-    sets = _path_sets(scenario)
-    snap: Snapshot | None = None
+def paths_geojson(scenario: Scenario, log: PathLog) -> dict:
+    """The delivered rows of a path log as LineString features of satellite
+    subpoints, hop_count their vertex count minus one. Each run of rows at one
+    stamp is checked against that stamp's snapshot (check_stamp), the only one
+    kept, so its coordinates are dropped with it."""
+    snapshot_of, stamps = snapshot_at(scenario), scenario.time.stamps()
+    sets, names = _path_sets(scenario), _set_names(scenario)
+    # the first row of each run, then the row count: stamps are >= 0
+    cut = np.flatnonzero(np.diff(log.stamp, prepend=-1, append=-1)).tolist()
     feats = []
-    for n, _, k, r in index_path_log(scenario, rows, template):
-        if snap is None or snap.t != r.t:
-            snap = snapshot_of(r.t)
-        check_attachment(snap, sets[k][0], n, r)
-        if r.status == "delivered":
-            feats.append(path_geojson(snap, r))
+    for lo, hi in pairwise(cut):
+        part = log.take(np.arange(lo, hi))
+        snap = snapshot_of(stamps[part.stamp[0]])
+        check_stamp(snap, sets, part, np.arange(lo + 1, hi + 1))
+        sats, starts, t = part.sats.tolist(), part.starts.tolist(), _t(snap.t)
+        rows = zip(part.path_set.tolist(), part.latency_ms.tolist(), part.end.tolist())
+        for (k, ms, e), (a, b) in zip(rows, pairwise(starts)):
+            if e == 0:
+                algo, src, dst = names[k]
+                props = {"t": t, "algorithm": algo, "src_station": src, "dst_station": dst,
+                         "hop_count": b - a - 1, "latency_ms": round(ms, 6), "status": STATUSES[0]}
+                feats.append(_feature("LineString", [_lonlat(snap, s) for s in sats[a:b]], props))
     return _collection(feats)
 
 
@@ -364,7 +393,7 @@ def export_result(
         written.append(p)
         return p
 
-    write_paths_csv(result.path_rows, out("paths.csv"))
+    write_paths_csv(result.scenario, result.path_log, out("paths.csv"))
     write_metrics_csv(result.series, out("metrics.csv"))
     write_summary_csv(result.summaries, out("summary.csv"))
     for q in _CDF_VALUES:
@@ -373,5 +402,5 @@ def export_result(
     meta["failures"] = [[_t(t), msg] for t, msg in result.failures]
     out("metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     if fmt == FORMAT_GEOJSON:
-        _geo(paths_geojson(result.scenario, result.path_rows), out("paths.geojson"))
+        _geo(paths_geojson(result.scenario, result.path_log), out("paths.geojson"))
     return written

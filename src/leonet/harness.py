@@ -8,9 +8,11 @@ from its path sets, routed or read from a log, for serial runs, workers and
 reanalysis alike: set stats, path-log rows and decision counts. The sets
 carry no names; _path_sets is the one list that names and orders them. The
 merge folds stamps in stamp order and does only what crosses them: the
-evolution chain, the failure reset, and the location table, which is the last
+evolution chain, the failure reset, the location table, which is the last
 folded stamp's (every station refreshed, then each delivering greedy set's
-source).
+source), and the path log. That log is one columnar PathLog from the stamp to
+the file and back; analyze_rows slices its path sets out of it and checks
+each stamp's rows against that stamp's snapshot (check_stamp).
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime
 from functools import partial
-from itertools import chain, product
-from operator import attrgetter
-from typing import Callable, Iterable, Iterator
+from itertools import pairwise, product
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -48,7 +49,7 @@ from .routing import (
     stamp_path_sets,
 )
 from .scenario import Scenario
-from .topology import IslTemplate, Snapshot, build_persistent_isls, snapshot
+from .topology import Snapshot, build_persistent_isls, snapshot
 
 _MPLF_ALGOS = (ALGO_MPLF_CPI, ALGO_MPLF_NFP)
 
@@ -65,19 +66,57 @@ class PathLogError(ValueError):
         self.row = row
 
 
-@dataclass(frozen=True)
-class PathLogRow:
-    """One row of the path log; the exported CSV mirrors these fields."""
+@dataclass(frozen=True, eq=False)
+class PathLog:
+    """The path log in columns. Row i is a path of the set path_set[i] (of
+    _path_sets) at stamp[i] (of the time grid): it visits sats[starts[i]:
+    starts[i + 1]], ends with the code end[i] (of STATUSES) and takes
+    latency_ms[i]. A run's rows are in file order: by stamp, then set, each
+    set's delivered paths and then its drops, each group in trace order."""
 
-    t: datetime
-    algorithm: str
-    src_station: str
-    dst_station: str
-    src_sat: int
-    hop_list: tuple[int, ...]
-    latency_ms: float
-    hops: int
-    status: str  # "delivered" | "dropped:<reason>"
+    stamp: np.ndarray  # int32
+    path_set: np.ndarray  # int32
+    end: np.ndarray  # int8
+    latency_ms: np.ndarray
+    sats: np.ndarray  # int32
+    starts: np.ndarray  # int64
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PathLog):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in zip(vars(self).values(), vars(other).values()))
+
+    def take(self, rows: np.ndarray) -> PathLog:
+        """The given rows, in that order, with one gather of their hops."""
+        lengths = (self.starts[1:] - self.starts[:-1])[rows]
+        starts = np.concatenate(([0], np.cumsum(lengths)))
+        hops = np.repeat(self.starts[:-1][rows] - starts[:-1], lengths) + np.arange(starts[-1])
+        rows_of = (self.stamp, self.path_set, self.end, self.latency_ms)
+        return PathLog(*(c[rows] for c in rows_of), self.sats[hops], starts)
+
+
+_NO_ROWS = PathLog(*(np.zeros(0, d) for d in (np.int32, np.int32, np.int8, float, np.int32)),
+                   np.zeros(1, np.int64))
+
+
+def _concat(logs: Sequence[PathLog]) -> PathLog:
+    """The rows of logs, one log after another."""
+    logs = [_NO_ROWS, *logs]
+    offsets = np.cumsum([log.sats.size for log in logs]).tolist()
+    rows = zip(*((log.stamp, log.path_set, log.end, log.latency_ms, log.sats) for log in logs))
+    starts = [log.starts[1:] + lo for log, lo in zip(logs[1:], offsets)]
+    return PathLog(*map(np.concatenate, rows), np.concatenate([_NO_ROWS.starts, *starts]))
+
+
+def _stamp_log(i: int, path_sets: Sequence[PathSet]) -> PathLog:
+    """The path-log rows of stamp i from its path sets, in file order."""
+    log = _concat([
+        PathLog(np.full(n, i, np.int32), np.full(n, k, np.int32), ps.end, ps.latency_ms,
+                ps.sats.astype(np.int32), ps.starts)
+        for k, ps in enumerate(path_sets)
+        if (n := ps.end.size)
+    ])
+    return log.take(np.argsort(2 * log.path_set + (log.end != 0), kind="stable"))
 
 
 @dataclass(frozen=True)
@@ -89,7 +128,7 @@ class StampOutcome:
     station_ecef: np.ndarray
     stats: tuple[StampStats, ...]
     vertices: tuple[np.ndarray, ...]
-    path_rows: list[PathLogRow]
+    log: PathLog  # the stamp's rows
     comparisons: list[int]  # the candidate count of every forwarding decision
 
 
@@ -98,7 +137,7 @@ class ExperimentResult:
     scenario: Scenario
     series: list[ConnectionSeries]
     summaries: list[ConnectionSummary]
-    path_rows: list[PathLogRow]
+    path_log: PathLog
     failures: list[tuple[datetime, str]]
     location_table: LocationTable
     decision_stats: DecisionStats
@@ -127,12 +166,10 @@ def _path_sets(scenario: Scenario) -> list[tuple[tuple[int, int], str]]:
     return list(product(_connection_indices(scenario), scenario.algorithms))
 
 
-def snapshot_at(scenario: Scenario) -> tuple[Callable[[datetime], Snapshot], IslTemplate]:
-    """The scenario's stamp -> snapshot map, and its persistent-link template.
-
-    The constellation and its template do not change over time, so they are
-    built once, here; each call of the map builds one snapshot.
-    """
+def snapshot_at(scenario: Scenario) -> Callable[[datetime], Snapshot]:
+    """The scenario's stamp -> snapshot map. The constellation and its
+    persistent-link template do not change over time, so they are built once,
+    here; each call of the map builds one snapshot."""
     constellation = build_walker(scenario.constellation)
     template = build_persistent_isls(constellation, scenario.pattern)
 
@@ -146,29 +183,31 @@ def snapshot_at(scenario: Scenario) -> tuple[Callable[[datetime], Snapshot], Isl
             template=template,
         )
 
-    return at, template
+    return at
 
 
 def _stamp(
     sets: list[tuple[tuple[int, int], str]],
+    stamps: Sequence[datetime],
     snapshot_of: Callable[[datetime], Snapshot],
     path_sets_of: Callable[[Snapshot], Iterable[PathSet]],
-    t: datetime,
+    i: int,
 ) -> StampOutcome | str:
-    """Finish one stamp from its snapshot and path sets, one per entry of sets
-    (_path_sets), or return the repr of the exception it raised. Decision
-    counts follow set, then trace order."""
+    """Finish stamp i of stamps from its snapshot and path sets, one per entry
+    of sets (_path_sets), or return the repr of the exception it raised.
+    Decision counts follow set, then trace order."""
     try:
-        snap = snapshot_of(t)
-        stats, vertices, rows, comparisons = [], [], [], []
-        for ((si, di), algo), ps in zip(sets, path_sets_of(snap), strict=True):
+        snap = snapshot_of(t := stamps[i])
+        stats, vertices, comparisons = [], [], []
+        path_sets = list(path_sets_of(snap))
+        for ((si, di), algo), ps in zip(sets, path_sets, strict=True):
             points = snap.station_geodetic[si], snap.station_geodetic[di]
             stats.append(make_stamp_stats(t, snap.covered(si), snap.covered(di), ps, *points))
             vertices.append(ps.vertices)
-            rows.extend(_log_rows(t, algo, snap.stations[si].ei, snap.stations[di].ei, ps))
             if algo in _MPLF_ALGOS:
                 comparisons.extend(decision_counts(snap.template.degree, ps))
-        return StampOutcome(t, snap.station_ecef, tuple(stats), tuple(vertices), rows, comparisons)
+        log = _stamp_log(i, path_sets)
+        return StampOutcome(t, snap.station_ecef, tuple(stats), tuple(vertices), log, comparisons)
     except PathLogError:
         raise  # a log row that does not fit the scenario fails the whole reanalysis
     except Exception as exc:  # noqa: BLE001 - per-stamp isolation is the contract
@@ -177,32 +216,21 @@ def _stamp(
 
 def _stamp_runner(
     scenario: Scenario, snapshot_of: Callable[[datetime], Snapshot]
-) -> Callable[[datetime], StampOutcome | str]:
+) -> Callable[[int], StampOutcome | str]:
     pairs = _connection_indices(scenario)
     route = partial(stamp_path_sets, algorithms=scenario.algorithms, connections=pairs)
-    return partial(_stamp, _path_sets(scenario), snapshot_of, route)
+    return partial(_stamp, _path_sets(scenario), scenario.time.stamps(), snapshot_of, route)
 
 
 _WORKER_STATE: dict = {}
 
 
 def _worker_init(scenario: Scenario) -> None:
-    _WORKER_STATE["run"] = _stamp_runner(scenario, snapshot_at(scenario)[0])
+    _WORKER_STATE["run"] = _stamp_runner(scenario, snapshot_at(scenario))
 
 
-def _worker_run(t: datetime) -> StampOutcome | str:
-    return _WORKER_STATE["run"](t)
-
-
-def _log_rows(t: datetime, algo: str, src: str, dst: str, ps: PathSet) -> Iterator[PathLogRow]:
-    """The path-log rows of the set of src->dst under algo: its delivered
-    paths, then its drops, each group in trace order."""
-    routes, latency, end = ps.routes(), ps.latency_ms.tolist(), ps.end.tolist()
-    for i in np.argsort(~ps.delivered, kind="stable").tolist():
-        route = routes[i]
-        yield PathLogRow(
-            t, algo, src, dst, route[0], route, latency[i], len(route) - 1, STATUSES[end[i]]
-        )
+def _worker_run(i: int) -> StampOutcome | str:
+    return _WORKER_STATE["run"](i)
 
 
 def run_experiment(scenario: Scenario, parallel: int = 1) -> ExperimentResult:
@@ -215,10 +243,10 @@ def run_experiment(scenario: Scenario, parallel: int = 1) -> ExperimentResult:
     """
     if parallel < 1:
         raise ValueError("parallel must be >= 1")
-    stamps = scenario.time.stamps()
+    stamps = range(scenario.time.count)
     workers = min(parallel, len(stamps))
     if workers == 1:
-        return _merge(scenario, map(_stamp_runner(scenario, snapshot_at(scenario)[0]), stamps))
+        return _merge(scenario, map(_stamp_runner(scenario, snapshot_at(scenario)), stamps))
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_worker_init, initargs=(scenario,)
     ) as pool:
@@ -232,7 +260,7 @@ def _merge(scenario: Scenario, results: Iterable[StampOutcome | str]) -> Experim
     of the location table, so it is built once, from the last folded stamp."""
     sets = _path_sets(scenario)
     failures: list[tuple[datetime, str]] = []
-    path_rows: list[PathLogRow] = []
+    logs: list[PathLog] = []
     stamps: list[list[StampStats]] = [[] for _ in sets]
     prev: list[np.ndarray | None] = [None] * len(sets)
     stats = DecisionStats()
@@ -242,7 +270,7 @@ def _merge(scenario: Scenario, results: Iterable[StampOutcome | str]) -> Experim
             failures.append((t, r))
             prev = [None] * len(sets)
             continue
-        path_rows.extend(r.path_rows)
+        logs.append(r.log)
         stats.comparisons.extend(r.comparisons)
         for k, (st, vertices) in enumerate(zip(r.stats, r.vertices)):
             if st.n_paths and prev[k] is not None:
@@ -268,7 +296,7 @@ def _merge(scenario: Scenario, results: Iterable[StampOutcome | str]) -> Experim
         scenario=scenario,
         series=series,
         summaries=[summarize(s) for s in series],
-        path_rows=path_rows,
+        path_log=_concat(logs),
         failures=failures,
         location_table=table,
         decision_stats=stats,
@@ -278,115 +306,62 @@ def _merge(scenario: Scenario, results: Iterable[StampOutcome | str]) -> Experim
 # -- reanalysis from a path log ------------------------------------------------
 
 
-def index_path_log(
-    scenario: Scenario, rows: Iterable[PathLogRow], template: IslTemplate
-) -> Iterator[tuple[int, int, int, PathLogRow]]:
-    """Each path-log row with its (1-based row number, stamp index, path-set
-    index).
-
-    A row whose stamp, connection, algorithm or hop ids do not fit the
-    scenario, whose status, hops or src_sat are not those of a traced path (a
-    baseline path is always delivered), whose latency is not finite and
-    non-negative, whose consecutive hops are not a link of the scenario's
-    template, or that repeats a greedy set's source satellite or a baseline
-    set's (source, end) satellite pair, raises PathLogError with its 1-based
-    number.
-    """
-    index_of = {t: i for i, t in enumerate(scenario.time.stamps())}
-    eis = [st.ei for st in scenario.stations]
-    set_of = {
-        ((eis[si], eis[di]), algo): k
-        for k, ((si, di), algo) in enumerate(_path_sets(scenario))
-    }
-    conns = {conn for conn, _ in set_of}
-    sats = scenario.constellation.total_sats
-    links = {(a, b) for a, b in template.pairs.tolist()}
-    links |= {(b, a) for a, b in links}
-    first: dict[tuple, int] = {}
-    for n, r in enumerate(rows, start=1):
-        if r.t not in index_of:
-            raise PathLogError(n, f"stamp {r.t} is outside the scenario time grid")
-        conn = (r.src_station, r.dst_station)
-        if conn not in conns:
-            raise PathLogError(
-                n, f"connection {r.src_station}->{r.dst_station} is not in the scenario"
-            )
-        if r.algorithm not in scenario.algorithms:
-            raise PathLogError(n, f"algorithm {r.algorithm!r} is not in the scenario")
-        for h in r.hop_list:
-            if not 0 <= h < sats:
-                raise PathLogError(
-                    n, f"hop {h} is outside the shell's satellites 0..{sats - 1}"
-                )
-        if r.status not in STATUSES:
-            raise PathLogError(n, f"status {r.status!r} is not one of {', '.join(STATUSES)}")
-        if r.status != "delivered" and r.algorithm not in _MPLF_ALGOS:
-            raise PathLogError(n, f"status {r.status!r}: {r.algorithm} paths are never dropped")
-        if not 0.0 <= r.latency_ms < np.inf:
-            raise PathLogError(n, f"latency_ms {r.latency_ms} is not finite and non-negative")
-        if r.hops != len(r.hop_list) - 1:
-            raise PathLogError(n, f"hops {r.hops} does not match the hop list {r.hop_list}")
-        if tuple(r.hop_list[:1]) != (r.src_sat,):
-            raise PathLogError(n, f"src_sat {r.src_sat} is not the first hop")
-        hops = r.hop_list
-        if not links.issuperset(zip(hops, hops[1:])):
-            a, b = next(s for s in zip(hops, hops[1:]) if s not in links)
-            raise PathLogError(n, f"hops {a} and {b} are not linked in the template")
-        # one greedy trace per source satellite, one baseline path per (source, end) pair
-        i, k = index_of[r.t], set_of[conn, r.algorithm]
-        key = (i, k, r.src_sat) if r.algorithm in _MPLF_ALGOS else (i, k, r.src_sat, hops[-1])
-        if key in first:
-            raise PathLogError(n, f"repeats the {r.algorithm} path of row {first[key]}")
-        first[key] = n
-        yield n, i, k, r
+def check_stamp(snap: Snapshot, sets: list[tuple], part: PathLog, numbers: np.ndarray) -> None:
+    """Raise PathLogError for the lowest-numbered row of part (of the sets of
+    _path_sets, numbered 1-based by numbers, all at snap's stamp) whose hops
+    are not template links, whose first satellite its source station does not
+    see or, delivered, whose last one its destination does not see."""
+    tpl, sats, starts = snap.template, part.sats, part.starts
+    unlinked = ~((tpl.nbr[sats[:-1]] == sats[1:, None]) & tpl.real[sats[:-1]]).any(axis=1)
+    unlinked[starts[1:-1] - 1] = False  # the pairs that span two rows
+    sees = np.zeros((len(snap.stations), snap.sat_count), dtype=bool)
+    for i, seen in enumerate(snap.edge_sats):
+        sees[i, seen] = True
+    src, dst = np.array([conn for conn, _ in sets], dtype=int).reshape(-1, 2)[part.path_set].T
+    first, last = sats[starts[:-1]], sats[starts[1:] - 1]
+    bad = ~sees[src, first] | ((part.end == 0) & ~sees[dst, last])
+    bad[np.searchsorted(starts, np.flatnonzero(unlinked), side="right") - 1] = True
+    if bad.any():
+        r = np.flatnonzero(bad)[numbers[bad].argmin()]
+        pair = starts[r] + np.flatnonzero(unlinked[starts[r] : starts[r + 1] - 1])[:1]
+        if pair.size:
+            message = f"hops {sats[pair[0]]} and {sats[pair[0] + 1]} are not linked in the template"
+        elif not sees[src[r], first[r]]:
+            message = f"first hop {first[r]} is not in view of {snap.stations[src[r]].ei}"
+        else:
+            message = f"last hop {last[r]} is not in view of {snap.stations[dst[r]].ei}"
+        raise PathLogError(int(numbers[r]), message)
 
 
-def check_attachment(snap: Snapshot, conn: tuple[int, int], n: int, r: PathLogRow) -> None:
-    """Raise PathLogError with row number n unless, in the snapshot of the
-    row's stamp, the source station conn[0] sees the row's first satellite
-    and, for a delivered row, the destination station conn[1] its last."""
-    si, di = conn
-    if r.hop_list[0] not in snap.edge_sats[si].tolist():
-        raise PathLogError(n, f"first hop {r.hop_list[0]} is not in view of {r.src_station}")
-    if r.status == "delivered" and r.hop_list[-1] not in snap.edge_sats[di].tolist():
-        raise PathLogError(n, f"last hop {r.hop_list[-1]} is not in view of {r.dst_station}")
-
-
-def analyze_rows(scenario: Scenario, rows: Iterable[PathLogRow]) -> ExperimentResult:
+def analyze_rows(scenario: Scenario, log: PathLog) -> ExperimentResult:
     """Recompute every connection metric from a path log.
 
-    Station coverage and positions are rebuilt from the scenario (a cheap
-    topology-only sweep); paths come from the log, and a stamp that raises is
-    listed under failures, as in a run. A row that does not fit the scenario
-    (index_path_log), or whose ends its stations do not see in its stamp's
-    snapshot (check_attachment), raises PathLogError. The series, summaries
-    and location table match the original run to the six-decimal precision
-    of the logged latencies.
+    Station coverage and positions come from the scenario (a cheap
+    topology-only sweep), paths from the log. A stamp that raises is listed
+    under failures, as in a run; a row whose links or ends do not fit its
+    stamp's snapshot raises PathLogError (check_stamp). The series, summaries
+    and location table match the run to the logged latencies' six decimals.
     """
-    snapshot_of, template = snapshot_at(scenario)
-    stamps = scenario.time.stamps()
-    grouped: dict[tuple[datetime, int], list[tuple[int, PathLogRow]]] = {}
-    for n, i, k, r in index_path_log(scenario, rows, template):
-        grouped.setdefault((stamps[i], k), []).append((n, r))
-
-    sets = _path_sets(scenario)
-
-    def path_set(snap: Snapshot, k: int) -> PathSet:
-        conn, algo = sets[k]
-        numbered = grouped.get((snap.t, k), [])
-        for n, r in numbered:
-            check_attachment(snap, conn, n, r)
-        logged = [r for _, r in numbered]
-        if algo in _MPLF_ALGOS:
-            logged.sort(key=attrgetter("src_sat"))  # trace order
-        starts = np.cumsum([0] + [len(r.hop_list) for r in logged])
-        sats = np.fromiter(chain.from_iterable(r.hop_list for r in logged), np.int64, starts[-1])
-        end = np.array([STATUSES.index(r.status) for r in logged], dtype=np.int8)
-        latency = np.array([r.latency_ms for r in logged])
-        total = latency / float(link_latency_ms(1.0))
-        return PathSet(sats, starts, end, total, latency)
+    snapshot_of, stamps, sets = snapshot_at(scenario), scenario.time.stamps(), _path_sets(scenario)
+    index_of = {t: i for i, t in enumerate(stamps)}
+    greedy = np.array([algo in _MPLF_ALGOS for _, algo in sets], dtype=bool)
+    # rows by stamp, then set, a greedy set's in trace order (by source satellite)
+    src = np.where(greedy[log.path_set], log.sats[log.starts[:-1]], 0)
+    order = np.lexsort((src, log.path_set, log.stamp))
+    key = log.stamp[order] * np.int64(len(sets)) + log.path_set[order]
+    cut = np.searchsorted(key, np.arange(len(stamps) * len(sets) + 1))
+    unit = float(link_latency_ms(1.0))
 
     def path_sets_of(snap: Snapshot) -> list[PathSet]:
-        return [path_set(snap, k) for k in range(len(sets))]
+        bounds = cut[index_of[snap.t] * len(sets) :][: len(sets) + 1]
+        rows = order[bounds[0] : bounds[-1]]
+        part = log.take(rows)
+        check_stamp(snap, sets, part, rows + 1)
+        sats, s, ms = part.sats.astype(np.int64), part.starts, part.latency_ms
+        return [
+            PathSet(sats[s[a] : s[b]], s[a : b + 1] - s[a], part.end[a:b], ms[a:b] / unit, ms[a:b])
+            for a, b in pairwise((bounds - bounds[0]).tolist())
+        ]
 
-    return _merge(scenario, map(partial(_stamp, sets, snapshot_of, path_sets_of), stamps))
+    runner = partial(_stamp, sets, stamps, snapshot_of, path_sets_of)
+    return _merge(scenario, map(runner, range(len(stamps))))

@@ -30,7 +30,7 @@ Stations are indices into the snapshot's stations, satellites flat ids; no
 function here takes a name. trace_path, bellman_ford, stamp_path_sets and
 enumerate_paths raise IndexError on an index out of range.
 
-Paths stay in columns from the kernels to the metrics: a PathSet holds its
+Paths stay in columns from the kernels to the path log: a PathSet holds its
 paths' satellites end to end with per-path offsets, end codes and totals.
 trace_path and bellman_ford return a single Path, row 0 of a batch of one.
 """
@@ -576,11 +576,6 @@ class PathSet:
         mark[self.sats[np.repeat(self.delivered, self.hops + 1)]] = True
         return np.flatnonzero(mark)
 
-    def routes(self) -> list[tuple[int, ...]]:
-        """Each path's satellite sequence."""
-        sats, starts = self.sats.tolist(), self.starts.tolist()
-        return [tuple(sats[a:b]) for a, b in zip(starts, starts[1:])]
-
 
 _STRATEGY_OF = {ALGO_MPLF_CPI: STRATEGY_CPI, ALGO_MPLF_NFP: STRATEGY_NFP}
 _WEIGHT_OF = {ALGO_SP: WEIGHT_LATENCY, ALGO_LH: WEIGHT_UNIT}
@@ -623,13 +618,15 @@ def stamp_path_sets(
         r = trace_lockstep(snap, rules, srcs, dests, snap.station_positions[list(dests)])
         counts = [sats[si].size for si, _, _ in greedy]
         columns.update(zip(greedy, _path_columns(r, np.array(up), counts)))
-    for algo in (a for a in algorithms if a in _WEIGHT_OF and live):
+    # the (source, end) satellite pairs of the live connections, shared by both baselines
+    if live and any(a in _WEIGHT_OF for a in algorithms):
         src = np.concatenate([np.repeat(sats[si], sats[di].size) for si, di in live])
         end = np.concatenate([np.tile(sats[di], sats[si].size) for si, di in live])
         up = np.concatenate([np.repeat(lengths[si], sats[di].size) for si, di in live])
         down = np.concatenate([np.tile(lengths[di], sats[si].size) for si, di in live])
-        hit, r = _baseline_routes(snap, _WEIGHT_OF[algo], src, end)
         bounds = np.cumsum([0] + [sats[si].size * sats[di].size for si, di in live])
+    for algo in (a for a in algorithms if a in _WEIGHT_OF and live):
+        hit, r = _baseline_routes(snap, _WEIGHT_OF[algo], src, end)
         counts = np.diff(np.searchsorted(hit, bounds)).tolist()
         cut = _path_columns(r._replace(down_km=down[hit]), up[hit], counts)
         columns.update(((si, di, algo), c) for (si, di), c in zip(live, cut))

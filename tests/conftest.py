@@ -6,6 +6,7 @@ the result together with the wall-clock runtime of the run.
 
 import time
 import warnings
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
@@ -22,10 +23,28 @@ with warnings.catch_warnings():
     except ImportError:  # no libcst: Hypothesis reports without patches
         pass
 
-from leonet.harness import run_experiment
+from leonet.harness import _path_sets, run_experiment
+from leonet.routing import STATUSES
 from leonet.scenario import load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+LogRow = namedtuple(
+    "LogRow", "t algorithm src_station dst_station src_sat hop_list latency_ms status"
+)
+
+
+def log_rows(result):
+    """A run's path log as one LogRow per path, for checks written row by row."""
+    log, stamps = result.path_log, result.scenario.time.stamps()
+    eis = [st.ei for st in result.scenario.stations]
+    names = [(algo, eis[si], eis[di]) for (si, di), algo in _path_sets(result.scenario)]
+    sats, starts = log.sats.tolist(), log.starts.tolist()
+    cols = (log.stamp.tolist(), log.path_set.tolist(), log.latency_ms.tolist(), log.end.tolist())
+    return [
+        LogRow(stamps[i], *names[k], sats[a], tuple(sats[a:b]), ms, STATUSES[e])
+        for i, k, ms, e, a, b in zip(*cols, starts, starts[1:])
+    ]
 
 
 def run_shipped(name: str, parallel: int = 1):

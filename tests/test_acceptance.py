@@ -62,7 +62,7 @@ from leonet.topology import (
     synthetic_snapshot,
 )
 
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, log_rows
 
 EPOCH = utc(2025, 1, 1)
 MPLF_ALGOS = (ALGO_MPLF_CPI, ALGO_MPLF_NFP)
@@ -233,7 +233,7 @@ def _mplf_latency_floor_violations(result):
     const = build_walker(scenario.constellation)
     template = build_persistent_isls(const, scenario.pattern)
     by_stamp = defaultdict(list)
-    for r in result.path_rows:
+    for r in log_rows(result):
         if r.algorithm in MPLF_ALGOS and r.status == "delivered":
             by_stamp[r.t].append(r)
     checked = 0
@@ -283,7 +283,7 @@ def test_04_full_reachability_at_scale_and_drops_on_sparse_shell(exp1_small, exp
     )
     dropped = [
         r
-        for r in small.path_rows
+        for r in log_rows(small)
         if (r.src_station, r.dst_station) == low_lat
         and r.algorithm in MPLF_ALGOS
         and r.status.startswith("dropped:")
@@ -341,13 +341,13 @@ def _ingress_optimum_ratios(result):
     Returns (ratio, algorithm, src, dst, t, ingress) tuples and the greedy
     rows that have no sp path from their ingress satellite.
     """
-    optimum = {}
-    for r in result.path_rows:
+    optimum, rows = {}, log_rows(result)
+    for r in rows:
         if r.algorithm == ALGO_SP and r.status == "delivered":
             key = (r.t, r.src_station, r.dst_station, r.src_sat)
             optimum[key] = min(optimum.get(key, math.inf), r.latency_ms)
     ratios, missing = [], []
-    for r in result.path_rows:
+    for r in rows:
         if r.algorithm not in MPLF_ALGOS or r.status != "delivered":
             continue
         key = (r.t, r.src_station, r.dst_station, r.src_sat)

@@ -8,7 +8,6 @@ shipped scenario.
 
 import copy
 import csv
-import dataclasses
 import functools
 import json
 import os
@@ -29,7 +28,6 @@ from leonet.constellation import ConstellationConfig, build_walker
 from leonet.exporters import (
     export_result,
     paths_geojson,
-    path_geojson,
     read_paths_csv,
     snapshot_links_geojson,
     snapshot_nodes_geojson,
@@ -40,9 +38,10 @@ from leonet.exporters import (
     write_paths_csv,
 )
 from leonet import harness
-from leonet.harness import PathLogError, PathLogRow, analyze_rows, run_experiment
+from leonet.harness import PathLog, PathLogError, analyze_rows, run_experiment
 from leonet.routing import (
     ALGORITHMS,
+    STATUSES,
     LocationTable,
     ler_encapsulate,
     record_delivery,
@@ -50,10 +49,10 @@ from leonet.routing import (
 )
 from leonet.scenario import load_scenario, scenario_from_dict
 from leonet.topology import ISL_KIND_NAMES, IslPattern, snapshot
-from leonet.geometry import link_latency_ms, utc
+from leonet.geometry import eci_to_geodetic, link_latency_ms, utc
 from leonet import cli, exporters
 
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, log_rows
 
 TINY = {
     "name": "tiny",
@@ -77,6 +76,9 @@ TINY = {
     "eisl": {"L_h_km": 1500.0},
 }
 
+
+# Path-log cases edit the rows of a written log as CSV records (csv.DictReader)
+# and read them back; a dict case sets fields of the second row.
 
 # a delivered row rewritten to one hop between satellites that share no link
 NON_LINK = {"hop_list": (4, 30), "hops": 1, "src_sat": 4}
@@ -116,7 +118,7 @@ def repeat_first(algorithm):
     again, and the row after it."""
 
     def rows(log):
-        i = next(i for i, r in enumerate(log) if r.algorithm == algorithm)
+        i = next(i for i, r in enumerate(log) if r["algorithm"] == algorithm)
         return [log[i], log[i], log[i + 1]]
 
     return rows
@@ -125,8 +127,30 @@ def repeat_first(algorithm):
 def dropped_baseline(log):
     """A case built from the log: the first sp row logged as a loop drop,
     between the rows around it."""
-    i = next(i for i, r in enumerate(log) if r.algorithm == "sp")
-    return [log[i - 1], dataclasses.replace(log[i], status="dropped:loop"), log[i + 1]]
+    i = next(i for i, r in enumerate(log) if r["algorithm"] == "sp")
+    return [log[i - 1], {**log[i], "status": "dropped:loop"}, log[i + 1]]
+
+
+def second_row(fields):
+    """A case built from the log: its first three rows, the second with the
+    given fields, a hop tuple joined by '-' as the log writes it."""
+    cells = {
+        k: "-".join(map(str, v)) if isinstance(v, tuple) else str(v) for k, v in fields.items()
+    }
+    return lambda log: [log[0], {**log[1], **cells}, log[2]]
+
+
+def edited_log(path, log, edit, scenario=None):
+    """Write log to path as paths.csv, pass its records through edit, and
+    write them back; returns path."""
+    write_paths_csv(scenario or tiny_scenario(), log, path)
+    with path.open(newline="") as fh:
+        records = edit(list(csv.DictReader(fh)))
+    with path.open("w", newline="") as fh:
+        w = csv.DictWriter(fh, fieldnames=exporters._PATH_LOG)
+        w.writeheader()
+        w.writerows(records)
+    return path
 
 
 def failing_at(stamp):
@@ -189,15 +213,18 @@ class TestRunExperiment:
         res = tiny_result
         # station a sees one satellite, b sees two, at every stamp
         per_stamp = {"mplf-cpi": 1, "mplf-nfp": 1, "sp": 2, "lh": 2}
+        algos = [harness._path_sets(tiny_scenario())[k][1] for k in res.path_log.path_set]
         for algo, want in per_stamp.items():
-            rows = [r for r in res.path_rows if r.algorithm == algo]
-            assert len(rows) == want * 4
+            assert algos.count(algo) == want * 4
 
-    def test_row_statuses_use_reason_vocabulary(self, tiny_result):
-        for r in tiny_result.path_rows:
-            assert r.status == "delivered" or r.status.startswith("dropped:")
-            assert r.hops == len(r.hop_list) - 1
-            assert r.src_sat == r.hop_list[0]
+    def test_row_statuses_use_reason_vocabulary(self, tiny_result, tmp_path):
+        rows = edited_log(tmp_path / "paths.csv", tiny_result.path_log, list)
+        with rows.open(newline="") as fh:
+            for r in csv.DictReader(fh):
+                assert r["status"] == "delivered" or r["status"].startswith("dropped:")
+                hops = r["hop_list"].split("-")
+                assert int(r["hops"]) == len(hops) - 1
+                assert r["src_sat"] == hops[0]
 
     def test_records_only_for_covered_stamps(self, tiny_result):
         # every stamp covered, 4 algorithms: psi is 1 throughout
@@ -236,7 +263,7 @@ class TestRunExperiment:
 
     def test_parallel_run_is_identical(self, tiny_result):
         res2 = run_experiment(tiny_scenario(), parallel=2)
-        assert res2.path_rows == tiny_result.path_rows
+        assert res2.path_log == tiny_result.path_log
         assert res2.series == tiny_result.series
 
     def test_failing_stamp_is_isolated_serial_and_parallel(self, monkeypatch):
@@ -247,11 +274,11 @@ class TestRunExperiment:
         par = run_experiment(tiny_scenario(), parallel=2)
         assert serial.failures == [(stamp, "RuntimeError('injected')")]
         assert par.failures == serial.failures
-        assert par.path_rows == serial.path_rows
+        assert par.path_log == serial.path_log
         assert par.series == serial.series
         # the same result object as a whole, decision stats and location table too
         assert par == serial
-        assert {r.t for r in serial.path_rows} == set(tiny_scenario().time.stamps()) - {stamp}
+        assert set(serial.path_log.stamp.tolist()) == {0, 2, 3}
         count = len(tiny_scenario().time.stamps())
         for s in serial.series:
             assert len(s.stamps) == count - 1
@@ -274,7 +301,7 @@ class TestRunExperiment:
     def test_missing_path_set_is_a_listed_failure(self, tiny_result):
         scn = tiny_scenario()
         stamps = scn.time.stamps()
-        snapshot_of, _ = harness.snapshot_at(scn)
+        snapshot_of = harness.snapshot_at(scn)
         conns = harness._connection_indices(scn)
 
         def path_sets_of(snap):
@@ -282,8 +309,8 @@ class TestRunExperiment:
             return sets[:-1] if snap.t == stamps[2] else sets
 
         sets = harness._path_sets(scn)
-        stamp = functools.partial(harness._stamp, sets, snapshot_of, path_sets_of)
-        res = harness._merge(scn, map(stamp, stamps))
+        stamp = functools.partial(harness._stamp, sets, stamps, snapshot_of, path_sets_of)
+        res = harness._merge(scn, map(stamp, range(len(stamps))))
         assert [t for t, _ in res.failures] == [stamps[2]]
         assert res.failures[0][1].startswith("ValueError('zip()")
         for s, want in zip(res.series, tiny_result.series):
@@ -292,14 +319,14 @@ class TestRunExperiment:
 
     def test_merge_keeps_no_folded_stamp(self, tiny_result):
         scn = tiny_scenario()
-        run = harness._stamp_runner(scn, harness.snapshot_at(scn)[0])
+        run = harness._stamp_runner(scn, harness.snapshot_at(scn))
         refs = []
 
         def outcomes():
-            for t in scn.time.stamps():
+            for i in range(scn.time.count):
                 # the merge holds the last folded outcome at most
                 assert all(ref() is None for ref in refs[:-1])
-                out = run(t)
+                out = run(i)
                 refs.append(weakref.ref(out))
                 yield out
 
@@ -312,7 +339,7 @@ class TestRunExperiment:
         c = {"name": "c", "kind": "ground", "lat_deg": 0.0, "lon_deg": 40.0}
         scn = tiny_scenario(stations=[*TINY["stations"], c], connections=[["a", "b"], ["a", "c"]])
         stamps = scn.time.stamps()
-        snapshot_of, _ = harness.snapshot_at(scn)
+        snapshot_of = harness.snapshot_at(scn)
         monkeypatch.setattr(harness, "snapshot", failing_at(stamps[-1]))
         res = run_experiment(scn)
         assert res.failures == [(stamps[-1], "RuntimeError('injected')")]
@@ -364,7 +391,7 @@ class TestRunExperiment:
 
 class TestAnalyzeRows:
     def test_reanalysis_reproduces_series(self, tiny_result):
-        res2 = analyze_rows(tiny_scenario(), tiny_result.path_rows)
+        res2 = analyze_rows(tiny_scenario(), tiny_result.path_log)
         assert len(res2.series) == len(tiny_result.series)
         for a, b in zip(tiny_result.series, res2.series):
             assert (a.src_ei, a.dst_ei, a.algorithm) == (b.src_ei, b.dst_ei, b.algorithm)
@@ -379,9 +406,8 @@ class TestAnalyzeRows:
 
     def test_csv_round_trip_then_reanalysis(self, tiny_result, tmp_path):
         f = tmp_path / "paths.csv"
-        write_paths_csv(tiny_result.path_rows, f)
-        rows = read_paths_csv(f)
-        res2 = analyze_rows(tiny_scenario(), rows)
+        write_paths_csv(tiny_scenario(), tiny_result.path_log, f)
+        res2 = analyze_rows(tiny_scenario(), read_paths_csv(f, tiny_scenario()))
         for a, b in zip(tiny_result.summaries, res2.summaries):
             assert a.algorithm == b.algorithm
             assert a.reachable_probability == b.reachable_probability
@@ -389,20 +415,14 @@ class TestAnalyzeRows:
             # the log stores latency at fixed precision
             assert a.latency.average == pytest.approx(b.latency.average, abs=1e-5)
 
-    def test_foreign_stamp_rejected(self, tiny_result):
-        rogue = PathLogRow(
-            t=utc(2030, 1, 1),
-            algorithm="sp",
-            src_station="a",
-            dst_station="b",
-            src_sat=0,
-            hop_list=(0,),
-            latency_ms=1.0,
-            hops=0,
-            status="delivered",
-        )
-        with pytest.raises(ValueError, match="outside the scenario time grid"):
-            analyze_rows(tiny_scenario(), [rogue])
+    def test_foreign_stamp_rejected(self, tiny_result, tmp_path):
+        rogue = {"t": "2030-01-01T00:00:00+00:00", "algorithm": "sp", "src_sat": "0",
+                 "hop_list": "0", "hops": "0"}
+        f = edited_log(tmp_path / "paths.csv", tiny_result.path_log,
+                       lambda log: [{**log[0], **rogue}])
+        with pytest.raises(ValueError, match="path log row 1: stamp 2030-01-01 00:00:00.00:00 is "
+                           "outside the scenario time grid"):
+            read_paths_csv(f, tiny_scenario())
 
     @pytest.mark.parametrize(
         "fields,message",
@@ -431,28 +451,55 @@ class TestAnalyzeRows:
         if isinstance(case, dict)
         else case,
     )
-    def test_row_outside_scenario_names_its_number(self, tiny_result, fields, message):
-        if callable(fields):
-            rows = fields(tiny_result.path_rows)
-        else:
-            rows = list(tiny_result.path_rows[:3])
-            rows[1] = dataclasses.replace(rows[1], **fields)
+    def test_row_outside_scenario_names_its_number(self, tiny_result, tmp_path, fields, message):
+        edit = fields if callable(fields) else second_row(fields)
+        f = edited_log(tmp_path / "paths.csv", tiny_result.path_log, edit)
         with pytest.raises(PathLogError, match=f"path log row 2: {message}") as err:
-            analyze_rows(tiny_scenario(), rows)
+            analyze_rows(tiny_scenario(), read_paths_csv(f, tiny_scenario()))
         assert err.value.row == 2
 
+    def test_hop_outside_shell_rejected(self, tiny_result, tmp_path):
+        def edit(log):
+            return [log[0], {**log[1], "hop_list": log[1]["hop_list"] + "-999"}, log[2]]
 
-    def test_hop_outside_shell_rejected(self, tiny_result):
-        rows = list(tiny_result.path_rows[:3])
-        rows[1] = dataclasses.replace(rows[1], hop_list=(*rows[1].hop_list, 999))
+        f = edited_log(tmp_path / "paths.csv", tiny_result.path_log, edit)
         with pytest.raises(
             PathLogError, match="path log row 2: hop 999 is outside the shell's satellites 0..63"
         ) as err:
-            analyze_rows(tiny_scenario(), rows)
+            read_paths_csv(f, tiny_scenario())
         assert err.value.row == 2
 
+    @pytest.mark.parametrize(
+        "faults,row,message",
+        [
+            # a malformed row after one off the time grid: the grid row is named
+            pytest.param(
+                {1: {"t": "2030-01-01T00:00:00+00:00"}, 2: {"latency_ms": "fast"}},
+                2,
+                "stamp 2030-01-01 00:00:00.00:00 is outside the scenario time grid",
+                id="read-in-row-order",
+            ),
+            # a row its stations do not see before one off the scenario: the
+            # checks made while reading come first
+            pytest.param(
+                {1: {"hop_list": "4-12-20-19-27", "hops": "4"}, 2: {"algorithm": "flood"}},
+                3,
+                "algorithm 'flood' is not in the scenario",
+                id="read-before-stamp",
+            ),
+        ],
+    )
+    def test_two_faults_name_the_first_checked(self, tiny_result, tmp_path, faults, row, message):
+        def edit(log):
+            return [{**r, **faults.get(i, {})} for i, r in enumerate(log[:3])]
+
+        f = edited_log(tmp_path / "paths.csv", tiny_result.path_log, edit)
+        with pytest.raises(PathLogError, match=f"path log row {row}: {message}") as err:
+            analyze_rows(tiny_scenario(), read_paths_csv(f, tiny_scenario()))
+        assert err.value.row == row
+
     def test_reanalysis_reproduces_decision_stats(self, tiny_result):
-        res2 = analyze_rows(tiny_scenario(), tiny_result.path_rows)
+        res2 = analyze_rows(tiny_scenario(), tiny_result.path_log)
         assert res2.decision_stats.comparisons
         assert res2.decision_stats == tiny_result.decision_stats
 
@@ -460,17 +507,17 @@ class TestAnalyzeRows:
         serial, _ = exp1_small
         scn = load_scenario(SCENARIO_DIR / "experiment1_20x20.json")
         # loop drops decide at their last satellite too
-        assert any(r.status == "dropped:loop" for r in serial.path_rows)
-        assert analyze_rows(scn, serial.path_rows).decision_stats == serial.decision_stats
+        assert STATUSES.index("dropped:loop") in serial.path_log.end
+        assert analyze_rows(scn, serial.path_log).decision_stats == serial.decision_stats
 
     def test_raising_stamp_is_listed_under_failures(self, monkeypatch):
         scn = tiny_scenario()
         stamp = scn.time.stamps()[1]
         monkeypatch.setattr(harness, "snapshot", failing_at(stamp))
         run = run_experiment(scn)
-        res = analyze_rows(scn, run.path_rows)
+        res = analyze_rows(scn, run.path_log)
         assert res.failures == run.failures == [(stamp, "RuntimeError('injected')")]
-        assert res.path_rows == run.path_rows
+        assert res.path_log == run.path_log
         assert psis(res) == psis(run)
         assert res.location_table == run.location_table
         assert res.decision_stats == run.decision_stats
@@ -480,8 +527,8 @@ class TestAnalyzeRows:
             assert s.stamps[2].vertex_changes is not None
 
     def test_reanalysis_reproduces_rows_records_and_location_table(self, tiny_result):
-        res2 = analyze_rows(tiny_scenario(), tiny_result.path_rows)
-        assert res2.path_rows == tiny_result.path_rows
+        res2 = analyze_rows(tiny_scenario(), tiny_result.path_log)
+        assert res2.path_log == tiny_result.path_log
         assert psis(res2) == psis(tiny_result)
         assert len(res2.location_table) == len(tiny_result.location_table) == 2
         for st in tiny_scenario().stations:
@@ -492,37 +539,42 @@ class TestAnalyzeRows:
 
 
 class TestPathsCsv:
+    @staticmethod
+    def assert_same_but_latency(run, back):
+        """Every column of back equals run's, dtype too; latency to the six
+        decimals the log keeps."""
+        for name in ("stamp", "path_set", "end", "sats", "starts"):
+            want, got = getattr(run, name), getattr(back, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert np.allclose(back.latency_ms, run.latency_ms, rtol=0, atol=5e-7)
+
     def test_round_trip_rows(self, tiny_result, tmp_path):
         f = tmp_path / "paths.csv"
-        write_paths_csv(tiny_result.path_rows, f)
-        back = read_paths_csv(f)
-        assert len(back) == len(tiny_result.path_rows)
-        for a, b in zip(tiny_result.path_rows, back):
-            assert (a.t, a.algorithm, a.src_station, a.dst_station) == (
-                b.t,
-                b.algorithm,
-                b.src_station,
-                b.dst_station,
-            )
-            assert a.hop_list == b.hop_list
-            assert a.status == b.status
-            assert b.latency_ms == pytest.approx(a.latency_ms, abs=1e-6)
+        write_paths_csv(tiny_scenario(), tiny_result.path_log, f)
+        self.assert_same_but_latency(tiny_result.path_log, read_paths_csv(f, tiny_scenario()))
+
+    def test_round_trip_of_shipped_run_is_byte_identical(self, exp1_small, tmp_path):
+        run, _ = exp1_small
+        log = run.path_log
+        # delivered rows and loop drops, of every set
+        assert set(log.end.tolist()) == {0, STATUSES.index("dropped:loop")}
+        assert set(log.path_set.tolist()) == set(range(len(harness._path_sets(run.scenario))))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_paths_csv(run.scenario, log, a)
+        back = read_paths_csv(a, run.scenario)
+        self.assert_same_but_latency(log, back)
+        write_paths_csv(run.scenario, back, b)
+        assert a.read_bytes() == b.read_bytes()
 
     def test_single_vertex_hop_list(self, tmp_path):
-        row = PathLogRow(
-            t=utc(2025, 1, 1, 1),
-            algorithm="mplf-nfp",
-            src_station="a",
-            dst_station="b",
-            src_sat=7,
-            hop_list=(7,),
-            latency_ms=4.2,
-            hops=0,
-            status="delivered",
-        )
+        # one delivered mplf-nfp path (set 1 of a->b) at the first stamp, satellite 7 alone
+        col = functools.partial(np.array, dtype=np.int32)
+        row = PathLog(col([0]), col([1]), np.zeros(1, np.int8), np.array([4.2]), col([7]),
+                      np.array([0, 1]))
         f = tmp_path / "one.csv"
-        write_paths_csv([row], f)
-        assert read_paths_csv(f)[0].hop_list == (7,)
+        write_paths_csv(tiny_scenario(), row, f)
+        assert f.read_text().splitlines()[1].endswith(",mplf-nfp,a,b,7,7,4.200000,0,delivered")
+        assert read_paths_csv(f, tiny_scenario()) == row
 
     @pytest.mark.parametrize(
         "column,value",
@@ -536,42 +588,45 @@ class TestPathsCsv:
         ],
     )
     def test_malformed_row_names_its_number(self, tiny_result, tmp_path, column, value):
-        f = tmp_path / "paths.csv"
-        write_paths_csv(tiny_result.path_rows[:3], f)
-        with f.open(newline="") as fh:
-            recs = list(csv.DictReader(fh))
-        recs[1][column] = value
-        with f.open("w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=list(recs[0]))
-            w.writeheader()
-            w.writerows(recs)
+        edit = second_row({column: value})
+        f = edited_log(tmp_path / "paths.csv", tiny_result.path_log, edit)
         with pytest.raises(PathLogError, match="path log row 2: ") as err:
-            read_paths_csv(f)
+            read_paths_csv(f, tiny_scenario())
+        assert err.value.row == 2
+
+    def test_blank_lines_are_not_counted(self, tiny_result, tmp_path):
+        f = tmp_path / "paths.csv"
+        write_paths_csv(tiny_scenario(), tiny_result.path_log.take(np.arange(3)), f)
+        lines = f.read_text().splitlines()
+        lines[2] = lines[2].replace(",a,b,", ",zz,b,", 1)
+        f.write_text("\n".join([lines[0], "", lines[1], "", lines[2]]) + "\n")
+        with pytest.raises(PathLogError, match="path log row 2: connection zz->b") as err:
+            read_paths_csv(f, tiny_scenario())
         assert err.value.row == 2
 
     def test_missing_column_names_its_row(self, tiny_result, tmp_path):
         f = tmp_path / "paths.csv"
-        write_paths_csv(tiny_result.path_rows[:3], f)
+        write_paths_csv(tiny_scenario(), tiny_result.path_log.take(np.arange(3)), f)
         lines = f.read_text().splitlines()
         # the second data row loses its last field
         lines[2] = lines[2].rsplit(",", 1)[0]
         f.write_text("\n".join(lines) + "\n")
         with pytest.raises(PathLogError, match="path log row 2: missing column.s. status"):
-            read_paths_csv(f)
+            read_paths_csv(f, tiny_scenario())
         # a header without the column fails before any row, as row 0
         g = tmp_path / "no_status.csv"
         g.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines[:2]) + "\n")
         with pytest.raises(PathLogError, match="path log row 0: missing column.s. status"):
-            read_paths_csv(g)
+            read_paths_csv(g, tiny_scenario())
 
     def test_extra_cells_name_their_row(self, tiny_result, tiny_file, tmp_path, capsys):
         f = tmp_path / "paths.csv"
-        write_paths_csv(tiny_result.path_rows[:3], f)
+        write_paths_csv(tiny_scenario(), tiny_result.path_log.take(np.arange(3)), f)
         lines = f.read_text().splitlines()
         lines[2] += ",999,junk"
         f.write_text("\n".join(lines) + "\n")
         with pytest.raises(PathLogError, match="path log row 2: 2 cell.s. beyond the header"):
-            read_paths_csv(f)
+            read_paths_csv(f, tiny_scenario())
         out = tmp_path / "out"
         common = ["--scenario", str(tiny_file), "--paths", str(f), "--out", str(out)]
         assert main(["analyze", *common]) == 1
@@ -648,8 +703,7 @@ class TestExportResult:
         written = export_result(tiny_result, "geojson", tmp_path)
         assert (tmp_path / "paths.geojson").exists()
         geo = json.loads((tmp_path / "paths.geojson").read_text())
-        delivered = [r for r in tiny_result.path_rows if r.status == "delivered"]
-        assert len(geo["features"]) == len(delivered)
+        assert len(geo["features"]) == np.count_nonzero(tiny_result.path_log.end == 0)
         for feat in geo["features"]:
             coords = feat["geometry"]["coordinates"]
             assert feat["properties"]["hop_count"] == len(coords) - 1
@@ -740,8 +794,8 @@ class TestExportResult:
         assert cells == [
             [_t(r.t), r.algorithm, r.src_station, r.dst_station, str(int(r.src_sat))]
             + ["-".join(str(int(h)) for h in r.hop_list), _f(r.latency_ms)]
-            + [str(int(r.hops)), r.status]
-            for r in tiny_result.path_rows
+            + [str(len(r.hop_list) - 1), r.status]
+            for r in log_rows(tiny_result)
         ]
 
     def test_latency_cdf_cells(self, tiny_result, tmp_path):
@@ -804,42 +858,51 @@ class TestGeojson:
             coords = nodes["features"][s]["geometry"]["coordinates"]
             assert coords == [round(g.lon_deg, 6), round(g.lat_deg, 6)]
 
-    def test_path_feature_counts_vertices(self):
-        snap = self.snap()
-        row = PathLogRow(
-            t=snap.t,
-            algorithm="sp",
-            src_station="a",
-            dst_station="b",
-            src_sat=0,
-            hop_list=(0, 1, 2),
-            latency_ms=12.0,
-            hops=2,
-            status="delivered",
-        )
-        feat = path_geojson(snap, row)
-        assert feat["properties"]["hop_count"] == 2
-        assert len(feat["geometry"]["coordinates"]) == 3
+    def test_path_feature_counts_vertices(self, tiny_result):
+        scn = tiny_scenario()
+        feats = paths_geojson(scn, tiny_result.path_log)["features"]
+        rows = [r for r in log_rows(tiny_result) if r.status == "delivered"]
+        assert len(feats) == len(rows)
+        snapshot_of = harness.snapshot_at(scn)
+        epoch = scn.constellation.epoch
+        for feat, r in zip(feats, rows):
+            assert feat["properties"] == {
+                "t": _t(r.t),
+                "algorithm": r.algorithm,
+                "src_station": r.src_station,
+                "dst_station": r.dst_station,
+                "hop_count": len(r.hop_list) - 1,
+                "latency_ms": round(r.latency_ms, 6),
+                "status": "delivered",
+            }
+            snap = snapshot_of(r.t)
+            points = [eci_to_geodetic(snap.sat_positions[s], r.t, epoch) for s in r.hop_list]
+            assert feat["geometry"] == {
+                "type": "LineString",
+                "coordinates": [[round(g.lon_deg, 6), round(g.lat_deg, 6)] for g in points],
+            }
 
-    def test_dropped_rows_are_not_rendered(self, tiny_result):
-        rows = list(tiny_result.path_rows)
-        # the first greedy trace, dropped short of the satellites b sees
-        assert rows[0].algorithm == "mplf-cpi"
-        rows[0] = dataclasses.replace(rows[0], hop_list=rows[0].hop_list[:3], hops=2,
-                                      status="dropped:loop")
-        geo = paths_geojson(tiny_scenario(), rows)
-        assert len(geo["features"]) == len(tiny_result.path_rows) - 1
+    def test_dropped_rows_are_not_rendered(self, tiny_result, tmp_path):
+        def edit(log):
+            # the first greedy trace, dropped short of the satellites b sees
+            assert log[0]["algorithm"] == "mplf-cpi"
+            cut = "-".join(log[0]["hop_list"].split("-")[:3])
+            return [{**log[0], "hop_list": cut, "hops": "2", "status": "dropped:loop"}, *log[1:]]
+
+        f = edited_log(tmp_path / "paths.csv", tiny_result.path_log, edit)
+        geo = paths_geojson(tiny_scenario(), read_paths_csv(f, tiny_scenario()))
+        assert len(geo["features"]) == tiny_result.path_log.end.size - 1
 
     def test_rows_alternating_between_stamps(self, tiny_result):
-        scn = tiny_scenario()
-        t0, t1 = scn.time.stamps()[:2]
-        first = [r for r in tiny_result.path_rows if r.t == t0 and r.status == "delivered"]
-        second = [r for r in tiny_result.path_rows if r.t == t1 and r.status == "delivered"]
-        rows = [r for pair in zip(first, second) for r in pair]
-        assert len(rows) >= 4
-        snapshot_of, _ = harness.snapshot_at(scn)
-        want = [path_geojson(snapshot_of(r.t), r) for r in rows]
-        assert paths_geojson(scn, rows)["features"] == want
+        scn, log = tiny_scenario(), tiny_result.path_log
+        delivered = log.end == 0
+        first, second = (np.flatnonzero(delivered & (log.stamp == i)) for i in (0, 1))
+        rows = np.ravel(list(zip(first, second)))
+        assert rows.size >= 4
+        feats = paths_geojson(scn, log)["features"]
+        feature_of = dict(zip(np.flatnonzero(delivered).tolist(), feats))
+        want = [feature_of[r] for r in rows.tolist()]
+        assert paths_geojson(scn, log.take(rows))["features"] == want
 
     @pytest.mark.parametrize(
         "fields,message",
@@ -875,15 +938,15 @@ class TestGeojson:
             *(case.id for case in LATENCY_CASES + ATTACHMENT_CASES),
         ],
     )
-    def test_row_outside_scenario_rejected(self, tiny_result, fields, message):
-        delivered = [r for r in tiny_result.path_rows if r.status == "delivered"]
-        if callable(fields):
-            rows = fields(delivered)
-        else:
-            rows = delivered[:3]
-            rows[1] = dataclasses.replace(rows[1], **fields)
+    def test_row_outside_scenario_rejected(self, tiny_result, tmp_path, fields, message):
+        case = fields if callable(fields) else second_row(fields)
+
+        def edit(log):
+            return case([r for r in log if r["status"] == "delivered"])
+
+        f = edited_log(tmp_path / "paths.csv", tiny_result.path_log, edit)
         with pytest.raises(PathLogError, match=f"path log row 2: {message}") as err:
-            paths_geojson(tiny_scenario(), rows)
+            paths_geojson(tiny_scenario(), read_paths_csv(f, tiny_scenario()))
         assert err.value.row == 2
 
 
@@ -1028,9 +1091,9 @@ class TestCli:
         assert not (tmp_path / "metrics.csv").exists()
         assert not (tmp_path / "paths.geojson").exists()
 
-    def test_header_only_path_log_is_valid(self, tiny_file, tmp_path):
+    def test_header_only_path_log_is_valid(self, tiny_result, tiny_file, tmp_path):
         log = tmp_path / "paths.csv"
-        write_paths_csv([], log)
+        write_paths_csv(tiny_scenario(), tiny_result.path_log.take(np.arange(0)), log)
         common = ["--scenario", str(tiny_file), "--paths", str(log), "--out", str(tmp_path)]
         assert main(["analyze", *common]) == 0
         with (tmp_path / "summary.csv").open(newline="") as fh:

@@ -1,4 +1,8 @@
-"""The package's public names."""
+"""The package's public names, and the README's example of them."""
+
+import re
+import shutil
+from pathlib import Path
 
 import leonet
 
@@ -13,3 +17,15 @@ def test_star_import():
     names: dict = {}
     exec("from leonet import *", names)
     assert set(leonet.__all__) <= set(names)
+
+
+def test_readme_python_example_runs(tmp_path, monkeypatch):
+    # the README's Python blocks, run as written from a copy of the repository root
+    root = Path(__file__).resolve().parent.parent
+    blocks = re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(), re.S)
+    assert blocks
+    shutil.copytree(root / "scenarios", tmp_path / "scenarios")
+    monkeypatch.chdir(tmp_path)
+    for code in blocks:
+        exec(code, {})
+    assert (tmp_path / "out" / "exp1" / "paths.csv").stat().st_size > 0

@@ -115,6 +115,12 @@ def snapshot_legs(snap, route):
     return tuple(snap.slot_lengths[a, col].tolist())
 
 
+def routes(ps):
+    """Each path's satellite sequence, read off a PathSet's columns."""
+    sats, starts = ps.sats.tolist(), ps.starts.tolist()
+    return [tuple(sats[a:b]) for a, b in zip(starts, starts[1:])]
+
+
 def set_columns(ps):
     """A PathSet's columns as plain values, for ==."""
     return tuple(c.tolist() for c in (ps.sats, ps.starts, ps.end, ps.total_km, ps.latency_ms))
@@ -251,7 +257,7 @@ class TestHeaderLifecycle:
         # greedy traces aim at Snapshot.station_positions in place of the
         # header address, so the two must agree bit for bit at every stamp
         sc = load_scenario(SCENARIO_DIR / "experiment3_moving.json")
-        snapshot_of, _ = snapshot_at(sc)
+        snapshot_of = snapshot_at(sc)
         epoch = sc.constellation.epoch
         eis = [st.ei for st in sc.stations]
         table = LocationTable()
@@ -577,7 +583,7 @@ class TestBellmanFord:
         snap = snapshot_shell(sts, seconds=300)
         ps = enumerate_paths(snap, ALGO_SP, 0, 1)
         assert ps.paths.size
-        for r, total in zip(ps.routes(), ps.total_km.tolist()):
+        for r, total in zip(routes(ps), ps.total_km.tolist()):
             path = bellman_ford(snap, "latency", r[0], r[-1])
             assert (path.up_km, path.down_km) == (None, None)  # satellite to satellite
             up, down = edge_length(snap, 0, r[0]), edge_length(snap, 1, r[-1])
@@ -632,17 +638,17 @@ class TestEnumeratePaths:
             assert ps.end.size == n_src  # delivered and dropped traces together
             delivered = ps.end == STATUSES.index("delivered")
             assert ps.paths.tolist() == np.flatnonzero(delivered).tolist()
-            starts = sorted(r[0] for r in ps.routes())
+            starts = sorted(r[0] for r in routes(ps))
             assert starts == sorted(snap.edge_sats[0].tolist())
 
     def test_greedy_paths_carry_edge_links(self):
         snap = snapshot_shell(self.stations(), seconds=300)
         ps = enumerate_paths(snap, ALGO_MPLF_NFP, 0, 1)
         assert ps.delivered.any()
-        routes = ps.routes()
+        got = routes(ps)
         for i in ps.paths:
-            p = trace_path(snap, "nfp", routes[i][0], 1)
-            assert p.sats == routes[i]
+            p = trace_path(snap, "nfp", got[i][0], 1)
+            assert p.sats == got[i]
             assert p.down_km == pytest.approx(edge_length(snap, 1, p.end_sat))
             up = edge_length(snap, 0, p.src_sat)
             assert ps.total_km[i] == pytest.approx(up + p.isl_km + p.down_km)
@@ -654,7 +660,7 @@ class TestEnumeratePaths:
             ps = enumerate_paths(snap, algo, 0, 1)
             assert len(ps.paths) == n  # +Grid shell is connected
             assert ps.delivered.all()
-            ends = {(r[0], r[-1]) for r in ps.routes()}
+            ends = {(r[0], r[-1]) for r in routes(ps)}
             assert len(ends) == n
 
     def test_baseline_pair_paths_are_optimal(self):
@@ -666,14 +672,14 @@ class TestEnumeratePaths:
             adj[y].append((x, w))
         ps = enumerate_paths(snap, ALGO_SP, 0, 1)
         by_src = {}
-        for r in ps.routes():
+        for r in routes(ps):
             by_src.setdefault(r[0], {})[r[-1]] = r
         for s1, group in by_src.items():
             dist = dijkstra(adj, s1)
             for s2, r in group.items():
                 assert sum(snapshot_legs(snap, r)) == pytest.approx(dist[s2], rel=1e-12)
         lh = enumerate_paths(snap, ALGO_LH, 0, 1)
-        for r, hops in zip(lh.routes(), lh.hops.tolist()):
+        for r, hops in zip(routes(lh), lh.hops.tolist()):
             assert hops == bfs_hops(adj, r[0])[r[-1]]
 
     def test_uncovered_endpoint_yields_empty_set(self):
@@ -812,7 +818,7 @@ class TestBaselinesExact:
                             if sats is not None:
                                 want.append((sats, legs, float(up), float(down), dist[s2]))
                     ps = enumerate_paths(snap, algo, si, di)
-                    got = ps.routes()
+                    got = routes(ps)
                     assert [(r, snapshot_legs(snap, r)) for r in got] == [w[:2] for w in want]
                     # legs summed in order, then the up and the down link
                     assert ps.total_km.tolist() == [sum(w[1]) + w[2] + w[3] for w in want]
@@ -831,7 +837,7 @@ class TestBaselinesExact:
             for si, di in _connection_indices(sc):
                 for algo in (ALGO_MPLF_CPI, ALGO_MPLF_NFP):
                     ps = enumerate_paths(snap, algo, si, di)
-                    for r, total, ok in zip(ps.routes(), ps.total_km.tolist(), ps.delivered):
+                    for r, total, ok in zip(routes(ps), ps.total_km.tolist(), ps.delivered):
                         kms = [
                             snap.slot_lengths[a, int(np.flatnonzero(tpl.nbr[a] == b)[0])]
                             for a, b in zip(r, r[1:])
