@@ -14,7 +14,7 @@ import weakref
 from array import array
 from datetime import datetime, timezone
 from itertools import chain, pairwise, repeat
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path as FsPath
 from typing import Iterable, Iterator, Sequence
 
@@ -149,17 +149,21 @@ def read_paths_csv(path: FsPath, scenario: Scenario) -> PathLog:
     sats, starts = array("i"), array("q", [0])
     first: dict[tuple, int] = {}
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in _PATH_LOG if c not in (reader.fieldnames or ())]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        at = {name: j for j, name in enumerate(header)}  # a repeated name's last column
+        missing = [c for c in _PATH_LOG if c not in at]
         if missing:
             raise PathLogError(0, f"missing column(s) {', '.join(missing)}")
-        for n, rec in enumerate(reader, start=1):
-            missing = [c for c in _PATH_LOG if rec.get(c) is None]
-            if missing:
+        cols = [at[c] for c in _PATH_LOG]
+        cells_of, reach = itemgetter(*cols), max(cols)
+        for n, cells in enumerate(filter(None, reader), start=1):  # blank lines not counted
+            if len(cells) <= reach:
+                missing = [c for c, j in zip(_PATH_LOG, cols) if j >= len(cells)]
                 raise PathLogError(n, f"missing column(s) {', '.join(missing)}")
-            if None in rec:  # DictReader files the cells beyond the header here
-                raise PathLogError(n, f"{len(rec[None])} cell(s) beyond the header")
-            t, algo, src, dst, sat0, hop_list, ms, hops, status = map(rec.get, _PATH_LOG)
+            if len(cells) > len(header):
+                raise PathLogError(n, f"{len(cells) - len(header)} cell(s) beyond the header")
+            t, algo, src, dst, sat0, hop_list, ms, hops, status = cells_of(cells)
             try:
                 t, sat0 = datetime.fromisoformat(t), int(sat0)
                 route, ms, hops = [*map(int, hop_list.split("-"))], float(ms), int(hops)

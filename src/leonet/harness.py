@@ -309,24 +309,23 @@ def _merge(scenario: Scenario, results: Iterable[StampOutcome | str]) -> Experim
 def check_stamp(snap: Snapshot, sets: list[tuple], part: PathLog, numbers: np.ndarray) -> None:
     """Raise PathLogError for the lowest-numbered row of part (of the sets of
     _path_sets, numbered 1-based by numbers, all at snap's stamp) whose hops
-    are not template links, whose first satellite its source station does not
-    see or, delivered, whose last one its destination does not see."""
-    tpl, sats, starts = snap.template, part.sats, part.starts
-    unlinked = ~((tpl.nbr[sats[:-1]] == sats[1:, None]) & tpl.real[sats[:-1]]).any(axis=1)
+    are not template links (IslTemplate.linked), whose first satellite its
+    source station does not see or, delivered, whose last one its destination
+    does not see (Snapshot.edge_km)."""
+    sats, starts = part.sats, part.starts
+    unlinked = ~snap.template.linked(sats[:-1], sats[1:])
     unlinked[starts[1:-1] - 1] = False  # the pairs that span two rows
-    sees = np.zeros((len(snap.stations), snap.sat_count), dtype=bool)
-    for i, seen in enumerate(snap.edge_sats):
-        sees[i, seen] = True
     src, dst = np.array([conn for conn, _ in sets], dtype=int).reshape(-1, 2)[part.path_set].T
     first, last = sats[starts[:-1]], sats[starts[1:] - 1]
-    bad = ~sees[src, first] | ((part.end == 0) & ~sees[dst, last])
+    unseen = snap.edge_km[src, first] == np.inf
+    bad = unseen | ((part.end == 0) & (snap.edge_km[dst, last] == np.inf))
     bad[np.searchsorted(starts, np.flatnonzero(unlinked), side="right") - 1] = True
     if bad.any():
         r = np.flatnonzero(bad)[numbers[bad].argmin()]
         pair = starts[r] + np.flatnonzero(unlinked[starts[r] : starts[r + 1] - 1])[:1]
         if pair.size:
             message = f"hops {sats[pair[0]]} and {sats[pair[0] + 1]} are not linked in the template"
-        elif not sees[src[r], first[r]]:
+        elif unseen[r]:
             message = f"first hop {first[r]} is not in view of {snap.stations[src[r]].ei}"
         else:
             message = f"last hop {last[r]} is not in view of {snap.stations[dst[r]].ei}"
@@ -344,10 +343,9 @@ def analyze_rows(scenario: Scenario, log: PathLog) -> ExperimentResult:
     """
     snapshot_of, stamps, sets = snapshot_at(scenario), scenario.time.stamps(), _path_sets(scenario)
     index_of = {t: i for i, t in enumerate(stamps)}
-    greedy = np.array([algo in _MPLF_ALGOS for _, algo in sets], dtype=bool)
-    # rows by stamp, then set, a greedy set's in trace order (by source satellite)
-    src = np.where(greedy[log.path_set], log.sats[log.starts[:-1]], 0)
-    order = np.lexsort((src, log.path_set, log.stamp))
+    # rows by stamp, set, first and last satellite: stamp_path_sets' order in each set
+    first, last = log.sats[log.starts[:-1]], log.sats[log.starts[1:] - 1]
+    order = np.lexsort((last, first, log.path_set, log.stamp))
     key = log.stamp[order] * np.int64(len(sets)) + log.path_set[order]
     cut = np.searchsorted(key, np.arange(len(stamps) * len(sets) + 1))
     unit = float(link_latency_ms(1.0))

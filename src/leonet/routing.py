@@ -201,16 +201,15 @@ class Path:
     """One traced or computed route between edge attachments.
 
     The satellite sequence always has at least one element; a packet that is
-    delivered by its ingress satellite makes a zero-hop path. Edge-link
-    lengths (up at the source, down at the destination) are attached when the
-    endpoints are stations and count toward the totals.
+    delivered by its ingress satellite makes a zero-hop path. A delivered
+    greedy trace carries the length of its down link to the destination
+    station, which counts toward the totals; no up link is attached.
     """
 
     sats: tuple[int, ...]
     isl_lengths_km: tuple[float, ...]
     status: str  # "delivered" | "dropped"
     drop_reason: str | None = None
-    up_km: float | None = None
     down_km: float | None = None
 
     @property
@@ -235,7 +234,7 @@ class Path:
 
     @property
     def total_km(self) -> float:
-        return self.isl_km + (self.up_km or 0.0) + (self.down_km or 0.0)
+        return self.isl_km + (self.down_km or 0.0)
 
     @property
     def latency_ms(self) -> float:
@@ -317,8 +316,9 @@ def trace_lockstep(
 
     Trace i leaves satellite src_sats[i] under strategies[i], aims at
     dest_pos[i] and is delivered at a satellite that sees the station with
-    index dest_stations[i]. Every step applies the per-hop rule to all live
-    traces at once: delivery; a dead end at the hop cap max_hops (default
+    index dest_stations[i]: one with a finite snap.edge_km entry, the length
+    of the down link. Every step applies the per-hop rule to all live traces
+    at once: delivery; a dead end at the hop cap max_hops (default
     4 * (sats_per_plane + planes)) or at a satellite with no neighbor; the
     neighbor of least _keys key, the lowest id among equals; a loop drop if
     that is the previous relay. Coincident nodes raise ValueError. A trace's
@@ -336,13 +336,6 @@ def trace_lockstep(
     src = np.asarray(src_sats, dtype=np.int64)
     n = src.size
     st = np.asarray(dest_stations, dtype=np.int64)
-    # visibility and down-link length of each station's satellites
-    sees = np.zeros((len(snap.stations), snap.sat_count), dtype=bool)
-    down = np.zeros(sees.shape)
-    for i, (sats, lengths) in enumerate(zip(snap.edge_sats, snap.edge_lengths)):
-        sees[i, sats] = True
-        down[i, sats] = lengths
-
     end = np.zeros(n, dtype=np.int8)
     down_km = np.zeros(n)
     steps = [(np.arange(n), src, np.zeros(n))]
@@ -352,8 +345,9 @@ def trace_lockstep(
     dest = np.asarray(dest_pos, dtype=float).reshape(n, 3)
     hops = 0
     while live.size:
-        at = sees[st, cur]
-        down_km[live[at]] = down[st[at], cur[at]]
+        down = snap.edge_km[st, cur]
+        at = down < np.inf
+        down_km[live[at]] = down[at]
         go = ~at & (tpl.degree[cur] > 0) & (hops < max_hops)
         end[live[~at & ~go]] = _DEAD_END
         live, cur, prev, st, nfp, dest = (a[go] for a in (live, cur, prev, st, nfp, dest))

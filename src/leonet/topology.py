@@ -110,10 +110,8 @@ class IslTemplate:
     pairs with the link to nbr[v, j]. Rows shorter than the highest degree
     are padded at the end with v itself and the link index E (the edge
     count), which a snapshot maps to an infinite length; real marks the
-    slots that hold a link.
-
-    pair_keys holds min(a, b) * S + max(a, b) for every pair, sorted, so a
-    pair can be looked up in either orientation.
+    slots that hold a link. linked answers, from that table, whether
+    satellite pairs are persistently linked.
     """
 
     pairs: np.ndarray  # (E, 2) int32
@@ -123,7 +121,6 @@ class IslTemplate:
     link: np.ndarray = field(init=False, repr=False)  # (S, D) int64
     degree: np.ndarray = field(init=False, repr=False)  # (S,) int64
     real: np.ndarray = field(init=False, repr=False)  # (S, D) bool
-    pair_keys: np.ndarray = field(init=False, repr=False)  # (E,) int64
 
     def __post_init__(self) -> None:
         pairs, n = self.pairs, self.sat_count
@@ -145,8 +142,10 @@ class IslTemplate:
         object.__setattr__(self, "link", link)
         object.__setattr__(self, "degree", deg)
         object.__setattr__(self, "real", np.arange(width) < deg[:, None])
-        # sorted by (dst, src), the dst < src half lists each pair once as (min, max)
-        object.__setattr__(self, "pair_keys", (dst * n + src)[dst < src])
+
+    def linked(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Whether each (a[i], b[i]) is a persistent link, either way round."""
+        return ((self.nbr[a] == b[:, None]) & self.real[a]).any(axis=1)
 
     @property
     def edge_count(self) -> int:
@@ -191,8 +190,11 @@ class Snapshot:
     """Immutable-by-convention picture of the network at one stamp.
 
     Holds inertial satellite states, persistent link lengths, station
-    positions, and the station-satellite edge links at the minimum elevation.
-    Transient crossing-mesh links are intentionally absent.
+    positions, and the station-satellite edge links at the minimum elevation:
+    edge_km[i, s] is the length of the link from station i to satellite s, inf
+    where i does not see s; edge_sats[i] and edge_lengths[i] list the
+    satellites station i sees, ascending, and their lengths. Transient
+    crossing-mesh links are intentionally absent.
     """
 
     def __init__(
@@ -240,13 +242,12 @@ class Snapshot:
             ecef_to_eci(ecef, t, epoch) if stations else np.zeros((0, 3))
         )
 
-        # connect-all-visible edge links, per station
-        self.edge_sats: list[np.ndarray] = []
-        self.edge_lengths: list[np.ndarray] = []
-        for i in range(len(stations)):
-            els = elevation_angle(self.station_positions[i], pos)
-            vis = np.flatnonzero(np.asarray(els) >= self.min_elevation_deg)
-            lengths = np.linalg.norm(pos[vis] - self.station_positions[i], axis=1)
+        # connect-all-visible edge links
+        self.edge_km = np.full((len(stations), pos.shape[0]), np.inf)
+        self.edge_sats, self.edge_lengths = [], []
+        for i, g in enumerate(self.station_positions):
+            vis = np.flatnonzero(np.asarray(elevation_angle(g, pos)) >= self.min_elevation_deg)
+            self.edge_km[i, vis] = lengths = np.linalg.norm(pos[vis] - g, axis=1)
             self.edge_sats.append(vis.astype(np.int32))
             self.edge_lengths.append(lengths)
 
@@ -327,13 +328,13 @@ def detect_eisls(snap: Snapshot, l_h_km: float) -> np.ndarray:
     """Transient crossing-mesh pairs at this stamp, canonical (a < b) rows in
     lexicographic order.
 
-    A pair qualifies when it is not persistently linked (listed either way
-    round), its inertial distance is below the activation radius, and the two
-    satellites move with opposite vertical sense. Only ascending-descending
+    A pair qualifies when its inertial distance is below the activation
+    radius, the two satellites move with opposite vertical sense, and it is
+    not persistently linked (IslTemplate.linked). Only ascending-descending
     pairs can qualify, so the ascending satellites are sorted on the axis of
     largest spread and each descending one is swept against the window within
-    the radius on that axis; the predicates run on those candidates alone, in
-    O(S + candidates) memory.
+    the radius on that axis; the predicates run on those candidates alone, the
+    link test on the near ones, in O(S + candidates) memory.
     """
     if l_h_km <= 0:
         raise ValueError("activation radius must be positive")
@@ -352,16 +353,11 @@ def detect_eisls(snap: Snapshot, l_h_km: float) -> np.ndarray:
     b = np.repeat(down, width)
     a = up[np.arange(n) - np.repeat(np.cumsum(width) - width - lo, width)]
 
-    near = np.sum((pos[a] - pos[b]) ** 2, axis=-1) < l_h_km * l_h_km
-    opposite = vz[a] * vz[b] < 0.0
+    keep = (np.sum((pos[a] - pos[b]) ** 2, axis=-1) < l_h_km * l_h_km) & (vz[a] * vz[b] < 0.0)
+    a, b = a[keep], b[keep]
+    free = ~snap.template.linked(a, b)
     s = pos.shape[0]
-    keys = np.minimum(a, b) * s + np.maximum(a, b)
-    persistent = snap.template.pair_keys
-    linked = np.zeros(n, dtype=bool)
-    if persistent.size:
-        at = np.searchsorted(persistent, keys).clip(max=persistent.size - 1)
-        linked = persistent[at] == keys
-    keys = np.sort(keys[near & opposite & ~linked])
+    keys = np.sort(np.minimum(a, b)[free] * s + np.maximum(a, b)[free])
     return np.stack([keys // s, keys % s], axis=1).astype(np.int32)
 
 

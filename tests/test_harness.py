@@ -510,6 +510,15 @@ class TestAnalyzeRows:
         assert STATUSES.index("dropped:loop") in serial.path_log.end
         assert analyze_rows(scn, serial.path_log).decision_stats == serial.decision_stats
 
+    def test_row_order_does_not_change_the_result(self, exp1_small):
+        serial, _ = exp1_small
+        scn = load_scenario(SCENARIO_DIR / "experiment1_20x20.json")
+        log = serial.path_log
+        want = analyze_rows(scn, log)
+        for seed in range(2):
+            shuffled = log.take(np.random.default_rng(seed).permutation(log.end.size))
+            assert analyze_rows(scn, shuffled) == want
+
     def test_raising_stamp_is_listed_under_failures(self, monkeypatch):
         scn = tiny_scenario()
         stamp = scn.time.stamps()[1]
@@ -618,6 +627,15 @@ class TestPathsCsv:
         g.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines[:2]) + "\n")
         with pytest.raises(PathLogError, match="path log row 0: missing column.s. status"):
             read_paths_csv(g, tiny_scenario())
+
+    def test_row_short_of_an_extra_column_is_read(self, tiny_result, tmp_path):
+        # a header column beyond the log's own may be left off a row, as csv.DictReader allows
+        f, g = tmp_path / "paths.csv", tmp_path / "noted.csv"
+        write_paths_csv(tiny_scenario(), tiny_result.path_log.take(np.arange(3)), f)
+        lines = f.read_text().splitlines()
+        noted = [lines[0] + ",note", lines[1] + ",x", *lines[2:]]
+        g.write_text("\n".join(noted) + "\n")
+        assert read_paths_csv(g, tiny_scenario()) == read_paths_csv(f, tiny_scenario())
 
     def test_extra_cells_name_their_row(self, tiny_result, tiny_file, tmp_path, capsys):
         f = tmp_path / "paths.csv"

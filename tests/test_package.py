@@ -1,5 +1,6 @@
 """The package's public names, and the README's example of them."""
 
+import importlib.util
 import re
 import shutil
 from pathlib import Path
@@ -29,3 +30,15 @@ def test_readme_python_example_runs(tmp_path, monkeypatch):
     for code in blocks:
         exec(code, {})
     assert (tmp_path / "out" / "exp1" / "paths.csv").stat().st_size > 0
+
+
+def test_every_bench_span_target_resolves():
+    # the benchmark traces these functions by name: a renamed or deleted one fails here
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("spans", root / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for module, attr, _, _ in spans.TARGETS:
+        owner, name = spans._resolve(module, attr)
+        assert callable(getattr(owner, name, None)), f"{module}.{attr}"

@@ -305,7 +305,7 @@ class TestTracePath:
         assert p.sats == (0, 1)
         assert p.isl_lengths_km == (200.0,)
         assert p.down_km == pytest.approx(math.hypot(629.0, 100.0))
-        assert p.up_km is None
+        assert p.total_km == p.isl_km + p.down_km  # the down link only, no up link
 
     def test_ingress_satellite_delivers_zero_hops(self):
         snap = chain_snapshot()
@@ -585,7 +585,8 @@ class TestBellmanFord:
         assert ps.paths.size
         for r, total in zip(routes(ps), ps.total_km.tolist()):
             path = bellman_ford(snap, "latency", r[0], r[-1])
-            assert (path.up_km, path.down_km) == (None, None)  # satellite to satellite
+            assert path.down_km is None  # satellite to satellite
+            assert path.total_km == path.isl_km
             up, down = edge_length(snap, 0, r[0]), edge_length(snap, 1, r[-1])
             assert total == pytest.approx(up + path.isl_km + down)
 

@@ -30,6 +30,7 @@ from leonet.topology import (
     ISL_KIND_NAMES,
     FixedPosition,
     IslPattern,
+    IslTemplate,
     Station,
     build_persistent_isls,
     detect_eisls,
@@ -199,6 +200,34 @@ class TestPersistentTemplate:
         names = {ISL_KIND_NAMES[k] for k in tpl.kinds.tolist()}
         assert names == {"iISL", "sISL"}
 
+    @pytest.mark.parametrize(
+        "pattern",
+        [IslPattern(GRID_PLUS, (0,)), IslPattern(GRID_STAR, (-1, 0))],
+        ids=lambda p: p.grid,
+    )
+    def test_linked_matches_pair_membership(self, pattern):
+        tpl = build_persistent_isls(shell(4, 6), pattern)
+        listed = {tuple(p) for p in tpl.pairs.tolist()}
+        # every ordered pair, so each link is asked in both orientations
+        a, b = np.divmod(np.arange(tpl.sat_count**2), tpl.sat_count)
+        want = [(x, y) in listed or (y, x) in listed for x, y in zip(a.tolist(), b.tolist())]
+        assert tpl.linked(a, b).tolist() == want
+        assert sum(want) == 2 * tpl.edge_count
+
+    def test_linked_ignores_padding_slots(self):
+        # 0 and 1 have two links, 2 and 3 one: rows 2 and 3 are padded with themselves
+        tpl = IslTemplate(np.array([[0, 1], [0, 2], [1, 3]], dtype=np.int32),
+                          np.zeros(3, dtype=np.int8), 4)
+        assert tpl.nbr[2, 1] == 2 and not tpl.real[2, 1]
+        v = np.arange(4)
+        assert not tpl.linked(v, v).any()
+        assert tpl.linked(np.array([1, 2, 3]), np.array([0, 0, 1])).all()
+
+    def test_linked_without_links(self):
+        tpl = IslTemplate(np.zeros((0, 2), dtype=np.int32), np.zeros(0, dtype=np.int8), 3)
+        a, b = np.divmod(np.arange(9), 3)
+        assert not tpl.linked(a, b).any()
+
 
 class TestSnapshot:
     def test_edge_links_match_brute_force_elevation(self):
@@ -216,6 +245,12 @@ class TestSnapshot:
         for s, length in zip(snap.edge_sats[0], snap.edge_lengths[0]):
             want = np.linalg.norm(snap.sat_positions[s] - snap.station_positions[0])
             assert length == pytest.approx(float(want))
+        # the station x satellite table: inf exactly where unseen, the edge lengths elsewhere
+        seen = np.zeros(const.sat_count, dtype=bool)
+        seen[list(oracle)] = True
+        assert snap.edge_km.shape == (1, const.sat_count)
+        assert np.array_equal(snap.edge_km[0] == np.inf, ~seen)
+        assert np.array_equal(snap.edge_km[0, seen], snap.edge_lengths[0])
 
     def test_visibility_bounded_by_coverage_cone(self):
         const = shell(10, 10)
