@@ -22,9 +22,10 @@ count of every decision follows from the traced paths (decision_counts).
 Baselines are exact shortest paths over the satellite graph under a latency
 or unit (hop) weight, one per (source, end) satellite pair; bellman_ford is
 the one-pair case. Distances from the distinct sources of a stamp come from
-one batched frontier relaxation over the template's adjacency; a vectorized
-pass picks each node's lowest-id predecessor, and every route follows those
-pointers back from its end, all in lockstep.
+one batched frontier relaxation over the template's adjacency, the only
+table a baseline keeps: every route walks back from its end in lockstep, each
+step taking the lowest-id neighbor whose distance plus link weight is the
+node's own.
 
 Stations are indices into the snapshot's stations, satellites flat ids; no
 function here takes a name. trace_path, bellman_ford, stamp_path_sets and
@@ -418,22 +419,23 @@ def _slot_weights(snap: Snapshot, weight: str) -> np.ndarray:
     return np.where(snap.template.real, 1.0, np.inf)
 
 
-def _distances(snap: Snapshot, w: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+def _distances(snap: Snapshot, w: np.ndarray, sources: np.ndarray) -> np.ndarray:
     """Distances over the satellite graph under the slot weights w (from
-    _slot_weights) from each row of seed offsets (inf where a satellite is no
-    seed), by frontier relaxation to the fixed point.
+    _slot_weights), one row from each satellite of sources, by frontier
+    relaxation to the fixed point.
 
     Each round relaxes only the out-edges of the nodes whose distance fell in
-    the previous round. Weights are positive and rounding is monotone, so the
-    fixed point is unique and any complete relaxation order reaches it.
+    the previous round. Weights are non-negative and rounding is monotone, so
+    the fixed point is unique and any complete relaxation order reaches it.
     """
     nbr = snap.template.nbr
     n = snap.sat_count
-    dist = np.array(seeds, dtype=float)
+    dist = np.full((sources.size, n), np.inf)
     flat = dist.reshape(-1)
+    frontier = np.arange(sources.size) * n + sources
+    flat[frontier] = 0.0
     # marks the next frontier once per node; np.unique would import numpy.ma
     mark = np.zeros(flat.size, dtype=bool)
-    frontier = np.flatnonzero(np.isfinite(flat))
     while frontier.size:
         node = frontier % n
         target = nbr[node]
@@ -449,43 +451,30 @@ def _distances(snap: Snapshot, w: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _predecessors(
-    snap: Snapshot, w: np.ndarray, dist: np.ndarray, seeds: np.ndarray
-) -> np.ndarray:
-    """Predecessor of each node as a flat index into the adjacency table, one
-    row per row of seed offsets.
-
-    The predecessor of v is its lowest-id neighbor u with dist[u] + w ==
-    dist[v]. A seed whose distance equals its offset, and an unreached node,
-    has none (-1). Deterministic by construction.
-    """
-    nbr = snap.template.nbr
-    n, width = nbr.shape
-    # the lowest matching column, one column at a time: no (rows, S, D) array
-    col = np.zeros(dist.shape, dtype=np.int64)
-    for j in reversed(range(width)):
-        col[dist[:, nbr[:, j]] + w[:, j] == dist] = j
-    return np.where(np.isfinite(dist) & (dist != seeds), np.arange(n) * width + col, -1)
-
-
 def _walk_back(
-    pred: np.ndarray, nbr: np.ndarray, lengths: np.ndarray, row: np.ndarray, end: np.ndarray
+    snap: Snapshot, w: np.ndarray, dist: np.ndarray, row: np.ndarray, src: np.ndarray,
+    end: np.ndarray,
 ) -> Routes:
-    """The tree route of each (row, end) pair, following the pointers of
-    pred[row] (flat indices into nbr and lengths, -1 at a root) back from end,
-    one step for all pairs at a time. A chain as long as a row raises."""
+    """The shortest route of each (src[i], end[i]) pair over the distances
+    dist[row[i]] from src[i], walked back from end[i] for all pairs in
+    lockstep. At node v a step takes the first column j with dist[nbr[v, j]]
+    + w[v, j] == dist[v], as neighbor rows ascend the lowest-id predecessor.
+    Zero-length links can make two nodes each other's predecessor: a walk as
+    long as the node count raises."""
+    nbr, lengths = snap.template.nbr, snap.slot_lengths
     m = end.size
     steps = []
-    live, cur, k = np.arange(m), end, pred[row, end]
-    for _ in range(pred.shape[1]):
-        root = k < 0  # a route's first satellite: no link into it
+    live, cur = np.arange(m), end
+    for _ in range(snap.sat_count):
+        root = cur == src  # a route's first satellite: no link into it
         steps.append((live[root], cur[root], np.zeros(np.count_nonzero(root))))
-        live, row, cur, k = (a[~root] for a in (live, row, cur, k))
+        live, row, src, cur = (a[~root] for a in (live, row, src, cur))
         if not live.size:
             break
-        steps.append((live, cur, lengths[k]))
-        cur = nbr[k]
-        k = pred[row, cur]
+        fits = dist[row[:, None], nbr[cur]] + w[cur] == dist[row, cur][:, None]
+        col = fits.argmax(axis=1)
+        steps.append((live, cur, lengths[cur, col]))
+        cur = nbr[cur, col]
     else:
         raise RuntimeError("path reconstruction exceeded the node count")
     # later steps first: each route reads from its root to its end
@@ -498,22 +487,17 @@ def _baseline_routes(
     """The indices of the reached (src[i], end[i]) satellite pairs, and their
     exact shortest routes.
 
-    One distance and one predecessor pass cover the distinct sources, each a
-    row seeded at 0. A pair is reached where its end's distance is finite, and
-    its route walks the predecessors back from there.
+    One distance pass covers the distinct sources, a row each. A pair is
+    reached where its end's distance is finite, and its route walks back from
+    there over the distances alone.
     """
     w = _slot_weights(snap, weight)
     mark = np.zeros(snap.sat_count, dtype=bool)
     mark[src] = True
-    sources = np.flatnonzero(mark)
     row = np.cumsum(mark)[src] - 1  # each pair's source row
-    seeds = np.full((sources.size, snap.sat_count), np.inf)
-    seeds[np.arange(sources.size), sources] = 0.0
-    dist = _distances(snap, w, seeds)
+    dist = _distances(snap, w, np.flatnonzero(mark))
     reached = np.flatnonzero(np.isfinite(dist[row, end]))
-    pred = _predecessors(snap, w, dist, seeds)
-    nbr, lengths = snap.template.nbr.ravel(), snap.slot_lengths.ravel()
-    return reached, _walk_back(pred, nbr, lengths, row[reached], end[reached])
+    return reached, _walk_back(snap, w, dist, row[reached], src[reached], end[reached])
 
 
 def bellman_ford(snap: Snapshot, weight: str, src_sat: int, dst_sat: int) -> Path | None:

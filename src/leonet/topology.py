@@ -305,13 +305,21 @@ def synthetic_snapshot(
     Intended for analysis and tests where link weights are decoupled from
     geometry: positions drive forwarding and the station edge links, and
     every inter-satellite leg of a path, greedy or baseline, reads the
-    supplied lengths.
+    supplied lengths: one per link, finite and non-negative (else ValueError).
     """
     template = IslTemplate(
         pairs=np.asarray(pairs, dtype=np.int32),
         kinds=np.asarray(kinds, dtype=np.int8),
         sat_count=constellation.sat_count,
     )
+    if lengths is not None:
+        lengths = np.asarray(lengths, dtype=float)
+        if lengths.shape != (len(template.pairs),):
+            raise ValueError(f"lengths of shape {lengths.shape} for {len(template.pairs)} links")
+        bad = np.flatnonzero(~(np.isfinite(lengths) & (lengths >= 0.0)))
+        if bad.size:
+            i, (a, b) = bad[0], template.pairs[bad[0]].tolist()
+            raise ValueError(f"link {i} ({a}, {b}) has length {lengths[i]}, not finite and >= 0")
     return Snapshot(
         t,
         constellation,

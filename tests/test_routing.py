@@ -12,8 +12,9 @@ compared with == on routes, link lengths and totals.
 import heapq
 import math
 import random
+import tracemalloc
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import timedelta
 
 import numpy as np
@@ -36,12 +37,11 @@ from leonet.routing import (
     STATUSES,
     Path,
     UnknownEquipmentError,
+    _baseline_routes,
     _distances,
     _keys,
     _leg_sums,
-    _predecessors,
     _slot_weights,
-    _walk_back,
     bellman_ford,
     decision_counts,
     default_max_hops,
@@ -549,14 +549,16 @@ class TestBellmanFord:
         assert bellman_ford(snap, "unit", 0, 3) is None
 
     def test_walk_stops_on_a_cyclic_predecessor_row(self):
-        # satellites 0 and 1 point at each other; 2 hangs off 1
-        pred, nbr, lengths = [[0, 1, 2]], [1, 0, 1], [5.0, 6.0, 7.0]
-        one = np.array([0]), np.array([2])  # row 0, ending at 2
+        # from 3, the zero-length link makes 0 and 1 each other's lowest-id
+        # predecessor: the walk back from 1 never reaches 3
+        positions = [P + [0, 100 * k, 0] for k in range(4)]
+        snap = synthetic(positions, [(0, 1), (0, 3)], lengths=[0.0, 5.0])
         with pytest.raises(RuntimeError, match="exceeded the node count"):
-            _walk_back(np.array(pred), np.array(nbr), np.array(lengths), *one)
+            bellman_ford(snap, "latency", 3, 1)
         # the longest acyclic walk, n - 1 legs, is not cut
-        r = _walk_back(np.array([[-1, 0, 1]]), np.array([0, 1]), np.array([1.0, 2.0]), *one)
-        assert (r.sats.tolist(), r.legs[1:].tolist()) == ([0, 1, 2], [1.0, 2.0])
+        chain = synthetic(positions, [(0, 1), (1, 2), (2, 3)], lengths=[1.0, 2.0, 3.0])
+        p = bellman_ford(chain, "latency", 0, 3)
+        assert (p.sats, p.isl_lengths_km) == ((0, 1, 2, 3), (1.0, 2.0, 3.0))
 
     def test_tie_break_walks_lowest_id_predecessor(self):
         # 2x4 ladder, every edge weight 1: many equal-hop routes
@@ -708,14 +710,14 @@ class TestEnumeratePaths:
 # -- exactness of the baselines against a from-scratch reference ----------------
 
 
-def reference_route(links, n, weight, seeds, end):
-    """heapq Dijkstra from {sat: offset} seeds over {(a, b): length} links,
-    then the lowest-id predecessor walk back from end.
+def reference_route(links, n, weight, src, end):
+    """heapq Dijkstra from src over {(a, b): length} links, then the lowest-id
+    predecessor walk back from end.
 
-    Sums accumulate hop by hop from the seed offset, as any relaxation order
-    does. At each node the walk takes the smallest neighbor u with
-    dist[u] + w == dist[v]; a seed whose distance equals its offset ends it.
-    Returns (dist, sats, legs), with sats and legs None when end is unreached.
+    Sums accumulate hop by hop from 0, as any relaxation order does. At each
+    node the walk takes the smallest neighbor u with dist[u] + w == dist[v],
+    until it reaches src. Returns (dist, sats, legs), with sats and legs None
+    when end is unreached.
     """
     adj = {u: [] for u in range(n)}
     for (a, b), ln in links.items():
@@ -723,10 +725,8 @@ def reference_route(links, n, weight, seeds, end):
         adj[a].append((b, w, ln))
         adj[b].append((a, w, ln))
     dist = [math.inf] * n
-    for s, off in seeds.items():
-        dist[s] = off
-    heap = [(off, s) for s, off in seeds.items()]
-    heapq.heapify(heap)
+    dist[src] = 0.0
+    heap = [(0.0, src)]
     while heap:
         d, u = heapq.heappop(heap)
         if d > dist[u]:
@@ -739,7 +739,7 @@ def reference_route(links, n, weight, seeds, end):
         return dist, None, None
     sats, legs = [end], []
     v = end
-    while not (v in seeds and dist[v] == seeds[v]):
+    while v != src:
         u, ln = min((u, ln) for u, w, ln in adj[v] if dist[u] + w == dist[v])
         sats.append(u)
         legs.append(ln)
@@ -787,7 +787,7 @@ class TestBaselinesExact:
                 for dst in range(n):
                     if src == dst:
                         continue
-                    dist, sats, legs = reference_route(links, n, weight, {src: 0.0}, dst)
+                    dist, sats, legs = reference_route(links, n, weight, src, dst)
                     got = bellman_ford(snap, weight, src, dst)
                     if sats is None:
                         assert got is None
@@ -814,7 +814,7 @@ class TestBaselinesExact:
                     for s1, up in zip(snap.edge_sats[si].tolist(), snap.edge_lengths[si]):
                         for s2, down in zip(snap.edge_sats[di].tolist(), snap.edge_lengths[di]):
                             dist, sats, legs = reference_route(
-                                links, snap.sat_count, weight, {s1: 0.0}, s2
+                                links, snap.sat_count, weight, s1, s2
                             )
                             if sats is not None:
                                 want.append((sats, legs, float(up), float(down), dist[s2]))
@@ -827,6 +827,28 @@ class TestBaselinesExact:
                         assert (sum(w[1]) if weight == "latency" else hops) == w[4]
                     checked += len(got)
         assert checked > 20
+
+    @pytest.mark.parametrize("weight", ["latency", "unit"])
+    def test_baseline_pass_keeps_one_distance_table(self, weight):
+        # a 70x70 shell: a stamp's source rows are many, so every other
+        # rows x S table a pass held would show in the peak
+        sc = load_scenario(SCENARIO_DIR / "experiment1_40x40.json")
+        sc = replace(sc, constellation=replace(sc.constellation, sats_per_plane=70, planes=70))
+        snap = snapshot_at(sc)(sc.time.stamps()[0])
+        sats, conns = snap.edge_sats, _connection_indices(sc)
+        src = np.concatenate([np.repeat(sats[si], sats[di].size) for si, di in conns])
+        end = np.concatenate([np.tile(sats[di], sats[si].size) for si, di in conns])
+        tracemalloc.start()
+        try:
+            hit, _ = _baseline_routes(snap, weight, src, end)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert hit.size == src.size
+        table = np.unique(src).size * snap.sat_count * 8
+        # the distances and the relaxation's frontier take about 2 tables;
+        # each further rows x S array a pass keeps adds 1
+        assert peak < 3.5 * table
 
     def test_greedy_lengths_read_the_snapshot_on_shipped_shell(self):
         sc = load_scenario(SCENARIO_DIR / "experiment1_20x20.json")
@@ -1077,51 +1099,14 @@ class TestStampPathSets:
     @pytest.mark.parametrize("weight", ["latency", "unit"])
     def test_batched_baseline_rows_equal_per_connection_calls(self, weight):
         snap = snapshot_shell(self.stations(), seconds=300)
-        per_conn = []
-        for sats in snap.edge_sats:
-            rows = np.full((sats.size, snap.sat_count), np.inf)
-            rows[np.arange(sats.size), sats] = 0.0
-            per_conn.append(rows)
-        batched = np.concatenate(per_conn)
         w = _slot_weights(snap, weight)
-        dist = _distances(snap, w, batched)
-        pred = _predecessors(snap, w, dist, batched)
+        dist = _distances(snap, w, np.concatenate(snap.edge_sats))
         start = 0
-        for rows in per_conn:
-            d = _distances(snap, w, rows)
-            stop = start + len(rows)
-            assert np.array_equal(dist[start:stop], d)
-            assert np.array_equal(pred[start:stop], _predecessors(snap, w, d, rows))
+        for sats in snap.edge_sats:
+            stop = start + sats.size
+            assert np.array_equal(dist[start:stop], _distances(snap, w, sats))
             start = stop
         assert start > 3
-        # a row of several seeds: a seed keeps its pointer only where a relay
-        # beats its offset
-        seeds = np.full((1, snap.sat_count), np.inf)
-        sats = snap.edge_sats[0]
-        seeds[0, sats] = 0.0
-        seeds[0, sats[-1]] = 1e6
-        d = _distances(snap, w, seeds)
-        p = _predecessors(snap, w, d, seeds)
-        assert np.array_equal(p[0, sats] == -1, d[0, sats] == seeds[0, sats])
-        assert (p[0, sats] == -1).any() and (p[0, sats] >= 0).any()
-        assert np.array_equal(p[0] == -1, np.isinf(d[0]) | (d[0] == seeds[0]))
-
-
-def _walk(pred, nbr, lengths, end):
-    """One tree route, as the per-pair loop before the lockstep walk built it:
-    satellites and link lengths from the root to end."""
-    sats, legs = [end], []
-    k = pred[end]
-    for _ in range(len(pred)):
-        if k < 0:
-            break
-        legs.append(lengths[k])
-        end = nbr[k]
-        sats.append(end)
-        k = pred[end]
-    else:
-        raise RuntimeError("path reconstruction exceeded the node count")
-    return tuple(reversed(sats)), tuple(reversed(legs))
 
 
 class TestColumnForms:
@@ -1137,30 +1122,27 @@ class TestColumnForms:
         assert got.tolist() == [float(sum(r)) for r in rows]
 
     def test_lockstep_walk_equals_per_pair_walk(self):
-        rng = np.random.default_rng(22)
-        for _ in range(50):
-            n, width, rows = rng.integers(2, 40), rng.integers(1, 7), rng.integers(1, 4)
-            nbr = rng.integers(0, n, size=(n, width))
-            lengths = rng.uniform(1.0, 3000.0, size=(n, width))
-            pred = np.full((rows, n), -1)
-            for row in pred:
-                # a node points at a neighbor of lower rank, if it has one
-                rank = rng.permutation(n)
-                for v in range(n):
-                    cols = np.flatnonzero(rank[nbr[v]] < rank[v])
-                    if cols.size and rng.random() < 0.9:
-                        row[v] = v * width + rng.choice(cols)
-            m = rng.integers(1, 30)
-            row, end = rng.integers(rows, size=m), rng.integers(n, size=m)
-            got = _walk_back(pred, nbr.ravel(), lengths.ravel(), row, end)
-            sats, starts, legs = got.sats.tolist(), got.starts.tolist(), got.legs.tolist()
-            flat_nbr, flat_len = nbr.ravel().tolist(), lengths.ravel().tolist()
-            for i, (r, e) in enumerate(zip(row.tolist(), end.tolist())):
-                a, b = starts[i], starts[i + 1]
-                want = _walk(pred[r].tolist(), flat_nbr, flat_len, e)
-                assert legs[a] == 0.0
-                assert (tuple(sats[a:b]), tuple(legs[a + 1 : b])) == want
-        # a cyclic row still raises, as a batch of any size
-        cyclic = np.array([[-1, -1, -1], [0, 1, 2]])
-        with pytest.raises(RuntimeError, match="exceeded the node count"):
-            _walk_back(cyclic, np.array([1, 0, 1]), np.ones(3), np.array([0, 1]), np.array([2, 2]))
+        # integer lengths: equal-cost routes are exact and common
+        rng = random.Random(22)
+        for _ in range(40):
+            n = rng.randint(2, 30)
+            links = {}
+            for _ in range(rng.randint(1, 2 * n)):
+                links[tuple(sorted(rng.sample(range(n), 2)))] = float(rng.randint(1, 4))
+            pairs = sorted(links)
+            positions = [P + [0.0, 100.0 * k, 0.0] for k in range(n)]
+            snap = synthetic(positions, pairs, lengths=[links[p] for p in pairs])
+            m = rng.randint(1, 40)
+            src = [rng.randrange(n) for _ in range(m)]
+            end = [rng.randrange(n) for _ in range(m)]
+            for weight in ("latency", "unit"):
+                hit, r = _baseline_routes(snap, weight, np.array(src), np.array(end))
+                want = [reference_route(links, n, weight, s, e) for s, e in zip(src, end)]
+                assert hit.tolist() == [i for i, w in enumerate(want) if w[1] is not None]
+                sats, starts, legs = r.sats.tolist(), r.starts.tolist(), r.legs.tolist()
+                assert all(legs[a] == 0.0 for a in starts[:-1])
+                got = [
+                    (tuple(sats[a:b]), tuple(legs[a + 1 : b]))
+                    for a, b in zip(starts, starts[1:])
+                ]
+                assert got == [w[1:] for w in want if w[1] is not None]

@@ -392,6 +392,19 @@ class TestSyntheticSnapshot:
         assert p.sats == (0, 3, 2)
         assert p.isl_lengths_km == (40.0, 30.0)
 
+    def test_supplied_lengths_must_be_one_finite_non_negative_per_link(self):
+        # a negative length made the baseline relaxation run forever
+        with pytest.raises(ValueError, match=r"link 1 \(1, 2\) has length -1.0"):
+            square_snapshot(lengths=[5.0, -1.0, 5.0, -2.0])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=rf"link 3 \(0, 3\) has length {bad}"):
+                square_snapshot(lengths=[5.0, 5.0, 5.0, bad])
+        # a wrong count mis-mapped the lengths or raised IndexError
+        for count in (3, 5):
+            with pytest.raises(ValueError, match=rf"shape \({count},\) for 4 links"):
+                square_snapshot(lengths=[5.0] * count)
+        assert square_snapshot(lengths=[0.0] * 4).isl_lengths.tolist() == [0.0] * 4
+
     def test_default_lengths_from_positions(self):
         snap = square_snapshot()
         assert np.allclose(snap.isl_lengths, [100.0, 100.0, 100.0, 100.0])
