@@ -25,7 +25,6 @@ from .exporters import (
     FORMAT_CSV,
     FORMAT_GEOJSON,
     FORMATS,
-    _geo,
     export_result,
     paths_geojson,
     read_paths_csv,
@@ -71,8 +70,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             if eisl is not None:
                 eisl.add(snap)
             if i == 0 and args.format == FORMAT_GEOJSON:
-                _geo(snapshot_nodes_geojson(snap), out / "nodes.geojson")
-                _geo(snapshot_links_geojson(snap), out / "links.geojson")
+                snapshot_nodes_geojson(snap, out / "nodes.geojson")
+                snapshot_links_geojson(snap, out / "links.geojson")
             yield snap
 
     write_edges_csv(stamps(), out / "edges.csv")
@@ -111,7 +110,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     log = read_paths_csv(FsPath(args.paths), scenario)
     out = _out_dir(args)
-    _geo(paths_geojson(scenario, log), out / "paths.geojson")
+    paths_geojson(scenario, log, out / "paths.geojson")
     return 0
 
 

@@ -4,29 +4,30 @@ All floats are written with fixed six-decimal formatting and rows follow the
 run's natural order, so re-running an identical scenario reproduces the
 output byte for byte. The path log is columns (harness.PathLog) on both sides
 of paths.csv; its rows are named from the scenario and checked as they are read.
+The writers take one snapshot at a time: GeoJSON is streamed feature by
+feature, with each snapshot's sub-points converted and encoded once.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import weakref
 from array import array
 from datetime import datetime, timezone
-from itertools import chain, pairwise, repeat
+from itertools import chain, pairwise
 from operator import attrgetter, itemgetter
 from pathlib import Path as FsPath
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .geometry import eci_to_geodetic, link_latency_ms
+from .geometry import GeodeticPoint, eci_to_geodetic, link_latency_ms
 from .harness import _MPLF_ALGOS, ExperimentResult, PathLog, PathLogError, _path_sets
 from .harness import check_stamp, snapshot_at
 from .metrics import ConnectionSeries, ConnectionSummary
 from .routing import STATUSES
 from .scenario import Scenario, scenario_to_dict
-from .topology import ISL_KIND_NAMES, KIND_GSL, KIND_MSL, EislStats, Snapshot
+from .topology import ISL_KIND_NAMES, KIND_GSL, KIND_MSL, EislStats, IslTemplate, Snapshot
 
 FORMAT_CSV = "csv"
 FORMAT_GEOJSON = "geojson"
@@ -229,41 +230,46 @@ def write_cdf_csv(series: Sequence[ConnectionSeries], quantity: str, path: FsPat
     _write_csv(path, header, chain.from_iterable(map(rows, series)))
 
 
-def _links(snap: Snapshot) -> Iterator[tuple[list, Iterable[str], list, list]]:
-    """A snapshot's links in blocks of parallel columns (ends, kinds,
-    lengths_km, latencies_ms): its persistent links in template order,
-    _EDGE_BLOCK at a time, then each station's edge links, station by
-    station. Ends are snapshot node ids; blocks bound the Python lists alive
-    at once."""
+def _link_heads(template: IslTemplate, head: Callable[[int, int, str], object]) -> list:
+    """head(src, dst, kind) of each persistent link of a template, in its order."""
+    kinds = map(ISL_KIND_NAMES.__getitem__, template.kinds.tolist())
+    return [head(a, b, kind) for (a, b), kind in zip(template.pairs.tolist(), kinds)]
 
-    def block(ends: list, kinds: Iterable[str], lengths: np.ndarray):
-        return ends, kinds, lengths.tolist(), link_latency_ms(lengths).tolist()
+
+def _links(
+    snap: Snapshot, heads: list, head: Callable[[int, int, str], object]
+) -> Iterator[tuple[list, list[float], list[float]]]:
+    """A snapshot's links in blocks of parallel columns (heads, lengths_km,
+    latencies_ms): its persistent links in template order, _EDGE_BLOCK at a
+    time, headed by heads (_link_heads of its template), then each station's
+    edge links, station by station, headed by head(src, dst, kind). src and
+    dst are snapshot node ids; blocks bound the Python lists alive at once."""
+
+    def block(part: list, lengths: np.ndarray):
+        return part, lengths.tolist(), link_latency_ms(lengths).tolist()
 
     for lo in range(0, snap.template.edge_count, _EDGE_BLOCK):
-        part = slice(lo, lo + _EDGE_BLOCK)
-        kinds = [ISL_KIND_NAMES[k] for k in snap.isl_kinds[part].tolist()]
-        yield block(snap.isl_pairs[part].tolist(), kinds, snap.isl_lengths[part])
+        yield block(heads[lo : lo + _EDGE_BLOCK], snap.isl_lengths[lo : lo + _EDGE_BLOCK])
     for i, st in enumerate(snap.stations):
-        node = snap.station_node(i)
-        ends = [(s, node) for s in snap.edge_sats[i].tolist()]
-        kind = KIND_GSL if st.kind == "ground" else KIND_MSL
-        yield block(ends, repeat(kind), snap.edge_lengths[i])
+        node, kind = snap.station_node(i), KIND_GSL if st.kind == "ground" else KIND_MSL
+        yield block([head(s, node, kind) for s in snap.edge_sats[i].tolist()], snap.edge_lengths[i])
 
 
 def write_edges_csv(snapshots: Iterable[Snapshot], path: FsPath) -> None:
-    """One row per link and stamp, in _links order."""
-
-    def blocks():
+    """One row per link and stamp, in _links order, as csv.writer writes them
+    (CRLF line ends; no cell needs quoting). A persistent link's src, dst and
+    kind cells do not change over time, so they are formatted once per
+    template; each stamp formats its time, lengths and latencies."""
+    head, template, heads = "{},{},{},".format, None, []
+    with path.open("w", newline="") as fh:
+        fh.write("t,src,dst,kind,length_km,latency_ms\r\n")
         for snap in snapshots:
+            if snap.template is not template:
+                template, heads = snap.template, _link_heads(snap.template, head)
             ts = _t(snap.t)
-            for ends, kinds, lengths, latencies in _links(snap):
-                yield (
-                    [ts, a, b, kind, f"{length:.6f}", f"{latency:.6f}"]
-                    for (a, b), kind, length, latency in zip(ends, kinds, lengths, latencies)
-                )
-
-    header = ("t", "src", "dst", "kind", "length_km", "latency_ms")
-    _write_csv(path, header, chain.from_iterable(blocks()))
+            for part, lengths, latencies in _links(snap, heads, head):
+                rows = zip(part, lengths, latencies)
+                fh.write("".join([f"{ts},{h}{ln:.6f},{ms:.6f}\r\n" for h, ln, ms in rows]))
 
 
 def write_direction_histogram_csv(hist: np.ndarray, path: FsPath) -> None:
@@ -288,91 +294,114 @@ def write_eisl_csv(stats: dict[float, EislStats], out_dir: FsPath) -> None:
 
 
 # -- GeoJSON -------------------------------------------------------------------
+#
+# A collection is written feature by feature. With sorted keys "features"
+# precedes "type", so the stream is byte for byte the one
+# json.dumps(collection, sort_keys=True, separators=(",", ":")) it replaces.
+
+_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def _geo(obj: dict, path: FsPath) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+def _write_geojson(path: FsPath, features: Iterable[str]) -> None:
+    """Write a FeatureCollection of encoded features through a temporary file
+    beside path, renamed onto it when complete and removed on any error, so
+    a failed write leaves no file."""
+    part = path.with_name(path.name + ".part")
+    try:
+        with part.open("w") as fh:
+            fh.write('{"features":[')
+            sep = ""
+            for feature in features:
+                fh.write(sep + feature)
+                sep = ","
+            fh.write('],"type":"FeatureCollection"}\n')
+        part.replace(path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
-def _feature(kind: str, coordinates: list, properties: dict) -> dict:
-    return {
-        "type": "Feature",
-        "geometry": {"type": kind, "coordinates": coordinates},
-        "properties": properties,
-    }
+def _feature(kind: str, coordinates: str, properties: dict) -> str:
+    """A feature's JSON text around its encoded coordinates."""
+    return (
+        f'{{"geometry":{{"coordinates":{coordinates},"type":"{kind}"}},'
+        f'"properties":{_json(properties)},"type":"Feature"}}'
+    )
 
 
-def _collection(features: Iterable[dict]) -> dict:
-    return {"type": "FeatureCollection", "features": list(features)}
+def _lonlat(points: Iterable[GeodeticPoint]) -> list[str]:
+    """The JSON text [lon,lat] of each point, rounded to six decimals."""
+    return [_json([round(g.lon_deg, 6), round(g.lat_deg, 6)]) for g in points]
 
 
-# rounded (lon, lat) of each node per snapshot, dropped with the snapshot
-_LONLAT: weakref.WeakKeyDictionary[Snapshot, dict[int, tuple[float, float]]] = (
-    weakref.WeakKeyDictionary()
-)
+def _subpoints(snap: Snapshot, sats: np.ndarray) -> list[str]:
+    """_lonlat of the sub-points of sats at the snapshot's stamp, one batch."""
+    epoch = snap.constellation.config.epoch
+    return _lonlat(eci_to_geodetic(snap.sat_positions[sats], snap.t, epoch))
 
 
-def _lonlat(snap: Snapshot, node: int) -> list[float]:
-    """A node's rounded (lon, lat), a satellite's sub-point or a station's
-    position, worked out once per snapshot."""
-    memo = _LONLAT.get(snap)
-    if memo is None:
-        memo = _LONLAT[snap] = {}
-    point = memo.get(node)
-    if point is None:
-        n = snap.sat_count
-        if node < n:
-            g = eci_to_geodetic(snap.sat_positions[node], snap.t, snap.constellation.config.epoch)
-        else:
-            g = snap.station_geodetic[node - n]
-        point = memo[node] = (round(g.lon_deg, 6), round(g.lat_deg, 6))
-    return list(point)
+def _node_lonlat(snap: Snapshot) -> list[str]:
+    """_lonlat of every node by node id: satellite sub-points, then stations."""
+    return _subpoints(snap, np.arange(snap.sat_count)) + _lonlat(snap.station_geodetic)
 
 
-def snapshot_nodes_geojson(snap: Snapshot) -> dict:
+def snapshot_nodes_geojson(snap: Snapshot, path: FsPath) -> None:
+    """Write the snapshot's nodes to path as Point features."""
+    lonlat = _node_lonlat(snap)
     props = [{"id": s, "kind": "satellite"} for s in range(snap.sat_count)]
     props += [
         {"id": snap.station_node(i), "kind": st.kind, "name": st.name}
         for i, st in enumerate(snap.stations)
     ]
-    return _collection(_feature("Point", _lonlat(snap, p["id"]), p) for p in props)
+    _write_geojson(path, (_feature("Point", lonlat[p["id"]], p) for p in props))
 
 
-def snapshot_links_geojson(snap: Snapshot) -> dict:
-    return _collection(
+def snapshot_links_geojson(snap: Snapshot, path: FsPath) -> None:
+    """Write the snapshot's links to path as LineString features, in _links order."""
+    lonlat, head = _node_lonlat(snap), lambda a, b, kind: (a, b, kind)
+    features = (
         _feature(
             "LineString",
-            [_lonlat(snap, a), _lonlat(snap, b)],
+            f"[{lonlat[a]},{lonlat[b]}]",
             {"kind": kind, "length_km": round(length, 3), "latency_ms": round(latency, 6)},
         )
-        for ends, kinds, lengths, latencies in _links(snap)
-        for (a, b), kind, length, latency in zip(ends, kinds, lengths, latencies)
+        for heads, lengths, latencies in _links(snap, _link_heads(snap.template, head), head)
+        for (a, b, kind), length, latency in zip(heads, lengths, latencies)
     )
+    _write_geojson(path, features)
 
 
-def paths_geojson(scenario: Scenario, log: PathLog) -> dict:
-    """The delivered rows of a path log as LineString features of satellite
-    subpoints, hop_count their vertex count minus one. Each run of rows at one
-    stamp is checked against that stamp's snapshot (check_stamp), the only one
-    kept, so its coordinates are dropped with it."""
+def paths_geojson(scenario: Scenario, log: PathLog, path: FsPath) -> None:
+    """Write the delivered rows of a path log to path as LineString features
+    of satellite sub-points, hop_count their vertex count minus one, one run
+    of rows at one stamp at a time. Each run is checked against that stamp's
+    snapshot (check_stamp), the only one kept, and the sub-points of its
+    delivered rows are converted and encoded once."""
     snapshot_of, stamps = snapshot_at(scenario), scenario.time.stamps()
     sets, names = _path_sets(scenario), _set_names(scenario)
     # the first row of each run, then the row count: stamps are >= 0
     cut = np.flatnonzero(np.diff(log.stamp, prepend=-1, append=-1)).tolist()
-    feats = []
-    for lo, hi in pairwise(cut):
-        part = log.take(np.arange(lo, hi))
-        snap = snapshot_of(stamps[part.stamp[0]])
-        check_stamp(snap, sets, part, np.arange(lo + 1, hi + 1))
-        sats, starts, t = part.sats.tolist(), part.starts.tolist(), _t(snap.t)
-        rows = zip(part.path_set.tolist(), part.latency_ms.tolist(), part.end.tolist())
-        for (k, ms, e), (a, b) in zip(rows, pairwise(starts)):
-            if e == 0:
-                algo, src, dst = names[k]
-                props = {"t": t, "algorithm": algo, "src_station": src, "dst_station": dst,
-                         "hop_count": b - a - 1, "latency_ms": round(ms, 6), "status": STATUSES[0]}
-                feats.append(_feature("LineString", [_lonlat(snap, s) for s in sats[a:b]], props))
-    return _collection(feats)
+
+    def features() -> Iterator[str]:
+        for lo, hi in pairwise(cut):
+            part = log.take(np.arange(lo, hi))
+            snap = snapshot_of(stamps[part.stamp[0]])
+            check_stamp(snap, sets, part, np.arange(lo + 1, hi + 1))
+            delivered = np.repeat(part.end == 0, np.diff(part.starts))
+            needed = np.unique(part.sats[delivered])
+            lonlat = dict(zip(needed.tolist(), _subpoints(snap, needed)))
+            sats, starts, t = part.sats.tolist(), part.starts.tolist(), _t(snap.t)
+            rows = zip(part.path_set.tolist(), part.latency_ms.tolist(), part.end.tolist())
+            for (k, ms, e), (a, b) in zip(rows, pairwise(starts)):
+                if e == 0:
+                    algo, src, dst = names[k]
+                    props = {"t": t, "algorithm": algo, "src_station": src, "dst_station": dst,
+                             "hop_count": b - a - 1, "latency_ms": round(ms, 6),
+                             "status": STATUSES[0]}
+                    coordinates = ",".join([lonlat[s] for s in sats[a:b]])
+                    yield _feature("LineString", f"[{coordinates}]", props)
+
+    _write_geojson(path, features())
 
 
 # -- top-level export ----------------------------------------------------------
@@ -406,5 +435,5 @@ def export_result(
     meta["failures"] = [[_t(t), msg] for t, msg in result.failures]
     out("metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     if fmt == FORMAT_GEOJSON:
-        _geo(paths_geojson(result.scenario, result.path_log), out("paths.geojson"))
+        paths_geojson(result.scenario, result.path_log, out("paths.geojson"))
     return written

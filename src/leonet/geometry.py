@@ -74,14 +74,28 @@ def geodetic_to_ecef(point: GeodeticPoint) -> np.ndarray:
     )
 
 
-def ecef_to_geodetic(p: np.ndarray) -> GeodeticPoint:
+def ecef_to_geodetic(p: np.ndarray) -> GeodeticPoint | list[GeodeticPoint]:
+    """Geodetic point of a (3,) ECEF position (km), or the list of them for
+    an (n, 3) batch; a single point is the batch of one.
+
+    The radii come from one numpy pass; the trigonometry stays scalar
+    (math.asin, math.atan2), which numpy's vector kernels do not match bit
+    for bit.
+    """
     p = np.asarray(p, dtype=float)
-    r = float(np.linalg.norm(p))
-    if r == 0.0:
+    e = p.reshape(-1, 3)
+    r = np.sqrt(np.vecdot(e, e))
+    if not r.all():
         raise ValueError("zero-length position has no geodetic coordinates")
-    lat = math.degrees(math.asin(float(p[2]) / r))
-    lon = math.degrees(math.atan2(float(p[1]), float(p[0])))
-    return GeodeticPoint(lat, lon, max(r - EARTH_RADIUS_KM, 0.0))
+    points = [
+        GeodeticPoint(
+            math.degrees(math.asin(z / ri)),
+            math.degrees(math.atan2(y, x)),
+            max(ri - EARTH_RADIUS_KM, 0.0),
+        )
+        for (x, y, z), ri in zip(e.tolist(), r.tolist())
+    ]
+    return points[0] if p.ndim == 1 else points
 
 
 def earth_rotation_angle(t: datetime, epoch: datetime) -> float:
@@ -110,7 +124,10 @@ def eci_to_ecef(p: np.ndarray, t: datetime, epoch: datetime) -> np.ndarray:
     return _rotate_z(p, -earth_rotation_angle(t, epoch))
 
 
-def eci_to_geodetic(p: np.ndarray, t: datetime, epoch: datetime) -> GeodeticPoint:
+def eci_to_geodetic(
+    p: np.ndarray, t: datetime, epoch: datetime
+) -> GeodeticPoint | list[GeodeticPoint]:
+    """ecef_to_geodetic of inertial positions at time t, one rotation for a batch."""
     return ecef_to_geodetic(eci_to_ecef(p, t, epoch))
 
 

@@ -194,7 +194,10 @@ class Snapshot:
     edge_km[i, s] is the length of the link from station i to satellite s, inf
     where i does not see s; edge_sats[i] and edge_lengths[i] list the
     satellites station i sees, ascending, and their lengths. Transient
-    crossing-mesh links are intentionally absent.
+    crossing-mesh links are intentionally absent. Persistent link lengths
+    are measured from the positions unless isl_lengths supplies them: one
+    per template link, finite and non-negative, else ValueError naming the
+    link (a negative weight would make the exact baselines relax forever).
     """
 
     def __init__(
@@ -228,6 +231,14 @@ class Snapshot:
         if isl_lengths is None:
             diff = pos[template.pairs[:, 0]] - pos[template.pairs[:, 1]]
             isl_lengths = np.linalg.norm(diff, axis=1)
+        else:
+            isl_lengths = km = np.asarray(isl_lengths, dtype=float)
+            if km.shape != (template.edge_count,):
+                raise ValueError(f"isl_lengths of shape {km.shape} for {template.edge_count} links")
+            bad = np.flatnonzero(~(np.isfinite(km) & (km >= 0.0)))
+            if bad.size:
+                i, (a, b) = bad[0], template.pairs[bad[0]].tolist()
+                raise ValueError(f"link {i} ({a}, {b}) has length {km[i]}, not finite and >= 0")
         self.isl_lengths = isl_lengths
 
         epoch = constellation.config.epoch
@@ -312,14 +323,6 @@ def synthetic_snapshot(
         kinds=np.asarray(kinds, dtype=np.int8),
         sat_count=constellation.sat_count,
     )
-    if lengths is not None:
-        lengths = np.asarray(lengths, dtype=float)
-        if lengths.shape != (len(template.pairs),):
-            raise ValueError(f"lengths of shape {lengths.shape} for {len(template.pairs)} links")
-        bad = np.flatnonzero(~(np.isfinite(lengths) & (lengths >= 0.0)))
-        if bad.size:
-            i, (a, b) = bad[0], template.pairs[bad[0]].tolist()
-            raise ValueError(f"link {i} ({a}, {b}) has length {lengths[i]}, not finite and >= 0")
     return Snapshot(
         t,
         constellation,
@@ -328,7 +331,7 @@ def synthetic_snapshot(
         min_elevation_deg,
         sat_positions=np.asarray(positions, dtype=float),
         sat_velocities=np.asarray(velocities, dtype=float),
-        isl_lengths=None if lengths is None else np.asarray(lengths, dtype=float),
+        isl_lengths=lengths,
     )
 
 

@@ -92,6 +92,57 @@ class TestEcefConversion:
         assert q.alt_km == pytest.approx(alt, abs=1e-6)
 
 
+def reference_geodetic(p, t):
+    """The scalar conversion before batches: a 1-D norm, then asin and atan2."""
+    e = eci_to_ecef(np.asarray(p, dtype=float), t, EPOCH)
+    r = float(np.linalg.norm(e))
+    lat = math.degrees(math.asin(float(e[2]) / r))
+    lon = math.degrees(math.atan2(float(e[1]), float(e[0])))
+    return GeodeticPoint(lat, lon, max(r - EARTH_RADIUS_KM, 0.0))
+
+
+def bits(g):
+    return tuple(float(v).hex() for v in (g.lat_deg, g.lon_deg, g.alt_km))
+
+
+_NEAR_AXIS = st.floats(-1e-3, 1e-3)  # both zeros included
+_RADIUS = st.floats(6400.0, 8000.0)
+_POSITIONS = st.one_of(
+    st.tuples(*[st.floats(-1e4, 1e4)] * 3).filter(lambda p: math.hypot(*p) > 1.0),
+    # near a pole
+    st.builds(lambda x, y, z, s: (x, y, s * z), _NEAR_AXIS, _NEAR_AXIS, _RADIUS,
+              st.sampled_from([-1.0, 1.0])),
+    # near the +-180 deg meridian, exactly on it at the epoch
+    st.builds(lambda x, y, z: (-x, y, z), _RADIUS, _NEAR_AXIS, st.floats(-6000.0, 6000.0)),
+)
+
+
+class TestGeodeticBatch:
+    @given(
+        st.lists(_POSITIONS, min_size=1, max_size=12),
+        st.one_of(st.just(0.0), st.floats(0, 86400)),
+    )
+    @settings(max_examples=300)
+    def test_batch_equals_scalar_bit_for_bit(self, positions, dt_s):
+        t = EPOCH + timedelta(seconds=dt_s)
+        batch = eci_to_geodetic(np.array(positions), t, EPOCH)
+        assert len(batch) == len(positions)
+        for p, g in zip(positions, batch):
+            assert bits(g) == bits(eci_to_geodetic(np.array(p), t, EPOCH))
+            assert bits(g) == bits(reference_geodetic(p, t))
+
+    def test_meridian_and_poles(self):
+        points = ecef_to_geodetic(
+            np.array([[-7000.0, 0.0, 0.0], [-7000.0, -0.0, 0.0], [0.0, 0.0, 7000.0]])
+        )
+        assert [(g.lat_deg, g.lon_deg) for g in points] == [(0.0, 180.0), (0.0, 180.0), (90.0, 0.0)]
+
+    def test_empty_batch_and_zero_row(self):
+        assert ecef_to_geodetic(np.zeros((0, 3))) == []
+        with pytest.raises(ValueError, match="zero-length position"):
+            ecef_to_geodetic(np.array([[7000.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+
+
 class TestFrameRotation:
     def test_identity_at_epoch(self):
         v = np.array([1234.5, -678.9, 42.0])

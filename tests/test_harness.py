@@ -9,6 +9,7 @@ shipped scenario.
 import copy
 import csv
 import functools
+import io
 import json
 import os
 import subprocess
@@ -831,6 +832,13 @@ class TestExportResult:
         assert cells == expected
 
 
+def read_geojson(write, *args, path):
+    """Run a GeoJSON writer on args and path; returns the file, parsed."""
+    write(*args, path)
+    with path.open() as fh:
+        return json.load(fh)
+
+
 class TestGeojson:
     def snap(self):
         scn = tiny_scenario()
@@ -839,9 +847,9 @@ class TestGeojson:
             const, scn.stations, scn.pattern, scn.time.start, scn.elevation_min_deg
         )
 
-    def test_nodes_cover_satellites_and_stations(self):
+    def test_nodes_cover_satellites_and_stations(self, tmp_path):
         snap = self.snap()
-        geo = snapshot_nodes_geojson(snap)
+        geo = read_geojson(snapshot_nodes_geojson, snap, path=tmp_path / "nodes.geojson")
         assert len(geo["features"]) == snap.sat_count + 2
         kinds = [f["properties"]["kind"] for f in geo["features"]]
         assert kinds.count("satellite") == snap.sat_count
@@ -850,35 +858,41 @@ class TestGeojson:
             lon, lat = f["geometry"]["coordinates"]
             assert -180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0
 
-    def test_links_match_snapshot(self):
+    def test_links_match_snapshot(self, tmp_path):
         snap = self.snap()
-        geo = snapshot_links_geojson(snap)
+        geo = read_geojson(snapshot_links_geojson, snap, path=tmp_path / "links.geojson")
         assert len(geo["features"]) == snap.template.edge_count + sum(
             s.size for s in snap.edge_sats
         )
 
-    def test_subpoints_converted_once_per_snapshot(self, monkeypatch):
-        snap = self.snap()
-        calls = []
+    def test_subpoints_converted_once_per_snapshot(self, tiny_result, tmp_path, monkeypatch):
+        # each writer converts its sub-points in one batch per snapshot, and a
+        # batch gives each satellite the scalar conversion's point
+        snap, scn = self.snap(), tiny_scenario()
+        batches = []
         real = exporters.eci_to_geodetic
 
         def counting(p, t, epoch):
-            calls.append(1)
+            batches.append(len(p))
             return real(p, t, epoch)
 
         monkeypatch.setattr(exporters, "eci_to_geodetic", counting)
-        nodes = snapshot_nodes_geojson(snap)
-        snapshot_links_geojson(snap)
-        assert len(calls) == snap.sat_count
+        nodes = read_geojson(snapshot_nodes_geojson, snap, path=tmp_path / "nodes.geojson")
+        read_geojson(snapshot_links_geojson, snap, path=tmp_path / "links.geojson")
+        assert batches == [snap.sat_count] * 2
         epoch = snap.constellation.config.epoch
         for s in range(snap.sat_count):
             g = real(snap.sat_positions[s], snap.t, epoch)
             coords = nodes["features"][s]["geometry"]["coordinates"]
             assert coords == [round(g.lon_deg, 6), round(g.lat_deg, 6)]
+        batches.clear()
+        paths_geojson(scn, tiny_result.path_log, tmp_path / "paths.geojson")
+        assert len(batches) == scn.time.count == len(set(tiny_result.path_log.stamp.tolist()))
 
-    def test_path_feature_counts_vertices(self, tiny_result):
+    def test_path_feature_counts_vertices(self, tiny_result, tmp_path):
         scn = tiny_scenario()
-        feats = paths_geojson(scn, tiny_result.path_log)["features"]
+        geo = read_geojson(paths_geojson, scn, tiny_result.path_log, path=tmp_path / "p.geojson")
+        feats = geo["features"]
         rows = [r for r in log_rows(tiny_result) if r.status == "delivered"]
         assert len(feats) == len(rows)
         snapshot_of = harness.snapshot_at(scn)
@@ -908,19 +922,21 @@ class TestGeojson:
             return [{**log[0], "hop_list": cut, "hops": "2", "status": "dropped:loop"}, *log[1:]]
 
         f = edited_log(tmp_path / "paths.csv", tiny_result.path_log, edit)
-        geo = paths_geojson(tiny_scenario(), read_paths_csv(f, tiny_scenario()))
+        log = read_paths_csv(f, tiny_scenario())
+        geo = read_geojson(paths_geojson, tiny_scenario(), log, path=tmp_path / "p.geojson")
         assert len(geo["features"]) == tiny_result.path_log.end.size - 1
 
-    def test_rows_alternating_between_stamps(self, tiny_result):
+    def test_rows_alternating_between_stamps(self, tiny_result, tmp_path):
         scn, log = tiny_scenario(), tiny_result.path_log
         delivered = log.end == 0
         first, second = (np.flatnonzero(delivered & (log.stamp == i)) for i in (0, 1))
         rows = np.ravel(list(zip(first, second)))
         assert rows.size >= 4
-        feats = paths_geojson(scn, log)["features"]
+        feats = read_geojson(paths_geojson, scn, log, path=tmp_path / "all.geojson")["features"]
         feature_of = dict(zip(np.flatnonzero(delivered).tolist(), feats))
         want = [feature_of[r] for r in rows.tolist()]
-        assert paths_geojson(scn, log.take(rows))["features"] == want
+        alt = read_geojson(paths_geojson, scn, log.take(rows), path=tmp_path / "alt.geojson")
+        assert alt["features"] == want
 
     @pytest.mark.parametrize(
         "fields,message",
@@ -963,39 +979,70 @@ class TestGeojson:
             return case([r for r in log if r["status"] == "delivered"])
 
         f = edited_log(tmp_path / "paths.csv", tiny_result.path_log, edit)
+        out = tmp_path / "paths.geojson"
         with pytest.raises(PathLogError, match=f"path log row 2: {message}") as err:
-            paths_geojson(tiny_scenario(), read_paths_csv(f, tiny_scenario()))
+            paths_geojson(tiny_scenario(), read_paths_csv(f, tiny_scenario()), out)
         assert err.value.row == 2
+        assert not any(tmp_path.glob("*.geojson*"))
+
+
+def edge_rows(snaps):
+    """edges.csv's data rows, built from each snapshot's link arrays: the
+    persistent links in template order, then each station's edge links."""
+    expected = []
+    for s in snaps:
+        isls = zip(s.isl_pairs.tolist(), s.isl_kinds.tolist(), s.isl_lengths.tolist())
+        links = [(a, b, ISL_KIND_NAMES[k], ln) for (a, b), k, ln in isls]
+        for i in range(len(s.stations)):
+            node = s.station_node(i)
+            edges = zip(s.edge_sats[i].tolist(), s.edge_lengths[i].tolist())
+            links += [(sat, node, "GSL", ln) for sat, ln in edges]
+        expected += [
+            [_t(s.t), str(a), str(b), kind, _f(ln), _f(link_latency_ms(ln))]
+            for a, b, kind, ln in links
+        ]
+    return expected
 
 
 class TestEdgesCsv:
-    def test_rows_match_link_objects(self, tmp_path):
+    @staticmethod
+    def snaps(pattern=None):
         scn = tiny_scenario()
         const = build_walker(scn.constellation)
-        snaps = [
-            snapshot(const, scn.stations, scn.pattern, t, scn.elevation_min_deg)
+        return [
+            snapshot(const, scn.stations, pattern or scn.pattern, t, scn.elevation_min_deg)
             for t in scn.time.stamps()
         ]
+
+    def test_rows_match_link_objects(self, tmp_path):
+        snaps = self.snaps()
         path = tmp_path / "edges.csv"
         write_edges_csv(snaps, path)
         with path.open(newline="") as fh:
             rows = list(csv.reader(fh))
-        # the persistent links in template order, then each station's edge links
-        expected = []
-        for s in snaps:
-            isls = zip(s.isl_pairs.tolist(), s.isl_kinds.tolist(), s.isl_lengths.tolist())
-            links = [(a, b, ISL_KIND_NAMES[k], ln) for (a, b), k, ln in isls]
-            for i in range(len(s.stations)):
-                node = s.station_node(i)
-                edges = zip(s.edge_sats[i].tolist(), s.edge_lengths[i].tolist())
-                links += [(sat, node, "GSL", ln) for sat, ln in edges]
-            expected += [
-                [_t(s.t), str(a), str(b), kind, _f(ln), _f(link_latency_ms(ln))]
-                for a, b, kind, ln in links
-            ]
+        expected = edge_rows(snaps)
         assert rows[0] == ["t", "src", "dst", "kind", "length_km", "latency_ms"]
         assert rows[1:] == expected
         assert {r[3] for r in expected} == {"iISL", "sISL", "GSL"}
+
+    def test_bytes_are_csv_writer_bytes(self, tmp_path):
+        # edges.csv is formatted without csv.writer; its bytes are still a
+        # csv.writer rendering (CRLF, no quoting), also across a template
+        # change, which formats the persistent links' cells anew
+        scn = tiny_scenario()
+        plus = harness.snapshot_at(scn)
+        star = self.snaps(IslPattern("*Grid", (-1, 0)))
+        snaps = [*map(plus, scn.time.stamps()[:2]), *star[2:]]
+        assert snaps[0].template is snaps[1].template is not snaps[2].template
+        path = tmp_path / "edges.csv"
+        write_edges_csv(snaps, path)
+        rows, text = edge_rows(snaps), io.StringIO()
+        writer = csv.writer(text)
+        writer.writerow(["t", "src", "dst", "kind", "length_km", "latency_ms"])
+        writer.writerows(rows)
+        data = path.read_bytes()
+        assert data == text.getvalue().encode()
+        assert data.count(b"\r\n") == len(rows) + 1 and b'"' not in data
 
 
 class TestDirectionHistogramCsv:
@@ -1208,6 +1255,33 @@ class TestCli:
         assert "error: path log row 2: last hop 27 is not in view of b" in err
         assert "failed" not in err  # no stamp failure either
         assert not any(out.glob("*.*"))
+
+    def test_export_failing_at_the_last_stamp_leaves_no_file(
+        self, tiny_result, tiny_file, tmp_path, capsys, monkeypatch
+    ):
+        # a row of the last stamp on two unlinked satellites: paths.geojson has
+        # streamed the earlier stamps' features when check_stamp rejects it
+        scn, out = tiny_scenario(), tmp_path / "out"
+        last = scn.time.stamps()[-1]
+        n = next(n for n, r in enumerate(log_rows(tiny_result), 1) if r.t == last)
+        snap = harness.snapshot_at(scn)(last)
+
+        def edit(log):
+            s = int(log[n - 1]["src_sat"])
+            x = next(x for x in range(snap.sat_count) if x not in (s, *snap.neighbors(s)))
+            log[n - 1] = {**log[n - 1], "hop_list": f"{s}-{x}", "hops": "1"}
+            return log
+
+        log = edited_log(tmp_path / "paths.csv", tiny_result.path_log, edit)
+        features = []
+        real = exporters._feature
+        monkeypatch.setattr(exporters, "_feature", lambda *a: features.append(1) or real(*a))
+        argv = ["--scenario", str(tiny_file), "--paths", str(log), "--out", str(out)]
+        assert main(["export", *argv, "--format", "geojson"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: path log row {n}: hops " in err and "are not linked" in err
+        assert features and n > 1
+        assert not any(out.iterdir())
 
     def test_env_var_overrides_out(self, tiny_file, tmp_path, monkeypatch):
         env_dir = tmp_path / "env-out"

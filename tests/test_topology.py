@@ -21,7 +21,7 @@ from leonet.geometry import (
     link_latency_ms,
     utc,
 )
-from leonet.exporters import _links
+from leonet.exporters import _link_heads, _links
 from leonet.routing import trace_path
 from leonet.scenario import load_scenario
 from leonet.topology import (
@@ -31,6 +31,7 @@ from leonet.topology import (
     FixedPosition,
     IslPattern,
     IslTemplate,
+    Snapshot,
     Station,
     build_persistent_isls,
     detect_eisls,
@@ -310,14 +311,34 @@ class TestSnapshot:
         diff = snap.sat_positions[snap.isl_pairs[:, 0]] - snap.sat_positions[snap.isl_pairs[:, 1]]
         assert np.allclose(snap.isl_lengths, np.linalg.norm(diff, axis=1))
 
+    def test_supplied_isl_lengths_are_checked(self):
+        # a negative length reached the baseline relaxation through a direct call
+        const = shell(6, 6)
+        tpl = build_persistent_isls(const, IslPattern(GRID_PLUS, (0,)))
+        a, b = tpl.pairs[2].tolist()
+
+        def make(lengths):
+            return Snapshot(EPOCH, const, (), tpl, 40.0, isl_lengths=lengths)
+
+        lengths = np.full(tpl.edge_count, 1000.0)
+        for bad in (-1.0, math.nan, math.inf):
+            lengths[2] = bad
+            with pytest.raises(ValueError, match=rf"link 2 \({a}, {b}\) has length {bad}, not"):
+                make(lengths)
+        with pytest.raises(ValueError, match=rf"shape \(3,\) for {tpl.edge_count} links"):
+            make(lengths[:3])
+        lengths[2] = 0.0
+        assert make(lengths.tolist()).isl_lengths.tolist() == lengths.tolist()
+
     def test_link_listing_covers_isls_and_edges(self):
         const = shell(10, 10)
         st = ground("obs", 45.0, 10.0)
         snap = snapshot(const, [st], IslPattern(GRID_PLUS, (0,)), EPOCH, 40.0)
+        head = lambda a, b, kind: (a, b, kind)  # noqa: E731
         links = [
             (a, b, kind, length, latency)
-            for ends, kinds, lengths, latencies in _links(snap)
-            for (a, b), kind, length, latency in zip(ends, kinds, lengths, latencies)
+            for heads, lengths, latencies in _links(snap, _link_heads(snap.template, head), head)
+            for (a, b, kind), length, latency in zip(heads, lengths, latencies)
         ]
         gsl = [l for l in links if l[2] == "GSL"]
         isl = [l for l in links if l[2] in ("iISL", "sISL")]
