@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import csv
 import json
+import weakref
 from array import array
 from datetime import datetime, timezone
 from itertools import chain, pairwise
 from operator import attrgetter, itemgetter
 from pathlib import Path as FsPath
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -230,29 +231,39 @@ def write_cdf_csv(series: Sequence[ConnectionSeries], quantity: str, path: FsPat
     _write_csv(path, header, chain.from_iterable(map(rows, series)))
 
 
-def _link_heads(template: IslTemplate, head: Callable[[int, int, str], object]) -> list:
-    """head(src, dst, kind) of each persistent link of a template, in its order."""
+def _link_ends(template: IslTemplate) -> list[tuple[int, int, str]]:
+    """(src, dst, kind) of each persistent link of a template, in its order."""
     kinds = map(ISL_KIND_NAMES.__getitem__, template.kinds.tolist())
-    return [head(a, b, kind) for (a, b), kind in zip(template.pairs.tolist(), kinds)]
+    return [(a, b, kind) for (a, b), kind in zip(template.pairs.tolist(), kinds)]
 
 
-def _links(
-    snap: Snapshot, heads: list, head: Callable[[int, int, str], object]
-) -> Iterator[tuple[list, list[float], list[float]]]:
-    """A snapshot's links in blocks of parallel columns (heads, lengths_km,
-    latencies_ms): its persistent links in template order, _EDGE_BLOCK at a
-    time, headed by heads (_link_heads of its template), then each station's
-    edge links, station by station, headed by head(src, dst, kind). src and
-    dst are snapshot node ids; blocks bound the Python lists alive at once."""
-
-    def block(part: list, lengths: np.ndarray):
-        return part, lengths.tolist(), link_latency_ms(lengths).tolist()
-
+def _isl_blocks(snap: Snapshot) -> Iterator[tuple[int, list[float], list[float]]]:
+    """The snapshot's persistent links in template order, _EDGE_BLOCK at a
+    time, as (lo, lengths_km, latencies_ms): lo is the template index of the
+    block's first link. Blocks bound the Python lists alive at once."""
     for lo in range(0, snap.template.edge_count, _EDGE_BLOCK):
-        yield block(heads[lo : lo + _EDGE_BLOCK], snap.isl_lengths[lo : lo + _EDGE_BLOCK])
+        lengths = snap.isl_lengths[lo : lo + _EDGE_BLOCK]
+        yield lo, lengths.tolist(), link_latency_ms(lengths).tolist()
+
+
+def _edge_links(snap: Snapshot) -> Iterator[tuple[list, list[float], list[float]]]:
+    """Each station's edge links, station by station, as (ends, lengths_km,
+    latencies_ms); ends are (src, dst, kind) with snapshot node ids."""
     for i, st in enumerate(snap.stations):
         node, kind = snap.station_node(i), KIND_GSL if st.kind == "ground" else KIND_MSL
-        yield block([head(s, node, kind) for s in snap.edge_sats[i].tolist()], snap.edge_lengths[i])
+        lengths = snap.edge_lengths[i]
+        ends = [(s, node, kind) for s in snap.edge_sats[i].tolist()]
+        yield ends, lengths.tolist(), link_latency_ms(lengths).tolist()
+
+
+def _links(snap: Snapshot) -> Iterator[tuple[list, list[float], list[float]]]:
+    """A snapshot's links in blocks (ends, lengths_km, latencies_ms): its
+    persistent links (_isl_blocks), then each station's edge links
+    (_edge_links); ends are (src, dst, kind) with snapshot node ids."""
+    ends = _link_ends(snap.template)
+    for lo, lengths, latencies in _isl_blocks(snap):
+        yield ends[lo : lo + len(lengths)], lengths, latencies
+    yield from _edge_links(snap)
 
 
 def write_edges_csv(snapshots: Iterable[Snapshot], path: FsPath) -> None:
@@ -260,15 +271,18 @@ def write_edges_csv(snapshots: Iterable[Snapshot], path: FsPath) -> None:
     (CRLF line ends; no cell needs quoting). A persistent link's src, dst and
     kind cells do not change over time, so they are formatted once per
     template; each stamp formats its time, lengths and latencies."""
-    head, template, heads = "{},{},{},".format, None, []
+    template, heads = None, []
     with path.open("w", newline="") as fh:
         fh.write("t,src,dst,kind,length_km,latency_ms\r\n")
         for snap in snapshots:
             if snap.template is not template:
-                template, heads = snap.template, _link_heads(snap.template, head)
+                template = snap.template
+                heads = [f"{a},{b},{kind}," for a, b, kind in _link_ends(template)]
             ts = _t(snap.t)
-            for part, lengths, latencies in _links(snap, heads, head):
-                rows = zip(part, lengths, latencies)
+            isls = ((heads[lo : lo + len(ln)], ln, ms) for lo, ln, ms in _isl_blocks(snap))
+            edges = (([f"{a},{b},{k}," for a, b, k in e], *rest) for e, *rest in _edge_links(snap))
+            for cells, lengths, latencies in chain(isls, edges):
+                rows = zip(cells, lengths, latencies)
                 fh.write("".join([f"{ts},{h}{ln:.6f},{ms:.6f}\r\n" for h, ln, ms in rows]))
 
 
@@ -340,9 +354,18 @@ def _subpoints(snap: Snapshot, sats: np.ndarray) -> list[str]:
     return _lonlat(eci_to_geodetic(snap.sat_positions[sats], snap.t, epoch))
 
 
+# node id -> _lonlat, per snapshot: the nodes and links writers share one batch
+_NODE_LONLAT: weakref.WeakKeyDictionary[Snapshot, list[str]] = weakref.WeakKeyDictionary()
+
+
 def _node_lonlat(snap: Snapshot) -> list[str]:
-    """_lonlat of every node by node id: satellite sub-points, then stations."""
-    return _subpoints(snap, np.arange(snap.sat_count)) + _lonlat(snap.station_geodetic)
+    """_lonlat of every node by node id (satellite sub-points, then stations),
+    converted once per snapshot."""
+    lonlat = _NODE_LONLAT.get(snap)
+    if lonlat is None:
+        lonlat = _subpoints(snap, np.arange(snap.sat_count)) + _lonlat(snap.station_geodetic)
+        _NODE_LONLAT[snap] = lonlat
+    return lonlat
 
 
 def snapshot_nodes_geojson(snap: Snapshot, path: FsPath) -> None:
@@ -358,15 +381,15 @@ def snapshot_nodes_geojson(snap: Snapshot, path: FsPath) -> None:
 
 def snapshot_links_geojson(snap: Snapshot, path: FsPath) -> None:
     """Write the snapshot's links to path as LineString features, in _links order."""
-    lonlat, head = _node_lonlat(snap), lambda a, b, kind: (a, b, kind)
+    lonlat = _node_lonlat(snap)
     features = (
         _feature(
             "LineString",
             f"[{lonlat[a]},{lonlat[b]}]",
             {"kind": kind, "length_km": round(length, 3), "latency_ms": round(latency, 6)},
         )
-        for heads, lengths, latencies in _links(snap, _link_heads(snap.template, head), head)
-        for (a, b, kind), length, latency in zip(heads, lengths, latencies)
+        for ends, lengths, latencies in _links(snap)
+        for (a, b, kind), length, latency in zip(ends, lengths, latencies)
     )
     _write_geojson(path, features)
 

@@ -76,13 +76,16 @@ def geodetic_to_ecef(point: GeodeticPoint) -> np.ndarray:
 
 def ecef_to_geodetic(p: np.ndarray) -> GeodeticPoint | list[GeodeticPoint]:
     """Geodetic point of a (3,) ECEF position (km), or the list of them for
-    an (n, 3) batch; a single point is the batch of one.
+    an (n, 3) batch; a single point is the batch of one. Other shapes raise
+    ValueError.
 
     The radii come from one numpy pass; the trigonometry stays scalar
     (math.asin, math.atan2), which numpy's vector kernels do not match bit
     for bit.
     """
     p = np.asarray(p, dtype=float)
+    if p.ndim not in (1, 2) or p.shape[-1] != 3:
+        raise ValueError(f"expected a (3,) position or an (n, 3) batch, not shape {p.shape}")
     e = p.reshape(-1, 3)
     r = np.sqrt(np.vecdot(e, e))
     if not r.all():

@@ -142,6 +142,13 @@ class TestGeodeticBatch:
         with pytest.raises(ValueError, match="zero-length position"):
             ecef_to_geodetic(np.array([[7000.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
 
+    def test_other_shapes_rejected(self):
+        # a (1, 3) batch is a list of one; no other shape is flattened into one
+        assert len(ecef_to_geodetic(np.full((1, 3), 7000.0))) == 1
+        for shape in [(), (2,), (4,), (1, 2), (2, 4), (2, 2, 3)]:
+            with pytest.raises(ValueError, match=r"an \(n, 3\) batch, not shape \("):
+                ecef_to_geodetic(np.full(shape, 7000.0))
+
 
 class TestFrameRotation:
     def test_identity_at_epoch(self):

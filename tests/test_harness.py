@@ -866,8 +866,9 @@ class TestGeojson:
         )
 
     def test_subpoints_converted_once_per_snapshot(self, tiny_result, tmp_path, monkeypatch):
-        # each writer converts its sub-points in one batch per snapshot, and a
-        # batch gives each satellite the scalar conversion's point
+        # the nodes and links writers share one batch of sub-points per
+        # snapshot, paths_geojson converts one per stamp, and a batch gives
+        # each satellite the scalar conversion's point
         snap, scn = self.snap(), tiny_scenario()
         batches = []
         real = exporters.eci_to_geodetic
@@ -879,7 +880,7 @@ class TestGeojson:
         monkeypatch.setattr(exporters, "eci_to_geodetic", counting)
         nodes = read_geojson(snapshot_nodes_geojson, snap, path=tmp_path / "nodes.geojson")
         read_geojson(snapshot_links_geojson, snap, path=tmp_path / "links.geojson")
-        assert batches == [snap.sat_count] * 2
+        assert batches == [snap.sat_count]
         epoch = snap.constellation.config.epoch
         for s in range(snap.sat_count):
             g = real(snap.sat_positions[s], snap.t, epoch)

@@ -21,7 +21,7 @@ from leonet.geometry import (
     link_latency_ms,
     utc,
 )
-from leonet.exporters import _link_heads, _links
+from leonet.exporters import _links
 from leonet.routing import trace_path
 from leonet.scenario import load_scenario
 from leonet.topology import (
@@ -334,11 +334,10 @@ class TestSnapshot:
         const = shell(10, 10)
         st = ground("obs", 45.0, 10.0)
         snap = snapshot(const, [st], IslPattern(GRID_PLUS, (0,)), EPOCH, 40.0)
-        head = lambda a, b, kind: (a, b, kind)  # noqa: E731
         links = [
             (a, b, kind, length, latency)
-            for heads, lengths, latencies in _links(snap, _link_heads(snap.template, head), head)
-            for (a, b, kind), length, latency in zip(heads, lengths, latencies)
+            for ends, lengths, latencies in _links(snap)
+            for (a, b, kind), length, latency in zip(ends, lengths, latencies)
         ]
         gsl = [l for l in links if l[2] == "GSL"]
         isl = [l for l in links if l[2] in ("iISL", "sISL")]
