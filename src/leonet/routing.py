@@ -16,16 +16,19 @@ All greedy traces of a stamp, over every connection, source satellite and
 rule, run in one lockstep kernel (trace_lockstep), the only implementation of
 the per-hop rule: each step advances every live trace by one hop, ranking
 the padded neighbor rows of the template's adjacency table together.
-trace_path is its batch of one. Routing keeps no run state: the candidate
-count of every decision follows from the traced paths (decision_counts).
+trace_path is its batch of one. The candidate count of every decision
+follows from the traced paths (decision_counts).
 
 Baselines are exact shortest paths over the satellite graph under a latency
 or unit (hop) weight, one per (source, end) satellite pair; bellman_ford is
-the one-pair case. Distances from the distinct sources of a stamp come from
-one batched frontier relaxation over the template's adjacency, the only
-table a baseline keeps: every route walks back from its end in lockstep, each
-step taking the lowest-id neighbor whose distance plus link weight is the
-node's own.
+the one-pair case. A stamp routes both baselines' pairs in one batch. Its
+distances, one row per distinct (weight, source), fill one table in one
+frontier relaxation over the template's adjacency, each row under its own
+weight. A hop row depends on the template alone, which keeps the rows it
+was given (IslTemplate.hop_rows): those are copied in, not relaxed again,
+and are the only state routing keeps across stamps. Every route then walks
+back from its end in lockstep, each step taking the lowest-id neighbor whose
+distance plus link weight is the node's own.
 
 Stations are indices into the snapshot's stations, satellites flat ids; no
 function here takes a name. trace_path, bellman_ford, stamp_path_sets and
@@ -62,6 +65,7 @@ ALGORITHMS = (ALGO_MPLF_CPI, ALGO_MPLF_NFP, ALGO_SP, ALGO_LH)
 
 WEIGHT_LATENCY = "latency"
 WEIGHT_UNIT = "unit"
+WEIGHTS = (WEIGHT_LATENCY, WEIGHT_UNIT)  # a weight's code is its index
 
 
 class UnknownEquipmentError(KeyError):
@@ -410,37 +414,44 @@ def decision_counts(degree: np.ndarray, paths: PathSet | Routes) -> list[int]:
 # -- shortest-path baselines --------------------------------------------------
 
 
-def _slot_weights(snap: Snapshot, weight: str) -> np.ndarray:
-    """Weights laid out like the template's adjacency table; padding is inf."""
-    if weight not in (WEIGHT_LATENCY, WEIGHT_UNIT):
-        raise ValueError(f"unknown weight {weight!r}")
-    if weight == WEIGHT_LATENCY:
-        return snap.slot_lengths
-    return np.where(snap.template.real, 1.0, np.inf)
+def _slot_weights(snap: Snapshot) -> np.ndarray:
+    """The slot weights of every weight, stacked in WEIGHTS order, each laid
+    out like the template's adjacency table: row k * S + v holds satellite
+    v's slots under WEIGHTS[k]. Padding is inf."""
+    return np.concatenate([snap.slot_lengths, np.where(snap.template.real, 1.0, np.inf)])
 
 
-def _distances(snap: Snapshot, w: np.ndarray, sources: np.ndarray) -> np.ndarray:
-    """Distances over the satellite graph under the slot weights w (from
-    _slot_weights), one row from each satellite of sources, by frontier
-    relaxation to the fixed point.
+def _distances(
+    snap: Snapshot, w: np.ndarray, kinds: np.ndarray, sources: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Distances over the satellite graph, row i from satellite sources[i]
+    under the slot weights of WEIGHTS[kinds[i]] (w from _slot_weights), by
+    frontier relaxation to the fixed point, into out (a C-contiguous rows x S
+    table) or a new table.
 
     Each round relaxes only the out-edges of the nodes whose distance fell in
     the previous round. Weights are non-negative and rounding is monotone, so
-    the fixed point is unique and any complete relaxation order reaches it.
+    the fixed point is unique and any complete relaxation order reaches it. A
+    row's rounds never read another row: it is the row a pass of its own gives.
     """
     nbr = snap.template.nbr
     n = snap.sat_count
-    dist = np.full((sources.size, n), np.inf)
+    dist = np.empty((sources.size, n)) if out is None else out
+    dist.fill(np.inf)
     flat = dist.reshape(-1)
     frontier = np.arange(sources.size) * n + sources
     flat[frontier] = 0.0
+    base = kinds * n  # each row's first row of w
     # marks the next frontier once per node; np.unique would import numpy.ma
     mark = np.zeros(flat.size, dtype=bool)
     while frontier.size:
-        node = frontier % n
+        row = frontier // n
+        off = row * n
+        node = frontier - off
         target = nbr[node]
-        target += (frontier - node)[:, None]
-        cand = w[node]
+        target += off[:, None]
+        cand = w[base[row] + node]
         cand += flat[frontier][:, None]
         fell = cand < flat[target]
         target = target[fell]
@@ -452,26 +463,26 @@ def _distances(snap: Snapshot, w: np.ndarray, sources: np.ndarray) -> np.ndarray
 
 
 def _walk_back(
-    snap: Snapshot, w: np.ndarray, dist: np.ndarray, row: np.ndarray, src: np.ndarray,
-    end: np.ndarray,
+    snap: Snapshot, w: np.ndarray, dist: np.ndarray, kinds: np.ndarray, row: np.ndarray,
+    src: np.ndarray, end: np.ndarray,
 ) -> Routes:
     """The shortest route of each (src[i], end[i]) pair over the distances
-    dist[row[i]] from src[i], walked back from end[i] for all pairs in
-    lockstep. At node v a step takes the first column j with dist[nbr[v, j]]
-    + w[v, j] == dist[v], as neighbor rows ascend the lowest-id predecessor.
-    Zero-length links can make two nodes each other's predecessor: a walk as
-    long as the node count raises."""
+    dist[row[i]] from src[i] under WEIGHTS[kinds[row[i]]], walked back from
+    end[i] for all pairs in lockstep. At node v a step takes the first column
+    j with dist[nbr[v, j]] + w[v, j] == dist[v], as neighbor rows ascend the
+    lowest-id predecessor. Zero-length links can make two nodes each other's
+    predecessor: a walk as long as the node count raises."""
     nbr, lengths = snap.template.nbr, snap.slot_lengths
     m = end.size
     steps = []
-    live, cur = np.arange(m), end
+    live, cur, base = np.arange(m), end, kinds[row] * snap.sat_count
     for _ in range(snap.sat_count):
         root = cur == src  # a route's first satellite: no link into it
         steps.append((live[root], cur[root], np.zeros(np.count_nonzero(root))))
-        live, row, src, cur = (a[~root] for a in (live, row, src, cur))
+        live, row, base, src, cur = (a[~root] for a in (live, row, base, src, cur))
         if not live.size:
             break
-        fits = dist[row[:, None], nbr[cur]] + w[cur] == dist[row, cur][:, None]
+        fits = dist[row[:, None], nbr[cur]] + w[base + cur] == dist[row, cur][:, None]
         col = fits.argmax(axis=1)
         steps.append((live, cur, lengths[cur, col]))
         cur = nbr[cur, col]
@@ -482,22 +493,49 @@ def _walk_back(
 
 
 def _baseline_routes(
-    snap: Snapshot, weight: str, src: np.ndarray, end: np.ndarray
+    snap: Snapshot, weights: str | Sequence[str], src: np.ndarray, end: np.ndarray
 ) -> tuple[np.ndarray, Routes]:
-    """The indices of the reached (src[i], end[i]) satellite pairs, and their
-    exact shortest routes.
+    """The indices of the reached (src[i], end[i]) satellite pairs under each
+    of weights (or the one weight named) in turn, and their exact shortest
+    routes: index k * src.size + i is pair i under weights[k].
 
-    One distance pass covers the distinct sources, a row each. A pair is
-    reached where its end's distance is finite, and its route walks back from
-    there over the distances alone.
+    One distance pass covers the distinct sources under each weight, a row
+    each, except the hop rows the template keeps (IslTemplate.hop_rows), which
+    are copied into the same table. A pair is reached where its end's distance
+    is finite, and all routes walk back in one batch over the distances alone.
+    The template then keeps the pass's new hop rows.
     """
-    w = _slot_weights(snap, weight)
-    mark = np.zeros(snap.sat_count, dtype=bool)
-    mark[src] = True
-    row = np.cumsum(mark)[src] - 1  # each pair's source row
-    dist = _distances(snap, w, np.flatnonzero(mark))
+    if isinstance(weights, str):
+        weights = (weights,)
+    for weight in weights:
+        if weight not in WEIGHTS:
+            raise ValueError(f"unknown weight {weight!r}")
+    n, tpl = snap.sat_count, snap.template
+    kind = np.repeat([WEIGHTS.index(x) for x in weights], src.size)
+    src, end = np.tile(src, len(weights)), np.tile(end, len(weights))
+    # a row's key is its weight's code * S + its source: hop rows are keys >= S
+    key = kind * n + src
+    mark = np.zeros(len(WEIGHTS) * n, dtype=bool)
+    mark[key] = True
+    keys = np.flatnonzero(mark)
+    kept = np.array([k >= n and k - n in tpl.hop_rows for k in keys.tolist()], dtype=bool)
+    # rows: latency [:lat], new hop rows [lat:fresh], kept hop rows [fresh:]
+    order = np.concatenate([keys[~kept], keys[kept]])
+    kinds, sources = np.divmod(order, n)
+    lat, fresh = np.count_nonzero(keys < n), order.size - np.count_nonzero(kept)
+    w = _slot_weights(snap)
+    dist = np.empty((order.size, n))
+    _distances(snap, w, kinds[:fresh], sources[:fresh], out=dist[:fresh])
+    for r, s in enumerate(sources[fresh:].tolist(), fresh):
+        dist[r] = tpl.hop_rows[s]
+    row_of = np.empty(mark.size, dtype=np.int64)
+    row_of[order] = np.arange(order.size)
+    row = row_of[key]  # each pair's row
     reached = np.flatnonzero(np.isfinite(dist[row, end]))
-    return reached, _walk_back(snap, w, dist, row[reached], src[reached], end[reached])
+    routes = _walk_back(snap, w, dist, kinds, row[reached], src[reached], end[reached])
+    # kept after the walk, so that the copies and the walk do not peak together
+    tpl.keep_hop_rows(sources[lat:fresh], dist[lat:fresh])
+    return reached, routes
 
 
 def bellman_ford(snap: Snapshot, weight: str, src_sat: int, dst_sat: int) -> Path | None:
@@ -596,18 +634,20 @@ def stamp_path_sets(
         r = trace_lockstep(snap, rules, srcs, dests, snap.station_positions[list(dests)])
         counts = [sats[si].size for si, _, _ in greedy]
         columns.update(zip(greedy, _path_columns(r, np.array(up), counts)))
-    # the (source, end) satellite pairs of the live connections, shared by both baselines
-    if live and any(a in _WEIGHT_OF for a in algorithms):
+    # the (source, end) satellite pairs of the live connections, routed under
+    # every baseline's weight in one batch
+    baselines = [a for a in algorithms if a in _WEIGHT_OF]
+    if live and baselines:
         src = np.concatenate([np.repeat(sats[si], sats[di].size) for si, di in live])
         end = np.concatenate([np.tile(sats[di], sats[si].size) for si, di in live])
         up = np.concatenate([np.repeat(lengths[si], sats[di].size) for si, di in live])
         down = np.concatenate([np.tile(lengths[di], sats[si].size) for si, di in live])
-        bounds = np.cumsum([0] + [sats[si].size * sats[di].size for si, di in live])
-    for algo in (a for a in algorithms if a in _WEIGHT_OF and live):
-        hit, r = _baseline_routes(snap, _WEIGHT_OF[algo], src, end)
+        k = len(baselines)
+        bounds = np.cumsum([0] + [sats[si].size * sats[di].size for si, di in live] * k)
+        hit, r = _baseline_routes(snap, [_WEIGHT_OF[a] for a in baselines], src, end)
         counts = np.diff(np.searchsorted(hit, bounds)).tolist()
-        cut = _path_columns(r._replace(down_km=down[hit]), up[hit], counts)
-        columns.update(((si, di, algo), c) for (si, di), c in zip(live, cut))
+        cut = _path_columns(r._replace(down_km=np.tile(down, k)[hit]), np.tile(up, k)[hit], counts)
+        columns.update(zip(((si, di, a) for a in baselines for si, di in live), cut))
     return [
         PathSet(*columns.get((si, di, algo), _NO_PATHS))
         for si, di in connections

@@ -41,6 +41,11 @@ KIND_MSL = "MSL"
 
 ISL_KIND_NAMES = (KIND_IISL, KIND_SISL)
 
+# the most unit-weight distance rows an IslTemplate keeps (HOP_ROW_LIMIT * S
+# floats, 1.6 MB at 40x40). Over the moving scenario's 5,672 hop rows from 347
+# sources, it leaves 416 to compute (375 at 256, 648 at 64).
+HOP_ROW_LIMIT = 128
+
 
 @dataclass(frozen=True)
 class IslPattern:
@@ -112,6 +117,10 @@ class IslTemplate:
     count), which a snapshot maps to an infinite length; real marks the
     slots that hold a link. linked answers, from that table, whether
     satellite pairs are persistently linked.
+
+    A unit-weight (hop) distance row depends on the template alone, so the
+    template keeps the rows the exact baselines compute: hop_rows maps a
+    source satellite to its row, the oldest evicted beyond HOP_ROW_LIMIT.
     """
 
     pairs: np.ndarray  # (E, 2) int32
@@ -121,6 +130,7 @@ class IslTemplate:
     link: np.ndarray = field(init=False, repr=False)  # (S, D) int64
     degree: np.ndarray = field(init=False, repr=False)  # (S,) int64
     real: np.ndarray = field(init=False, repr=False)  # (S, D) bool
+    hop_rows: dict[int, np.ndarray] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         pairs, n = self.pairs, self.sat_count
@@ -151,6 +161,15 @@ class IslTemplate:
     def edge_count(self) -> int:
         return int(self.pairs.shape[0])
 
+    def keep_hop_rows(self, sources: np.ndarray, rows: np.ndarray) -> None:
+        """Keep a copy of rows[i], the hop distances from sources[i] (a
+        source the template does not keep yet)."""
+        first = max(len(sources) - HOP_ROW_LIMIT, 0)  # the rest would go at once
+        for s, row in zip(sources[first:].tolist(), rows[first:]):
+            self.hop_rows[s] = row.copy()
+        while len(self.hop_rows) > HOP_ROW_LIMIT:
+            del self.hop_rows[next(iter(self.hop_rows))]
+
 
 def build_persistent_isls(constellation: Constellation, pattern: IslPattern) -> IslTemplate:
     """Enumerate the persistent link template for a shell and pattern.
@@ -160,30 +179,19 @@ def build_persistent_isls(constellation: Constellation, pattern: IslPattern) -> 
     """
     cfg = constellation.config
     n, p = cfg.sats_per_plane, cfg.planes
-    pairs: list[tuple[int, int]] = []
-    kinds: list[int] = []
-
-    def add(a: int, b: int, kind: int) -> None:
-        if a == b:
-            raise ValueError("degenerate shell produces a self-link")
-        pairs.append((min(a, b), max(a, b)))
-        kinds.append(kind)
-
-    for plane in range(p):
-        base = plane * n
-        for slot in range(n):
-            add(base + slot, base + (slot + 1) % n, 0)
-    for bias in pattern.bias:
-        for plane in range(p):
-            east = (plane + 1) % p
-            for slot in range(n):
-                add(plane * n + slot, east * n + (slot + bias) % n, 1)
-
-    arr = np.array(pairs, dtype=np.int32)
-    kind_arr = np.array(kinds, dtype=np.int8)
+    sat = np.arange(n * p)
+    plane, slot = np.divmod(sat, n)
+    # the in-plane rings, then the cross-plane links of each bias
+    ends = [plane * n + (slot + 1) % n]
+    ends += [(plane + 1) % p * n + (slot + bias) % n for bias in pattern.bias]
+    a, b = np.tile(sat, len(ends)), np.concatenate(ends)
+    if np.any(a == b):
+        raise ValueError("degenerate shell produces a self-link")
+    arr = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1).astype(np.int32)
+    kinds = np.repeat(np.arange(len(ends)) > 0, n * p).astype(np.int8)
     # canonical order + simple-graph dedup (keeps the first kind seen)
     uniq, first = np.unique(arr, axis=0, return_index=True)
-    return IslTemplate(pairs=uniq, kinds=kind_arr[first], sat_count=cfg.total_sats)
+    return IslTemplate(pairs=uniq, kinds=kinds[first], sat_count=cfg.total_sats)
 
 
 class Snapshot:

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leonet import routing, topology
 from leonet.constellation import ConstellationConfig, build_walker
 from leonet.geometry import GeodeticPoint, ecef_to_eci, geodetic_to_ecef, utc
 from leonet.harness import _connection_indices, snapshot_at
@@ -35,6 +36,7 @@ from leonet.routing import (
     DROP_LOOP,
     LocationTable,
     STATUSES,
+    WEIGHTS,
     Path,
     UnknownEquipmentError,
     _baseline_routes,
@@ -1099,14 +1101,156 @@ class TestStampPathSets:
     @pytest.mark.parametrize("weight", ["latency", "unit"])
     def test_batched_baseline_rows_equal_per_connection_calls(self, weight):
         snap = snapshot_shell(self.stations(), seconds=300)
-        w = _slot_weights(snap, weight)
-        dist = _distances(snap, w, np.concatenate(snap.edge_sats))
+        w, code = _slot_weights(snap), WEIGHTS.index(weight)
+        sources = np.concatenate(snap.edge_sats)
+        dist = _distances(snap, w, np.full(sources.size, code), sources)
         start = 0
         for sats in snap.edge_sats:
             stop = start + sats.size
-            assert np.array_equal(dist[start:stop], _distances(snap, w, sats))
+            assert np.array_equal(dist[start:stop], _distances(snap, w, np.full(sats.size, code), sats))
             start = stop
         assert start > 3
+        # a pass that mixes the weights row by row gives each row the one a
+        # single-weight pass gives, written in place into the head of a table
+        kinds = (np.arange(sources.size) + code) % 2
+        table = np.full((sources.size + 2, snap.sat_count), -1.0)
+        out = table[: sources.size]
+        assert _distances(snap, w, kinds, sources, out=out) is out
+        assert np.all(table[sources.size :] == -1.0)
+        single = [_distances(snap, w, np.full(sources.size, k), sources) for k in (0, 1)]
+        for i, k in enumerate(kinds.tolist()):
+            assert np.array_equal(out[i], single[k][i])
+        assert single[0][0].tolist() != single[1][0].tolist()
+
+
+def shipped_stamps(name, count=4):
+    """A shipped scenario and count evenly spread stamps of it, plus the
+    stamp after each, so that consecutive stamps share source satellites."""
+    sc = load_scenario(SCENARIO_DIR / name)
+    stamps = sc.time.stamps()
+    picks = np.linspace(0, len(stamps) - 2, count).astype(int).tolist()
+    return sc, [stamps[j] for i in picks for j in (i, i + 1)]
+
+
+def path_set_columns(sc, stamps, template_of):
+    """The stamp_path_sets columns of each stamp, each snapshot built on the
+    template template_of(stamp) gives."""
+    const = build_walker(sc.constellation)
+    conns = _connection_indices(sc)
+    out = []
+    for t in stamps:
+        snap = snapshot(const, sc.stations, sc.pattern, t, sc.elevation_min_deg,
+                        template=template_of(t))
+        out.append([set_columns(ps) for ps in stamp_path_sets(snap, sc.algorithms, conns)])
+    return out
+
+
+def fresh_template(sc):
+    const = build_walker(sc.constellation)
+    return lambda t: build_persistent_isls(const, sc.pattern)
+
+
+def shared_template(sc):
+    tpl = build_persistent_isls(build_walker(sc.constellation), sc.pattern)
+    return tpl, lambda t: tpl
+
+
+@pytest.fixture
+def hop_passes(monkeypatch):
+    """The number of hop rows each distance pass computes, in call order."""
+    counts = []
+
+    def counted(snap, w, kinds, sources, out=None):
+        counts.append(int(np.count_nonzero(kinds == WEIGHTS.index("unit"))))
+        return _distances(snap, w, kinds, sources, out)
+
+    monkeypatch.setattr(routing, "_distances", counted)
+    return counts
+
+
+class TestHopRowCache:
+    """A template's kept hop rows change no route: every check compares with
+    templates that keep nothing across stamps."""
+
+    SHIPPED = sorted(p.name for p in SCENARIO_DIR.glob("*.json"))
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_shared_template_equals_fresh_templates(self, name, hop_passes):
+        sc, stamps = shipped_stamps(name)
+        want = path_set_columns(sc, stamps, fresh_template(sc))
+        computed = sum(hop_passes)
+        hop_passes.clear()
+        tpl, at = shared_template(sc)
+        assert path_set_columns(sc, stamps, at) == want
+        assert 0 < sum(hop_passes) < computed  # the stamp after each reuses rows
+        assert 0 < len(tpl.hop_rows) <= topology.HOP_ROW_LIMIT
+
+    def test_lh_alone_computes_only_the_missing_rows(self, hop_passes):
+        sc, stamps = shipped_stamps("experiment3_moving.json", count=3)
+        sc = replace(sc, algorithms=(ALGO_LH,))
+        want = path_set_columns(sc, stamps, fresh_template(sc))
+        hop_passes.clear()
+        _, at = shared_template(sc)
+        assert path_set_columns(sc, stamps, at) == want
+        # a stamp whose rows are all kept runs an empty pass
+        assert len(hop_passes) == len(stamps) and 0 in hop_passes[1:]
+        assert hop_passes[0] > 0
+
+    def test_bound_below_one_stamp_changes_no_route(self, monkeypatch):
+        monkeypatch.setattr(topology, "HOP_ROW_LIMIT", 2)
+        sc, stamps = shipped_stamps("experiment1_40x40.json", count=2)
+        want = path_set_columns(sc, stamps, fresh_template(sc))
+        tpl, at = shared_template(sc)
+        assert path_set_columns(sc, stamps, at) == want
+        assert len(tpl.hop_rows) == 2
+
+    def test_interleaved_templates_keep_their_own_rows(self):
+        sc, stamps = shipped_stamps("experiment1_20x20.json", count=3)
+        const = build_walker(sc.constellation)
+        patterns = [IslPattern("+Grid", (0,)), IslPattern("*Grid", (-1, 0))]
+        shared = [build_persistent_isls(const, p) for p in patterns]
+        got, want = [], []
+        for i, t in enumerate(stamps):
+            k = i % 2
+            sk = replace(sc, pattern=patterns[k])
+            got += path_set_columns(sk, [t], lambda t: shared[k])
+            want += path_set_columns(sk, [t], fresh_template(sk))
+        assert got == want
+        for tpl in shared:
+            snap = synthetic_snapshot(EPOCH, const, const.positions_at(EPOCH),
+                                      const.velocities_at(EPOCH), tpl.pairs, tpl.kinds)
+            for s, row in tpl.hop_rows.items():
+                fresh = _distances(snap, _slot_weights(snap), np.array([1]), np.array([s]))[0]
+                assert np.array_equal(row, fresh)
+        common = set(shared[0].hop_rows) & set(shared[1].hop_rows)
+        assert common
+        assert any(shared[0].hop_rows[s].max() > shared[1].hop_rows[s].max() for s in common)
+
+    def test_unreached_pairs_stay_unreached_under_both_weights(self):
+        # two segments: 0-1-2 and 3-4, and 5 alone
+        positions = [P + [0, 100 * k, 0] for k in range(6)]
+        snap = synthetic(positions, [(0, 1), (1, 2), (3, 4)], lengths=[3.0, 4.0, 5.0])
+        src, end = np.repeat(np.arange(6), 6), np.tile(np.arange(6), 6)
+        part = np.array([0, 0, 0, 1, 1, 2])
+        want = np.flatnonzero(part[src] == part[end])
+        runs = [_baseline_routes(snap, ("latency", "unit"), src, end) for _ in range(2)]
+        assert set(snap.template.hop_rows) == set(range(6))
+        for hit, r in runs:
+            assert hit.tolist() == [*want.tolist(), *(want + src.size).tolist()]
+            assert r.sats.tolist() == runs[0][1].sats.tolist()
+        assert np.isinf(snap.template.hop_rows[5][:5]).all()
+
+    def test_weights_in_one_batch_equal_one_batch_each(self):
+        snap = snapshot_shell([ground("a", 45.0, 10.0), ground("b", -30.0, 100.0)], seconds=300)
+        src = np.repeat(snap.edge_sats[0], snap.edge_sats[1].size)
+        end = np.tile(snap.edge_sats[1], snap.edge_sats[0].size)
+        hit, r = _baseline_routes(snap, ("latency", "unit"), src, end)
+        parts = [_baseline_routes(snap, w, src, end) for w in ("latency", "unit")]
+        assert hit.tolist() == parts[0][0].tolist() + (parts[1][0] + src.size).tolist()
+        for column in ("sats", "legs"):
+            want = np.concatenate([getattr(p[1], column) for p in parts])
+            assert np.array_equal(getattr(r, column), want)
+        assert r.sats.size > 2 * src.size
 
 
 class TestColumnForms:

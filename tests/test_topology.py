@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import SCENARIO_DIR
 
+from leonet import topology
 from leonet.constellation import ConstellationConfig, build_walker
 from leonet.geometry import (
     EARTH_RADIUS_KM,
@@ -50,6 +51,21 @@ COVERAGE_HALF_ANGLE_DEG = 5.1569
 
 def shell(sats=10, planes=10, phase=0, alt=550.0, incl=53.0):
     return build_walker(ConstellationConfig(sats, planes, phase, alt, incl, EPOCH))
+
+
+def per_link_template(n, p, pattern):
+    """(pairs, kinds) of the persistent template built one link at a time:
+    the in-plane rings, then each bias's cross-plane links, canonicalised
+    and deduplicated keeping the first kind; None if a link is a self-link."""
+    links = [(plane * n + slot, plane * n + (slot + 1) % n, 0)
+             for plane in range(p) for slot in range(n)]
+    links += [(plane * n + slot, (plane + 1) % p * n + (slot + bias) % n, 1)
+              for bias in pattern.bias for plane in range(p) for slot in range(n)]
+    if any(a == b for a, b, _ in links):
+        return None
+    arr = np.array([(min(a, b), max(a, b)) for a, b, _ in links], dtype=np.int32)
+    uniq, first = np.unique(arr, axis=0, return_index=True)
+    return uniq, np.array([k for _, _, k in links], dtype=np.int8)[first]
 
 
 def free_snapshot(positions, vz, pairs):
@@ -195,6 +211,46 @@ class TestPersistentTemplate:
     def test_single_plane_zero_bias_rejected(self):
         with pytest.raises(ValueError):
             build_persistent_isls(shell(8, 1), IslPattern(GRID_PLUS, (0,)))
+
+    @pytest.mark.parametrize(
+        "n,p,pattern",
+        [
+            *[
+                (sc.constellation.sats_per_plane, sc.constellation.planes, sc.pattern)
+                for sc in (load_scenario(f) for f in sorted(SCENARIO_DIR.glob("*.json")))
+            ],
+            (2, 3, IslPattern(GRID_STAR, (-1, 0))),  # in-plane rings fold onto one link
+            (8, 1, IslPattern(GRID_PLUS, (-1,))),  # cross-plane links repeat the ring
+            (3, 2, IslPattern(GRID_PLUS, (0,))),  # cross-plane links fold onto one
+            (1, 8, IslPattern(GRID_PLUS, (0,))),
+            (8, 1, IslPattern(GRID_PLUS, (0,))),
+            (2, 1, IslPattern(GRID_STAR, (-1, 0))),
+        ],
+    )
+    def test_arrays_equal_the_per_link_construction(self, n, p, pattern):
+        want = per_link_template(n, p, pattern)
+        if want is None:
+            with pytest.raises(ValueError, match="self-link"):
+                build_persistent_isls(shell(n, p), pattern)
+            return
+        tpl = build_persistent_isls(shell(n, p), pattern)
+        assert tpl.pairs.dtype == np.int32 and tpl.kinds.dtype == np.int8
+        assert np.array_equal(tpl.pairs, want[0]) and np.array_equal(tpl.kinds, want[1])
+
+    def test_hop_rows_keep_copies_and_evict_the_oldest(self, monkeypatch):
+        monkeypatch.setattr(topology, "HOP_ROW_LIMIT", 3)
+        tpl = build_persistent_isls(shell(4, 4), IslPattern(GRID_PLUS, (0,)))
+        rows = np.arange(5 * 16, dtype=float).reshape(5, 16)
+        tpl.keep_hop_rows(np.array([7, 2]), rows[:2])
+        rows[0] = -1.0
+        assert tpl.hop_rows[7].tolist() == list(range(16))  # a copy, not a view
+        tpl.keep_hop_rows(np.array([9, 4, 11]), rows[2:])
+        assert list(tpl.hop_rows) == [9, 4, 11]
+        assert tpl.hop_rows[11].tolist() == rows[4].tolist()
+        # a batch beyond the bound keeps its last rows
+        tpl.keep_hop_rows(np.arange(20, 25), rows)
+        assert list(tpl.hop_rows) == [22, 23, 24]
+        assert tpl.hop_rows[22].tolist() == rows[2].tolist()
 
     def test_kind_name_lookup(self):
         tpl = build_persistent_isls(shell(4, 4), IslPattern(GRID_PLUS, (0,)))
