@@ -5,17 +5,20 @@ run's natural order, so re-running an identical scenario reproduces the
 output byte for byte. The path log is columns (harness.PathLog) on both sides
 of paths.csv; its rows are named from the scenario and checked as they are read.
 The writers take one snapshot at a time: GeoJSON is streamed feature by
-feature, with each snapshot's sub-points converted and encoded once.
+feature, with each snapshot's sub-points converted and encoded once. The
+per-row tables (paths.csv, metrics.csv, the CDF tables) are formatted a
+column and a block of rows at a time, to the bytes csv.writer gives.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import weakref
 from array import array
 from datetime import datetime, timezone
-from itertools import chain, pairwise
+from itertools import chain, pairwise, repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path as FsPath
 from typing import Iterable, Iterator, Sequence
@@ -35,7 +38,7 @@ FORMAT_GEOJSON = "geojson"
 FORMATS = (FORMAT_CSV, FORMAT_GEOJSON)
 
 _EDGE_BLOCK = 1024  # edges.csv rows formatted per batch
-_PATH_BLOCK = 256  # paths.csv rows formatted per batch
+_ROW_BLOCK = 256  # rows of paths.csv, metrics.csv and the CDF tables formatted per batch
 
 
 def _f(x: float | None) -> str:
@@ -44,6 +47,10 @@ def _f(x: float | None) -> str:
 
 def _i(x: int | None) -> str:
     return "" if x is None else str(x)
+
+
+def _flag(x: bool) -> str:
+    return str(int(x))
 
 
 def _t(t: datetime) -> str:
@@ -57,17 +64,38 @@ def _write_csv(path: FsPath, header: Sequence[str], rows: Iterable[Sequence]) ->
         w.writerows(rows)
 
 
+def _cell(value: str) -> str:
+    """value as csv.writer writes it in a row of several cells (quoted if needed)."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow((value, ""))
+    return buf.getvalue()[: -len(",\r\n")]
+
+
+def _cells(*values: str) -> str:
+    """The text of consecutive cells of a row, each as _cell writes it."""
+    return ",".join(map(_cell, values))
+
+
+def _write_blocks(path: FsPath, header: Sequence[str], blocks: Iterable[Iterable]) -> None:
+    """Write a table as csv.writer writes it: the header, then each block of
+    rows, given as columns of cell text, as one string."""
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for columns in blocks:
+            fh.write("".join([",".join(row) + "\r\n" for row in zip(*columns)]))
+
+
 # the path log's columns, in file order
 _PATH_LOG = "t algorithm src_station dst_station src_sat hop_list latency_ms hops status".split()
 
 # the columns naming a series, after metrics.csv's t and first in the others
 _SERIES_COLUMNS = ("src_station", "dst_station", "algorithm")
 
-# metrics.csv after t and the series columns: StampStats attribute -> format
+# metrics.csv after t and the series columns: StampStats attribute -> cell text
 _STAMP_COLUMNS = {
-    "covered_src": int,
-    "covered_dst": int,
-    "valid": int,
+    "covered_src": _flag,
+    "covered_dst": _flag,
+    "valid": _flag,
     "n_paths": _i,
     "n_drops": _i,
     "psi": _i,
@@ -115,19 +143,30 @@ def _set_names(scenario: Scenario) -> list[tuple[str, str, str]]:
 
 
 def write_paths_csv(scenario: Scenario, log: PathLog, path: FsPath) -> None:
-    """One row per log row, its stamp and set named from the scenario; rows are
-    formatted _PATH_BLOCK at a time, which bounds the Python lists alive at once."""
-    ts, names = [_t(t) for t in scenario.time.stamps()], _set_names(scenario)
+    """One row per log row, its stamp and set named from the scenario, one
+    column at a time, _ROW_BLOCK rows at a time: that bounds the Python lists
+    alive at once. Stamp, set and status cells are formatted once per value,
+    and a hop list joins "<id>-" tokens, one per satellite."""
+    ts = [_cell(_t(t)) for t in scenario.time.stamps()]
+    sets = [_cells(*names) for names in _set_names(scenario)]
+    statuses = list(map(_cell, STATUSES))
+    tokens = [f"{s}-" for s in range(log.sats.max(initial=-1) + 1)]
 
-    def rows(lo: int) -> Iterator[list]:
-        part = log.take(np.arange(lo, min(lo + _PATH_BLOCK, log.end.size)))
-        sats, starts = part.sats.tolist(), part.starts.tolist()
-        cells = (c.tolist() for c in (part.stamp, part.path_set, part.latency_ms, part.end))
-        for i, k, ms, e, (a, b) in zip(*cells, pairwise(starts)):
-            hops = "-".join(map(str, sats[a:b]))
-            yield [ts[i], *names[k], sats[a], hops, _f(ms), b - a - 1, STATUSES[e]]
+    def columns(lo: int) -> tuple:
+        bounds = log.starts[lo : lo + _ROW_BLOCK + 1]
+        rows, sats = slice(lo, lo + bounds.size - 1), log.sats[bounds[0] : bounds[-1]].tolist()
+        hops, starts = list(map(tokens.__getitem__, sats)), (bounds - bounds[0]).tolist()
+        return (
+            map(ts.__getitem__, log.stamp[rows].tolist()),
+            map(sets.__getitem__, log.path_set[rows].tolist()),
+            [str(sats[a]) for a in starts[:-1]],
+            ["".join(hops[a:b])[:-1] for a, b in pairwise(starts)],
+            [f"{ms:.6f}" for ms in log.latency_ms[rows].tolist()],
+            map(str, (np.diff(bounds) - 1).tolist()),
+            map(statuses.__getitem__, log.end[rows].tolist()),
+        )
 
-    _write_csv(path, _PATH_LOG, chain.from_iterable(map(rows, range(0, log.end.size, _PATH_BLOCK))))
+    _write_blocks(path, _PATH_LOG, map(columns, range(0, log.end.size, _ROW_BLOCK)))
 
 
 def read_paths_csv(path: FsPath, scenario: Scenario) -> PathLog:
@@ -203,13 +242,20 @@ def read_paths_csv(path: FsPath, scenario: Scenario) -> PathLog:
 
 
 def write_metrics_csv(series: Sequence[ConnectionSeries], path: FsPath) -> None:
+    """One row per stamp of each series, formatted a column and at most
+    _ROW_BLOCK rows at a time; a series' names and a stamp's time once."""
     get, fmts = attrgetter(*_STAMP_COLUMNS), tuple(_STAMP_COLUMNS.values())
-    rows = (
-        [_t(st.t), s.src_ei, s.dst_ei, s.algorithm, *(f(v) for f, v in zip(fmts, get(st)))]
-        for s in series
-        for st in s.stamps
-    )
-    _write_csv(path, ("t", *_SERIES_COLUMNS, *_STAMP_COLUMNS), rows)
+    ts = {t: _cell(_t(t)) for t in {st.t for s in series for st in s.stamps}}
+
+    def blocks() -> Iterator[tuple]:
+        for s in series:
+            names = _cells(s.src_ei, s.dst_ei, s.algorithm)
+            for lo in range(0, len(s.stamps), _ROW_BLOCK):
+                part = s.stamps[lo : lo + _ROW_BLOCK]
+                columns = zip(fmts, zip(*map(get, part)))
+                yield [ts[st.t] for st in part], repeat(names), *(map(f, c) for f, c in columns)
+
+    _write_blocks(path, ("t", *_SERIES_COLUMNS, *_STAMP_COLUMNS), blocks())
 
 
 def write_summary_csv(summaries: Sequence[ConnectionSummary], path: FsPath) -> None:
@@ -219,16 +265,20 @@ def write_summary_csv(summaries: Sequence[ConnectionSummary], path: FsPath) -> N
 
 
 def write_cdf_csv(series: Sequence[ConnectionSeries], quantity: str, path: FsPath) -> None:
-    """CDF of per-stamp values (averages for latency/hops, max for stretch)."""
+    """CDF of per-stamp values (averages for latency/hops, max for stretch),
+    formatted a column and at most _ROW_BLOCK rows at a time."""
     pick = attrgetter(_CDF_VALUES[quantity])
 
-    def rows(s: ConnectionSeries):
-        vals = sorted(float(v) for st in s.stamps if (v := pick(st)) is not None)
-        n = len(vals)
-        return ([s.src_ei, s.dst_ei, s.algorithm, _f(v), _f(i / n)] for i, v in enumerate(vals, 1))
+    def blocks() -> Iterator[tuple]:
+        for s in series:
+            vals = sorted(float(v) for v in map(pick, s.stamps) if v is not None)
+            names, n = _cells(s.src_ei, s.dst_ei, s.algorithm), len(vals)
+            for lo in range(0, n, _ROW_BLOCK):
+                part = vals[lo : lo + _ROW_BLOCK]
+                fractions = [f"{i / n:.6f}" for i in range(lo + 1, lo + len(part) + 1)]
+                yield repeat(names), [f"{v:.6f}" for v in part], fractions
 
-    header = (*_SERIES_COLUMNS, "value", "cum_fraction")
-    _write_csv(path, header, chain.from_iterable(map(rows, series)))
+    _write_blocks(path, (*_SERIES_COLUMNS, "value", "cum_fraction"), blocks())
 
 
 def _link_ends(template: IslTemplate) -> list[tuple[int, int, str]]:

@@ -163,15 +163,16 @@ class DecisionStats:
 
 
 def _keys(
-    nfp: np.ndarray, here: np.ndarray, dest: np.ndarray, cand: np.ndarray, real: np.ndarray
+    cpi: int, here: np.ndarray, dest: np.ndarray, cand: np.ndarray, real: np.ndarray
 ) -> np.ndarray:
     """Ranking key of every candidate slot of a decision batch; lowest wins.
 
     Row i decides at here[i] for the destination dest[i] among the candidate
     positions cand[i], whose ids ascend along the row; real[i] marks the
-    slots that hold a neighbor. nfp[i] selects the nearest-position rule,
-    else closest pointing. A padding slot's key is infinite, so argmin along
-    a row, which takes the first of equal keys, picks the lowest id.
+    slots that hold a neighbor. The first cpi rows follow the closest
+    pointing rule, the rest the nearest-position rule, so each rule computes
+    on a slice. A padding slot's key is infinite, so argmin along a row,
+    which takes the first of equal keys, picks the lowest id.
 
     The array forms keep every key bit-identical to the arithmetic of a
     single decision (1-D np.linalg.norm, `rel @ bearing`): sqrt of vecdot
@@ -181,19 +182,18 @@ def _keys(
     one-row `rel @ bearing` is a dot product), which cannot change its pick.
     """
     key = np.empty(real.shape)
-    cpi = ~nfp
-    if cpi.any():
-        rel = cand[cpi] - here[cpi][:, None]
-        bearing = dest[cpi] - here[cpi]
+    if cpi:
+        rel = cand[:cpi] - here[:cpi, None]
+        bearing = dest[:cpi] - here[:cpi]
         bn = np.sqrt(np.vecdot(bearing, bearing))
         rn = np.linalg.norm(rel, axis=-1)
-        real_cpi = real[cpi]
+        real_cpi = real[:cpi]
         if np.any(bn == 0.0) or np.any(rn[real_cpi] == 0.0):
             raise ValueError("coincident nodes leave the bearing undefined")
         rn[~real_cpi] = 1.0  # a padding slot repeats the relay itself
-        key[cpi] = -(np.matmul(rel, bearing[:, :, None])[..., 0] / (rn * bn[:, None]))
-    if nfp.any():
-        key[nfp] = np.linalg.norm(cand[nfp] - dest[nfp][:, None], axis=-1)
+        key[:cpi] = -(np.matmul(rel, bearing[:, :, None])[..., 0] / (rn * bn[:, None]))
+    if cpi < key.shape[0]:
+        key[cpi:] = np.linalg.norm(cand[cpi:] - dest[cpi:, None], axis=-1)
     key[~real] = np.inf
     return key
 
@@ -328,7 +328,10 @@ def trace_lockstep(
     neighbor of least _keys key, the lowest id among equals; a loop drop if
     that is the previous relay. Coincident nodes raise ValueError. A trace's
     legs are the snapshot's slot lengths. Memory grows with the hops taken,
-    not with the hop cap. Returns the traces' Routes in batch order.
+    not with the hop cap. The live rows are ordered by rule once, closest
+    pointing first and stably, and the closest-pointing count is carried
+    through each compaction, so _keys ranks each rule on a slice. Returns
+    the traces' Routes in batch order.
     """
     for s in strategies:
         if s not in (STRATEGY_CPI, STRATEGY_NFP):
@@ -340,14 +343,16 @@ def trace_lockstep(
     tpl, pos = snap.template, snap.sat_positions
     src = np.asarray(src_sats, dtype=np.int64)
     n = src.size
-    st = np.asarray(dest_stations, dtype=np.int64)
     end = np.zeros(n, dtype=np.int8)
     down_km = np.zeros(n)
     steps = [(np.arange(n), src, np.zeros(n))]
-    # state of the live traces, compacted as traces end
-    live, cur, prev = np.arange(n), src, np.full(n, -1)
+    # state of the live traces, CPI rows first and compacted as traces end
     nfp = np.array([s == STRATEGY_NFP for s in strategies], dtype=bool)
-    dest = np.asarray(dest_pos, dtype=float).reshape(n, 3)
+    live = np.argsort(nfp, kind="stable")
+    cpi = n - np.count_nonzero(nfp)
+    cur, prev = src[live], np.full(n, -1)
+    st = np.asarray(dest_stations, dtype=np.int64)[live]
+    dest = np.asarray(dest_pos, dtype=float).reshape(n, 3)[live]
     hops = 0
     while live.size:
         down = snap.edge_km[st, cur]
@@ -355,15 +360,17 @@ def trace_lockstep(
         down_km[live[at]] = down[at]
         go = ~at & (tpl.degree[cur] > 0) & (hops < max_hops)
         end[live[~at & ~go]] = _DEAD_END
-        live, cur, prev, st, nfp, dest = (a[go] for a in (live, cur, prev, st, nfp, dest))
+        cpi = np.count_nonzero(go[:cpi])
+        live, cur, prev, st, dest = (a[go] for a in (live, cur, prev, st, dest))
         if not live.size:
             break
-        col = _keys(nfp, pos[cur], dest, pos[tpl.nbr[cur]], tpl.real[cur]).argmin(axis=1)
+        col = _keys(cpi, pos[cur], dest, pos[tpl.nbr[cur]], tpl.real[cur]).argmin(axis=1)
         nxt = tpl.nbr[cur, col]
         on = nxt != prev
         end[live[~on]] = _LOOP
         steps.append((live[on], nxt[on], snap.slot_lengths[cur[on], col[on]]))
-        live, prev, cur, st, nfp, dest = (a[on] for a in (live, cur, nxt, st, nfp, dest))
+        cpi = np.count_nonzero(on[:cpi])
+        live, prev, cur, st, dest = (a[on] for a in (live, cur, nxt, st, dest))
         hops += 1
     return _routes(steps, end, down_km)
 

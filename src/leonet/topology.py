@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime
+from functools import cached_property
+from itertools import pairwise
 from typing import Iterable, Protocol
 
 import numpy as np
@@ -194,14 +196,52 @@ def build_persistent_isls(constellation: Constellation, pattern: IslPattern) -> 
     return IslTemplate(pairs=uniq, kinds=kinds[first], sat_count=cfg.total_sats)
 
 
+def _edge_links(
+    pos: np.ndarray, ground: np.ndarray, min_elevation_deg: float
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """Snapshot.edge_km, edge_sats and edge_lengths of satellites at pos seen
+    from stations at ground at or above the minimum elevation.
+
+    A satellite s that station g sees at elevation e >= eps has
+    (s - g) . g = sin(e) |s - g| |g|, and |s - g| lies between ||s| - |g||
+    and |s| + |g|, so s . g - |g|^2 >= sin(eps) L |g|, L the first when
+    sin(eps) > 0 and the second otherwise. One product gives s . g for every
+    station and satellite; that test, less a slack for rounding, keeps each
+    station's candidates, and elevation_angle decides on those alone, with
+    the per-satellite arithmetic of a whole-shell call. A coincident
+    satellite and a station at the Earth's centre are always candidates, so
+    the first station with either raises elevation_angle's ValueError.
+    """
+    sin_min = float(np.sin(np.radians(min_elevation_deg)))
+    sn = np.linalg.norm(pos, axis=1)
+    slack = 1e-9 * sn
+    sats = []
+    for g, gn, rise in zip(ground, np.linalg.norm(ground, axis=1).tolist(), ground @ pos.T):
+        reach = np.abs(sn - gn) if sin_min > 0.0 else sn + gn
+        c = np.flatnonzero(rise - gn * gn >= (sin_min * reach - slack - 1e-9 * gn) * gn)
+        sats.append(c[elevation_angle(g, pos[c]) >= min_elevation_deg])
+    # every link's length in one batch, each row's arithmetic that of a station's own
+    counts = [c.size for c in sats]
+    st = np.repeat(np.arange(len(sats)), counts)
+    sat = np.concatenate([np.zeros(0, dtype=np.int64), *sats])
+    lengths = np.linalg.norm(pos[sat] - ground[st], axis=1)
+    edge_km = np.full((len(sats), pos.shape[0]), np.inf)
+    edge_km[st, sat] = lengths
+    cut = np.cumsum([0, *counts]).tolist()
+    sat = sat.astype(np.int32)
+    return edge_km, [sat[a:b] for a, b in pairwise(cut)], [lengths[a:b] for a, b in pairwise(cut)]
+
+
 class Snapshot:
     """Immutable-by-convention picture of the network at one stamp.
 
     Holds inertial satellite states, persistent link lengths, station
-    positions, and the station-satellite edge links at the minimum elevation:
-    edge_km[i, s] is the length of the link from station i to satellite s, inf
-    where i does not see s; edge_sats[i] and edge_lengths[i] list the
-    satellites station i sees, ascending, and their lengths. Transient
+    positions, and the station-satellite edge links at the minimum elevation
+    (_edge_links): edge_km[i, s] is the length of the link from station i to
+    satellite s, inf where i does not see s; edge_sats[i] (int32) and
+    edge_lengths[i] list the satellites station i sees, ascending, and their
+    lengths. Velocities are propagated on first read of sat_velocities,
+    which only crossing-link detection reads, unless supplied. Transient
     crossing-mesh links are intentionally absent. Persistent link lengths
     are measured from the positions unless isl_lengths supplies them: one
     per template link, finite and non-negative, else ValueError naming the
@@ -231,9 +271,9 @@ class Snapshot:
             raise ValueError("station EIs must be unique")
 
         pos = constellation.positions_at(t) if sat_positions is None else sat_positions
-        vel = constellation.velocities_at(t) if sat_velocities is None else sat_velocities
         self.sat_positions = pos
-        self.sat_velocities = vel
+        if sat_velocities is not None:
+            self.sat_velocities = sat_velocities  # shadows the propagating property
         self.isl_pairs = template.pairs
         self.isl_kinds = template.kinds
         if isl_lengths is None:
@@ -261,17 +301,16 @@ class Snapshot:
             ecef_to_eci(ecef, t, epoch) if stations else np.zeros((0, 3))
         )
 
-        # connect-all-visible edge links
-        self.edge_km = np.full((len(stations), pos.shape[0]), np.inf)
-        self.edge_sats, self.edge_lengths = [], []
-        for i, g in enumerate(self.station_positions):
-            vis = np.flatnonzero(np.asarray(elevation_angle(g, pos)) >= self.min_elevation_deg)
-            self.edge_km[i, vis] = lengths = np.linalg.norm(pos[vis] - g, axis=1)
-            self.edge_sats.append(vis.astype(np.int32))
-            self.edge_lengths.append(lengths)
-
+        self.edge_km, self.edge_sats, self.edge_lengths = _edge_links(
+            pos, self.station_positions, self.min_elevation_deg
+        )
         # link lengths laid out like the template's adjacency table
         self.slot_lengths = np.append(isl_lengths, np.inf)[template.link]
+
+    @cached_property
+    def sat_velocities(self) -> np.ndarray:
+        """Inertial satellite velocities at t."""
+        return self.constellation.velocities_at(self.t)
 
     # -- node id scheme -------------------------------------------------
     @property

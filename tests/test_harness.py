@@ -33,6 +33,7 @@ from leonet.exporters import (
     snapshot_links_geojson,
     snapshot_nodes_geojson,
     _f,
+    _i,
     _t,
     write_direction_histogram_csv,
     write_edges_csv,
@@ -830,6 +831,107 @@ class TestExportResult:
             ]
         assert len(expected) == 4 * 4
         assert cells == expected
+
+
+# the metrics.csv columns written as 0 or 1
+METRICS_FLAGS = {"covered_src", "covered_dst", "valid"}
+
+
+def reference_paths_csv(scenario, log, path):
+    """paths.csv as csv.writer writes it a row at a time."""
+    ts = [_t(t) for t in scenario.time.stamps()]
+    eis = [st.ei for st in scenario.stations]
+    names = [(algo, eis[si], eis[di]) for (si, di), algo in harness._path_sets(scenario)]
+    sats, starts = log.sats.tolist(), log.starts.tolist()
+    cols = (log.stamp.tolist(), log.path_set.tolist(), log.latency_ms.tolist(), log.end.tolist())
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(exporters._PATH_LOG)
+        for i, k, ms, e, a, b in zip(*cols, starts, starts[1:]):
+            hops = "-".join(map(str, sats[a:b]))
+            w.writerow([ts[i], *names[k], sats[a], hops, _f(ms), b - a - 1, STATUSES[e]])
+
+
+def reference_metrics_csv(series, path):
+    """metrics.csv as csv.writer writes it a row at a time."""
+    fmts = [int if c in METRICS_FLAGS else _i if c in METRICS_INTS else _f for c in METRICS_STAMP]
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "src_station", "dst_station", "algorithm", *METRICS_STAMP])
+        for s in series:
+            for st in s.stamps:
+                cells = [f(getattr(st, c)) for f, c in zip(fmts, METRICS_STAMP)]
+                w.writerow([_t(st.t), s.src_ei, s.dst_ei, s.algorithm, *cells])
+
+
+def reference_cdf_csv(series, quantity, path):
+    """A CDF table as csv.writer writes it a row at a time."""
+    name = {"latency": "latency_avg_ms", "hops": "hops_avg", "stretch": "stretch_max"}[quantity]
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["src_station", "dst_station", "algorithm", "value", "cum_fraction"])
+        for s in series:
+            vals = sorted(float(v) for st in s.stamps if (v := getattr(st, name)) is not None)
+            n = len(vals)
+            w.writerows([s.src_ei, s.dst_ei, s.algorithm, _f(v), _f(i / n)]
+                        for i, v in enumerate(vals, 1))
+
+
+# a station name csv.writer quotes, and a station a 53 degree shell never covers
+QUOTED = 'a, "the" hub'
+
+
+@pytest.fixture(scope="module")
+def awkward_result():
+    root = copy.deepcopy(TINY)
+    root["stations"][0]["name"] = QUOTED
+    root["stations"].append({"name": "pole", "kind": "ground", "lat_deg": 89.0, "lon_deg": 0.0})
+    root["connections"] = [[QUOTED, "b"], ["b", QUOTED], ["pole", QUOTED]]
+    return run_experiment(scenario_from_dict(root))
+
+
+class TestBlockWriters:
+    """paths.csv, metrics.csv and the CDF tables, written a column and a block
+    of rows at a time, are the bytes csv.writer writes row by row."""
+
+    @staticmethod
+    def assert_tables_match(result, tmp_path, log=None):
+        log = result.path_log if log is None else log
+        pairs = [(exporters.write_paths_csv, reference_paths_csv, (result.scenario, log))]
+        pairs.append((exporters.write_metrics_csv, reference_metrics_csv, (result.series,)))
+        for q in ("latency", "hops", "stretch"):
+            pairs.append((exporters.write_cdf_csv, reference_cdf_csv, (result.series, q)))
+        for k, (write, reference, args) in enumerate(pairs):
+            got, want = tmp_path / f"got{k}.csv", tmp_path / f"want{k}.csv"
+            write(*args, got)
+            reference(*args, want)
+            assert got.read_bytes() == want.read_bytes(), write.__name__
+
+    def test_quoted_names_none_cells_and_a_series_never_valid(self, awkward_result, tmp_path):
+        result = awkward_result
+        assert result.path_log.end.size > 0
+        never = result.series_for("pole", QUOTED, "sp")
+        assert not never.valid_stamps() and never.stamps[0].psi is None
+        assert any(st.vertex_changes is None for s in result.series for st in s.stamps)
+        self.assert_tables_match(result, tmp_path)
+        assert '"a, ""the"" hub"' in (tmp_path / "got0.csv").read_text()
+
+    def test_empty_path_log(self, awkward_result, tmp_path):
+        log = awkward_result.path_log.take(np.arange(0))
+        self.assert_tables_match(awkward_result, tmp_path, log)
+        assert (tmp_path / "got0.csv").read_bytes() == ",".join(exporters._PATH_LOG).encode() + b"\r\n"
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_block_boundaries_inside_a_stamp(self, awkward_result, tmp_path, monkeypatch, block):
+        stamps = awkward_result.path_log.stamp
+        assert np.count_nonzero(stamps == stamps[0]) > 7  # a stamp spans blocks
+        monkeypatch.setattr(exporters, "_ROW_BLOCK", block)
+        self.assert_tables_match(awkward_result, tmp_path)
+
+    def test_shipped_run(self, exp1_small, tmp_path):
+        result, _ = exp1_small
+        assert result.path_log.end.size > 2 * exporters._ROW_BLOCK
+        self.assert_tables_match(result, tmp_path)
 
 
 def read_geojson(write, *args, path):

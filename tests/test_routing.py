@@ -1021,6 +1021,40 @@ class TestLockstepKernel:
         with pytest.raises(ValueError):
             trace_lockstep(chain_snapshot(), ["nfp", "compass"], [0, 0], [0, 0], np.zeros((2, 3)))
 
+    def test_interleaved_rules_equal_each_rule_alone(self):
+        # the kernel orders rows by rule; its Routes stay in batch order
+        stations = [ground("a", 45.0, 10.0), ground("b", -30.0, 100.0), ground("c", 30.0, 60.0)]
+        snap = snapshot_shell(stations, seconds=300)
+        batch = [
+            (rule, s, d, dest)
+            for si in range(3)
+            for d in range(3)
+            if d != si
+            for s in snap.edge_sats[si].tolist()
+            for dest in (snap.station_positions[d], FAR)
+            for rule in ("nfp", "cpi")
+        ]
+        rules, srcs, dests, points = zip(*batch)
+        got = trace_lockstep(snap, rules, srcs, dests, np.array(points), max_hops=12)
+        assert {p.status for p in as_paths(got)} == {"delivered", "dropped"}
+        for rule in ("cpi", "nfp"):
+            mine = [i for i, r in enumerate(rules) if r == rule]
+            alone = trace_lockstep(snap, [rule] * len(mine), [srcs[i] for i in mine],
+                                   [dests[i] for i in mine], np.array([points[i] for i in mine]),
+                                   max_hops=12)
+            rows = routes_of(got)
+            assert [rows[i] for i in mine] == routes_of(alone)
+
+
+def routes_of(r):
+    """Each route of a Routes batch: its satellites, legs, end code and down
+    link, compared exactly."""
+    s = r.starts.tolist()
+    return [
+        (r.sats[a:b].tolist(), r.legs[a:b].tolist(), int(r.end[i]), float(r.down_km[i]))
+        for i, (a, b) in enumerate(zip(s, s[1:]))
+    ]
+
 
 class TestKernelArrayForms:
     """The kernel's stacked arithmetic equals the one-decision 1-D forms bit
@@ -1047,7 +1081,7 @@ class TestKernelArrayForms:
         # a lone candidate is picked whatever its key, and its one-row
         # `rel @ bearing` is a dot product, not the matrix-vector form
         real = np.arange(width) < rng.integers(2, width + 1, size=(rows, 1))
-        key = _keys(np.full(rows, nfp), here, dest, cand, real)
+        key = _keys(0 if nfp else rows, here, dest, cand, real)
         assert np.all(np.isinf(key[~real]))
         for i in range(rows):
             c = cand[i][real[i]]

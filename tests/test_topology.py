@@ -3,6 +3,7 @@ checked against brute-force oracles on small shells."""
 
 import math
 import tracemalloc
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -17,12 +18,14 @@ from leonet.constellation import ConstellationConfig, build_walker
 from leonet.geometry import (
     EARTH_RADIUS_KM,
     GeodeticPoint,
+    ecef_to_eci,
     elevation_angle,
     geodetic_to_ecef,
     link_latency_ms,
     utc,
 )
 from leonet.exporters import _links
+from leonet.harness import snapshot_at
 from leonet.routing import trace_path
 from leonet.scenario import load_scenario
 from leonet.topology import (
@@ -286,6 +289,58 @@ class TestPersistentTemplate:
         assert not tpl.linked(a, b).any()
 
 
+def loop_edge_links(pos, ground, min_el):
+    """(edge_km, edge_sats, edge_lengths) by one elevation_angle call over the
+    whole shell per station: the loop the batched edge links replaced."""
+    km = np.full((ground.shape[0], pos.shape[0]), np.inf)
+    sats, lengths = [], []
+    for i, g in enumerate(ground):
+        vis = np.flatnonzero(np.asarray(elevation_angle(g, pos)) >= min_el)
+        km[i, vis] = ln = np.linalg.norm(pos[vis] - g, axis=1)
+        sats.append(vis.astype(np.int32))
+        lengths.append(ln)
+    return km, sats, lengths
+
+
+def assert_loop_edge_links(snap):
+    """The snapshot's edge links are the loop's, bit for bit; returns the
+    number of links."""
+    km, sats, lengths = loop_edge_links(
+        snap.sat_positions, snap.station_positions, snap.min_elevation_deg
+    )
+    assert snap.edge_km.shape == km.shape and snap.edge_km.tobytes() == km.tobytes()
+    assert len(snap.edge_sats) == len(snap.edge_lengths) == len(snap.stations)
+    for got, want in zip(snap.edge_sats, sats):
+        assert got.dtype == np.int32 and np.array_equal(got, want)
+    for got, want in zip(snap.edge_lengths, lengths):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    return sum(v.size for v in sats)
+
+
+class CentrePoint:
+    """A geodetic-like point at the Earth's centre, which GeodeticPoint refuses."""
+
+    lat_deg, lon_deg, alt_km = 0.0, 0.0, -EARTH_RADIUS_KM
+
+
+def at_epoch(stations):
+    """The stations' inertial positions at the epoch, as a snapshot there has them."""
+    ecef = np.stack([geodetic_to_ecef(st.position_at(EPOCH)) for st in stations])
+    return ecef_to_eci(ecef, EPOCH, EPOCH)
+
+
+def station_frame(g):
+    """Local up and a unit horizontal vector at the inertial position g."""
+    up = g / np.linalg.norm(g)
+    east = np.cross([0.0, 0.0, 1.0], up)
+    return up, east / np.linalg.norm(east)
+
+
+def ring(n):
+    pairs = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
+    return pairs, np.zeros(n, dtype=np.int8)
+
+
 class TestSnapshot:
     def test_edge_links_match_brute_force_elevation(self):
         const = shell(10, 10)
@@ -308,6 +363,133 @@ class TestSnapshot:
         assert snap.edge_km.shape == (1, const.sat_count)
         assert np.array_equal(snap.edge_km[0] == np.inf, ~seen)
         assert np.array_equal(snap.edge_km[0, seen], snap.edge_lengths[0])
+        assert assert_loop_edge_links(snap) == len(oracle)
+
+    @pytest.mark.parametrize("name", [
+        "experiment1_20x20.json", "experiment1_40x40.json", "experiment2_40x40.json",
+        "experiment3_moving.json",
+    ])
+    def test_edge_links_equal_the_station_loop_on_shipped_scenarios(self, name):
+        scenario = load_scenario(SCENARIO_DIR / name)
+        at = snapshot_at(scenario)
+        links = sum(assert_loop_edge_links(at(t)) for t in scenario.time.stamps()[::7])
+        assert links > 100
+
+    def test_edge_links_equal_the_station_loop_on_a_star_grid_with_aircraft(self):
+        scenario = load_scenario(SCENARIO_DIR / "experiment3_moving.json")
+        scenario = replace(scenario, pattern=IslPattern(GRID_STAR, (-1, 0)))
+        assert any(st.kind == "mobile" for st in scenario.stations)
+        at = snapshot_at(scenario)
+        assert sum(assert_loop_edge_links(at(t)) for t in scenario.time.stamps()[::11]) > 100
+
+    @pytest.mark.parametrize("min_el", [-30.0, 0.0, 10.0, 40.0, 75.0])
+    def test_edge_links_equal_the_station_loop_at_mixed_radii(self, min_el):
+        rng = np.random.default_rng(int(min_el) + 30)
+        n = 3000
+        # radii inside and outside the stations' own, down to the Earth's centre
+        direction = rng.normal(size=(n, 3))
+        direction /= np.linalg.norm(direction, axis=1)[:, None]
+        radius = rng.choice([0.0, 10.0, EARTH_RADIUS_KM - 50.0, EARTH_RADIUS_KM + 0.5,
+                             EARTH_RADIUS_KM + 550.0, 8000.0, 42164.0], size=n)
+        radius += rng.uniform(0.0, 300.0, size=n)
+        stations = tuple(ground(f"g{i}", lat, lon) for i, (lat, lon) in enumerate(
+            [(0.0, 0.0), (45.0, 10.0), (-60.0, 120.0), (89.0, -75.0), (30.0, 179.5)]))
+        pairs, kinds = ring(n)
+        snap = synthetic_snapshot(EPOCH, shell(n, 1), direction * radius[:, None],
+                                  np.zeros((n, 3)), pairs, kinds, stations=stations,
+                                  min_elevation_deg=min_el)
+        assert assert_loop_edge_links(snap) > 10
+
+    @pytest.mark.parametrize("min_el", [-10.0, 0.0, 25.0, 40.0, 89.0, 90.0])
+    def test_edge_links_equal_the_station_loop_at_the_minimum_elevation(self, min_el):
+        # satellites within 1e-9 degrees of the minimum elevation, either side,
+        # at ranges from 1 km to 40,000 km and bearings all round; at 0 and 90
+        # degrees some sit on the horizon plane or at the zenith, where
+        # rounding alone decides
+        stations = (ground("a", 45.0, 10.0), ground("b", -20.0, -100.0))
+        rng = np.random.default_rng(7)
+        positions = []
+        for g in at_epoch(stations):
+            up, east = station_frame(g)
+            north = np.cross(up, east)
+            for offset in np.linspace(-1e-9, 1e-9, 21):
+                for rng_km in (1.0, 550.0, 2000.0, 40_000.0):
+                    az = rng.uniform(0.0, 2.0 * np.pi)
+                    e = np.radians(min_el + offset)
+                    h = np.cos(az) * east + np.sin(az) * north
+                    positions.append(g + rng_km * (np.cos(e) * h + np.sin(e) * up))
+        n = len(positions)
+        pairs, kinds = ring(n)
+        snap = synthetic_snapshot(EPOCH, shell(n, 1), np.array(positions), np.zeros((n, 3)),
+                                  pairs, kinds, stations=stations, min_elevation_deg=min_el)
+        seen = assert_loop_edge_links(snap)
+        assert 0 < seen < n
+
+    def test_edge_links_at_zero_elevation_on_a_real_shell(self):
+        const = shell(20, 20)
+        sts = [ground("a", 45.0, 10.0), ground("b", 0.0, -70.0)]
+        snap = snapshot(const, sts, IslPattern(GRID_PLUS, (0,)), EPOCH + timedelta(seconds=90), 0.0)
+        assert assert_loop_edge_links(snap) > 20
+
+    def test_edge_links_of_a_blind_station_and_of_no_stations(self):
+        const = shell(10, 10)
+        pattern = IslPattern(GRID_PLUS, (0,))
+        # a 53 degree shell never rises 40 degrees above the pole
+        snap = snapshot(const, [ground("pole", 90.0, 0.0), ground("obs", 45.0, 10.0)], pattern,
+                        EPOCH, 40.0)
+        assert snap.edge_sats[0].size == 0 and snap.edge_lengths[0].size == 0
+        assert not snap.covered(0) and snap.covered(1)
+        assert assert_loop_edge_links(snap) == snap.edge_sats[1].size
+        snap = snapshot(const, [], pattern, EPOCH, 40.0)
+        assert snap.edge_km.shape == (0, const.sat_count)
+        assert snap.edge_sats == [] and snap.edge_lengths == []
+        assert assert_loop_edge_links(snap) == 0
+
+    def test_coincident_satellite_and_centre_station_raise_as_the_loop(self):
+        obs = ground("obs", 45.0, 10.0)
+        centre = Station("centre", "centre", "ground", FixedPosition(CentrePoint()))
+        far = ground("far", -45.0, -170.0)
+        # one satellite on the observer, below every other station's horizon
+        positions = np.array([at_epoch([obs])[0], [7000.0, 0.0, 0.0], [0.0, 7000.0, 0.0],
+                              [0.0, 0.0, 7000.0]])
+        pairs, kinds = ring(4)
+
+        def make(stations):
+            return synthetic_snapshot(EPOCH, shell(4, 1), positions, np.zeros((4, 3)), pairs,
+                                      kinds, stations=stations, min_elevation_deg=40.0)
+
+        # the first station that fails raises, as in the loop
+        for stations, message in [
+            ((obs,), "satellite coincides with the observer"),
+            ((far, obs), "satellite coincides with the observer"),
+            ((centre,), "observer at the Earth center has no horizon"),
+            ((far, centre, obs), "observer at the Earth center has no horizon"),
+            ((obs, centre), "satellite coincides with the observer"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                loop_edge_links(positions, at_epoch(stations), 40.0)
+            with pytest.raises(ValueError, match=message):
+                make(stations)
+        assert assert_loop_edge_links(make((far,))) == 0
+
+    def test_velocities_propagate_on_first_read_unless_supplied(self, monkeypatch):
+        const = shell(6, 6)
+        calls = []
+        propagate = type(const).velocities_at
+
+        def counted(self, t):
+            calls.append(t)
+            return propagate(self, t)
+
+        monkeypatch.setattr(type(const), "velocities_at", counted)
+        t = EPOCH + timedelta(seconds=30)
+        snap = snapshot(const, [ground("obs", 45.0, 10.0)], IslPattern(GRID_PLUS, (0,)), t, 40.0)
+        assert calls == []
+        assert np.array_equal(snap.sat_velocities, propagate(const, t))
+        assert snap.sat_velocities is snap.sat_velocities and calls == [t]
+        vel = np.ones((4, 3))
+        assert square_snapshot(velocities=vel).sat_velocities.tolist() == vel.tolist()
+        assert calls == [t]
 
     def test_visibility_bounded_by_coverage_cone(self):
         const = shell(10, 10)
