@@ -88,16 +88,17 @@ def _report_failures(result: ExperimentResult) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
+    out = _out_dir(args)
     result = run_experiment(scenario, parallel=args.parallel)
-    export_result(result, args.format, _out_dir(args))
+    export_result(result, args.format, out)
     _report_failures(result)
     return 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    result = analyze_rows(scenario, read_paths_csv(FsPath(args.paths), scenario))
     out = _out_dir(args)
+    result = analyze_rows(scenario, read_paths_csv(FsPath(args.paths), scenario))
     write_metrics_csv(result.series, out / "metrics.csv")
     write_summary_csv(result.summaries, out / "summary.csv")
     _report_failures(result)
@@ -108,8 +109,8 @@ def _cmd_export(args: argparse.Namespace) -> int:
     if args.format != FORMAT_GEOJSON:
         raise SystemExit("export converts a path log to geojson; use --format geojson")
     scenario = load_scenario(args.scenario)
-    log = read_paths_csv(FsPath(args.paths), scenario)
     out = _out_dir(args)
+    log = read_paths_csv(FsPath(args.paths), scenario)
     paths_geojson(scenario, log, out / "paths.geojson")
     return 0
 

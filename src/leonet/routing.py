@@ -3,7 +3,7 @@
 The greedy strategies operate hop by hop on frozen destination coordinates:
 the ingress node converts the destination's Earth-fixed position to the
 inertial frame once, stamps it into the header, and every relay reuses that
-address unchanged. A stamp's traces are instantaneous, so stamp_path_sets
+address unchanged. A stamp's traces are instantaneous, so block_path_sets
 aims them at Snapshot.station_positions: bit for bit the address that
 ler_encapsulate derives from a location table refreshed at that stamp.
 Two per-hop rules are provided: pick the neighbor whose direction best
@@ -12,27 +12,31 @@ neighbor closest to the destination in space (nearest position, "nfp").
 Neither rule requires progress; a relay that would hand the packet straight
 back drops it instead, and a relay with no neighbors drops it as a dead end.
 
-All greedy traces of a stamp, over every connection, source satellite and
-rule, run in one lockstep kernel (trace_lockstep), the only implementation of
-the per-hop rule: each step advances every live trace by one hop, ranking
-the padded neighbor rows of the template's adjacency table together.
-trace_path is its batch of one. The candidate count of every decision
-follows from the traced paths (decision_counts).
+All greedy traces of a block of stamps, over every stamp, connection,
+source satellite and rule, run in one lockstep kernel (trace_lockstep), the
+only implementation of the per-hop rule: each step advances every live trace
+by one hop, ranking the padded neighbor rows of the template's adjacency
+table together, each trace at its own stamp's positions. The stamps share
+the template, so a batch costs about the hops its traces take, not a numpy
+call per stamp and step. block_path_sets routes a block; stamp_path_sets is
+its block of one, and trace_path the kernel's batch of one. The candidate
+count of every decision follows from the traced paths (decision_counts).
 
 Baselines are exact shortest paths over the satellite graph under a latency
 or unit (hop) weight, one per (source, end) satellite pair; bellman_ford is
-the one-pair case. A stamp routes both baselines' pairs in one batch. Its
-distances, one row per distinct (weight, source), fill one table in one
-frontier relaxation over the template's adjacency, each row under its own
-weight. A hop row depends on the template alone, which keeps the rows it
-was given (IslTemplate.hop_rows): those are copied in, not relaxed again,
-and are the only state routing keeps across stamps. Every route then walks
-back from its end in lockstep, each step taking the lowest-id neighbor whose
-distance plus link weight is the node's own.
+the one-pair case. Each stamp of a block routes both baselines' pairs in one
+batch of its own. Its distances, one row per distinct (weight, source), fill
+one table in one frontier relaxation over the template's adjacency, each row
+under its own weight. A hop row depends on the template alone, which keeps
+the rows it was given (IslTemplate.hop_rows): those are copied in, not
+relaxed again, and are the only state routing keeps across stamps. Every
+route then walks back from its end in lockstep, each step taking the
+lowest-id neighbor whose distance plus link weight is the node's own.
 
 Stations are indices into the snapshot's stations, satellites flat ids; no
-function here takes a name. trace_path, bellman_ford, stamp_path_sets and
-enumerate_paths raise IndexError on an index out of range.
+function here takes a name. trace_lockstep, trace_path, bellman_ford,
+block_path_sets, stamp_path_sets and enumerate_paths raise IndexError on an
+index out of range.
 
 Paths stay in columns from the kernels to the path log: a PathSet holds its
 paths' satellites end to end with per-path offsets, end codes and totals.
@@ -49,7 +53,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .geometry import ecef_to_eci, eci_to_ecef, link_latency_ms
-from .topology import Snapshot
+from .topology import Snapshot, edge_rows
 
 DROP_DEAD_END = "dead-end"
 DROP_LOOP = "loop"
@@ -310,69 +314,117 @@ def _path_columns(r: Routes, up_km: np.ndarray, counts: Sequence[int]) -> list[t
 
 
 def trace_lockstep(
-    snap: Snapshot,
+    snaps: Snapshot | Sequence[Snapshot],
     strategies: Sequence[str],
     src_sats: Sequence[int] | np.ndarray,
     dest_stations: Sequence[int] | np.ndarray,
     dest_pos: np.ndarray,
     max_hops: int | None = None,
+    stamp: Sequence[int] | np.ndarray | None = None,
 ) -> Routes:
     """Run a batch of greedy traces side by side, one hop per step.
 
-    Trace i leaves satellite src_sats[i] under strategies[i], aims at
-    dest_pos[i] and is delivered at a satellite that sees the station with
-    index dest_stations[i]: one with a finite snap.edge_km entry, the length
-    of the down link. Every step applies the per-hop rule to all live traces
-    at once: delivery; a dead end at the hop cap max_hops (default
-    4 * (sats_per_plane + planes)) or at a satellite with no neighbor; the
-    neighbor of least _keys key, the lowest id among equals; a loop drop if
-    that is the previous relay. Coincident nodes raise ValueError. A trace's
-    legs are the snapshot's slot lengths. Memory grows with the hops taken,
-    not with the hop cap. The live rows are ordered by rule once, closest
-    pointing first and stably, and the closest-pointing count is carried
-    through each compaction, so _keys ranks each rule on a slice. Returns
-    the traces' Routes in batch order.
+    The traces may belong to several snapshots of one template, a block of
+    stamps: trace i runs in snaps[stamp[i]] (stamp defaults to all zeros,
+    and a lone Snapshot is a block of one). It leaves satellite src_sats[i]
+    under strategies[i], aims at dest_pos[i] and is delivered at a satellite
+    that sees the station with index dest_stations[i]: one with a finite
+    edge_km entry in its snapshot, the length of the down link. Every step
+    applies the per-hop rule to all live traces at once: delivery; a dead end
+    at the hop cap max_hops (default 4 * (sats_per_plane + planes)) or at a
+    satellite with no neighbor; the neighbor of least _keys key, the lowest id
+    among equals; a loop drop if that is the previous relay. Coincident nodes
+    raise ValueError. A trace's positions and legs are its snapshot's. Memory
+    grows with the hops taken, not with the hop cap: of the per-stamp tables
+    the batch stacks only the positions and the destinations' edge_km rows
+    (built from the edge links, edge_rows), and legs are read from each
+    snapshot's link lengths after the last step. The live rows are ordered
+    by rule once, closest pointing first and stably, and the closest-pointing
+    count is carried through each compaction, so _keys ranks each rule on a
+    slice. Returns the traces' Routes in batch order.
     """
     for s in strategies:
         if s not in (STRATEGY_CPI, STRATEGY_NFP):
             raise ValueError(f"unknown strategy {s!r}")
+    snaps = [snaps] if isinstance(snaps, Snapshot) else list(snaps)
+    tpl = snaps[0].template
+    if any(s.template is not tpl for s in snaps):
+        raise ValueError("the snapshots of a batch must share one template")
     if max_hops is None:
-        max_hops = default_max_hops(snap)
+        max_hops = default_max_hops(snaps[0])
     if max_hops < 1:
         raise ValueError("max_hops must be >= 1")
-    tpl, pos = snap.template, snap.sat_positions
     src = np.asarray(src_sats, dtype=np.int64)
-    n = src.size
-    end = np.zeros(n, dtype=np.int8)
+    st = np.asarray(dest_stations, dtype=np.int64)
+    n, sats = src.size, tpl.sat_count
+    kk = np.zeros(n, np.int64) if stamp is None else np.asarray(stamp, dtype=np.int64)
+    g = max(len(s.stations) for s in snaps)
+    for what, index, count in (("satellite", src, sats), ("station", st, g),
+                               ("stamp", kk, len(snaps))):
+        if n and not 0 <= index.min() <= index.max() < count:
+            raise IndexError(f"{what} index outside 0..{count - 1}")
+    # the positions of all stamps, satellite v of stamp k at k * P + v
+    pos = np.concatenate([s.sat_positions for s in snaps])
+    stride = snaps[0].sat_positions.shape[0]
+    # one edge_km row per distinct (stamp, destination station), at er
+    key = kk * g + st
+    mark = np.zeros(len(snaps) * g, dtype=bool)
+    mark[key] = True
+    keys = np.flatnonzero(mark)
+    row_of = np.empty(mark.size, dtype=np.int64)
+    row_of[keys] = np.arange(keys.size) * sats
+    ends = [(snaps[k], i) for k, i in zip(*np.divmod(keys, g))]
+    edge = edge_rows([s.edge_sats[i] for s, i in ends], [s.edge_lengths[i] for s, i in ends], sats)
+    edge = edge.reshape(-1)
+    # a trace that ends neither delivered nor looping is a dead end
+    end = np.full(n, _DEAD_END, dtype=np.int8)
     down_km = np.zeros(n)
-    steps = [(np.arange(n), src, np.zeros(n))]
-    # state of the live traces, CPI rows first and compacted as traces end
+    has_nbr, nbr_flat, degree = tpl.degree > 0, tpl.nbr.reshape(-1), tpl.nbr.shape[1]
+    moves = []  # per step: the traces that moved, to which satellite, by which slot
+    # the live traces as rows (trace, satellite, previous relay, k * P, edge
+    # row), CPI rows first, compacted as traces end
     nfp = np.array([s == STRATEGY_NFP for s in strategies], dtype=bool)
     live = np.argsort(nfp, kind="stable")
     cpi = n - np.count_nonzero(nfp)
-    cur, prev = src[live], np.full(n, -1)
-    st = np.asarray(dest_stations, dtype=np.int64)[live]
+    state = np.stack([live, src[live], np.full(n, -1), kk[live] * stride, row_of[key][live]])
     dest = np.asarray(dest_pos, dtype=float).reshape(n, 3)[live]
     hops = 0
-    while live.size:
-        down = snap.edge_km[st, cur]
+    while state.shape[1]:
+        live, cur, _, base, er = state
+        down = edge[er + cur]
         at = down < np.inf
-        down_km[live[at]] = down[at]
-        go = ~at & (tpl.degree[cur] > 0) & (hops < max_hops)
-        end[live[~at & ~go]] = _DEAD_END
+        hit = live[at]
+        down_km[hit] = down[at]
+        end[hit] = _DELIVERED
+        go = ~at & has_nbr[cur] if hops < max_hops else np.zeros(cur.size, dtype=bool)
         cpi = np.count_nonzero(go[:cpi])
-        live, cur, prev, st, dest = (a[go] for a in (live, cur, prev, st, dest))
+        state, dest = state[:, go], dest[go]
+        live, cur, prev, base, er = state
         if not live.size:
             break
-        col = _keys(cpi, pos[cur], dest, pos[tpl.nbr[cur]], tpl.real[cur]).argmin(axis=1)
-        nxt = tpl.nbr[cur, col]
+        cand = pos[base[:, None] + tpl.nbr[cur]]
+        slot = cur * degree + _keys(cpi, pos[base + cur], dest, cand, tpl.real[cur]).argmin(axis=1)
+        nxt = nbr_flat[slot]
         on = nxt != prev
         end[live[~on]] = _LOOP
-        steps.append((live[on], nxt[on], snap.slot_lengths[cur[on], col[on]]))
         cpi = np.count_nonzero(on[:cpi])
-        live, prev, cur, st, dest = (a[on] for a in (live, cur, nxt, st, dest))
+        moves.append((live[on], nxt[on], slot[on]))
+        state, dest = state[:, on], dest[on]
+        state[2] = state[1]
+        state[1] = moves[-1][1]
         hops += 1
-    return _routes(steps, end, down_km)
+    del pos, edge  # the stacked tables are not needed past the last step
+    trace, to, slot = (
+        np.concatenate([np.zeros(0, np.int64), *(m[j] for m in moves)]) for j in range(3)
+    )
+    # a move's leg is its slot's link in its trace's snapshot, link E (one past
+    # the last) the padding slot's inf
+    link, stamp_of = tpl.link.reshape(-1)[slot], kk[trace]
+    legs = np.empty(trace.size)
+    for k, s in enumerate(snaps):
+        mine = stamp_of == k
+        legs[mine] = np.append(s.isl_lengths, np.inf)[link[mine]]
+    return _routes([(np.arange(n), src, np.zeros(n)), (trace, to, legs)], end, down_km)
 
 
 def trace_path(
@@ -607,59 +659,88 @@ _NO_PATHS = (np.zeros(0, np.int64), np.zeros(1, np.int64), np.zeros(0, np.int8),
              np.zeros(0))
 
 
+def block_path_sets(
+    snaps: Sequence[Snapshot],
+    algorithms: Sequence[str],
+    connections: Sequence[tuple[int, int]],
+) -> list[list[PathSet]]:
+    """The path sets of every (source, destination) station index pair under
+    every algorithm at each stamp of a block of snapshots of one template:
+    per snapshot, connection-major, algorithm-minor.
+
+    Greedy algorithms trace once per source-associated satellite toward the
+    destination's inertial position in its snapshot; all traces of the block
+    run as one trace_lockstep batch in (stamp, connection, algorithm,
+    ascending source satellite) order. Baselines compute one path per
+    (source-associated, destination-associated) satellite pair; each stamp
+    runs one batch for all its connections. A connection with an uncovered
+    endpoint yields empty sets. Each batch sums its paths' legs once, then
+    adds the edge links.
+    """
+    for algo in algorithms:
+        if algo not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {algo!r}")
+    for snap in snaps:
+        _check_indices("station", [i for conn in connections for i in conn], len(snap.stations))
+    # per stamp, the connections whose endpoints both see a satellite
+    live = [
+        [(si, di) for si, di in connections if snap.edge_sats[si].size and snap.edge_sats[di].size]
+        for snap in snaps
+    ]
+    columns = {}
+    greedy = [
+        (k, si, di, algo)
+        for k, conns in enumerate(live)
+        for si, di in conns
+        for algo in algorithms
+        if algo in _STRATEGY_OF
+    ]
+    if greedy:
+        k, si, di, algo = zip(*greedy)
+        src = [snaps[q].edge_sats[i] for q, i in zip(k, si)]
+        counts = [a.size for a in src]
+        stamp, dest = np.repeat(k, counts), np.repeat(di, counts)
+        rules = [_STRATEGY_OF[a] for a, c in zip(algo, counts) for _ in range(c)]
+        points = np.stack([s.station_positions for s in snaps])[stamp, dest]
+        r = trace_lockstep(snaps, rules, np.concatenate(src), dest, points, stamp=stamp)
+        up = np.concatenate([snaps[q].edge_lengths[i] for q, i in zip(k, si)])
+        columns.update(zip(greedy, _path_columns(r, up, counts)))
+    baselines = [a for a in algorithms if a in _WEIGHT_OF]
+    for q, (snap, conns) in enumerate(zip(snaps, live)):
+        if conns and baselines:
+            # the (source, end) satellite pairs of the live connections, routed
+            # under every baseline's weight in one batch
+            sats, lengths = snap.edge_sats, snap.edge_lengths
+            src = np.concatenate([np.repeat(sats[si], sats[di].size) for si, di in conns])
+            end = np.concatenate([np.tile(sats[di], sats[si].size) for si, di in conns])
+            up = np.concatenate([np.repeat(lengths[si], sats[di].size) for si, di in conns])
+            down = np.concatenate([np.tile(lengths[di], sats[si].size) for si, di in conns])
+            n = len(baselines)
+            bounds = np.cumsum([0] + [sats[si].size * sats[di].size for si, di in conns] * n)
+            hit, r = _baseline_routes(snap, [_WEIGHT_OF[a] for a in baselines], src, end)
+            counts = np.diff(np.searchsorted(hit, bounds)).tolist()
+            r = r._replace(down_km=np.tile(down, n)[hit])
+            cut = _path_columns(r, np.tile(up, n)[hit], counts)
+            columns.update(zip(((q, si, di, a) for a in baselines for si, di in conns), cut))
+    return [
+        [
+            PathSet(*columns.get((q, si, di, algo), _NO_PATHS))
+            for si, di in connections
+            for algo in algorithms
+        ]
+        for q in range(len(snaps))
+    ]
+
+
 def stamp_path_sets(
     snap: Snapshot,
     algorithms: Sequence[str],
     connections: Sequence[tuple[int, int]],
 ) -> list[PathSet]:
     """The path sets of every (source, destination) station index pair under
-    every algorithm at one stamp, connection-major, algorithm-minor.
-
-    Greedy algorithms trace once per source-associated satellite toward the
-    destination's inertial position in the snapshot; all traces of the stamp
-    run as one trace_lockstep batch in (connection, algorithm, ascending
-    source satellite) order. Baselines compute one path per (source-associated,
-    destination-associated) satellite pair; each runs one batch for all
-    connections. A connection with an uncovered endpoint yields empty sets.
-    Each batch sums its paths' legs once, then adds the edge links.
-    """
-    for algo in algorithms:
-        if algo not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {algo!r}")
-    _check_indices("station", [i for conn in connections for i in conn], len(snap.stations))
-    sats, lengths = snap.edge_sats, snap.edge_lengths
-    # the connections whose endpoints both see a satellite
-    live = [(si, di) for si, di in connections if sats[si].size and sats[di].size]
-    columns = {}
-    greedy = [(si, di, algo) for si, di in live for algo in algorithms if algo in _STRATEGY_OF]
-    if greedy:
-        rules, srcs, dests, up = zip(*(
-            (_STRATEGY_OF[algo], s, di, up)
-            for si, di, algo in greedy
-            for s, up in zip(sats[si].tolist(), lengths[si].tolist())
-        ))
-        r = trace_lockstep(snap, rules, srcs, dests, snap.station_positions[list(dests)])
-        counts = [sats[si].size for si, _, _ in greedy]
-        columns.update(zip(greedy, _path_columns(r, np.array(up), counts)))
-    # the (source, end) satellite pairs of the live connections, routed under
-    # every baseline's weight in one batch
-    baselines = [a for a in algorithms if a in _WEIGHT_OF]
-    if live and baselines:
-        src = np.concatenate([np.repeat(sats[si], sats[di].size) for si, di in live])
-        end = np.concatenate([np.tile(sats[di], sats[si].size) for si, di in live])
-        up = np.concatenate([np.repeat(lengths[si], sats[di].size) for si, di in live])
-        down = np.concatenate([np.tile(lengths[di], sats[si].size) for si, di in live])
-        k = len(baselines)
-        bounds = np.cumsum([0] + [sats[si].size * sats[di].size for si, di in live] * k)
-        hit, r = _baseline_routes(snap, [_WEIGHT_OF[a] for a in baselines], src, end)
-        counts = np.diff(np.searchsorted(hit, bounds)).tolist()
-        cut = _path_columns(r._replace(down_km=np.tile(down, k)[hit]), np.tile(up, k)[hit], counts)
-        columns.update(zip(((si, di, a) for a in baselines for si, di in live), cut))
-    return [
-        PathSet(*columns.get((si, di, algo), _NO_PATHS))
-        for si, di in connections
-        for algo in algorithms
-    ]
+    every algorithm at one stamp, connection-major, algorithm-minor: the
+    one-stamp case of block_path_sets."""
+    return block_path_sets([snap], algorithms, connections)[0]
 
 
 def enumerate_paths(snap: Snapshot, algorithm: str, src_station: int, dst_station: int) -> PathSet:

@@ -27,6 +27,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path as FsPath
 from typing import Any
 
@@ -55,7 +56,8 @@ class Trajectory:
     The track follows the minor arc; for antipodal endpoints, where the
     great circle is underdetermined, the circle with initial bearing due
     east is used. The position clamps at the end point once the full arc
-    has been flown.
+    has been flown. The arc length and the initial bearing are derived once,
+    on first use.
     """
 
     start: GeodeticPoint
@@ -66,11 +68,11 @@ class Trajectory:
         if self.speed_km_s <= 0:
             raise ValueError("speed must be positive")
 
-    @property
+    @cached_property
     def arc_km(self) -> float:
         return geodesic_distance(self.start, self.end)
 
-    @property
+    @cached_property
     def bearing_deg(self) -> float:
         if math.pi - central_angle(self.start, self.end) < _ANTIPODAL_TOL_RAD:
             return 90.0

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from functools import cached_property
 from itertools import pairwise
-from typing import Iterable, Protocol
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -198,9 +198,9 @@ def build_persistent_isls(constellation: Constellation, pattern: IslPattern) -> 
 
 def _edge_links(
     pos: np.ndarray, ground: np.ndarray, min_elevation_deg: float
-) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Snapshot.edge_km, edge_sats and edge_lengths of satellites at pos seen
-    from stations at ground at or above the minimum elevation.
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Snapshot.edge_sats and edge_lengths of satellites at pos seen from
+    stations at ground at or above the minimum elevation.
 
     A satellite s that station g sees at elevation e >= eps has
     (s - g) . g = sin(e) |s - g| |g|, and |s - g| lies between ||s| - |g||
@@ -225,11 +225,20 @@ def _edge_links(
     st = np.repeat(np.arange(len(sats)), counts)
     sat = np.concatenate([np.zeros(0, dtype=np.int64), *sats])
     lengths = np.linalg.norm(pos[sat] - ground[st], axis=1)
-    edge_km = np.full((len(sats), pos.shape[0]), np.inf)
-    edge_km[st, sat] = lengths
     cut = np.cumsum([0, *counts]).tolist()
     sat = sat.astype(np.int32)
-    return edge_km, [sat[a:b] for a, b in pairwise(cut)], [lengths[a:b] for a, b in pairwise(cut)]
+    return [sat[a:b] for a, b in pairwise(cut)], [lengths[a:b] for a, b in pairwise(cut)]
+
+
+def edge_rows(sats: Sequence[np.ndarray], lengths: Sequence[np.ndarray], count: int) -> np.ndarray:
+    """Edge links as a table with count columns, one per satellite: row r
+    holds lengths[r] at the satellites sats[r] and inf elsewhere."""
+    rows = np.full((len(sats), count), np.inf)
+    at = np.repeat(np.arange(len(sats)), [s.size for s in sats])
+    rows[at, np.concatenate([np.zeros(0, np.int32), *sats])] = np.concatenate(
+        [np.zeros(0), *lengths]
+    )
+    return rows
 
 
 class Snapshot:
@@ -237,11 +246,14 @@ class Snapshot:
 
     Holds inertial satellite states, persistent link lengths, station
     positions, and the station-satellite edge links at the minimum elevation
-    (_edge_links): edge_km[i, s] is the length of the link from station i to
-    satellite s, inf where i does not see s; edge_sats[i] (int32) and
-    edge_lengths[i] list the satellites station i sees, ascending, and their
-    lengths. Velocities are propagated on first read of sat_velocities,
-    which only crossing-link detection reads, unless supplied. Transient
+    (_edge_links): edge_sats[i] (int32) and edge_lengths[i] list the
+    satellites station i sees, ascending, and their lengths. Tables derived
+    from them are built on first read, as routing a block of stamps holds
+    several snapshots at once: edge_km[i, s], the length of the link from
+    station i to satellite s, inf where i does not see s (edge_rows), and
+    slot_lengths, the link lengths laid out like the template's adjacency
+    table. So are velocities, on first read of sat_velocities, which only
+    crossing-link detection reads, unless supplied. Transient
     crossing-mesh links are intentionally absent. Persistent link lengths
     are measured from the positions unless isl_lengths supplies them: one
     per template link, finite and non-negative, else ValueError naming the
@@ -301,16 +313,22 @@ class Snapshot:
             ecef_to_eci(ecef, t, epoch) if stations else np.zeros((0, 3))
         )
 
-        self.edge_km, self.edge_sats, self.edge_lengths = _edge_links(
+        self.edge_sats, self.edge_lengths = _edge_links(
             pos, self.station_positions, self.min_elevation_deg
         )
-        # link lengths laid out like the template's adjacency table
-        self.slot_lengths = np.append(isl_lengths, np.inf)[template.link]
 
     @cached_property
     def sat_velocities(self) -> np.ndarray:
         """Inertial satellite velocities at t."""
         return self.constellation.velocities_at(self.t)
+
+    @cached_property
+    def edge_km(self) -> np.ndarray:
+        return edge_rows(self.edge_sats, self.edge_lengths, self.sat_positions.shape[0])
+
+    @cached_property
+    def slot_lengths(self) -> np.ndarray:
+        return np.append(self.isl_lengths, np.inf)[self.template.link]
 
     # -- node id scheme -------------------------------------------------
     @property

@@ -8,6 +8,7 @@ shipped scenario.
 
 import copy
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -306,13 +307,15 @@ class TestRunExperiment:
         snapshot_of = harness.snapshot_at(scn)
         conns = harness._connection_indices(scn)
 
-        def path_sets_of(snap):
-            sets = stamp_path_sets(snap, scn.algorithms, conns)
-            return sets[:-1] if snap.t == stamps[2] else sets
+        def path_sets_of(snaps):
+            block = [stamp_path_sets(snap, scn.algorithms, conns) for snap in snaps]
+            return [sets[:-1] if snap.t == stamps[2] else sets for snap, sets in zip(snaps, block)]
 
         sets = harness._path_sets(scn)
-        stamp = functools.partial(harness._stamp, sets, stamps, snapshot_of, path_sets_of)
-        res = harness._merge(scn, map(stamp, range(len(stamps))))
+        run = functools.partial(harness._block, sets, stamps, snapshot_of, path_sets_of)
+        # one block of all four stamps, run again stamp by stamp
+        assert harness._blocks(len(stamps)) == [range(len(stamps))]
+        res = harness._merge(scn, map(run, harness._blocks(len(stamps))))
         assert [t for t, _ in res.failures] == [stamps[2]]
         assert res.failures[0][1].startswith("ValueError('zip()")
         for s, want in zip(res.series, tiny_result.series):
@@ -321,19 +324,20 @@ class TestRunExperiment:
 
     def test_merge_keeps_no_folded_stamp(self, tiny_result):
         scn = tiny_scenario()
-        run = harness._stamp_runner(scn, harness.snapshot_at(scn))
+        run = harness._block_runner(scn, harness.snapshot_at(scn))
         refs = []
 
         def outcomes():
-            for i in range(scn.time.count):
-                # the merge holds the last folded outcome at most
+            for block in (range(0, 1), range(1, 3), range(3, 4)):
+                # the merge holds the last folded block at most
                 assert all(ref() is None for ref in refs[:-1])
-                out = run(i)
-                refs.append(weakref.ref(out))
+                out = run(block)
+                (outcome,) = out
+                refs.append(weakref.ref(outcome))
                 yield out
 
         res = harness._merge(scn, outcomes())
-        assert len(refs) == len(scn.time.stamps())
+        assert len(refs) == 3
         assert res == tiny_result
 
     def test_location_table_is_the_last_folded_stamps(self, monkeypatch):
@@ -389,6 +393,110 @@ class TestRunExperiment:
         one = tiny_scenario(time={**TINY["time"], "count": 1})
         assert run_experiment(one, parallel=64) == run_experiment(one)
         assert sizes == [len(tiny_scenario().time.stamps())]
+
+
+def coincident_at(stamp):
+    """harness.snapshot, with the neighbors of the first satellite the first
+    station sees moved onto it at one stamp: a closest-pointing decision
+    there raises the kernel's coincident-nodes ValueError."""
+    real_snapshot = harness.snapshot
+
+    def moved(*args, **kwargs):
+        snap = real_snapshot(*args, **kwargs)
+        if snap.t == stamp:
+            s, tpl = snap.edge_sats[0][0], snap.template
+            snap.sat_positions = snap.sat_positions.copy()
+            snap.sat_positions[tpl.nbr[s][tpl.real[s]]] = snap.sat_positions[s]
+        return snap
+
+    return moved
+
+
+def shortened(name, count=10):
+    """A shipped scenario cut to its first count stamps."""
+    scn = load_scenario(SCENARIO_DIR / name)
+    return dataclasses.replace(scn, time=dataclasses.replace(scn.time, count=count))
+
+
+def runs_by_block_size(mp, scn):
+    """run_experiment of scn, serial and with --parallel 2, under stamp blocks
+    of 1, 2, STAMP_BLOCK and all stamps, keyed (size, parallel)."""
+    out = {}
+    for size in (1, 2, harness.STAMP_BLOCK, scn.time.count):
+        # the split is made before the pool starts
+        mp.setattr(harness, "STAMP_BLOCK", size)
+        for parallel in (1, 2):
+            out[size, parallel] = run_experiment(scn, parallel=parallel)
+    return out
+
+
+class TestStampBlocks:
+    """Stamps are routed in blocks: the block size and the worker count change
+    no result, and a stamp that raises inside a block is isolated."""
+
+    def test_blocks_split_the_stamps_contiguously_and_evenly(self, monkeypatch):
+        counts = (0, 1, 2, 5, 7, 8, 9, 16, 17, 40, 41, 198, 200)
+        for size, workers, count in product((1, 2, 3, 8), (1, 2, 3, 4), counts):
+            monkeypatch.setattr(harness, "STAMP_BLOCK", size)
+            blocks = harness._blocks(count, workers)
+            case = (size, workers, count)
+            # contiguous, in order, every stamp once
+            assert [i for b in blocks for i in b] == list(range(count)), case
+            assert all(b.step == 1 and len(b) >= 1 for b in blocks), case
+            lengths = [len(b) for b in blocks]
+            assert max(lengths, default=0) <= size, case
+            assert max(lengths, default=0) - min(lengths, default=0) <= 1, case
+            # no more blocks than it takes, then an equal share for every worker
+            fewest = -(-count // size)
+            assert fewest <= len(blocks) < fewest + workers, case
+            assert len(blocks) % workers == 0 or len(blocks) == count, case
+
+    @pytest.mark.parametrize(
+        "name",
+        ["experiment1_20x20.json", "experiment1_40x40.json", "experiment2_40x40.json",
+         "experiment3_moving.json"],
+    )
+    def test_block_size_changes_no_result_on_shipped_scenarios(self, name):
+        scn = shortened(name)
+        with pytest.MonkeyPatch.context() as mp:
+            runs = runs_by_block_size(mp, scn)
+        want = runs[1, 1]
+        assert want.path_log.stamp.size and want.decision_stats.comparisons
+        for key, res in runs.items():
+            assert res.path_log == want.path_log, key
+            assert res.decision_stats == want.decision_stats, key
+            assert res == want, key
+
+    @given(case=small_scenarios())
+    @settings(max_examples=10, deadline=None)
+    def test_block_size_changes_no_result_on_random_scenarios(self, case):
+        scn, bad = case
+        stamp = scn.time.stamps()[bad]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "snapshot", failing_at(stamp))
+            runs = runs_by_block_size(mp, scn)
+        want = runs[1, 1]
+        assert want.failures == [(stamp, "RuntimeError('injected')")]
+        for key, res in runs.items():
+            assert res == want, key
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_kernel_error_inside_a_block_is_isolated(self, monkeypatch, parallel):
+        scn = tiny_scenario()
+        stamps = scn.time.stamps()
+        monkeypatch.setattr(harness, "STAMP_BLOCK", len(stamps))
+        # a stamp inside a block, not its first: the last block's second
+        block = harness._blocks(len(stamps), parallel)[-1]
+        assert len(block) > 1
+        bad = stamps[block.start + 1]
+        monkeypatch.setattr(harness, "snapshot", coincident_at(bad))
+        res = run_experiment(scn, parallel=parallel)
+        assert res.failures == [(bad, "ValueError('coincident nodes leave the bearing undefined')")]
+        # as if that stamp's snapshot had raised: the others are untouched
+        monkeypatch.setattr(harness, "snapshot", failing_at(bad))
+        want = run_experiment(scn)
+        assert want.failures == [(bad, "RuntimeError('injected')")]
+        assert dataclasses.replace(res, failures=want.failures) == want
 
 
 class TestAnalyzeRows:
@@ -1397,6 +1505,25 @@ class TestCli:
         monkeypatch.delenv("LEONET_OUT", raising=False)
         with pytest.raises(SystemExit):
             main(["simulate", "--scenario", str(tiny_file)])
+
+    @pytest.mark.parametrize(
+        "command, stage",
+        [("simulate", "run_experiment"), ("analyze", "read_paths_csv"), ("export", "read_paths_csv")],
+    )
+    def test_missing_out_fails_before_any_work(self, tiny_file, tmp_path, monkeypatch, command,
+                                              stage):
+        def work(*args, **kwargs):
+            raise AssertionError(f"{stage} ran before the output directory was resolved")
+
+        monkeypatch.delenv("LEONET_OUT", raising=False)
+        monkeypatch.setattr(cli, stage, work)
+        argv = [command, "--scenario", str(tiny_file)]
+        if command != "simulate":
+            argv += ["--paths", str(tmp_path / "paths.csv")]
+        if command == "export":
+            argv += ["--format", "geojson"]
+        with pytest.raises(SystemExit, match="output directory is required"):
+            main(argv)
 
     def test_bad_scenario_returns_nonzero(self, tmp_path, capsys):
         code = main(

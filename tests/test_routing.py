@@ -45,6 +45,7 @@ from leonet.routing import (
     _leg_sums,
     _slot_weights,
     bellman_ford,
+    block_path_sets,
     decision_counts,
     default_max_hops,
     enumerate_paths,
@@ -1200,6 +1201,61 @@ def hop_passes(monkeypatch):
 
     monkeypatch.setattr(routing, "_distances", counted)
     return counts
+
+
+class TestBlockPathSets:
+    """A block of stamps routed as one greedy batch gives each stamp the
+    columns, bit for bit, that routing the stamp alone gives."""
+
+    @pytest.mark.parametrize("name", ["experiment1_40x40.json", "experiment3_moving.json"])
+    def test_block_equals_each_stamp_alone(self, name):
+        sc, stamps = shipped_stamps(name)
+        at, conns = snapshot_at(sc), _connection_indices(sc)
+        snaps = [at(t) for t in stamps]
+        got = block_path_sets(snaps, sc.algorithms, conns)
+        want = [stamp_path_sets(snap, sc.algorithms, conns) for snap in snaps]
+        assert [[set_columns(ps) for ps in sets] for sets in got] == [
+            [set_columns(ps) for ps in sets] for sets in want
+        ]
+        assert sum(len(ps.paths) for sets in got for ps in sets) > 100
+
+    def test_interleaved_stamps_equal_each_stamp_alone(self):
+        # trace i runs in snaps[stamp[i]]: the same source satellites, rules
+        # and destinations at other positions give other routes
+        sc, stamps = shipped_stamps("experiment3_moving.json", count=2)
+        at = snapshot_at(sc)
+        snaps = [at(t) for t in stamps]
+        hub = len(sc.stations) - 1
+        batch = [
+            (k, rule, s, d)
+            for d in (hub, 0)
+            for s in sorted(set(snaps[0].edge_sats[1].tolist()) | set(snaps[3].edge_sats[2].tolist()))
+            for rule in ("cpi", "nfp")
+            for k in (3, 0, 2, 1)
+        ]
+        ks, rules, srcs, dests = zip(*batch)
+        points = np.array([snaps[k].station_positions[d] for k, _, _, d in batch])
+        got = routes_of(trace_lockstep(snaps, rules, srcs, dests, points, stamp=ks))
+        for k, snap in enumerate(snaps):
+            mine = [i for i, q in enumerate(ks) if q == k]
+            alone = trace_lockstep(snap, [rules[i] for i in mine], [srcs[i] for i in mine],
+                                   [dests[i] for i in mine], points[mine])
+            assert [got[i] for i in mine] == routes_of(alone)
+        assert got[0::4] != got[1::4]
+
+    def test_kernel_rejects_a_foreign_template_and_a_stamp_out_of_range(self):
+        sc, stamps = shipped_stamps("experiment1_20x20.json", count=1)
+        at = snapshot_at(sc)
+        snaps = [at(t) for t in stamps]
+        src = int(snaps[0].edge_sats[0][0])
+        point = snaps[0].station_positions[1:2]
+        with pytest.raises(IndexError, match="stamp index outside 0..1"):
+            trace_lockstep(snaps, ["nfp"], [src], [1], point, stamp=[2])
+        other = snapshot_at(sc)(stamps[0])  # a template of its own
+        with pytest.raises(ValueError, match="share one template"):
+            trace_lockstep([snaps[0], other], ["nfp"], [src], [1], point)
+        with pytest.raises(IndexError, match="satellite index outside"):
+            trace_lockstep(snaps, ["nfp"], [-1], [1], point)
 
 
 class TestHopRowCache:

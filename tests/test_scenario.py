@@ -2,12 +2,21 @@
 
 import json
 import math
+import pickle
 import re
 from datetime import timedelta, timezone
 
 import pytest
 
-from leonet.geometry import EARTH_RADIUS_KM, GeodeticPoint, geodesic_distance, utc
+from leonet.geometry import (
+    EARTH_RADIUS_KM,
+    GeodeticPoint,
+    central_angle,
+    geodesic_distance,
+    great_circle_point,
+    initial_bearing,
+    utc,
+)
 from leonet.scenario import (
     ScenarioError,
     Trajectory,
@@ -16,6 +25,8 @@ from leonet.scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
+
+from conftest import SCENARIO_DIR
 
 EPOCH = "2025-01-01T00:00:00Z"
 QUARTER = EARTH_RADIUS_KM * math.pi / 2
@@ -95,6 +106,28 @@ class TestTrajectory:
         end = tr.position_after(tr.arc_km / 5.0)
         assert end.lat_deg == pytest.approx(-10.0)
         assert abs(end.lon_deg) == pytest.approx(180.0)
+
+    def test_derived_track_equals_the_formula_at_every_stamp(self):
+        # the arc and bearing, derived once, give the positions that deriving
+        # them at every call gives, bit for bit
+        scn = load_scenario(SCENARIO_DIR / "experiment3_moving.json")
+        fresh = load_scenario(SCENARIO_DIR / "experiment3_moving.json")
+        movers = [st for st in scn.stations if isinstance(st.provider, TrajectoryProvider)]
+        assert movers
+        for st in movers:
+            prov, tr = st.provider, st.provider.trajectory
+            for t in scn.time.stamps():
+                elapsed = max((t - prov.start_time).total_seconds(), 0.0)
+                bearing = (
+                    90.0
+                    if math.pi - central_angle(tr.start, tr.end) < 1e-9
+                    else initial_bearing(tr.start, tr.end)
+                )
+                s = min(tr.speed_km_s * elapsed, geodesic_distance(tr.start, tr.end))
+                assert st.position_at(t) == great_circle_point(tr.start, bearing, s)
+        # the derived values take no part in equality, hashing or pickling
+        assert scn == fresh and hash(scn) == hash(fresh)
+        assert pickle.loads(pickle.dumps(scn)) == fresh
 
     def test_provider_anchors_at_start_time(self):
         t0 = utc(2025, 1, 1, 1)
