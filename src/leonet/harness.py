@@ -9,22 +9,25 @@ paid once per block: the greedy traces of a block run as one batch
 (routing.block_path_sets), and its path-log rows and decision counts are
 assembled once. One isolating function, _block, finishes a block from its
 path sets, routed or read from a log, for serial runs, workers and
-reanalysis alike: set stats per stamp, path-log rows and decision counts
-per block. A block that raises is finished again one stamp at a time, so a
-stamp that raises is isolated as before. The sets carry no names;
-_path_sets is the one list that names and orders them. The merge folds
-blocks in stamp order and does only what crosses stamps: the evolution
-chain, the failure reset, the location table, which is the last folded
-stamp's (every station refreshed, then each delivering greedy set's
-source), and the path log. That log is one columnar PathLog from the block
-to the file and back; analyze_rows slices its path sets out of it and
-checks each stamp's rows against that stamp's snapshot (check_stamp).
+reanalysis alike: the set stats of the whole block as columns, one row per
+(stamp, set), with one column of the sets' vertices (metrics.make_stamp_stats),
+and the block's path-log rows and decision counts. A block that raises is
+finished again one stamp at a time, so a stamp that raises is isolated as
+before. The sets carry no names; _path_sets is the one list that names and
+orders them. The merge folds blocks in stamp order and does only what
+crosses stamps: it builds each StampStats once, with vertex_changes from
+the evolution chain over slices of the vertex columns, the failure reset,
+the location table, which is the last folded stamp's (every station
+refreshed, then each delivering greedy set's source), and the path log.
+That log is one columnar PathLog from the block to the file and back;
+analyze_rows slices its path sets out of it and checks each stamp's rows
+against that stamp's snapshot (check_stamp).
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime
 from functools import partial
 from itertools import chain, pairwise, product
@@ -37,6 +40,7 @@ from .geometry import link_latency_ms
 from .metrics import (
     ConnectionSeries,
     ConnectionSummary,
+    StampColumns,
     StampStats,
     make_stamp_stats,
     path_evolution,
@@ -51,6 +55,7 @@ from .routing import (
     PathSet,
     block_path_sets,
     decision_counts,
+    join_path_sets,
     ler_encapsulate,
     record_delivery,
 )
@@ -115,38 +120,32 @@ def _concat(logs: Sequence[PathLog]) -> PathLog:
 
 
 def _block_log(
-    first: int, sets: list[tuple], block_sets: Sequence[Sequence[PathSet]], degree: np.ndarray
+    first: int, sets: list[tuple], paths: PathSet, counts: Sequence[int], degree: np.ndarray
 ) -> tuple[PathLog, list[int]]:
     """The path-log rows of the stamps first, first + 1, ... from their path
-    sets (one list per stamp, each in _path_sets order), in file order, and
-    the candidate count of every forwarding decision of their greedy sets, by
-    stamp, set, then trace (decision_counts)."""
-    flat = [ps for path_sets in block_sets for ps in path_sets]
-    group = np.repeat(np.arange(len(flat)), [ps.end.size for ps in flat])  # stamp-major set
+    sets, joined in paths with counts[i] paths in set i (stamp-major, each
+    stamp's sets in _path_sets order), in file order, and the candidate
+    count of every forwarding decision of their greedy sets, by stamp, set,
+    then trace (decision_counts)."""
+    group = np.repeat(np.arange(len(counts)), counts)  # stamp-major set
     stamp, path_set = np.divmod(group, len(sets))
-
-    def column(name: str, empty: np.ndarray) -> np.ndarray:
-        return np.concatenate([empty, *(getattr(ps, name) for ps in flat)])
-
-    lengths = column("hops", np.zeros(0, np.int64)) + 1
-    end = column("end", _NO_ROWS.end)
-    log = PathLog((stamp + first).astype(np.int32), path_set.astype(np.int32), end,
-                  column("latency_ms", _NO_ROWS.latency_ms),
-                  column("sats", _NO_ROWS.sats).astype(np.int32),
-                  np.concatenate(([0], np.cumsum(lengths))))
+    log = PathLog((stamp + first).astype(np.int32), path_set.astype(np.int32), paths.end,
+                  paths.latency_ms, paths.sats.astype(np.int32), paths.starts)
     greedy = np.array([algo in _MPLF_ALGOS for _, algo in sets])
     comparisons = decision_counts(degree, log.take(np.flatnonzero(greedy[path_set])))
-    return log.take(np.argsort(2 * group + (end != 0), kind="stable")), comparisons
+    return log.take(np.argsort(2 * group + (paths.end != 0), kind="stable")), comparisons
 
 
 @dataclass(frozen=True)
 class BlockOutcome:
-    """What a contiguous block of stamps determines. Per stamp, per set
-    (connection-major, algorithm-minor): stats with vertex_changes None, and
-    the sorted PathSet.vertices."""
+    """What a contiguous block of stamps determines. Its stats are columns
+    with one row per (stamp, set), stamp-major, each stamp's sets in
+    _path_sets order, and one column of each row's distinct delivered
+    satellites (metrics.StampColumns). vertex_changes, which compares a set
+    with the preceding valid stamp's, is filled in by _merge."""
 
-    stats: tuple[tuple[StampStats, ...], ...]
-    vertices: tuple[tuple[np.ndarray, ...], ...]
+    stats: StampColumns
+    stamps: int  # the block's stamp count
     station_ecef: np.ndarray  # at the block's last stamp
     log: PathLog  # the block's rows
     comparisons: list[int]  # the candidate count of every forwarding decision
@@ -239,19 +238,22 @@ def _block(
     failed stamp as the repr of the exception it raised."""
     try:
         snaps = [snapshot_of(stamps[i]) for i in block]
-        block_sets = path_sets_of(snaps)
-        stats, vertices = [], []
-        for i, snap, path_sets in zip(block, snaps, block_sets, strict=True):
-            row = []
-            for ((si, di), _), ps in zip(sets, path_sets, strict=True):
-                points = snap.station_geodetic[si], snap.station_geodetic[di]
-                row.append(make_stamp_stats(stamps[i], snap.covered(si), snap.covered(di), ps,
-                                            *points))
-            stats.append(tuple(row))
-            vertices.append(tuple(ps.vertices for ps in path_sets))
-        log, comparisons = _block_log(block.start, sets, block_sets, snaps[0].template.degree)
-        return [BlockOutcome(tuple(stats), tuple(vertices), snaps[-1].station_ecef, log,
-                             comparisons)]
+        flat = [
+            ps
+            for _, path_sets in zip(snaps, path_sets_of(snaps), strict=True)
+            for _, ps in zip(sets, path_sets, strict=True)
+        ]
+        paths, counts = join_path_sets(flat), [ps.end.size for ps in flat]
+        pairs = dict.fromkeys(conn for conn, _ in sets)  # in order: sets are connection-major
+        ends = [(snap, si, di) for snap in snaps for si, di in pairs]
+        stats = make_stamp_stats(
+            paths,
+            counts,
+            [(snap.covered(si), snap.covered(di)) for snap, si, di in ends],
+            [(snap.station_geodetic[si], snap.station_geodetic[di]) for snap, si, di in ends],
+        )
+        log, comparisons = _block_log(block.start, sets, paths, counts, snaps[0].template.degree)
+        return [BlockOutcome(stats, len(block), snaps[-1].station_ecef, log, comparisons)]
     except PathLogError:
         raise  # a log row that does not fit the scenario fails the whole reanalysis
     except Exception as exc:  # noqa: BLE001 - per-stamp isolation is the contract
@@ -304,10 +306,13 @@ def run_experiment(scenario: Scenario, parallel: int = 1) -> ExperimentResult:
 
 def _merge(scenario: Scenario, blocks: Iterable[list[BlockOutcome | str]]) -> ExperimentResult:
     """Fold finished blocks, each the list _block returns, in stamp order,
-    keeping only the last one. A failed stamp (its exception's repr) is logged
-    and leaves the next stamp without a predecessor for vertex_changes. Every
-    stamp overwrites every station entry of the location table, so it is
-    built once, from the last folded stamp."""
+    keeping only the last one. Each StampStats is built here, once, with its
+    vertex_changes: path_evolution of the set's vertices and those of the
+    preceding valid stamp's set, both slices of vertex columns. A failed
+    stamp (its exception's repr) is logged and leaves the next stamp without
+    a predecessor for vertex_changes. Every stamp overwrites every station
+    entry of the location table, so it is built once, from the last folded
+    stamp."""
     sets = _path_sets(scenario)
     times = iter(scenario.time.stamps())
     failures: list[tuple[datetime, str]] = []
@@ -323,13 +328,19 @@ def _merge(scenario: Scenario, blocks: Iterable[list[BlockOutcome | str]]) -> Ex
             continue
         logs.append(r.log)
         stats.comparisons.extend(r.comparisons)
-        for stamp_stats, stamp_vertices in zip(r.stats, r.vertices):
-            t = next(times)
-            for k, (st, vertices) in enumerate(zip(stamp_stats, stamp_vertices)):
-                if st.n_paths and prev[k] is not None:
-                    st = replace(st, vertex_changes=path_evolution(prev[k], vertices))
-                stamps[k].append(st)
-                prev[k] = vertices if st.valid else None
+        columns, changes = r.stats, []
+        bounds = columns.vertex_starts.tolist()
+        rows = zip(columns.n_paths.tolist(), columns.valid.tolist(), bounds, bounds[1:])
+        for j, (n_paths, valid, a, b) in enumerate(rows):
+            k, vertices = j % len(sets), columns.vertices[a:b]
+            changes.append(path_evolution(prev[k], vertices) if n_paths and prev[k] is not None
+                           else None)
+            prev[k] = vertices if valid else None
+        block_times = [next(times) for _ in range(r.stamps)]
+        block_stats = columns.rows([t for t in block_times for _ in sets], changes)
+        for k, series in enumerate(stamps):
+            series.extend(block_stats[k :: len(sets)])
+        t = block_times[-1]
         last = r
 
     eis = [st.ei for st in scenario.stations]
@@ -338,8 +349,8 @@ def _merge(scenario: Scenario, blocks: Iterable[list[BlockOutcome | str]]) -> Ex
         epoch = scenario.constellation.epoch
         for ei, ecef in zip(eis, last.station_ecef):
             table.update(ei, ecef, t)  # t: the last folded stamp
-        for ((si, di), algo), st in zip(sets, last.stats[-1]):
-            if algo in _MPLF_ALGOS and st.n_paths:
+        for ((si, di), algo), n_paths in zip(sets, last.stats.n_paths[-len(sets) :].tolist()):
+            if algo in _MPLF_ALGOS and n_paths:
                 record_delivery(table, ler_encapsulate(table, eis[si], eis[di], t, epoch), epoch)
     series = [
         ConnectionSeries(eis[si], eis[di], algo, tuple(s))

@@ -39,7 +39,8 @@ block_path_sets, stamp_path_sets and enumerate_paths raise IndexError on an
 index out of range.
 
 Paths stay in columns from the kernels to the path log: a PathSet holds its
-paths' satellites end to end with per-path offsets, end codes and totals.
+paths' satellites end to end with per-path offsets, end codes and totals, and
+join_path_sets joins a block's sets into one for its stats and log rows.
 trace_path and bellman_ford return a single Path, row 0 of a batch of one.
 """
 
@@ -47,7 +48,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -239,7 +241,9 @@ class Path:
 
     @property
     def isl_km(self) -> float:
-        return float(sum(self.isl_lengths_km))
+        # left to right, as _path_columns sums: Python's sum of floats is
+        # compensated from 3.12 on
+        return float(reduce(add, self.isl_lengths_km, 0.0))
 
     @property
     def total_km(self) -> float:
@@ -290,7 +294,7 @@ def _routes(steps: Sequence[tuple], end: np.ndarray, down_km: np.ndarray) -> Rou
 
 def _leg_sums(legs: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The sum of each run of counts[i] legs, one zero-padded column at a
-    time: as x + 0.0 == x, the left-to-right sum Python's sum gives."""
+    time: as x + 0.0 == x, the left-to-right sum Path.isl_km gives."""
     pad = np.zeros((counts.size, counts.max(initial=0)))
     pad[np.arange(pad.shape[1]) < counts[:, None]] = legs
     total = np.zeros(counts.size)
@@ -623,6 +627,7 @@ class PathSet:
     together in trace order. total_km and latency_ms count the edge links: the
     up-link always, the down-link of a delivered path. A set carries no
     names: its place in stamp_path_sets' order says whose paths it holds.
+    The sets of a block, joined (join_path_sets), are one PathSet too.
     """
 
     sats: np.ndarray
@@ -644,19 +649,25 @@ class PathSet:
     def hops(self) -> np.ndarray:
         return self.starts[1:] - self.starts[:-1] - 1
 
-    @cached_property
-    def vertices(self) -> np.ndarray:
-        """The distinct satellites of the delivered paths, ascending."""
-        mark = np.zeros(self.sats.max(initial=-1) + 1, dtype=bool)
-        mark[self.sats[np.repeat(self.delivered, self.hops + 1)]] = True
-        return np.flatnonzero(mark)
-
 
 _STRATEGY_OF = {ALGO_MPLF_CPI: STRATEGY_CPI, ALGO_MPLF_NFP: STRATEGY_NFP}
 _WEIGHT_OF = {ALGO_SP: WEIGHT_LATENCY, ALGO_LH: WEIGHT_UNIT}
 # the columns of an empty set
 _NO_PATHS = (np.zeros(0, np.int64), np.zeros(1, np.int64), np.zeros(0, np.int8), np.zeros(0),
              np.zeros(0))
+
+
+def join_path_sets(sets: Sequence[PathSet]) -> PathSet:
+    """The paths of sets one set after another, in one PathSet: the columns
+    of a block of sets, each set's paths in their order."""
+    sats, _, end, total_km, latency_ms = _NO_PATHS
+    lengths = np.concatenate([sats, *(ps.starts[1:] - ps.starts[:-1] for ps in sets)])
+    return PathSet(
+        np.concatenate([sats, *(ps.sats for ps in sets)]),
+        np.concatenate(([0], np.cumsum(lengths))),
+        *(np.concatenate([empty, *(getattr(ps, name) for ps in sets)])
+          for name, empty in (("end", end), ("total_km", total_km), ("latency_ms", latency_ms))),
+    )
 
 
 def block_path_sets(

@@ -295,6 +295,13 @@ def chain_snapshot(pairs=((0, 1), (1, 2), (2, 3))):
 FAR = P + [0.0, 10000.0, 0.0]
 
 
+class TestPath:
+    def test_isl_km_sums_left_to_right(self):
+        # as _path_columns does; Python's sum of floats is compensated from 3.12 on
+        p = Path(tuple(range(11)), (0.1,) * 10, "delivered")
+        assert p.isl_km == 0.9999999999999999
+
+
 class TestTracePath:
     def test_association_coverage(self):
         snap = chain_snapshot()
