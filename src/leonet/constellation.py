@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from typing import Sequence
 
 import numpy as np
 
@@ -141,15 +142,20 @@ class Constellation:
     def sat_count(self) -> int:
         return self.config.total_sats
 
-    def _arg_lat(self, t: datetime) -> np.ndarray:
-        dt = elapsed_seconds(t, self.config.epoch)
-        return self._u0 + self.config.mean_motion_rad_per_s * dt
+    def _arg_lat(self, t: datetime | Sequence[datetime]) -> np.ndarray:
+        """Arguments of latitude (sat_count,) at t, or (len(t), sat_count)."""
+        stamps = [t] if isinstance(t, datetime) else t
+        dt = np.array([elapsed_seconds(x, self.config.epoch) for x in stamps])
+        u = self._u0 + self.config.mean_motion_rad_per_s * dt[:, None]
+        return u[0] if isinstance(t, datetime) else u
 
-    def positions_at(self, t: datetime) -> np.ndarray:
-        """ECI positions (sat_count, 3) in km at time t >= epoch."""
+    def positions_at(self, t: datetime | Sequence[datetime]) -> np.ndarray:
+        """ECI positions (sat_count, 3) in km at time t >= epoch, or
+        (len(t), sat_count, 3) at each stamp of a sequence t: one batch, whose
+        rows are those of the stamps' own calls, bit for bit."""
         u = self._arg_lat(t)
         a = self.config.semi_major_axis_km
-        return a * (np.cos(u)[:, None] * self._p_axis + np.sin(u)[:, None] * self._q_axis)
+        return a * (np.cos(u)[..., None] * self._p_axis + np.sin(u)[..., None] * self._q_axis)
 
     def velocities_at(self, t: datetime) -> np.ndarray:
         """ECI velocities (sat_count, 3) in km/s at time t >= epoch."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import Sequence
 
 import numpy as np
 
@@ -134,30 +135,47 @@ def eci_to_geodetic(
     return ecef_to_geodetic(eci_to_ecef(p, t, epoch))
 
 
-def elevation_angle(ground: np.ndarray, sat: np.ndarray) -> np.ndarray | float:
+def elevation_angle(
+    ground: np.ndarray, sat: np.ndarray, counts: Sequence[int] | None = None
+) -> np.ndarray | float:
     """Elevation (degrees) of sat above the local horizon at ground.
 
-    Both positions must be expressed in the same frame. Vectorized over the
-    leading axes of sat.
+    Both positions must be expressed in the same frame. One observer sees
+    every sat, vectorized over its leading axes; a group of observers sees
+    sat in consecutive runs, observer i the next counts[i] rows. Each
+    observer's rel @ g product is its own matrix-vector call over its own
+    rows (BLAS gemv bits can depend on the row count), so an observer's
+    elevations are those of a call for it alone; the rest is elementwise.
 
     Args:
-        ground: (3,) position of the observer, must be nonzero.
-        sat: (..., 3) positions of the observed objects.
+        ground: (3,) position of one observer, or (m, 3) of a group; each
+            must be nonzero.
+        sat: (..., 3) positions of the observed objects; (n, 3) for a group.
+        counts: for a group, m row counts summing to n.
 
     Returns:
-        Elevation in degrees, scalar for a single sat, else an array.
+        Elevation in degrees, scalar for a single sat, else an array. The
+        first observer at the Earth's centre or with a coincident sat raises
+        ValueError.
     """
-    g = np.asarray(ground, dtype=float)
+    g = np.asarray(ground, dtype=float).reshape(-1, 3)
     s = np.asarray(sat, dtype=float)
-    gn = np.linalg.norm(g)
-    if gn == 0.0:
-        raise ValueError("observer at the Earth center has no horizon")
-    rel = s - g
+    rows = s.reshape(-1, 3)
+    counts = [rows.shape[0]] if counts is None else counts
+    at = np.repeat(np.arange(g.shape[0]), counts)
+    gn = np.sqrt(np.vecdot(g, g))  # a (3,) vector's np.linalg.norm, bit for bit
+    rel = rows - g[at]
     rn = np.linalg.norm(rel, axis=-1)
-    if np.any(rn == 0.0):
+    centre = gn == 0.0
+    bad = centre | (np.bincount(at[rn == 0.0], minlength=g.shape[0]) > 0)
+    if bad.any():
+        if centre[bad.argmax()]:
+            raise ValueError("observer at the Earth center has no horizon")
         raise ValueError("satellite coincides with the observer")
-    sin_el = (rel @ g) / (rn * gn)
-    el = np.degrees(np.arcsin(np.clip(sin_el, -1.0, 1.0)))
+    bounds = np.cumsum([0, *counts]).tolist()
+    dot = np.concatenate([np.zeros(0), *(rel[a:b] @ v for v, a, b in zip(g, bounds, bounds[1:]))])
+    sin_el = dot / (rn * gn[at])
+    el = np.degrees(np.arcsin(np.clip(sin_el, -1.0, 1.0))).reshape(s.shape[:-1])
     return float(el) if el.ndim == 0 else el
 
 

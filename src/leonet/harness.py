@@ -5,18 +5,21 @@ Per-stamp work is independent by construction: a stamp is routed from its
 snapshot alone, greedy traces aiming at the destination station's inertial
 position in that snapshot. Stamps are finished in contiguous blocks of at
 most STAMP_BLOCK (_blocks), so that work whose cost is mostly per call is
-paid once per block: the greedy traces of a block run as one batch
+paid once per block: the snapshots of a block are built in one call
+(topology.snapshot), the greedy traces of a block run as one batch
 (routing.block_path_sets), and its path-log rows and decision counts are
 assembled once. One isolating function, _block, finishes a block from its
-path sets, routed or read from a log, for serial runs, workers and
-reanalysis alike: the set stats of the whole block as columns, one row per
-(stamp, set), with one column of the sets' vertices (metrics.make_stamp_stats),
-and the block's path-log rows and decision counts. A block that raises is
-finished again one stamp at a time, so a stamp that raises is isolated as
-before. The sets carry no names; _path_sets is the one list that names and
-orders them. The merge folds blocks in stamp order and does only what
-crosses stamps: it builds each StampStats once, with vertex_changes from
-the evolution chain over slices of the vertex columns, the failure reset,
+snapshots and path sets, routed or read from a log, for serial runs,
+workers and reanalysis alike: the set stats of the whole block as columns,
+one row per (stamp, set), with one column of the sets' vertices
+(metrics.make_stamp_stats), and the block's path-log rows and decision
+counts, one small int array. A block that raises is finished again one
+stamp at a time, so a stamp that raises is isolated as before. The sets
+carry no names; _path_sets is the one list that names and orders them.
+The merge folds blocks in stamp order and does only what crosses stamps:
+it builds each StampStats once, with vertex_changes from one pass over the
+block's vertex column (StampColumns.vertex_changes) and, for the block's
+first stamp, path_evolution against the stamp before; the failure reset,
 the location table, which is the last folded stamp's (every station
 refreshed, then each delivering greedy set's source), and the path log.
 That log is one columnar PathLog from the block to the file and back;
@@ -148,7 +151,7 @@ class BlockOutcome:
     stamps: int  # the block's stamp count
     station_ecef: np.ndarray  # at the block's last stamp
     log: PathLog  # the block's rows
-    comparisons: list[int]  # the candidate count of every forwarding decision
+    comparisons: np.ndarray  # the candidate count of every forwarding decision
 
 
 @dataclass
@@ -185,14 +188,15 @@ def _path_sets(scenario: Scenario) -> list[tuple[tuple[int, int], str]]:
     return list(product(_connection_indices(scenario), scenario.algorithms))
 
 
-def snapshot_at(scenario: Scenario) -> Callable[[datetime], Snapshot]:
-    """The scenario's stamp -> snapshot map. The constellation and its
-    persistent-link template do not change over time, so they are built once,
-    here; each call of the map builds one snapshot."""
+def snapshot_at(scenario: Scenario) -> Callable:
+    """The scenario's stamp -> snapshot map, which also maps a block of
+    stamps to its list of snapshots in one call (topology.snapshot). The
+    constellation and its persistent-link template do not change over time,
+    so they are built once, here."""
     constellation = build_walker(scenario.constellation)
     template = build_persistent_isls(constellation, scenario.pattern)
 
-    def at(t: datetime) -> Snapshot:
+    def at(t: datetime | Sequence[datetime]) -> Snapshot | list[Snapshot]:
         return snapshot(
             constellation,
             scenario.stations,
@@ -227,7 +231,7 @@ def _blocks(count: int, workers: int = 1) -> list[range]:
 def _block(
     sets: list[tuple[tuple[int, int], str]],
     stamps: Sequence[datetime],
-    snapshot_of: Callable[[datetime], Snapshot],
+    snapshot_of: Callable[[list[datetime]], list[Snapshot]],
     path_sets_of: Callable[[list[Snapshot]], Sequence[Sequence[PathSet]]],
     block: range,
 ) -> list[BlockOutcome | str]:
@@ -237,7 +241,7 @@ def _block(
     one stamp at a time, so that it comes back as outcomes of its stamps, a
     failed stamp as the repr of the exception it raised."""
     try:
-        snaps = [snapshot_of(stamps[i]) for i in block]
+        snaps = snapshot_of([stamps[i] for i in block])
         flat = [
             ps
             for _, path_sets in zip(snaps, path_sets_of(snaps), strict=True)
@@ -264,7 +268,7 @@ def _block(
 
 
 def _block_runner(
-    scenario: Scenario, snapshot_of: Callable[[datetime], Snapshot]
+    scenario: Scenario, snapshot_of: Callable[[list[datetime]], list[Snapshot]]
 ) -> Callable[[range], list[BlockOutcome | str]]:
     pairs = _connection_indices(scenario)
     route = partial(block_path_sets, algorithms=scenario.algorithms, connections=pairs)
@@ -308,38 +312,50 @@ def _merge(scenario: Scenario, blocks: Iterable[list[BlockOutcome | str]]) -> Ex
     """Fold finished blocks, each the list _block returns, in stamp order,
     keeping only the last one. Each StampStats is built here, once, with its
     vertex_changes: path_evolution of the set's vertices and those of the
-    preceding valid stamp's set, both slices of vertex columns. A failed
+    same set at the stamp before, if that stamp is valid. Within a block
+    that is one pass (StampColumns.vertex_changes); a block's first stamp
+    compares with slices of the previous block's vertex column. A failed
     stamp (its exception's repr) is logged and leaves the next stamp without
-    a predecessor for vertex_changes. Every stamp overwrites every station
-    entry of the location table, so it is built once, from the last folded
-    stamp."""
+    a predecessor for vertex_changes. The decision counts are concatenated
+    once. Every stamp overwrites every station entry of the location table,
+    so it is built once, from the last folded stamp."""
     sets = _path_sets(scenario)
+    n = len(sets)
     times = iter(scenario.time.stamps())
     failures: list[tuple[datetime, str]] = []
     logs: list[PathLog] = []
+    comparisons: list[np.ndarray] = [np.zeros(0, np.uint8)]
     stamps: list[list[StampStats]] = [[] for _ in sets]
-    prev: list[np.ndarray | None] = [None] * len(sets)
-    stats = DecisionStats()
+    prev: list[np.ndarray | None] = [None] * n
     last: BlockOutcome | None = None
     for r in chain.from_iterable(blocks):
         if isinstance(r, str):
             failures.append((next(times), r))
-            prev = [None] * len(sets)
+            prev = [None] * n
             continue
         logs.append(r.log)
-        stats.comparisons.extend(r.comparisons)
-        columns, changes = r.stats, []
-        bounds = columns.vertex_starts.tolist()
-        rows = zip(columns.n_paths.tolist(), columns.valid.tolist(), bounds, bounds[1:])
-        for j, (n_paths, valid, a, b) in enumerate(rows):
-            k, vertices = j % len(sets), columns.vertices[a:b]
-            changes.append(path_evolution(prev[k], vertices) if n_paths and prev[k] is not None
-                           else None)
-            prev[k] = vertices if valid else None
+        comparisons.append(r.comparisons)
+        columns = r.stats
+        bounds, n_paths = columns.vertex_starts.tolist(), columns.n_paths.tolist()
+        # the first stamp's sets against prev, the later ones within the block
+        first = [
+            path_evolution(p, columns.vertices[a:b]) if p is not None and paths else 0
+            for p, paths, a, b in zip(prev, n_paths, bounds, bounds[1:])
+        ]
+        before = np.concatenate(([p is not None for p in prev], columns.valid[:-n]))
+        changes = [
+            c if on else None
+            for c, on in zip(np.concatenate((first, columns.vertex_changes(n))).tolist(),
+                             (before & (columns.n_paths > 0)).tolist())
+        ]
+        prev = [
+            columns.vertices[a:b] if valid else None
+            for valid, a, b in zip(columns.valid[-n:].tolist(), bounds[-n - 1 :], bounds[-n:])
+        ]
         block_times = [next(times) for _ in range(r.stamps)]
         block_stats = columns.rows([t for t in block_times for _ in sets], changes)
         for k, series in enumerate(stamps):
-            series.extend(block_stats[k :: len(sets)])
+            series.extend(block_stats[k::n])
         t = block_times[-1]
         last = r
 
@@ -363,7 +379,7 @@ def _merge(scenario: Scenario, blocks: Iterable[list[BlockOutcome | str]]) -> Ex
         path_log=_concat(logs),
         failures=failures,
         location_table=table,
-        decision_stats=stats,
+        decision_stats=DecisionStats(np.concatenate(comparisons).tolist()),
     )
 
 

@@ -136,6 +136,20 @@ class StampColumns:
         """StampStats.valid of each row."""
         return self.covered.all(axis=1) & (self.n_paths > 0)
 
+    def vertex_changes(self, lag: int) -> np.ndarray:
+        """path_evolution of each row i >= lag against row i - lag (lag >= 1,
+        the same set one stamp earlier), from one sort of (pair, satellite)
+        keys: pair i holds the vertices of rows i and i - lag, and a
+        satellite in both is one repeated key."""
+        count = np.diff(self.vertex_starts)
+        row = np.repeat(np.arange(count.size), count)
+        later, earlier = row >= lag, row < count.size - lag
+        span = int(self.vertices.max(initial=-1)) + 1
+        keys = np.sort(np.concatenate((row[later] * span + self.vertices[later],
+                                       (row[earlier] + lag) * span + self.vertices[earlier])))
+        shared = np.bincount(keys[1:][keys[1:] == keys[:-1]] // span, minlength=count.size)
+        return count[lag:] + count[:-lag] - 2 * shared[lag:]
+
     def rows(
         self, times: Sequence[datetime], vertex_changes: Sequence[int | None]
     ) -> list[StampStats]:

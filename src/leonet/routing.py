@@ -341,8 +341,9 @@ def trace_lockstep(
     raise ValueError. A trace's positions and legs are its snapshot's. Memory
     grows with the hops taken, not with the hop cap: of the per-stamp tables
     the batch stacks only the positions and the destinations' edge_km rows
-    (built from the edge links, edge_rows), and legs are read from each
-    snapshot's link lengths after the last step. The live rows are ordered
+    (built from the edge links, edge_rows), and legs are read after the last
+    step, each snapshot measuring only the links its traces took
+    (Snapshot.link_lengths). The live rows are ordered
     by rule once, closest pointing first and stably, and the closest-pointing
     count is carried through each compaction, so _keys ranks each rule on a
     slice. Returns the traces' Routes in batch order.
@@ -427,7 +428,7 @@ def trace_lockstep(
     legs = np.empty(trace.size)
     for k, s in enumerate(snaps):
         mine = stamp_of == k
-        legs[mine] = np.append(s.isl_lengths, np.inf)[link[mine]]
+        legs[mine] = s.link_lengths(link[mine])
     return _routes([(np.arange(n), src, np.zeros(n)), (trace, to, legs)], end, down_km)
 
 
@@ -459,10 +460,11 @@ def trace_path(
     return Path(tuple(r.sats.tolist()), legs, status, reason or None, down_km=down)
 
 
-def decision_counts(degree: np.ndarray, paths: PathSet | Routes) -> list[int]:
+def decision_counts(degree: np.ndarray, paths: PathSet | Routes) -> np.ndarray:
     """The candidate count of every forwarding decision of a batch of traces
     (anything with sats, starts and end columns), trace by trace, each in hop
-    order.
+    order, as an array of the smallest unsigned type that holds the highest
+    degree (uint8 on every grid).
 
     A decision ranks every neighbor of its relay: its count is the relay's
     degree. A trace decides at each satellite it leaves, and at its last one
@@ -471,7 +473,7 @@ def decision_counts(degree: np.ndarray, paths: PathSet | Routes) -> list[int]:
     """
     relay = np.ones(paths.sats.size, dtype=bool)
     relay[paths.starts[1:] - 1] = paths.end == _LOOP
-    return degree[paths.sats[relay]].tolist()
+    return degree[paths.sats[relay]].astype(np.min_scalar_type(degree.max(initial=0)))
 
 
 # -- shortest-path baselines --------------------------------------------------

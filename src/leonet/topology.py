@@ -196,38 +196,69 @@ def build_persistent_isls(constellation: Constellation, pattern: IslPattern) -> 
     return IslTemplate(pairs=uniq, kinds=kinds[first], sat_count=cfg.total_sats)
 
 
+def _coarse_floor(sn: np.ndarray, gn: np.ndarray, sin_min: float) -> np.ndarray:
+    """A floor on s . g for each (stamp, station) of a block, from the
+    satellites' radii sn (K, S) and the stations' gn (K, G): at or below the
+    exact prefilter's bound |g|^2 + (sin_min L - 1e-9 |s| - 1e-9 |g|) |g|
+    (_edge_links) of every satellite of the stamp, rounding included. L is
+    taken at the stamp's extreme |s|, and the margin is some 4,000 times the
+    rounding of either side."""
+    hi = sn.max(axis=1, initial=0.0)[:, None]
+    lo = sn.min(axis=1, initial=np.inf)[:, None]
+    reach = np.maximum(np.maximum(lo - gn, gn - hi), 0.0) if sin_min > 0.0 else hi + gn
+    return gn * gn + (sin_min * reach - 1e-9 * hi - 1e-9 * gn) * gn - 1e-12 * (hi + gn) * gn
+
+
 def _edge_links(
     pos: np.ndarray, ground: np.ndarray, min_elevation_deg: float
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Snapshot.edge_sats and edge_lengths of satellites at pos seen from
-    stations at ground at or above the minimum elevation.
+) -> list[tuple[list[np.ndarray], list[np.ndarray]]]:
+    """Snapshot.edge_sats and edge_lengths at each stamp k of a block: the
+    satellites at pos[k] (K, S, 3) that the stations at ground[k] (K, G, 3)
+    see at or above the minimum elevation, and the links' lengths.
 
     A satellite s that station g sees at elevation e >= eps has
     (s - g) . g = sin(e) |s - g| |g|, and |s - g| lies between ||s| - |g||
     and |s| + |g|, so s . g - |g|^2 >= sin(eps) L |g|, L the first when
-    sin(eps) > 0 and the second otherwise. One product gives s . g for every
-    station and satellite; that test, less a slack for rounding, keeps each
-    station's candidates, and elevation_angle decides on those alone, with
-    the per-satellite arithmetic of a whole-shell call. A coincident
-    satellite and a station at the Earth's centre are always candidates, so
-    the first station with either raises elevation_angle's ValueError.
+    sin(eps) > 0 and the second otherwise. That test, less a slack for
+    rounding, is each pair's exact prefilter. One product ground[k] @ pos[k].T
+    per stamp gives every s . g, a floor per (stamp, station) keeps coarse
+    candidates (_coarse_floor), and the exact prefilter runs on those alone.
+    elevation_angle decides on its survivors in one call for the block, each
+    (stamp, station) an observer whose rel @ g product runs over exactly its
+    own survivors: the rows, and so the bits, of a call for that station
+    alone over its prefiltered satellites. They need not be the bits of a
+    call over the whole shell, as a gemv's bits can depend on its row count;
+    the decisions are tested against such a loop. A coincident satellite and
+    a station at the Earth's centre always pass the prefilter, so the first
+    (stamp, station) with either raises elevation_angle's ValueError.
     """
+    stamps, count, width = pos.shape[0], pos.shape[1], ground.shape[1]  # K, S, G
     sin_min = float(np.sin(np.radians(min_elevation_deg)))
-    sn = np.linalg.norm(pos, axis=1)
-    slack = 1e-9 * sn
-    sats = []
-    for g, gn, rise in zip(ground, np.linalg.norm(ground, axis=1).tolist(), ground @ pos.T):
-        reach = np.abs(sn - gn) if sin_min > 0.0 else sn + gn
-        c = np.flatnonzero(rise - gn * gn >= (sin_min * reach - slack - 1e-9 * gn) * gn)
-        sats.append(c[elevation_angle(g, pos[c]) >= min_elevation_deg])
-    # every link's length in one batch, each row's arithmetic that of a station's own
-    counts = [c.size for c in sats]
-    st = np.repeat(np.arange(len(sats)), counts)
-    sat = np.concatenate([np.zeros(0, dtype=np.int64), *sats])
-    lengths = np.linalg.norm(pos[sat] - ground[st], axis=1)
-    cut = np.cumsum([0, *counts]).tolist()
-    sat = sat.astype(np.int32)
-    return [sat[a:b] for a, b in pairwise(cut)], [lengths[a:b] for a, b in pairwise(cut)]
+    sn, gn = np.linalg.norm(pos, axis=-1), np.linalg.norm(ground, axis=-1)
+    # (stamp, station) k * G + i and satellite k * S + s of every coarse candidate
+    rows, sats, rises = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
+    for k, (g, p, f) in enumerate(zip(ground, pos, _coarse_floor(sn, gn, sin_min))):
+        rise = g @ p.T
+        gi, si = np.nonzero(rise >= f[:, None])
+        rows.append(gi + k * width)
+        sats.append(si + k * count)
+        rises.append(rise[gi, si])
+    row, sat, rise = (np.concatenate(c) for c in (rows, sats, rises))
+    # the exact prefilter, each pair's arithmetic that of a station of its own
+    snc, gnc = sn.reshape(-1)[sat], gn.reshape(-1)[row]
+    reach = np.abs(snc - gnc) if sin_min > 0.0 else snc + gnc
+    keep = rise - gnc * gnc >= (sin_min * reach - 1e-9 * snc - 1e-9 * gnc) * gnc
+    row, sat = row[keep], sat[keep]
+    pos, ground = pos.reshape(-1, 3), ground.reshape(-1, 3)
+    el = elevation_angle(ground, pos[sat], np.bincount(row, minlength=stamps * width))
+    row, sat = row[el >= min_elevation_deg], sat[el >= min_elevation_deg]
+    lengths = np.linalg.norm(pos[sat] - ground[row], axis=1)
+    cut = np.searchsorted(row, np.arange(stamps * width + 1)).tolist()
+    sat = (sat % max(count, 1)).astype(np.int32)
+    sat_of = [sat[a:b] for a, b in pairwise(cut)]
+    km_of = [lengths[a:b] for a, b in pairwise(cut)]
+    return [(sat_of[k * width : (k + 1) * width], km_of[k * width : (k + 1) * width])
+            for k in range(stamps)]
 
 
 def edge_rows(sats: Sequence[np.ndarray], lengths: Sequence[np.ndarray], count: int) -> np.ndarray:
@@ -247,17 +278,21 @@ class Snapshot:
     Holds inertial satellite states, persistent link lengths, station
     positions, and the station-satellite edge links at the minimum elevation
     (_edge_links): edge_sats[i] (int32) and edge_lengths[i] list the
-    satellites station i sees, ascending, and their lengths. Tables derived
-    from them are built on first read, as routing a block of stamps holds
-    several snapshots at once: edge_km[i, s], the length of the link from
-    station i to satellite s, inf where i does not see s (edge_rows), and
-    slot_lengths, the link lengths laid out like the template's adjacency
-    table. So are velocities, on first read of sat_velocities, which only
-    crossing-link detection reads, unless supplied. Transient
+    satellites station i sees, ascending, and their lengths. snapshot and
+    synthetic_snapshot find the edge links at once, for a whole block of
+    stamps; a Snapshot made directly finds its own on first read. Tables
+    derived from them are built on first read, as routing a block of stamps
+    holds several snapshots at once: edge_km[i, s], the length of the link
+    from station i to satellite s, inf where i does not see s (edge_rows),
+    and slot_lengths, the link lengths laid out like the template's
+    adjacency table. So are velocities, on first read of sat_velocities,
+    which only crossing-link detection reads, unless supplied. Transient
     crossing-mesh links are intentionally absent. Persistent link lengths
-    are measured from the positions unless isl_lengths supplies them: one
-    per template link, finite and non-negative, else ValueError naming the
-    link (a negative weight would make the exact baselines relax forever).
+    (isl_lengths, one per template link) are measured from the positions on
+    first read, and link_lengths measures only the links it is asked for
+    until then, unless isl_lengths supplies them: finite and non-negative,
+    else ValueError naming the link at construction (a negative weight
+    would make the exact baselines relax forever).
     """
 
     def __init__(
@@ -288,18 +323,15 @@ class Snapshot:
             self.sat_velocities = sat_velocities  # shadows the propagating property
         self.isl_pairs = template.pairs
         self.isl_kinds = template.kinds
-        if isl_lengths is None:
-            diff = pos[template.pairs[:, 0]] - pos[template.pairs[:, 1]]
-            isl_lengths = np.linalg.norm(diff, axis=1)
-        else:
-            isl_lengths = km = np.asarray(isl_lengths, dtype=float)
+        if isl_lengths is not None:
+            km = np.asarray(isl_lengths, dtype=float)
             if km.shape != (template.edge_count,):
                 raise ValueError(f"isl_lengths of shape {km.shape} for {template.edge_count} links")
             bad = np.flatnonzero(~(np.isfinite(km) & (km >= 0.0)))
             if bad.size:
                 i, (a, b) = bad[0], template.pairs[bad[0]].tolist()
                 raise ValueError(f"link {i} ({a}, {b}) has length {km[i]}, not finite and >= 0")
-        self.isl_lengths = isl_lengths
+            self.isl_lengths = km  # shadows the measuring property
 
         epoch = constellation.config.epoch
         self.station_geodetic = tuple(s.position_at(t) for s in stations)
@@ -313,14 +345,44 @@ class Snapshot:
             ecef_to_eci(ecef, t, epoch) if stations else np.zeros((0, 3))
         )
 
-        self.edge_sats, self.edge_lengths = _edge_links(
-            pos, self.station_positions, self.min_elevation_deg
-        )
-
     @cached_property
     def sat_velocities(self) -> np.ndarray:
         """Inertial satellite velocities at t."""
         return self.constellation.velocities_at(self.t)
+
+    @cached_property
+    def _edges(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """(edge_sats, edge_lengths) of this stamp alone, a block of one."""
+        (links,) = _edge_links(
+            self.sat_positions[None], self.station_positions[None], self.min_elevation_deg
+        )
+        return links
+
+    @property
+    def edge_sats(self) -> list[np.ndarray]:
+        return self._edges[0]
+
+    @property
+    def edge_lengths(self) -> list[np.ndarray]:
+        return self._edges[1]
+
+    @cached_property
+    def isl_lengths(self) -> np.ndarray:
+        return self.link_lengths(np.arange(self.template.edge_count))
+
+    def link_lengths(self, links: np.ndarray) -> np.ndarray:
+        """The lengths of the template links links, inf at link E (the edge
+        count, the adjacency table's padding): read from isl_lengths once it
+        is built or supplied, else measured for these links alone, each by
+        the per-row norm that builds isl_lengths."""
+        known = self.__dict__.get("isl_lengths")
+        if known is not None:
+            return np.append(known, np.inf)[links]
+        real = links < self.template.edge_count
+        a, b = self.template.pairs[links[real]].T
+        out = np.full(links.shape, np.inf)
+        out[real] = np.linalg.norm(self.sat_positions[a] - self.sat_positions[b], axis=1)
+        return out
 
     @cached_property
     def edge_km(self) -> np.ndarray:
@@ -351,18 +413,31 @@ def snapshot(
     constellation: Constellation,
     stations: Iterable[Station],
     pattern: IslPattern,
-    t: datetime,
+    t: datetime | Sequence[datetime],
     min_elevation_deg: float,
     template: IslTemplate | None = None,
-) -> Snapshot:
-    """Assemble the network snapshot at stamp t.
+) -> Snapshot | list[Snapshot]:
+    """Assemble the network snapshot at stamp t, or the list of snapshots at
+    each stamp of a block t; a lone stamp is a block of one.
 
-    The persistent template may be passed in to amortize its construction
-    across stamps; it is rebuilt from the pattern otherwise.
+    A block is propagated in one call (Constellation.positions_at) and its
+    edge links found in one pass (_edge_links), each snapshot bit for bit the
+    one its stamp alone would give. The persistent template may be passed in
+    to amortize its construction across stamps; it is rebuilt from the
+    pattern otherwise.
     """
     if template is None:
         template = build_persistent_isls(constellation, pattern)
-    return Snapshot(t, constellation, tuple(stations), template, min_elevation_deg)
+    stamps, stations = [t] if isinstance(t, datetime) else list(t), tuple(stations)
+    pos = constellation.positions_at(stamps)
+    snaps = [
+        Snapshot(x, constellation, stations, template, min_elevation_deg, sat_positions=p)
+        for x, p in zip(stamps, pos)
+    ]
+    ground = np.array([s.station_positions for s in snaps]).reshape(len(snaps), len(stations), 3)
+    for snap, links in zip(snaps, _edge_links(pos, ground, min_elevation_deg)):
+        snap._edges = links
+    return snaps[0] if isinstance(t, datetime) else snaps
 
 
 def synthetic_snapshot(
@@ -379,16 +454,17 @@ def synthetic_snapshot(
     """Snapshot with caller-supplied states and (optionally) link lengths.
 
     Intended for analysis and tests where link weights are decoupled from
-    geometry: positions drive forwarding and the station edge links, and
-    every inter-satellite leg of a path, greedy or baseline, reads the
-    supplied lengths: one per link, finite and non-negative (else ValueError).
+    geometry: positions drive forwarding and the station edge links, found
+    at once, and every inter-satellite leg of a path, greedy or baseline,
+    reads the supplied lengths: one per link, finite and non-negative (else
+    ValueError).
     """
     template = IslTemplate(
         pairs=np.asarray(pairs, dtype=np.int32),
         kinds=np.asarray(kinds, dtype=np.int8),
         sat_count=constellation.sat_count,
     )
-    return Snapshot(
+    snap = Snapshot(
         t,
         constellation,
         stations,
@@ -398,6 +474,8 @@ def synthetic_snapshot(
         sat_velocities=np.asarray(velocities, dtype=float),
         isl_lengths=lengths,
     )
+    snap.edge_sats  # found at once, so that a station that cannot see raises here
+    return snap
 
 
 def detect_eisls(snap: Snapshot, l_h_km: float) -> np.ndarray:

@@ -232,6 +232,29 @@ class TestElevation:
         assert els[0] == pytest.approx(90.0)
         assert els[1] > els[2]
 
+    def test_a_group_of_observers_is_each_observer_alone(self):
+        rng = np.random.default_rng(3)
+        ground = np.stack([geodetic_to_ecef(GeodeticPoint(lat, lon)) for lat, lon in
+                           rng.uniform((-80.0, -180.0), (80.0, 180.0), size=(7, 2))])
+        counts = [0, 1, 5, 37, 0, 200, 3]
+        sats = rng.normal(size=(sum(counts), 3)) * 7000.0
+        got = elevation_angle(ground, sats, counts)
+        bounds = np.cumsum([0, *counts])
+        want = np.concatenate([elevation_angle(g, sats[a:b])
+                               for g, a, b in zip(ground, bounds, bounds[1:])])
+        assert got.shape == (sum(counts),) and got.tobytes() == want.tobytes()
+
+    def test_first_bad_observer_of_a_group_raises(self):
+        ground = np.array([[7000.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 7000.0, 0.0]])
+        sats = np.array([[0.0, 0.0, 8000.0], [1.0, 2.0, 3.0], [0.0, 7000.0, 0.0]])
+        with pytest.raises(ValueError, match="observer at the Earth center"):
+            elevation_angle(ground, sats, [1, 1, 1])
+        with pytest.raises(ValueError, match="satellite coincides"):
+            elevation_angle(ground[[0, 2, 1]], sats[[0, 2, 1]], [1, 1, 1])
+        # an observer with no rows still has to have a horizon
+        with pytest.raises(ValueError, match="observer at the Earth center"):
+            elevation_angle(ground, sats[[0, 0]], [2, 0, 0])
+
     @given(st.floats(-80, 80), st.floats(-170, 170))
     @settings(max_examples=100)
     def test_bounded(self, lat, lon):

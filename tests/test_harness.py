@@ -16,7 +16,7 @@ import os
 import subprocess
 import sys
 import weakref
-from datetime import timedelta
+from datetime import datetime, timedelta
 from itertools import product
 from pathlib import Path
 
@@ -51,7 +51,7 @@ from leonet.routing import (
     stamp_path_sets,
 )
 from leonet.scenario import load_scenario, scenario_from_dict
-from leonet.topology import ISL_KIND_NAMES, IslPattern, snapshot
+from leonet.topology import ISL_KIND_NAMES, IslPattern, Snapshot, snapshot
 from leonet.geometry import eci_to_geodetic, link_latency_ms, utc
 from leonet import cli, exporters
 
@@ -157,11 +157,12 @@ def edited_log(path, log, edit, scenario=None):
 
 
 def failing_at(stamp):
-    """harness.snapshot, raising RuntimeError('injected') at one stamp."""
+    """harness.snapshot, raising RuntimeError('injected') when one stamp is
+    the stamp or in the block of stamps asked for."""
     real_snapshot = harness.snapshot
 
     def flaky(constellation, stations, pattern, t, *args, **kwargs):
-        if t == stamp:
+        if stamp in ([t] if isinstance(t, datetime) else t):
             raise RuntimeError("injected")
         return real_snapshot(constellation, stations, pattern, t, *args, **kwargs)
 
@@ -252,6 +253,14 @@ class TestRunExperiment:
         comps = tiny_result.decision_stats.comparisons
         assert comps
         assert set(comps) == {4}  # single-bias grid degree
+
+    def test_decision_counts_cross_the_merge_as_one_array_per_block(self, tiny_result):
+        scn = tiny_scenario()
+        (outcome,) = harness._block_runner(scn, harness.snapshot_at(scn))(range(0, 2))
+        assert outcome.comparisons.dtype == np.uint8
+        comps = tiny_result.decision_stats.comparisons
+        assert all(type(c) is int for c in comps)  # summed into JSON by the benchmark
+        assert outcome.comparisons.tolist() == comps[: outcome.comparisons.size]
 
     def test_parallel_run_keeps_decision_stats(self, exp1_small):
         serial, _ = exp1_small
@@ -402,12 +411,13 @@ def coincident_at(stamp):
     real_snapshot = harness.snapshot
 
     def moved(*args, **kwargs):
-        snap = real_snapshot(*args, **kwargs)
-        if snap.t == stamp:
-            s, tpl = snap.edge_sats[0][0], snap.template
-            snap.sat_positions = snap.sat_positions.copy()
-            snap.sat_positions[tpl.nbr[s][tpl.real[s]]] = snap.sat_positions[s]
-        return snap
+        out = real_snapshot(*args, **kwargs)
+        for snap in [out] if isinstance(out, Snapshot) else out:
+            if snap.t == stamp:
+                s, tpl = snap.edge_sats[0][0], snap.template
+                snap.sat_positions = snap.sat_positions.copy()
+                snap.sat_positions[tpl.nbr[s][tpl.real[s]]] = snap.sat_positions[s]
+        return out
 
     return moved
 

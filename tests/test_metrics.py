@@ -24,6 +24,7 @@ from leonet.routing import STATUSES, PathSet, block_path_sets, join_path_sets
 from leonet.metrics import (
     FIBER_SPEED_KM_PER_S,
     ConnectionSeries,
+    StampColumns,
     StampStats,
     geodesic_reference_latency_ms,
     make_stamp_stats,
@@ -237,6 +238,24 @@ class TestPathEvolution:
         pa, pb, pc = (FakePath(tuple(sorted(x))) for x in (a, b, c))
         pa, pb, pc = (vertices([p]) for p in (pa, pb, pc))
         assert path_evolution(pa, pb) <= path_evolution(pa, pc) + path_evolution(pc, pb)
+
+    @given(
+        st.integers(1, 3),
+        st.lists(st.sets(st.integers(0, 40), max_size=8), min_size=1, max_size=12),
+    )
+    def test_block_pass_equals_the_pairwise_reference(self, lag, sets):
+        # rows of lag sets per stamp; each row against the row one stamp earlier
+        sets = sets[: len(sets) // lag * lag] or [set()] * lag
+        ids = [np.array(sorted(v), dtype=np.int32) for v in sets]
+        rows = len(ids)
+        starts = np.concatenate(([0], np.cumsum([v.size for v in ids])))
+        columns = StampColumns(
+            np.ones((rows, 2), bool), np.ones(rows, np.int64), np.zeros(rows, np.int64),
+            np.zeros((rows, 2), np.int64), np.zeros((rows, 8)), np.zeros(rows),
+            np.concatenate([np.zeros(0, np.int32), *ids]), starts,
+        )
+        want = [path_evolution(ids[i - lag], ids[i]) for i in range(lag, rows)]
+        assert columns.vertex_changes(lag).tolist() == want
 
 
 class TestStretch:

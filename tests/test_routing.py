@@ -713,7 +713,7 @@ class TestEnumeratePaths:
         snap = snapshot_shell(self.stations(), seconds=300)
         ps = enumerate_paths(snap, ALGO_MPLF_CPI, 0, 1)
         counts = decision_counts(snap.template.degree, ps)
-        assert counts  # at least one decision was made
+        assert counts.size  # at least one decision was made
         assert set(counts) == {4}
 
 
@@ -996,7 +996,7 @@ class TestLockstepKernel:
         got = trace_lockstep(snap, rules, srcs, stations, dests, cap)
         assert as_paths(got) == want
         # the paths alone give every decision the loop made, in its order
-        assert decision_counts(snap.template.degree, got) == counts
+        assert decision_counts(snap.template.degree, got).tolist() == counts
         # the batch of one is the same rule
         singles = [
             trace_path(snap, r, s, g, max_hops=cap, dest_pos=d)
@@ -1023,7 +1023,7 @@ class TestLockstepKernel:
         assert as_paths(got)[2].down_km == edge_length(snap, HUB, 2)
         # trace by trace: no decision at 0, a loop decided at 2, none at a
         # delivery or the cap
-        assert decision_counts(snap.template.degree, got) == [1, 2, 1, 1, 2]
+        assert decision_counts(snap.template.degree, got).tolist() == [1, 2, 1, 1, 2]
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):

@@ -425,6 +425,89 @@ class TestSnapshot:
         seen = assert_loop_edge_links(snap)
         assert 0 < seen < n
 
+    @pytest.mark.parametrize("name, pattern", [
+        ("experiment1_20x20.json", None), ("experiment1_40x40.json", None),
+        ("experiment2_40x40.json", None), ("experiment3_moving.json", None),
+        ("experiment3_moving.json", IslPattern(GRID_STAR, (-1, 0))),  # with aircraft
+    ])
+    def test_a_block_equals_its_stamps_alone(self, name, pattern):
+        # every stamp, in blocks of up to six, against the stamp built alone
+        scenario = load_scenario(SCENARIO_DIR / name)
+        scenario = replace(scenario, pattern=pattern or scenario.pattern)
+        const = build_walker(scenario.constellation)
+        tpl = build_persistent_isls(const, scenario.pattern)
+        rng = np.random.default_rng(5)
+
+        def at(t):
+            return snapshot(const, scenario.stations, scenario.pattern, t,
+                            scenario.elevation_min_deg, template=tpl)
+
+        stamps = scenario.time.stamps()
+        for first in range(0, len(stamps), 6):
+            block = at(stamps[first : first + 6])
+            assert [s.t for s in block] == list(stamps[first : first + 6])
+            for snap in block:
+                alone = at(snap.t)
+                # the legs a trace takes are measured alone, before isl_lengths is read
+                links = rng.integers(0, tpl.edge_count + 1, size=64)
+                got = snap.link_lengths(links)
+                assert "isl_lengths" not in vars(snap)
+                assert got.tobytes() == np.append(alone.isl_lengths, np.inf)[links].tobytes()
+                for field in ("sat_positions", "isl_lengths", "station_positions"):
+                    assert getattr(snap, field).tobytes() == getattr(alone, field).tobytes()
+                for got, want in zip((snap.edge_sats, snap.edge_lengths),
+                                     (alone.edge_sats, alone.edge_lengths)):
+                    assert len(got) == len(want) == len(scenario.stations)
+                    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+                assert_loop_edge_links(snap)
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           min_el=st.sampled_from([-30.0, 0.0, 10.0, 40.0, 75.0]) | st.floats(-90.0, 90.0),
+           stamps=st.integers(1, 3), one_shell=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_coarse_floor_keeps_every_exact_candidate(self, seed, min_el, stamps, one_shell):
+        # the radii of test_edge_links_equal_the_station_loop_at_mixed_radii,
+        # or one radius, where only rounding tells the satellites' bounds
+        # apart; stations on the ground, in the air and at the Earth's centre
+        rng = np.random.default_rng(seed)
+        n = 400
+        direction = rng.normal(size=(stamps, n, 3))
+        direction /= np.linalg.norm(direction, axis=-1)[..., None]
+        radius = rng.choice([0.0, 10.0, EARTH_RADIUS_KM - 50.0, EARTH_RADIUS_KM + 0.5,
+                             EARTH_RADIUS_KM + 550.0, 8000.0, 42164.0], size=(stamps, n))
+        radius += rng.uniform(0.0, 300.0, size=(stamps, n))
+        shell_km = EARTH_RADIUS_KM + 550.0
+        pos = direction * (shell_km if one_shell else radius[..., None])
+        ground = np.stack([
+            [geodetic_to_ecef(GeodeticPoint(lat, lon, alt)) for lat, lon, alt in zip(
+                rng.uniform(-90.0, 90.0, 6), rng.uniform(-180.0, 180.0, 6),
+                rng.choice([0.0, 10.0, 550.0], 6))] + [np.zeros(3)]
+            for _ in range(stamps)
+        ])
+        sin_min = float(np.sin(np.radians(min_el)))
+        if one_shell:
+            # half the shell on the exact bound of the first station, where
+            # rounding alone decides the exact prefilter
+            g, d = ground[:, :1], direction[:, : n // 2]
+            gn = np.linalg.norm(g, axis=-1, keepdims=True)
+            reach = abs(shell_km - gn) if sin_min > 0.0 else shell_km + gn
+            along = gn + sin_min * reach - 1e-9 * (shell_km + gn)
+            side = d - (d * g).sum(-1, keepdims=True) * g / gn**2
+            side /= np.linalg.norm(side, axis=-1, keepdims=True)
+            across = np.sqrt(np.maximum(shell_km**2 - along**2, 0.0))
+            pos[:, : n // 2] = along * g / gn + across * side
+        sn, gn = np.linalg.norm(pos, axis=-1), np.linalg.norm(ground, axis=-1)
+        floor = topology._coarse_floor(sn, gn, sin_min)
+        kept = 0
+        for k in range(stamps):
+            # the exact prefilter of _edge_links, over every pair
+            rise, s, g = ground[k] @ pos[k].T, sn[k][None, :], gn[k][:, None]
+            reach = np.abs(s - g) if sin_min > 0.0 else s + g
+            exact = rise - g * g >= (sin_min * reach - 1e-9 * s - 1e-9 * g) * g
+            assert (rise >= floor[k][:, None])[exact].all()
+            kept += int(exact.sum())
+        assert kept >= stamps * n  # the station at the centre keeps every satellite
+
     def test_edge_links_at_zero_elevation_on_a_real_shell(self):
         const = shell(20, 20)
         sts = [ground("a", 45.0, 10.0), ground("b", 0.0, -70.0)]
