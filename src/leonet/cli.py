@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import chain
 from pathlib import Path as FsPath
 
 from .exporters import (
@@ -36,7 +37,7 @@ from .exporters import (
     write_metrics_csv,
     write_summary_csv,
 )
-from .harness import ExperimentResult, analyze_rows, run_experiment, snapshot_at
+from .harness import ExperimentResult, _blocks, analyze_rows, run_experiment, snapshot_at
 from .scenario import load_scenario
 from .topology import DirectionHistogram, EislTracker
 
@@ -62,10 +63,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         else EislTracker([scenario.eisl_l_h_km], scenario.time.step_s)
     )
 
-    def stamps():
-        # one snapshot per stamp, fed to every artifact while edges.csv is written
-        snaps = map(snapshot_at(scenario), scenario.time.stamps())
-        for i, snap in enumerate(snaps):
+    def snapshots():
+        # a block of snapshots at a time, each fed to every artifact while
+        # edges.csv is written
+        snapshot_of, stamps = snapshot_at(scenario), scenario.time.stamps()
+        blocks = (snapshot_of([stamps[i] for i in block]) for block in _blocks(len(stamps)))
+        for i, snap in enumerate(chain.from_iterable(blocks)):
             hist.add(snap)
             if eisl is not None:
                 eisl.add(snap)
@@ -74,7 +77,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
                 snapshot_links_geojson(snap, out / "links.geojson")
             yield snap
 
-    write_edges_csv(stamps(), out / "edges.csv")
+    write_edges_csv(snapshots(), out / "edges.csv")
     write_direction_histogram_csv(hist.result(), out / "direction_histogram.csv")
     if eisl is not None:
         write_eisl_csv(eisl.result(), out)

@@ -157,11 +157,12 @@ class Constellation:
         a = self.config.semi_major_axis_km
         return a * (np.cos(u)[..., None] * self._p_axis + np.sin(u)[..., None] * self._q_axis)
 
-    def velocities_at(self, t: datetime) -> np.ndarray:
-        """ECI velocities (sat_count, 3) in km/s at time t >= epoch."""
+    def velocities_at(self, t: datetime | Sequence[datetime]) -> np.ndarray:
+        """ECI velocities (sat_count, 3) in km/s at time t >= epoch, or
+        (len(t), sat_count, 3) at each stamp of a sequence t, as positions_at."""
         u = self._arg_lat(t)
         va = self.config.semi_major_axis_km * self.config.mean_motion_rad_per_s
-        return va * (-np.sin(u)[:, None] * self._p_axis + np.cos(u)[:, None] * self._q_axis)
+        return va * (-np.sin(u)[..., None] * self._p_axis + np.cos(u)[..., None] * self._q_axis)
 
 
 def build_walker(config: ConstellationConfig) -> Constellation:

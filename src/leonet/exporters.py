@@ -4,10 +4,13 @@ All floats are written with fixed six-decimal formatting and rows follow the
 run's natural order, so re-running an identical scenario reproduces the
 output byte for byte. The path log is columns (harness.PathLog) on both sides
 of paths.csv; its rows are named from the scenario and checked as they are read.
-The writers take one snapshot at a time: GeoJSON is streamed feature by
-feature, with each snapshot's sub-points converted and encoded once. The
-per-row tables (paths.csv, metrics.csv, the CDF tables) are formatted a
-column and a block of rows at a time, to the bytes csv.writer gives.
+The writers take one snapshot at a time. GeoJSON is streamed a list of
+features at a time, each formatted from its writer's text template (no
+per-feature JSON encoder), with each snapshot's sub-points converted in one
+batch and formatted once; paths.geojson builds its snapshots a block of
+stamps at a time. The per-row tables (edges.csv, paths.csv, metrics.csv,
+the CDF tables) are formatted a column or a format and a block of rows at a
+time, to the bytes csv.writer gives.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .geometry import GeodeticPoint, eci_to_geodetic, link_latency_ms
-from .harness import _MPLF_ALGOS, ExperimentResult, PathLog, PathLogError, _path_sets
+from .geometry import eci_to_lonlat, link_latency_ms
+from .harness import _MPLF_ALGOS, ExperimentResult, PathLog, PathLogError, _blocks, _path_sets
 from .harness import check_stamp, snapshot_at
 from .metrics import ConnectionSeries, ConnectionSummary
 from .routing import STATUSES
@@ -316,24 +319,34 @@ def _links(snap: Snapshot) -> Iterator[tuple[list, list[float], list[float]]]:
     yield from _edge_links(snap)
 
 
+def _row_format(ends: list[tuple[int, int, str]]) -> str:
+    """The %-format of the edges.csv rows of links ends, (src, dst, kind)
+    each: NUL stands for the time, and each row has a %.6f slot for its
+    length and one for its latency (the text of f"{x:.6f}")."""
+    return "".join([f"\0,{a},{b},{kind},%.6f,%.6f\r\n" for a, b, kind in ends])
+
+
 def write_edges_csv(snapshots: Iterable[Snapshot], path: FsPath) -> None:
     """One row per link and stamp, in _links order, as csv.writer writes them
-    (CRLF line ends; no cell needs quoting). A persistent link's src, dst and
-    kind cells do not change over time, so they are formatted once per
-    template; each stamp formats its time, lengths and latencies."""
-    template, heads = None, []
+    (CRLF line ends; no cell needs quoting). Each block of rows is one
+    _row_format, the stamp's time put in its place and every length and
+    latency filled in by one %. A persistent link's src, dst and kind cells
+    do not change over time, so its blocks' formats are built once per
+    template."""
+    template, formats = None, []
     with path.open("w", newline="") as fh:
         fh.write("t,src,dst,kind,length_km,latency_ms\r\n")
         for snap in snapshots:
             if snap.template is not template:
-                template = snap.template
-                heads = [f"{a},{b},{kind}," for a, b, kind in _link_ends(template)]
+                template, links = snap.template, _link_ends(snap.template)
+                formats = [_row_format(links[lo : lo + _EDGE_BLOCK])
+                           for lo in range(0, len(links), _EDGE_BLOCK)]
             ts = _t(snap.t)
-            isls = ((heads[lo : lo + len(ln)], ln, ms) for lo, ln, ms in _isl_blocks(snap))
-            edges = (([f"{a},{b},{k}," for a, b, k in e], *rest) for e, *rest in _edge_links(snap))
-            for cells, lengths, latencies in chain(isls, edges):
-                rows = zip(cells, lengths, latencies)
-                fh.write("".join([f"{ts},{h}{ln:.6f},{ms:.6f}\r\n" for h, ln, ms in rows]))
+            isls = ((formats[lo // _EDGE_BLOCK], *rest) for lo, *rest in _isl_blocks(snap))
+            edges = ((_row_format(ends), *rest) for ends, *rest in _edge_links(snap))
+            for form, lengths, latencies in chain(isls, edges):
+                values = tuple(chain.from_iterable(zip(lengths, latencies)))
+                fh.write(form.replace("\0", ts) % values)
 
 
 def write_direction_histogram_csv(hist: np.ndarray, path: FsPath) -> None:
@@ -359,24 +372,64 @@ def write_eisl_csv(stats: dict[float, EislStats], out_dir: FsPath) -> None:
 
 # -- GeoJSON -------------------------------------------------------------------
 #
-# A collection is written feature by feature. With sorted keys "features"
-# precedes "type", so the stream is byte for byte the one
+# A collection is written a list of features at a time. With sorted keys
+# "features" precedes "type", so the stream is byte for byte the one
 # json.dumps(collection, sort_keys=True, separators=(",", ":")) it replaces.
+# Each feature is formatted from its writer's template, whose properties are
+# in that sorted order: names and kinds pass the encoder once per writer and
+# value (ensure_ascii, as json.dumps), rounded floats are written as json
+# writes them (_rounded) and ints as str (%d).
 
 _json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def _write_geojson(path: FsPath, features: Iterable[str]) -> None:
-    """Write a FeatureCollection of encoded features through a temporary file
-    beside path, renamed onto it when complete and removed on any error, so
-    a failed write leaves no file."""
+def _rounded(values: list[float], digits: int) -> list[str]:
+    """The JSON text of round(v, digits), its float.__repr__, for each finite
+    v, from one fixed-point format each. round and the "f" format take the
+    same correctly rounded decimal digits, so that text, trailing zeros
+    dropped, is the rounded value's decimal, and a decimal of at most 15
+    significant digits (16 characters) is the shortest repr of the double
+    nearest it. repr writes an exponent below 1e-4, so those values, and any
+    longer text, take repr(round(v, digits)) itself."""
+    spec = f"%.{digits}f"
+    texts = [(spec % v).rstrip("0") for v in values]
+    return [
+        repr(round(v, digits)) if len(t) > 16 or t.startswith(("0.0000", "-0.0000"))
+        else t + "0" if t[-1] == "."
+        else t
+        for v, t in zip(values, texts)
+    ]
+
+
+def _feature_format(geometry: str, properties: str) -> str:
+    """The %-format of a feature of a geometry type: its coordinates' text,
+    then the values of properties, the text inside its properties object
+    with one %-slot per value, keys in sorted order."""
+    head = '{"geometry":{"coordinates":%s,"type":' + _json(geometry) + '},"properties":{'
+    return head + properties + '},"type":"Feature"}'
+
+
+_SATELLITE = _feature_format("Point", '"id":%d,"kind":%s')
+_STATION = _feature_format("Point", '"id":%d,"kind":%s,"name":%s')
+_LINK = _feature_format("LineString", '"kind":%s,"latency_ms":%s,"length_km":%s')
+_PATH = _feature_format(
+    "LineString",
+    '"algorithm":%s,"dst_station":%s,"hop_count":%d,"latency_ms":%s,"src_station":%s,'
+    '"status":%s,"t":%s',
+)
+
+
+def _write_geojson(path: FsPath, blocks: Iterable[list[str]]) -> None:
+    """Write a FeatureCollection of features, given as lists of their JSON
+    texts, through a temporary file beside path, renamed onto it when
+    complete and removed on any error, so a failed write leaves no file."""
     part = path.with_name(path.name + ".part")
     try:
         with part.open("w") as fh:
             fh.write('{"features":[')
             sep = ""
-            for feature in features:
-                fh.write(sep + feature)
+            for features in filter(None, blocks):
+                fh.write(sep + ",".join(features))
                 sep = ","
             fh.write('],"type":"FeatureCollection"}\n')
         part.replace(path)
@@ -385,23 +438,15 @@ def _write_geojson(path: FsPath, features: Iterable[str]) -> None:
         raise
 
 
-def _feature(kind: str, coordinates: str, properties: dict) -> str:
-    """A feature's JSON text around its encoded coordinates."""
-    return (
-        f'{{"geometry":{{"coordinates":{coordinates},"type":"{kind}"}},'
-        f'"properties":{_json(properties)},"type":"Feature"}}'
-    )
-
-
-def _lonlat(points: Iterable[GeodeticPoint]) -> list[str]:
+def _lonlat(lon: list[float], lat: list[float]) -> list[str]:
     """The JSON text [lon,lat] of each point, rounded to six decimals."""
-    return [_json([round(g.lon_deg, 6), round(g.lat_deg, 6)]) for g in points]
+    return [f"[{x},{y}]" for x, y in zip(_rounded(lon, 6), _rounded(lat, 6))]
 
 
 def _subpoints(snap: Snapshot, sats: np.ndarray) -> list[str]:
     """_lonlat of the sub-points of sats at the snapshot's stamp, one batch."""
     epoch = snap.constellation.config.epoch
-    return _lonlat(eci_to_geodetic(snap.sat_positions[sats], snap.t, epoch))
+    return _lonlat(*eci_to_lonlat(snap.sat_positions[sats], snap.t, epoch))
 
 
 # node id -> _lonlat, per snapshot: the nodes and links writers share one batch
@@ -413,66 +458,76 @@ def _node_lonlat(snap: Snapshot) -> list[str]:
     converted once per snapshot."""
     lonlat = _NODE_LONLAT.get(snap)
     if lonlat is None:
-        lonlat = _subpoints(snap, np.arange(snap.sat_count)) + _lonlat(snap.station_geodetic)
+        stations = snap.station_geodetic
+        lonlat = _subpoints(snap, np.arange(snap.sat_count))
+        lonlat += _lonlat([g.lon_deg for g in stations], [g.lat_deg for g in stations])
         _NODE_LONLAT[snap] = lonlat
     return lonlat
 
 
 def snapshot_nodes_geojson(snap: Snapshot, path: FsPath) -> None:
     """Write the snapshot's nodes to path as Point features."""
-    lonlat = _node_lonlat(snap)
-    props = [{"id": s, "kind": "satellite"} for s in range(snap.sat_count)]
-    props += [
-        {"id": snap.station_node(i), "kind": st.kind, "name": st.name}
+    lonlat, count, kind = _node_lonlat(snap), snap.sat_count, _json("satellite")
+    sats = [_SATELLITE % (lonlat[s], s, kind) for s in range(count)]
+    stations = [
+        _STATION % (lonlat[count + i], count + i, _json(st.kind), _json(st.name))
         for i, st in enumerate(snap.stations)
     ]
-    _write_geojson(path, (_feature("Point", lonlat[p["id"]], p) for p in props))
+    _write_geojson(path, [sats, stations])
 
 
 def snapshot_links_geojson(snap: Snapshot, path: FsPath) -> None:
     """Write the snapshot's links to path as LineString features, in _links order."""
     lonlat = _node_lonlat(snap)
-    features = (
-        _feature(
-            "LineString",
-            f"[{lonlat[a]},{lonlat[b]}]",
-            {"kind": kind, "length_km": round(length, 3), "latency_ms": round(latency, 6)},
-        )
+    kinds = {kind: _json(kind) for kind in (*ISL_KIND_NAMES, KIND_GSL, KIND_MSL)}
+    blocks = (
+        [
+            _LINK % (f"[{lonlat[a]},{lonlat[b]}]", kinds[kind], ms, km)
+            for (a, b, kind), km, ms in zip(ends, _rounded(lengths, 3), _rounded(latencies, 6))
+        ]
         for ends, lengths, latencies in _links(snap)
-        for (a, b, kind), length, latency in zip(ends, lengths, latencies)
     )
-    _write_geojson(path, features)
+    _write_geojson(path, blocks)
 
 
 def paths_geojson(scenario: Scenario, log: PathLog, path: FsPath) -> None:
     """Write the delivered rows of a path log to path as LineString features
-    of satellite sub-points, hop_count their vertex count minus one, one run
-    of rows at one stamp at a time. Each run is checked against that stamp's
-    snapshot (check_stamp), the only one kept, and the sub-points of its
-    delivered rows are converted and encoded once."""
+    of satellite sub-points, hop_count their vertex count minus one. The log
+    is read in runs of rows at one stamp, whose snapshots are built a block
+    of runs at a time (harness._blocks, one snapshot_at call each), the only
+    block kept. Each run is checked against its snapshot (check_stamp), and
+    the sub-points of its delivered rows are converted and formatted once."""
     snapshot_of, stamps = snapshot_at(scenario), scenario.time.stamps()
-    sets, names = _path_sets(scenario), _set_names(scenario)
+    sets, status = _path_sets(scenario), _json(STATUSES[0])
+    names = [tuple(map(_json, n)) for n in _set_names(scenario)]
     # the first row of each run, then the row count: stamps are >= 0
     cut = np.flatnonzero(np.diff(log.stamp, prepend=-1, append=-1)).tolist()
+    runs = list(pairwise(cut))
 
-    def features() -> Iterator[str]:
-        for lo, hi in pairwise(cut):
-            part = log.take(np.arange(lo, hi))
-            snap = snapshot_of(stamps[part.stamp[0]])
+    def snapshots() -> Iterator[tuple[tuple[int, int], PathLog, Snapshot]]:
+        for block in _blocks(len(runs)):
+            parts = [log.take(np.arange(*runs[r])) for r in block]
+            yield from zip(runs[block.start : block.stop], parts,
+                           snapshot_of([stamps[p.stamp[0]] for p in parts]))
+
+    def features() -> Iterator[list[str]]:
+        for (lo, hi), part, snap in snapshots():
             check_stamp(snap, sets, part, np.arange(lo + 1, hi + 1))
             delivered = np.repeat(part.end == 0, np.diff(part.starts))
             needed = np.unique(part.sats[delivered])
-            lonlat = dict(zip(needed.tolist(), _subpoints(snap, needed)))
-            sats, starts, t = part.sats.tolist(), part.starts.tolist(), _t(snap.t)
-            rows = zip(part.path_set.tolist(), part.latency_ms.tolist(), part.end.tolist())
+            lonlat = dict(zip(needed.tolist(), _subpoints(snap, needed))).__getitem__
+            sats, starts, t = part.sats.tolist(), part.starts.tolist(), _json(_t(snap.t))
+            rows = zip(part.path_set.tolist(), _rounded(part.latency_ms.tolist(), 6),
+                       part.end.tolist())
+            features = []
             for (k, ms, e), (a, b) in zip(rows, pairwise(starts)):
                 if e == 0:
                     algo, src, dst = names[k]
-                    props = {"t": t, "algorithm": algo, "src_station": src, "dst_station": dst,
-                             "hop_count": b - a - 1, "latency_ms": round(ms, 6),
-                             "status": STATUSES[0]}
-                    coordinates = ",".join([lonlat[s] for s in sats[a:b]])
-                    yield _feature("LineString", f"[{coordinates}]", props)
+                    coordinates = ",".join(map(lonlat, sats[a:b]))
+                    hops = b - a - 1
+                    features.append(_PATH % (f"[{coordinates}]", algo, dst, hops, ms, src,
+                                             status, t))
+            yield features
 
     _write_geojson(path, features())
 

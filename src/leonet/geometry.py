@@ -75,29 +75,33 @@ def geodetic_to_ecef(point: GeodeticPoint) -> np.ndarray:
     )
 
 
+def _lat_lon(e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Latitudes, longitudes (degrees; the longitude not folded yet) and radii
+    of an (n, 3) batch of ECEF positions (km). The radii, the quotients z / r
+    and the conversions to degrees are numpy passes, whose division and
+    multiplication round as Python's (np.degrees multiplies as math.degrees
+    does); the trigonometry stays scalar (math.asin, math.atan2), which
+    numpy's vector kernels do not match bit for bit."""
+    r = np.sqrt(np.vecdot(e, e))
+    if not r.all():
+        raise ValueError("zero-length position has no geodetic coordinates")
+    lat = np.degrees(np.array(list(map(math.asin, (e[:, 2] / r).tolist()))))
+    lon = np.degrees(np.array(list(map(math.atan2, e[:, 1].tolist(), e[:, 0].tolist()))))
+    return lat, lon, r
+
+
 def ecef_to_geodetic(p: np.ndarray) -> GeodeticPoint | list[GeodeticPoint]:
     """Geodetic point of a (3,) ECEF position (km), or the list of them for
-    an (n, 3) batch; a single point is the batch of one. Other shapes raise
-    ValueError.
-
-    The radii come from one numpy pass; the trigonometry stays scalar
-    (math.asin, math.atan2), which numpy's vector kernels do not match bit
-    for bit.
+    an (n, 3) batch (_lat_lon); a single point is the batch of one. Other
+    shapes raise ValueError.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim not in (1, 2) or p.shape[-1] != 3:
         raise ValueError(f"expected a (3,) position or an (n, 3) batch, not shape {p.shape}")
-    e = p.reshape(-1, 3)
-    r = np.sqrt(np.vecdot(e, e))
-    if not r.all():
-        raise ValueError("zero-length position has no geodetic coordinates")
+    lat, lon, r = _lat_lon(p.reshape(-1, 3))
     points = [
-        GeodeticPoint(
-            math.degrees(math.asin(z / ri)),
-            math.degrees(math.atan2(y, x)),
-            max(ri - EARTH_RADIUS_KM, 0.0),
-        )
-        for (x, y, z), ri in zip(e.tolist(), r.tolist())
+        GeodeticPoint(a, o, max(ri - EARTH_RADIUS_KM, 0.0))
+        for a, o, ri in zip(lat.tolist(), lon.tolist(), r.tolist())
     ]
     return points[0] if p.ndim == 1 else points
 
@@ -133,6 +137,17 @@ def eci_to_geodetic(
 ) -> GeodeticPoint | list[GeodeticPoint]:
     """ecef_to_geodetic of inertial positions at time t, one rotation for a batch."""
     return ecef_to_geodetic(eci_to_ecef(p, t, epoch))
+
+
+def eci_to_lonlat(p: np.ndarray, t: datetime, epoch: datetime) -> tuple[list[float], list[float]]:
+    """The longitudes and latitudes (degrees) of an (n, 3) batch of inertial
+    positions at time t: the lon_deg and lat_deg of eci_to_geodetic's points,
+    bit for bit, without building them. GeodeticPoint's longitude fold runs
+    in numpy, whose remainder rounds as Python's does."""
+    lat, lon, _ = _lat_lon(eci_to_ecef(np.asarray(p, dtype=float).reshape(-1, 3), t, epoch))
+    lon %= 360.0
+    lon[lon > 180.0] -= 360.0
+    return lon.tolist(), lat.tolist()
 
 
 def elevation_angle(

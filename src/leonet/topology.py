@@ -48,6 +48,10 @@ ISL_KIND_NAMES = (KIND_IISL, KIND_SISL)
 # sources, it leaves 416 to compute (375 at 256, 648 at 64).
 HOP_ROW_LIMIT = 128
 
+# the most cells to a side of detect_eisls' grid: its start table holds at
+# most (_EISL_CELLS + 3) ** 3 entries (2.4 MB) whatever the radius
+_EISL_CELLS = 64
+
 
 @dataclass(frozen=True)
 class IslPattern:
@@ -272,6 +276,18 @@ def edge_rows(sats: Sequence[np.ndarray], lengths: Sequence[np.ndarray], count: 
     return rows
 
 
+class _BlockVelocities:
+    """The satellite velocities at each stamp of a block, propagated in one
+    call (Constellation.velocities_at) on first read."""
+
+    def __init__(self, constellation: Constellation, stamps: list[datetime]) -> None:
+        self.constellation, self.stamps = constellation, stamps
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        return self.constellation.velocities_at(self.stamps)
+
+
 class Snapshot:
     """Immutable-by-convention picture of the network at one stamp.
 
@@ -286,7 +302,8 @@ class Snapshot:
     from station i to satellite s, inf where i does not see s (edge_rows),
     and slot_lengths, the link lengths laid out like the template's
     adjacency table. So are velocities, on first read of sat_velocities,
-    which only crossing-link detection reads, unless supplied. Transient
+    which only crossing-link detection reads, unless supplied: the first
+    snapshot of a block to read them propagates the block's. Transient
     crossing-mesh links are intentionally absent. Persistent link lengths
     (isl_lengths, one per template link) are measured from the positions on
     first read, and link_lengths measures only the links it is asked for
@@ -321,6 +338,7 @@ class Snapshot:
         self.sat_positions = pos
         if sat_velocities is not None:
             self.sat_velocities = sat_velocities  # shadows the propagating property
+        self._velocities, self._row = _BlockVelocities(constellation, [t]), 0
         self.isl_pairs = template.pairs
         self.isl_kinds = template.kinds
         if isl_lengths is not None:
@@ -347,8 +365,8 @@ class Snapshot:
 
     @cached_property
     def sat_velocities(self) -> np.ndarray:
-        """Inertial satellite velocities at t."""
-        return self.constellation.velocities_at(self.t)
+        """Inertial satellite velocities at t, row _row of its block's."""
+        return self._velocities.rows[self._row]
 
     @cached_property
     def _edges(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -420,7 +438,8 @@ def snapshot(
     """Assemble the network snapshot at stamp t, or the list of snapshots at
     each stamp of a block t; a lone stamp is a block of one.
 
-    A block is propagated in one call (Constellation.positions_at) and its
+    A block is propagated in one call (Constellation.positions_at, and
+    velocities_at on first read of any snapshot's sat_velocities) and its
     edge links found in one pass (_edge_links), each snapshot bit for bit the
     one its stamp alone would give. The persistent template may be passed in
     to amortize its construction across stamps; it is rebuilt from the
@@ -435,8 +454,9 @@ def snapshot(
         for x, p in zip(stamps, pos)
     ]
     ground = np.array([s.station_positions for s in snaps]).reshape(len(snaps), len(stations), 3)
-    for snap, links in zip(snaps, _edge_links(pos, ground, min_elevation_deg)):
-        snap._edges = links
+    velocities = _BlockVelocities(constellation, stamps)
+    for k, (snap, links) in enumerate(zip(snaps, _edge_links(pos, ground, min_elevation_deg))):
+        snap._edges, snap._velocities, snap._row = links, velocities, k
     return snaps[0] if isinstance(t, datetime) else snaps
 
 
@@ -485,10 +505,16 @@ def detect_eisls(snap: Snapshot, l_h_km: float) -> np.ndarray:
     A pair qualifies when its inertial distance is below the activation
     radius, the two satellites move with opposite vertical sense, and it is
     not persistently linked (IslTemplate.linked). Only ascending-descending
-    pairs can qualify, so the ascending satellites are sorted on the axis of
-    largest spread and each descending one is swept against the window within
-    the radius on that axis; the predicates run on those candidates alone, the
-    link test on the near ones, in O(S + candidates) memory.
+    pairs can qualify, and only within one cell of each other on a grid of
+    cubic cells whose edge is at least the radius (padded for the rounding of
+    the cell coordinates). The ascending satellites are ordered by cell and a
+    start table (one bincount over the grid) gives each cell's run, so each
+    descending satellite takes the 27 cells around its own as nine runs, one
+    per column of three cells adjacent in that order. The predicates run on
+    those candidates alone, the link test on the near ones, in O(S +
+    candidates + grid) memory. The grid has at most _EISL_CELLS cells to a
+    side (larger cells at tiny radii), so its table stays small and its keys
+    far inside int64 whatever the radius.
     """
     if l_h_km <= 0:
         raise ValueError("activation radius must be positive")
@@ -496,15 +522,22 @@ def detect_eisls(snap: Snapshot, l_h_km: float) -> np.ndarray:
     vz = snap.sat_velocities[:, 2]
     up = np.flatnonzero(vz > 0.0)
     down = np.flatnonzero(vz < 0.0)
-    axis = int(np.argmax(np.ptp(pos, axis=0)))
-    up = up[np.argsort(pos[up, axis], kind="stable")]
-    x, q = pos[up, axis], pos[down, axis]
-    # the pad covers the rounding of the window ends
-    reach = l_h_km + 1e-9 * (l_h_km + float(np.abs(pos[:, axis]).max()))
-    lo = np.searchsorted(x, q - reach, side="left")
-    width = np.searchsorted(x, q + reach, side="right") - lo
+    low = pos.min(axis=0)
+    reach = l_h_km + 1e-9 * (l_h_km + float(np.abs(pos).max()))
+    edge = max(reach, float((pos.max(axis=0) - low).max()) / _EISL_CELLS)
+    cell = ((pos - low) / edge).astype(np.int64) + 1  # an empty cell on each side
+    dims = cell.max(axis=0) + 2
+    key = (cell[:, 0] * dims[1] + cell[:, 1]) * dims[2] + cell[:, 2]
+    first = np.zeros(int(dims.prod()) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key[up], minlength=first.size - 1), out=first[1:])
+    up = up[np.argsort(key[up])]
+    # the middle cell of each of the nine columns around a descending satellite
+    columns = (np.arange(-1, 2)[:, None] * dims[1] + np.arange(-1, 2)).ravel() * dims[2]
+    at = (key[down, None] + columns).ravel()
+    lo = first[at - 1]
+    width = first[at + 2] - lo
     n = int(width.sum())
-    b = np.repeat(down, width)
+    b = np.repeat(np.repeat(down, 9), width)
     a = up[np.arange(n) - np.repeat(np.cumsum(width) - width - lo, width)]
 
     keep = (np.sum((pos[a] - pos[b]) ** 2, axis=-1) < l_h_km * l_h_km) & (vz[a] * vz[b] < 0.0)

@@ -116,6 +116,16 @@ class TestPropagation:
             assert pos.tobytes() == c.positions_at(t).tobytes()
         assert c.positions_at([]).shape == (0, c.sat_count, 3)
 
+    @pytest.mark.parametrize("shape", [(6, 5, 2), (40, 40, 0), (22, 72, 39)])
+    def test_a_block_of_velocities_is_each_stamp_alone(self, shape):
+        c = build_walker(make_config(*shape))
+        stamps = [EPOCH + timedelta(seconds=3600.0 + 10.0 * i) for i in range(13)]
+        block = c.velocities_at(stamps)
+        assert block.shape == (13, c.sat_count, 3)
+        for t, vel in zip(stamps, block):
+            assert vel.tobytes() == c.velocities_at(t).tobytes()
+        assert c.velocities_at([]).shape == (0, c.sat_count, 3)
+
     def test_radius_is_constant(self):
         c = build_walker(make_config())
         for dt in (0.0, 300.0, 4000.0):

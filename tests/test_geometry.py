@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leonet.constellation import ConstellationConfig, build_walker
 from leonet.geometry import (
     EARTH_RADIUS_KM,
     EARTH_ROTATION_RAD_PER_S,
@@ -18,6 +19,7 @@ from leonet.geometry import (
     ecef_to_geodetic,
     eci_to_ecef,
     eci_to_geodetic,
+    eci_to_lonlat,
     elevation_angle,
     geodesic_distance,
     geodetic_to_ecef,
@@ -130,6 +132,34 @@ class TestGeodeticBatch:
         for p, g in zip(positions, batch):
             assert bits(g) == bits(eci_to_geodetic(np.array(p), t, EPOCH))
             assert bits(g) == bits(reference_geodetic(p, t))
+
+    @given(
+        st.lists(_POSITIONS, min_size=0, max_size=12),
+        st.one_of(st.just(0.0), st.floats(0, 86400)),
+    )
+    @settings(max_examples=300)
+    def test_lonlat_batch_equals_the_points_bit_for_bit(self, positions, dt_s):
+        t = EPOCH + timedelta(seconds=dt_s)
+        p = np.array(positions).reshape(-1, 3)
+        lon, lat = eci_to_lonlat(p, t, EPOCH)
+        points = eci_to_geodetic(p, t, EPOCH)
+        assert [float(v).hex() for v in lon] == [float(g.lon_deg).hex() for g in points]
+        assert [float(v).hex() for v in lat] == [float(g.lat_deg).hex() for g in points]
+
+    def test_lonlat_batch_of_a_whole_shell(self):
+        # 4,800 sub-points: numpy's arcsin and arctan2 differ from math's on
+        # some of them, the batch must not
+        shell = np.concatenate([
+            build_walker(ConstellationConfig(40, 40, 0, 550.0, 53.0, EPOCH)).positions_at(
+                EPOCH + timedelta(seconds=dt))
+            for dt in (0.0, 3600.0, 7777.7)
+        ])
+        t = EPOCH + timedelta(seconds=5000.0)
+        lon, lat = eci_to_lonlat(shell, t, EPOCH)
+        points = eci_to_geodetic(shell, t, EPOCH)
+        assert lon == [g.lon_deg for g in points] and lat == [g.lat_deg for g in points]
+        with pytest.raises(ValueError, match="zero-length position"):
+            eci_to_lonlat(np.zeros((1, 3)), t, EPOCH)
 
     def test_meridian_and_poles(self):
         points = ecef_to_geodetic(

@@ -51,9 +51,9 @@ from leonet.routing import (
     stamp_path_sets,
 )
 from leonet.scenario import load_scenario, scenario_from_dict
-from leonet.topology import ISL_KIND_NAMES, IslPattern, Snapshot, snapshot
+from leonet.topology import ISL_KIND_NAMES, IslPattern, Snapshot, snapshot, synthetic_snapshot
 from leonet.geometry import eci_to_geodetic, link_latency_ms, utc
-from leonet import cli, exporters
+from leonet import cli, exporters, geometry
 
 from conftest import SCENARIO_DIR, log_rows
 
@@ -1088,22 +1088,24 @@ class TestGeojson:
     def test_subpoints_converted_once_per_snapshot(self, tiny_result, tmp_path, monkeypatch):
         # the nodes and links writers share one batch of sub-points per
         # snapshot, paths_geojson converts one per stamp, and a batch gives
-        # each satellite the scalar conversion's point
+        # each satellite the scalar conversion's point, bit for bit
         snap, scn = self.snap(), tiny_scenario()
         batches = []
-        real = exporters.eci_to_geodetic
+        real = exporters.eci_to_lonlat
 
         def counting(p, t, epoch):
             batches.append(len(p))
             return real(p, t, epoch)
 
-        monkeypatch.setattr(exporters, "eci_to_geodetic", counting)
+        monkeypatch.setattr(exporters, "eci_to_lonlat", counting)
         nodes = read_geojson(snapshot_nodes_geojson, snap, path=tmp_path / "nodes.geojson")
         read_geojson(snapshot_links_geojson, snap, path=tmp_path / "links.geojson")
         assert batches == [snap.sat_count]
         epoch = snap.constellation.config.epoch
+        lon, lat = real(snap.sat_positions, snap.t, epoch)
         for s in range(snap.sat_count):
-            g = real(snap.sat_positions[s], snap.t, epoch)
+            g = eci_to_geodetic(snap.sat_positions[s], snap.t, epoch)
+            assert (lon[s], lat[s]) == (g.lon_deg, g.lat_deg)
             coords = nodes["features"][s]["geometry"]["coordinates"]
             assert coords == [round(g.lon_deg, 6), round(g.lat_deg, 6)]
         batches.clear()
@@ -1205,6 +1207,128 @@ class TestGeojson:
             paths_geojson(tiny_scenario(), read_paths_csv(f, tiny_scenario()), out)
         assert err.value.row == 2
         assert not any(tmp_path.glob("*.geojson*"))
+
+
+# station names that JSON escapes (a quote, a backslash, a non-ASCII letter),
+# a mobile station for MSL links, and ground stations on the antimeridian
+ESCAPED = {
+    **TINY,
+    "stations": [
+        {"name": 'a"q', "kind": "ground", "lat_deg": 45.0, "lon_deg": 10.0},
+        {"name": "b\\s", "kind": "ground", "lat_deg": -30.0, "lon_deg": 100.0},
+        {"name": "caf\u00e9", "kind": "mobile", "trajectory": {
+            "start": {"lat_deg": 40.0, "lon_deg": 20.0},
+            "end": {"lat_deg": -20.0, "lon_deg": 90.0},
+            "speed_kms": 7.0,
+        }},
+        {"name": "e180", "kind": "ground", "lat_deg": 0.0, "lon_deg": 180.0},
+        {"name": "w180", "kind": "ground", "lat_deg": 10.0, "lon_deg": -180.0},
+    ],
+    "connections": [['a"q', "b\\s"], ["caf\u00e9", "b\\s"]],
+}
+
+
+def geojson_text(features):
+    """The FeatureCollection as json.dumps writes it, sorted and compact."""
+    collection = {"type": "FeatureCollection", "features": features}
+    return json.dumps(collection, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def geo_feature(kind, coordinates, properties):
+    return {"type": "Feature", "geometry": {"type": kind, "coordinates": coordinates},
+            "properties": properties}
+
+
+def subpoint(snap, sat):
+    g = eci_to_geodetic(snap.sat_positions[sat], snap.t, snap.constellation.config.epoch)
+    return [round(g.lon_deg, 6), round(g.lat_deg, 6)]
+
+
+class TestGeojsonBytes:
+    """The three GeoJSON writers against json.dumps of the collection, built
+    one feature at a time with the scalar conversion."""
+
+    def snap(self):
+        # the scenario's first snapshot, with four satellites moved onto the
+        # antimeridian at its stamp: just east and west of it, and on it
+        scn = scenario_from_dict(copy.deepcopy(ESCAPED))
+        real = harness.snapshot_at(scn)(scn.time.start)
+        epoch = scn.constellation.epoch
+        pos = real.sat_positions.copy()
+        ecef = [[-6921.0, 1e-6, 10.0], [-6921.0, -1e-6, 20.0], [-6921.0, 0.0, 30.0],
+                [-6921.0, -0.0, -30.0]]
+        pos[:4] = geometry.ecef_to_eci(np.array(ecef), real.t, epoch)
+        tpl = real.template
+        return synthetic_snapshot(real.t, real.constellation, pos, np.zeros_like(pos), tpl.pairs,
+                                  tpl.kinds, stations=real.stations,
+                                  min_elevation_deg=scn.elevation_min_deg)
+
+    def test_nodes_and_links(self, tmp_path):
+        snap = self.snap()
+        count = snap.sat_count
+        points = [subpoint(snap, s) for s in range(count)]
+        points += [[round(g.lon_deg, 6), round(g.lat_deg, 6)] for g in snap.station_geodetic]
+        assert [p[0] for p in points[:4]] == [180.0, -180.0, 180.0, 180.0]
+        assert [p[0] for p in points[-2:]] == [180.0, 180.0]
+        nodes = [geo_feature("Point", points[s], {"id": s, "kind": "satellite"})
+                 for s in range(count)]
+        nodes += [geo_feature("Point", points[count + i],
+                              {"id": count + i, "kind": st.kind, "name": st.name})
+                  for i, st in enumerate(snap.stations)]
+        links = [
+            geo_feature("LineString", [points[a], points[b]],
+                        {"kind": ISL_KIND_NAMES[k], "length_km": round(km, 3),
+                         "latency_ms": round(link_latency_ms(km), 6)})
+            for (a, b), k, km in zip(snap.isl_pairs.tolist(), snap.isl_kinds.tolist(),
+                                     snap.isl_lengths.tolist())
+        ]
+        for i, st in enumerate(snap.stations):
+            kind = "GSL" if st.kind == "ground" else "MSL"
+            links += [
+                geo_feature("LineString", [points[s], points[count + i]],
+                            {"kind": kind, "length_km": round(km, 3),
+                             "latency_ms": round(link_latency_ms(km), 6)})
+                for s, km in zip(snap.edge_sats[i].tolist(), snap.edge_lengths[i].tolist())
+            ]
+        assert {f["properties"]["kind"] for f in links} == {"iISL", "sISL", "GSL", "MSL"}
+        snapshot_nodes_geojson(snap, tmp_path / "nodes.geojson")
+        snapshot_links_geojson(snap, tmp_path / "links.geojson")
+        text = (tmp_path / "nodes.geojson").read_text()
+        assert text == geojson_text(nodes)
+        assert '"name":"a\\"q"' in text and '"name":"b\\\\s"' in text
+        assert '"name":"caf\\u00e9"' in text
+        assert (tmp_path / "links.geojson").read_text() == geojson_text(links)
+
+    @given(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20),
+        st.sampled_from([3, 6]),
+    )
+    @settings(max_examples=300)
+    def test_rounded_floats_are_the_reprs_of_round(self, values, digits):
+        # ties of the fixed-point digits, halfway cases that rint(x * 1e6) / 1e6
+        # rounds the other way, both sides of 1e-4, where repr turns to an
+        # exponent, and beyond 15 significant digits
+        halfway = [179.9800535, -179.9800535]
+        assert all(round(x, 6) != float(np.round(x, 6)) for x in halfway)
+        values += [*halfway, 1 / 128, -3 / 128, 5e-07, 1e-07, 0.0001, 0.00009999995, 9.9999e-05,
+                   -0.0, 0.0, 45.0, 999999999.9999995, 1e15, 1e16, 0.0025, 2.5e-05]
+        assert exporters._rounded(values, digits) == [repr(round(v, digits)) for v in values]
+
+    def test_paths(self, tmp_path):
+        scn = scenario_from_dict(copy.deepcopy(ESCAPED))
+        result = run_experiment(scn)
+        snapshot_of, features = harness.snapshot_at(scn), []
+        for r in log_rows(result):
+            if r.status == "delivered":
+                snap = snapshot_of(r.t)
+                features.append(geo_feature(
+                    "LineString", [subpoint(snap, s) for s in r.hop_list],
+                    {"t": _t(r.t), "algorithm": r.algorithm, "src_station": r.src_station,
+                     "dst_station": r.dst_station, "hop_count": len(r.hop_list) - 1,
+                     "latency_ms": round(r.latency_ms, 6), "status": "delivered"}))
+        assert {f["properties"]["src_station"] for f in features} == {'a"q', "caf\u00e9"}
+        paths_geojson(scn, result.path_log, tmp_path / "paths.geojson")
+        assert (tmp_path / "paths.geojson").read_text() == geojson_text(features)
 
 
 def edge_rows(snaps):
@@ -1430,19 +1554,24 @@ class TestCli:
         ):
             assert (out / name).exists()
 
-    def test_generate_builds_one_snapshot_per_stamp(self, tiny_file, tmp_path, monkeypatch):
-        stamps = []
+    def test_generate_builds_one_snapshot_per_stamp(self, tmp_path, monkeypatch):
+        # each stamp once, in order, a block of at most STAMP_BLOCK stamps a call
+        tiny_file = tmp_path / "tiny.json"
+        tiny_file.write_text(json.dumps({**TINY, "time": {**TINY["time"], "count": 13}}))
+        blocks = []
         real = harness.snapshot
 
         def counting(constellation, stations, pattern, t, *args, **kwargs):
-            stamps.append(t)
+            blocks.append(t)
             return real(constellation, stations, pattern, t, *args, **kwargs)
 
         monkeypatch.setattr(harness, "snapshot", counting)
         out = tmp_path / "gen"
         argv = ["generate", "--scenario", str(tiny_file), "--out", str(out)]
         assert main([*argv, "--format", "geojson"]) == 0
-        assert stamps == list(tiny_scenario().time.stamps())
+        stamps = list(tiny_scenario(time={**TINY["time"], "count": 13}).time.stamps())
+        assert [t for block in blocks for t in block] == stamps
+        assert [len(block) for block in blocks] == [5, 4, 4]  # 13 stamps, at most 6 a block
         assert (out / "nodes.geojson").exists() and (out / "links.geojson").exists()
 
     def test_export_rejects_row_outside_scenario(self, tiny_file, tmp_path, capsys):
@@ -1495,8 +1624,12 @@ class TestCli:
 
         log = edited_log(tmp_path / "paths.csv", tiny_result.path_log, edit)
         features = []
-        real = exporters._feature
-        monkeypatch.setattr(exporters, "_feature", lambda *a: features.append(1) or real(*a))
+        real = exporters._write_geojson
+
+        def counting(path, blocks):  # the features handed to the file before the error
+            return real(path, (features.extend(block) or block for block in blocks))
+
+        monkeypatch.setattr(exporters, "_write_geojson", counting)
         argv = ["--scenario", str(tiny_file), "--paths", str(log), "--out", str(out)]
         assert main(["export", *argv, "--format", "geojson"]) == 1
         err = capsys.readouterr().err

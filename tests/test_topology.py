@@ -32,6 +32,7 @@ from leonet.topology import (
     GRID_PLUS,
     GRID_STAR,
     ISL_KIND_NAMES,
+    EislTracker,
     FixedPosition,
     IslPattern,
     IslTemplate,
@@ -569,10 +570,28 @@ class TestSnapshot:
         snap = snapshot(const, [ground("obs", 45.0, 10.0)], IslPattern(GRID_PLUS, (0,)), t, 40.0)
         assert calls == []
         assert np.array_equal(snap.sat_velocities, propagate(const, t))
-        assert snap.sat_velocities is snap.sat_velocities and calls == [t]
+        assert snap.sat_velocities is snap.sat_velocities and calls == [[t]]
         vel = np.ones((4, 3))
         assert square_snapshot(velocities=vel).sat_velocities.tolist() == vel.tolist()
-        assert calls == [t]
+        assert calls == [[t]]
+
+    def test_a_block_propagates_its_velocities_once(self, monkeypatch):
+        const = shell(6, 6)
+        calls = []
+        propagate = type(const).velocities_at
+
+        def counted(self, t):
+            calls.append(t)
+            return propagate(self, t)
+
+        monkeypatch.setattr(type(const), "velocities_at", counted)
+        stamps = [EPOCH + timedelta(seconds=30 * i) for i in range(5)]
+        snaps = snapshot(const, [], IslPattern(GRID_PLUS, (0,)), stamps, 40.0)
+        assert calls == []
+        # the first read, from any snapshot of the block, propagates the block
+        for snap in snaps[::-1]:
+            assert snap.sat_velocities.tobytes() == propagate(const, snap.t).tobytes()
+        assert calls == [stamps]
 
     def test_visibility_bounded_by_coverage_cone(self):
         const = shell(10, 10)
@@ -913,6 +932,86 @@ class TestCrossingMeshDetection:
         assert len(rows)
         # the dense S x S x 3 difference array alone took 82 MB here
         assert peak < 10 * 2**20
+
+    def test_tiny_radius_against_brute_force(self):
+        # 1 m cells of the reach alone would number 1.4e7 to a side of the
+        # shell, and their keys would overflow int64
+        rng = np.random.default_rng(7)
+        base = rng.normal(size=(30, 3))
+        base *= 6921.0 / np.linalg.norm(base, axis=1)[:, None]
+        step = rng.normal(size=(30, 3))
+        step *= rng.uniform(2e-4, 1.6e-3, size=(30, 1)) / np.linalg.norm(step, axis=1)[:, None]
+        vz = rng.choice([-1.0, 1.0], size=60)
+        snap = free_snapshot(np.concatenate([base, base + step]), vz, [])
+        rows, expected = detect_eisls(snap, 1e-3), brute_force_eisls(snap, 1e-3)
+        assert rows.dtype == expected.dtype and np.array_equal(rows, expected)
+        assert 0 < len(expected) < 30
+
+    def test_radius_beyond_the_shell_diameter(self):
+        # one cell holds the shell: every opposite pair that is not linked qualifies
+        t = EPOCH + timedelta(seconds=300)
+        snap = snapshot(shell(8, 8), [], IslPattern(GRID_PLUS, (0,)), t, 40.0)
+        l_h = 3 * 6921.0
+        rows, expected = detect_eisls(snap, l_h), brute_force_eisls(snap, l_h)
+        assert rows.dtype == expected.dtype and np.array_equal(rows, expected)
+        vz = snap.sat_velocities[:, 2]
+        a, b = snap.isl_pairs.T
+        assert len(rows) == (vz > 0).sum() * (vz < 0).sum() - (vz[a] * vz[b] < 0).sum()
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_satellites_on_cell_boundaries_against_brute_force(self, data):
+        # the grid's corner is the lowest coordinate on each axis, anchored
+        # here at (-1000, -1000, -1000) and (1000, 1000, 1000), and its edge is
+        # the padded radius, or 1/64 of the 2000 km extent at tiny radii:
+        # satellites at whole multiples of the edge from the corner, each
+        # with a partner along one axis at 0, half, just under, exactly and
+        # just over the radius
+        l_h = data.draw(st.sampled_from([1e-3, 10.0, 100.0, 499.0]))
+        edge = max(l_h + 1e-9 * (l_h + 1000.0), 2000.0 / 64)
+        top = int(2000.0 // edge)
+        positions, vz = [[-1000.0] * 3, [1000.0] * 3], [1.0, -1.0]
+        for _ in range(data.draw(st.integers(1, 12))):
+            k = st.lists(st.sampled_from([0, 1, 2, top - 1, top]), min_size=3, max_size=3)
+            point = [min(-1000.0 + i * edge, 1000.0) for i in data.draw(k)]
+            axis = data.draw(st.integers(0, 2))
+            shift = data.draw(st.sampled_from([-1, 1])) * data.draw(
+                st.sampled_from([0.0, 0.5, 1 - 1e-9, 1.0, 1 + 1e-9])) * l_h
+            partner = list(point)
+            partner[axis] = min(max(partner[axis] + shift, -1000.0), 1000.0)
+            positions += [point, partner]
+            vz += data.draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=2, max_size=2))
+        snap = free_snapshot(positions, vz, [])
+        rows, expected = detect_eisls(snap, l_h), brute_force_eisls(snap, l_h)
+        assert rows.dtype == expected.dtype and np.array_equal(rows, expected)
+
+    def test_tracker_equals_detection_on_a_shipped_scenario(self):
+        # EislTracker filters the pairs at its largest radius by distance;
+        # each radius counts what detect_eisls finds at it, at every stamp,
+        # and its episodes are the runs of each pair's stamps, tracked here
+        # one pair at a time
+        scn = load_scenario(SCENARIO_DIR / "experiment1_20x20.json")
+        radii = [200.0, 500.0, 1000.0, 1500.0]
+        tracker = EislTracker(radii, scn.time.step_s)
+        counts = {r: [] for r in radii}
+        runs, durations = {r: {} for r in radii}, {r: [] for r in radii}
+        stamps, snapshot_of = scn.time.stamps(), snapshot_at(scn)
+        for lo in range(0, len(stamps), 6):
+            for snap in snapshot_of(stamps[lo : lo + 6]):
+                tracker.add(snap)
+                for r in radii:
+                    active = {tuple(p) for p in detect_eisls(snap, r).tolist()}
+                    counts[r].append(len(active))
+                    for pair in set(runs[r]) - active:
+                        durations[r].append(runs[r].pop(pair) * scn.time.step_s)
+                    for pair in active:
+                        runs[r][pair] = runs[r].get(pair, 0) + 1
+        stats = tracker.result()
+        for r in radii:
+            assert stats[r].per_stamp_counts == tuple(counts[r])
+            ended = durations[r] + [n * scn.time.step_s for n in runs[r].values()]
+            assert stats[r].episode_durations_s == tuple(sorted(ended))
+        assert all(counts[radii[-1]]) and stats[radii[0]].episode_count
 
 
 class TestEislStatistics:
