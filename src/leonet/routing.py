@@ -27,9 +27,9 @@ or unit (hop) weight, one per (source, end) satellite pair; bellman_ford is
 the one-pair case. Each stamp of a block routes both baselines' pairs in one
 batch of its own. Its distances, one row per distinct (weight, source), fill
 one table in one frontier relaxation over the template's adjacency, each row
-under its own weight. A hop row depends on the template alone, which keeps
-the rows it was given (IslTemplate.hop_rows): those are copied in, not
-relaxed again, and are the only state routing keeps across stamps. Every
+under its own weight. On a Walker grid (IslTemplate.shape), which every shift
+maps onto itself, the pass relaxes satellite 0's hop row alone and shifts it
+to each hop source (_shifted_rows). Routing keeps no state across stamps. Every
 route then walks back from its end in lockstep, each step taking the
 lowest-id neighbor whose distance plus link weight is the node's own.
 
@@ -557,6 +557,17 @@ def _walk_back(
     return _routes(steps[::-1], np.zeros(m, dtype=np.int8), np.zeros(m))
 
 
+def _shifted_rows(row: np.ndarray, shape: tuple[int, int], by: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = row, a distance row over a (planes, slots) grid, shifted by satellite
+    by[i] = (dp, ds): out[i] at (p, s) is the row at (p - dp, s - ds), mod the grid.
+    Each is a window of the row tiled twice each way."""
+    planes, slots = shape
+    tiled = np.tile(row.reshape(shape), (2, 2))
+    dp, ds = np.divmod(by, slots)
+    for r, p, s in zip(out.reshape(-1, planes, slots), dp.tolist(), ds.tolist()):
+        r[...] = tiled[planes - p : 2 * planes - p, slots - s : 2 * slots - s]
+
+
 def _baseline_routes(
     snap: Snapshot, weights: str | Sequence[str], src: np.ndarray, end: np.ndarray
 ) -> tuple[np.ndarray, Routes]:
@@ -565,17 +576,17 @@ def _baseline_routes(
     routes: index k * src.size + i is pair i under weights[k].
 
     One distance pass covers the distinct sources under each weight, a row
-    each, except the hop rows the template keeps (IslTemplate.hop_rows), which
-    are copied into the same table. A pair is reached where its end's distance
+    each. On a grid template (IslTemplate.shape) it relaxes one hop row, from
+    satellite 0, in place of them all, and every hop row is that row shifted
+    to its source (_shifted_rows). A pair is reached where its end's distance
     is finite, and all routes walk back in one batch over the distances alone.
-    The template then keeps the pass's new hop rows.
     """
     if isinstance(weights, str):
         weights = (weights,)
     for weight in weights:
         if weight not in WEIGHTS:
             raise ValueError(f"unknown weight {weight!r}")
-    n, tpl = snap.sat_count, snap.template
+    n, shape = snap.sat_count, snap.template.shape
     kind = np.repeat([WEIGHTS.index(x) for x in weights], src.size)
     src, end = np.tile(src, len(weights)), np.tile(end, len(weights))
     # a row's key is its weight's code * S + its source: hop rows are keys >= S
@@ -583,23 +594,21 @@ def _baseline_routes(
     mark = np.zeros(len(WEIGHTS) * n, dtype=bool)
     mark[key] = True
     keys = np.flatnonzero(mark)
-    kept = np.array([k >= n and k - n in tpl.hop_rows for k in keys.tolist()], dtype=bool)
-    # rows: latency [:lat], new hop rows [lat:fresh], kept hop rows [fresh:]
-    order = np.concatenate([keys[~kept], keys[kept]])
+    # on a grid the pass relaxes satellite 0's hop row, and the hop rows are read off it
+    shifted = keys[keys >= n] if shape is not None else keys[:0]
+    relax = np.append(keys[keys < n], n) if shifted.size else keys
+    order = np.concatenate([relax, shifted])
     kinds, sources = np.divmod(order, n)
-    lat, fresh = np.count_nonzero(keys < n), order.size - np.count_nonzero(kept)
     w = _slot_weights(snap)
     dist = np.empty((order.size, n))
-    _distances(snap, w, kinds[:fresh], sources[:fresh], out=dist[:fresh])
-    for r, s in enumerate(sources[fresh:].tolist(), fresh):
-        dist[r] = tpl.hop_rows[s]
+    _distances(snap, w, kinds[:relax.size], sources[:relax.size], out=dist[:relax.size])
+    if shifted.size:
+        _shifted_rows(dist[relax.size - 1], shape, shifted - n, out=dist[relax.size:])
     row_of = np.empty(mark.size, dtype=np.int64)
     row_of[order] = np.arange(order.size)
     row = row_of[key]  # each pair's row
     reached = np.flatnonzero(np.isfinite(dist[row, end]))
     routes = _walk_back(snap, w, dist, kinds, row[reached], src[reached], end[reached])
-    # kept after the walk, so that the copies and the walk do not peak together
-    tpl.keep_hop_rows(sources[lat:fresh], dist[lat:fresh])
     return reached, routes
 
 

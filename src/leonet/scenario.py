@@ -40,7 +40,7 @@ from .geometry import (
     initial_bearing,
 )
 from .routing import ALGORITHMS
-from .topology import FixedPosition, IslPattern, Station
+from .topology import FixedPosition, IslPattern, Station, self_link_parameter
 
 _ANTIPODAL_TOL_RAD = 1e-9
 
@@ -239,6 +239,10 @@ def scenario_from_dict(root: Any, name: str = "scenario") -> Scenario:
         raise ScenarioError("pattern.bias: expected a list of integers")
     with _block_errors("pattern"):
         pattern = IslPattern(grid=_require(p, "grid", "pattern"), bias=tuple(bias_raw))
+    fault = self_link_parameter(config.sats_per_plane, config.planes, pattern)
+    if fault is not None:
+        block = "constellation" if fault == "N" else "pattern"
+        raise ScenarioError(f"{block}.{fault}: the persistent links join a satellite to itself")
 
     tm = _block(root, "time")
     with _block_errors("time"):
@@ -269,8 +273,8 @@ def scenario_from_dict(root: Any, name: str = "scenario") -> Scenario:
             raise ScenarioError(f"stations[{i}].ei: {ei!r} is the name of stations[{j}]")
 
     conn_raw = _require(root, "connections", "scenario")
-    if not isinstance(conn_raw, list):
-        raise ScenarioError("scenario.connections: expected a list")
+    if not isinstance(conn_raw, list) or not conn_raw:
+        raise ScenarioError("scenario.connections: expected a non-empty list")
     connections: list[tuple[str, str]] = []
     for i, pair in enumerate(conn_raw):
         if not isinstance(pair, list) or len(pair) != 2:

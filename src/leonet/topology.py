@@ -43,11 +43,6 @@ KIND_MSL = "MSL"
 
 ISL_KIND_NAMES = (KIND_IISL, KIND_SISL)
 
-# the most unit-weight distance rows an IslTemplate keeps (HOP_ROW_LIMIT * S
-# floats, 1.6 MB at 40x40). Over the moving scenario's 5,672 hop rows from 347
-# sources, it leaves 416 to compute (375 at 256, 648 at 64).
-HOP_ROW_LIMIT = 128
-
 # the most cells to a side of detect_eisls' grid: its start table holds at
 # most (_EISL_CELLS + 3) ** 3 entries (2.4 MB) whatever the radius
 _EISL_CELLS = 64
@@ -124,19 +119,19 @@ class IslTemplate:
     slots that hold a link. linked answers, from that table, whether
     satellite pairs are persistently linked.
 
-    A unit-weight (hop) distance row depends on the template alone, so the
-    template keeps the rows the exact baselines compute: hop_rows maps a
-    source satellite to its row, the oldest evicted beyond HOP_ROW_LIMIT.
+    shape is the (planes, sats_per_plane) of a Walker grid, which
+    build_persistent_isls sets and other templates leave None. Every shift
+    (p, s) -> (p + dp, s + ds), mod shape, maps a grid onto itself.
     """
 
     pairs: np.ndarray  # (E, 2) int32
     kinds: np.ndarray  # (E,) int8, 0 = in-plane, 1 = cross-plane
     sat_count: int
+    shape: tuple[int, int] | None = None
     nbr: np.ndarray = field(init=False, repr=False)  # (S, D) int64
     link: np.ndarray = field(init=False, repr=False)  # (S, D) int64
     degree: np.ndarray = field(init=False, repr=False)  # (S,) int64
     real: np.ndarray = field(init=False, repr=False)  # (S, D) bool
-    hop_rows: dict[int, np.ndarray] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         pairs, n = self.pairs, self.sat_count
@@ -167,37 +162,35 @@ class IslTemplate:
     def edge_count(self) -> int:
         return int(self.pairs.shape[0])
 
-    def keep_hop_rows(self, sources: np.ndarray, rows: np.ndarray) -> None:
-        """Keep a copy of rows[i], the hop distances from sources[i] (a
-        source the template does not keep yet)."""
-        first = max(len(sources) - HOP_ROW_LIMIT, 0)  # the rest would go at once
-        for s, row in zip(sources[first:].tolist(), rows[first:]):
-            self.hop_rows[s] = row.copy()
-        while len(self.hop_rows) > HOP_ROW_LIMIT:
-            del self.hop_rows[next(iter(self.hop_rows))]
+
+def self_link_parameter(sats_per_plane: int, planes: int, pattern: IslPattern) -> str | None:
+    """The parameter, "N" or "bias", for which the pattern links a satellite
+    to itself on a shell of planes x sats_per_plane, else None: a ring of one
+    satellite closes on itself, and a bias-0 link from the only plane too."""
+    if sats_per_plane == 1:
+        return "N"
+    return "bias" if planes == 1 and 0 in pattern.bias else None
 
 
 def build_persistent_isls(constellation: Constellation, pattern: IslPattern) -> IslTemplate:
-    """Enumerate the persistent link template for a shell and pattern.
-
-    Raises ValueError on degenerate shells that would need self-links
-    (one satellite per plane, or cross-plane bias 0 with a single plane).
-    """
+    """The persistent link template of a shell and pattern, with the shell's grid
+    shape. ValueError where the pattern needs a self-link (self_link_parameter)."""
     cfg = constellation.config
     n, p = cfg.sats_per_plane, cfg.planes
+    fault = self_link_parameter(n, p, pattern)
+    if fault is not None:
+        raise ValueError(f"degenerate shell produces a self-link ({fault})")
     sat = np.arange(n * p)
     plane, slot = np.divmod(sat, n)
     # the in-plane rings, then the cross-plane links of each bias
     ends = [plane * n + (slot + 1) % n]
     ends += [(plane + 1) % p * n + (slot + bias) % n for bias in pattern.bias]
     a, b = np.tile(sat, len(ends)), np.concatenate(ends)
-    if np.any(a == b):
-        raise ValueError("degenerate shell produces a self-link")
     arr = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1).astype(np.int32)
     kinds = np.repeat(np.arange(len(ends)) > 0, n * p).astype(np.int8)
     # canonical order + simple-graph dedup (keeps the first kind seen)
     uniq, first = np.unique(arr, axis=0, return_index=True)
-    return IslTemplate(pairs=uniq, kinds=kinds[first], sat_count=cfg.total_sats)
+    return IslTemplate(pairs=uniq, kinds=kinds[first], sat_count=cfg.total_sats, shape=(p, n))
 
 
 def _coarse_floor(sn: np.ndarray, gn: np.ndarray, sin_min: float) -> np.ndarray:
@@ -477,22 +470,15 @@ def synthetic_snapshot(
     geometry: positions drive forwarding and the station edge links, found
     at once, and every inter-satellite leg of a path, greedy or baseline,
     reads the supplied lengths: one per link, finite and non-negative (else
-    ValueError).
+    ValueError). Its template has no grid shape, whatever the links.
     """
     template = IslTemplate(
-        pairs=np.asarray(pairs, dtype=np.int32),
-        kinds=np.asarray(kinds, dtype=np.int8),
-        sat_count=constellation.sat_count,
+        np.asarray(pairs, dtype=np.int32), np.asarray(kinds, dtype=np.int8), constellation.sat_count
     )
     snap = Snapshot(
-        t,
-        constellation,
-        stations,
-        template,
-        min_elevation_deg,
+        t, constellation, stations, template, min_elevation_deg,
         sat_positions=np.asarray(positions, dtype=float),
-        sat_velocities=np.asarray(velocities, dtype=float),
-        isl_lengths=lengths,
+        sat_velocities=np.asarray(velocities, dtype=float), isl_lengths=lengths,
     )
     snap.edge_sats  # found at once, so that a station that cannot see raises here
     return snap

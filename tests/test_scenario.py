@@ -181,6 +181,13 @@ class TestParsing:
         root["constellation"]["F"] = 6  # same satellite set as F = 0
         assert scenario_from_dict(root).constellation.phase_factor == 0
 
+    def test_single_plane_loads_under_bias_minus_one(self):
+        # its cross-plane links repeat the ring; only bias 0 joins a satellite to itself
+        root = base_dict()
+        root["constellation"]["P"] = 1
+        root["pattern"]["bias"] = [-1]
+        assert scenario_from_dict(root).constellation.planes == 1
+
     def test_eisl_block_optional(self):
         root = base_dict()
         del root["eisl"]
@@ -338,8 +345,27 @@ class TestValidationMessages:
                 "constellation: sats_per_plane must be >= 1",
             ),
             (lambda r: r["time"].update(count=0), "time: count must be >= 1"),
+            (
+                lambda r: r["constellation"].update(N=1),
+                "constellation.N: the persistent links join a satellite to itself",
+            ),
+            (
+                lambda r: r["constellation"].update(P=1),
+                "pattern.bias: the persistent links join a satellite to itself",
+            ),
+            (lambda r: r.update(connections=[]), "scenario.connections: expected a non-empty list"),
         ],
-        ids=["altitude-nan", "n-string", "step-nan", "grid-missing", "n-zero", "count-zero"],
+        ids=[
+            "altitude-nan",
+            "n-string",
+            "step-nan",
+            "grid-missing",
+            "n-zero",
+            "count-zero",
+            "n-one",
+            "one-plane-bias-zero",
+            "no-connections",
+        ],
     )
     def test_block_error_names_the_field_once(self, mutate, message):
         """A field's own error passes through its block unchanged; only a

@@ -42,6 +42,7 @@ from leonet.topology import (
     detect_eisls,
     direction_histogram,
     eisl_statistics,
+    self_link_parameter,
     snapshot,
     synthetic_snapshot,
 )
@@ -207,6 +208,7 @@ class TestPersistentTemplate:
         b = build_persistent_isls(shell(5, 6, phase=2), IslPattern(GRID_STAR, (-1, 0)))
         assert np.array_equal(a.pairs, b.pairs)
         assert np.array_equal(a.kinds, b.kinds)
+        assert a.shape == b.shape == (6, 5)  # (planes, sats_per_plane)
 
     def test_one_sat_per_plane_rejected(self):
         with pytest.raises(ValueError):
@@ -229,10 +231,13 @@ class TestPersistentTemplate:
             (1, 8, IslPattern(GRID_PLUS, (0,))),
             (8, 1, IslPattern(GRID_PLUS, (0,))),
             (2, 1, IslPattern(GRID_STAR, (-1, 0))),
+            (1, 3, IslPattern(GRID_PLUS, (-1,))),
         ],
     )
     def test_arrays_equal_the_per_link_construction(self, n, p, pattern):
         want = per_link_template(n, p, pattern)
+        # the stated rule names a parameter exactly where some link is a self-link
+        assert (self_link_parameter(n, p, pattern) is None) == (want is not None)
         if want is None:
             with pytest.raises(ValueError, match="self-link"):
                 build_persistent_isls(shell(n, p), pattern)
@@ -240,21 +245,7 @@ class TestPersistentTemplate:
         tpl = build_persistent_isls(shell(n, p), pattern)
         assert tpl.pairs.dtype == np.int32 and tpl.kinds.dtype == np.int8
         assert np.array_equal(tpl.pairs, want[0]) and np.array_equal(tpl.kinds, want[1])
-
-    def test_hop_rows_keep_copies_and_evict_the_oldest(self, monkeypatch):
-        monkeypatch.setattr(topology, "HOP_ROW_LIMIT", 3)
-        tpl = build_persistent_isls(shell(4, 4), IslPattern(GRID_PLUS, (0,)))
-        rows = np.arange(5 * 16, dtype=float).reshape(5, 16)
-        tpl.keep_hop_rows(np.array([7, 2]), rows[:2])
-        rows[0] = -1.0
-        assert tpl.hop_rows[7].tolist() == list(range(16))  # a copy, not a view
-        tpl.keep_hop_rows(np.array([9, 4, 11]), rows[2:])
-        assert list(tpl.hop_rows) == [9, 4, 11]
-        assert tpl.hop_rows[11].tolist() == rows[4].tolist()
-        # a batch beyond the bound keeps its last rows
-        tpl.keep_hop_rows(np.arange(20, 25), rows)
-        assert list(tpl.hop_rows) == [22, 23, 24]
-        assert tpl.hop_rows[22].tolist() == rows[2].tolist()
+        assert tpl.shape == (p, n)
 
     def test_kind_name_lookup(self):
         tpl = build_persistent_isls(shell(4, 4), IslPattern(GRID_PLUS, (0,)))
