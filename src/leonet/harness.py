@@ -18,11 +18,9 @@ stamp at a time, so a stamp that raises is isolated as before. The sets
 carry no names; _path_sets is the one list that names and orders them.
 The merge folds blocks in stamp order and does only what crosses stamps:
 it builds each StampStats once, with vertex_changes from one pass over the
-block's vertex column (StampColumns.vertex_changes) and, for the block's
-first stamp, path_evolution against the stamp before; the failure reset,
-the location table, which is the last folded stamp's (every station
-refreshed, then each delivering greedy set's source), and the path log.
-That log is one columnar PathLog from the block to the file and back;
+stamp before's vertex rows and the block's vertex column
+(StampColumns.vertex_changes); the failure reset; and the path log. That
+log is one columnar PathLog from the block to the file and back;
 analyze_rows slices its path sets out of it and checks each stamp's rows
 against that stamp's snapshot (check_stamp).
 """
@@ -46,7 +44,6 @@ from .metrics import (
     StampColumns,
     StampStats,
     make_stamp_stats,
-    path_evolution,
     summarize,
 )
 from .routing import (
@@ -54,13 +51,10 @@ from .routing import (
     ALGO_MPLF_NFP,
     STATUSES,
     DecisionStats,
-    LocationTable,
     PathSet,
     block_path_sets,
     decision_counts,
     join_path_sets,
-    ler_encapsulate,
-    record_delivery,
 )
 from .scenario import Scenario
 from .topology import Snapshot, build_persistent_isls, snapshot
@@ -149,7 +143,6 @@ class BlockOutcome:
 
     stats: StampColumns
     stamps: int  # the block's stamp count
-    station_ecef: np.ndarray  # at the block's last stamp
     log: PathLog  # the block's rows
     comparisons: np.ndarray  # the candidate count of every forwarding decision
 
@@ -161,7 +154,6 @@ class ExperimentResult:
     summaries: list[ConnectionSummary]
     path_log: PathLog
     failures: list[tuple[datetime, str]]
-    location_table: LocationTable
     decision_stats: DecisionStats
 
     def series_for(self, src: str, dst: str, algorithm: str) -> ConnectionSeries:
@@ -257,7 +249,7 @@ def _block(
             [(snap.station_geodetic[si], snap.station_geodetic[di]) for snap, si, di in ends],
         )
         log, comparisons = _block_log(block.start, sets, paths, counts, snaps[0].template.degree)
-        return [BlockOutcome(stats, len(block), snaps[-1].station_ecef, log, comparisons)]
+        return [BlockOutcome(stats, len(block), log, comparisons)]
     except PathLogError:
         raise  # a log row that does not fit the scenario fails the whole reanalysis
     except Exception as exc:  # noqa: BLE001 - per-stamp isolation is the contract
@@ -312,13 +304,11 @@ def _merge(scenario: Scenario, blocks: Iterable[list[BlockOutcome | str]]) -> Ex
     """Fold finished blocks, each the list _block returns, in stamp order,
     keeping only the last one. Each StampStats is built here, once, with its
     vertex_changes: path_evolution of the set's vertices and those of the
-    same set at the stamp before, if that stamp is valid. Within a block
-    that is one pass (StampColumns.vertex_changes); a block's first stamp
-    compares with slices of the previous block's vertex column. A failed
-    stamp (its exception's repr) is logged and leaves the next stamp without
-    a predecessor for vertex_changes. The decision counts are concatenated
-    once. Every stamp overwrites every station entry of the location table,
-    so it is built once, from the last folded stamp."""
+    same set at the stamp before, if that stamp is valid, in one pass per
+    block (StampColumns.vertex_changes) with the stamp before's vertex rows
+    placed first. A failed stamp (its exception's repr) is logged and leaves
+    the next stamp without a predecessor: empty rows, none valid. The
+    decision counts are concatenated once."""
     sets = _path_sets(scenario)
     n = len(sets)
     times = iter(scenario.time.stamps())
@@ -326,48 +316,29 @@ def _merge(scenario: Scenario, blocks: Iterable[list[BlockOutcome | str]]) -> Ex
     logs: list[PathLog] = []
     comparisons: list[np.ndarray] = [np.zeros(0, np.uint8)]
     stamps: list[list[StampStats]] = [[] for _ in sets]
-    prev: list[np.ndarray | None] = [None] * n
-    last: BlockOutcome | None = None
+    # the stamp before's vertices, its rows' vertex counts and validity
+    none_before = (np.zeros(0, np.int32), np.zeros(n, np.int64), np.zeros(n, bool))
+    before = none_before
     for r in chain.from_iterable(blocks):
         if isinstance(r, str):
             failures.append((next(times), r))
-            prev = [None] * n
+            before = none_before
             continue
         logs.append(r.log)
         comparisons.append(r.comparisons)
         columns = r.stats
-        bounds, n_paths = columns.vertex_starts.tolist(), columns.n_paths.tolist()
-        # the first stamp's sets against prev, the later ones within the block
-        first = [
-            path_evolution(p, columns.vertices[a:b]) if p is not None and paths else 0
-            for p, paths, a, b in zip(prev, n_paths, bounds, bounds[1:])
-        ]
-        before = np.concatenate(([p is not None for p in prev], columns.valid[:-n]))
-        changes = [
-            c if on else None
-            for c, on in zip(np.concatenate((first, columns.vertex_changes(n))).tolist(),
-                             (before & (columns.n_paths > 0)).tolist())
-        ]
-        prev = [
-            columns.vertices[a:b] if valid else None
-            for valid, a, b in zip(columns.valid[-n:].tolist(), bounds[-n - 1 :], bounds[-n:])
-        ]
+        vertices, counts, valid = before
+        changes = columns.vertex_changes(vertices, counts).tolist()
+        known = (np.concatenate((valid, columns.valid[:-n])) & (columns.n_paths > 0)).tolist()
+        cut = columns.vertex_starts[-n - 1 :]
+        before = (columns.vertices[cut[0] :], np.diff(cut), columns.valid[-n:])
         block_times = [next(times) for _ in range(r.stamps)]
-        block_stats = columns.rows([t for t in block_times for _ in sets], changes)
+        block_stats = columns.rows([t for t in block_times for _ in sets],
+                                   [c if on else None for c, on in zip(changes, known)])
         for k, series in enumerate(stamps):
             series.extend(block_stats[k::n])
-        t = block_times[-1]
-        last = r
 
     eis = [st.ei for st in scenario.stations]
-    table = LocationTable()
-    if last is not None:
-        epoch = scenario.constellation.epoch
-        for ei, ecef in zip(eis, last.station_ecef):
-            table.update(ei, ecef, t)  # t: the last folded stamp
-        for ((si, di), algo), n_paths in zip(sets, last.stats.n_paths[-len(sets) :].tolist()):
-            if algo in _MPLF_ALGOS and n_paths:
-                record_delivery(table, ler_encapsulate(table, eis[si], eis[di], t, epoch), epoch)
     series = [
         ConnectionSeries(eis[si], eis[di], algo, tuple(s))
         for ((si, di), algo), s in zip(sets, stamps)
@@ -378,7 +349,6 @@ def _merge(scenario: Scenario, blocks: Iterable[list[BlockOutcome | str]]) -> Ex
         summaries=[summarize(s) for s in series],
         path_log=_concat(logs),
         failures=failures,
-        location_table=table,
         decision_stats=DecisionStats(np.concatenate(comparisons).tolist()),
     )
 
@@ -418,8 +388,8 @@ def analyze_rows(scenario: Scenario, log: PathLog) -> ExperimentResult:
     Station coverage and positions come from the scenario (a cheap
     topology-only sweep), paths from the log. A stamp that raises is listed
     under failures, as in a run; a row whose links or ends do not fit its
-    stamp's snapshot raises PathLogError (check_stamp). The series, summaries
-    and location table match the run to the logged latencies' six decimals.
+    stamp's snapshot raises PathLogError (check_stamp). The series and
+    summaries match the run to the logged latencies' six decimals.
     """
     snapshot_of, stamps, sets = snapshot_at(scenario), scenario.time.stamps(), _path_sets(scenario)
     index_of = {t: i for i, t in enumerate(stamps)}

@@ -114,7 +114,7 @@ class StampColumns:
     None: the spreads of a set that delivered nothing, gamma of a union with
     no satellite link, the stretches of coincident stations. Row i's distinct
     delivered satellites, ascending, are vertices[vertex_starts[i]:
-    vertex_starts[i + 1]]; they stay columns, for the merge's path_evolution."""
+    vertex_starts[i + 1]]; they stay columns, for the merge's vertex_changes."""
 
     covered: np.ndarray  # (rows, 2) bool: the source and the destination station
     n_paths: np.ndarray  # int64
@@ -136,17 +136,19 @@ class StampColumns:
         """StampStats.valid of each row."""
         return self.covered.all(axis=1) & (self.n_paths > 0)
 
-    def vertex_changes(self, lag: int) -> np.ndarray:
-        """path_evolution of each row i >= lag against row i - lag (lag >= 1,
-        the same set one stamp earlier), from one sort of (pair, satellite)
-        keys: pair i holds the vertices of rows i and i - lag, and a
-        satellite in both is one repeated key."""
-        count = np.diff(self.vertex_starts)
+    def vertex_changes(self, before: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """path_evolution of each row i against row i - lag, lag = counts.size
+        >= 1 (the same set one stamp earlier), where the lag rows before row
+        0 hold counts[j] satellites each, end to end in before: one sort of
+        (pair, satellite) keys, pair i holding the vertices of rows i and
+        i - lag, a satellite in both one repeated key."""
+        lag, vertices = counts.size, np.concatenate((before, self.vertices))
+        count = np.concatenate((counts, np.diff(self.vertex_starts)))
         row = np.repeat(np.arange(count.size), count)
         later, earlier = row >= lag, row < count.size - lag
-        span = int(self.vertices.max(initial=-1)) + 1
-        keys = np.sort(np.concatenate((row[later] * span + self.vertices[later],
-                                       (row[earlier] + lag) * span + self.vertices[earlier])))
+        span = int(vertices.max(initial=-1)) + 1
+        keys = np.sort(np.concatenate((row[later] * span + vertices[later],
+                                       (row[earlier] + lag) * span + vertices[earlier])))
         shared = np.bincount(keys[1:][keys[1:] == keys[:-1]] // span, minlength=count.size)
         return count[lag:] + count[:-lag] - 2 * shared[lag:]
 

@@ -16,11 +16,11 @@ stations S..S+G-1, station_node) appear only in exported link and node lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from datetime import datetime
-from functools import cached_property
+from functools import cache, cached_property, partial
 from itertools import pairwise
-from typing import Iterable, Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -269,113 +269,52 @@ def edge_rows(sats: Sequence[np.ndarray], lengths: Sequence[np.ndarray], count: 
     return rows
 
 
-class _BlockVelocities:
-    """The satellite velocities at each stamp of a block, propagated in one
-    call (Constellation.velocities_at) on first read."""
-
-    def __init__(self, constellation: Constellation, stamps: list[datetime]) -> None:
-        self.constellation, self.stamps = constellation, stamps
-
-    @cached_property
-    def rows(self) -> np.ndarray:
-        return self.constellation.velocities_at(self.stamps)
-
-
+@dataclass(eq=False, repr=False)
 class Snapshot:
-    """Immutable-by-convention picture of the network at one stamp.
+    """Immutable-by-convention picture of the network at one stamp, made only
+    by snapshot and synthetic_snapshot, through the one block builder
+    (_snapshots), whose values it stores.
 
     Holds inertial satellite states, persistent link lengths, station
     positions, and the station-satellite edge links at the minimum elevation
     (_edge_links): edge_sats[i] (int32) and edge_lengths[i] list the
-    satellites station i sees, ascending, and their lengths. snapshot and
-    synthetic_snapshot find the edge links at once, for a whole block of
-    stamps; a Snapshot made directly finds its own on first read. Tables
-    derived from them are built on first read, as routing a block of stamps
-    holds several snapshots at once: edge_km[i, s], the length of the link
-    from station i to satellite s, inf where i does not see s (edge_rows),
-    and slot_lengths, the link lengths laid out like the template's
-    adjacency table. So are velocities, on first read of sat_velocities,
-    which only crossing-link detection reads, unless supplied: the first
-    snapshot of a block to read them propagates the block's. Transient
-    crossing-mesh links are intentionally absent. Persistent link lengths
-    (isl_lengths, one per template link) are measured from the positions on
-    first read, and link_lengths measures only the links it is asked for
-    until then, unless isl_lengths supplies them: finite and non-negative,
-    else ValueError naming the link at construction (a negative weight
-    would make the exact baselines relax forever).
+    satellites station i sees, ascending, and their lengths. Tables derived
+    from them are built on first read, as routing a block of stamps holds
+    several snapshots at once: edge_km[i, s], the length of the link from
+    station i to satellite s, inf where i does not see s (edge_rows), and
+    slot_lengths, the link lengths laid out like the template's adjacency
+    table. So are the velocities (sat_velocities), which only crossing-link
+    detection reads: the first snapshot of a block to read them propagates
+    the block's. Transient crossing-mesh links are intentionally absent.
+    Persistent link lengths (isl_lengths, one per template link) are
+    measured from the positions on first read, unless supplied, and
+    link_lengths measures only the links it is asked for until then.
     """
 
-    def __init__(
-        self,
-        t: datetime,
-        constellation: Constellation,
-        stations: tuple[Station, ...],
-        template: IslTemplate,
-        min_elevation_deg: float,
-        *,
-        sat_positions: np.ndarray | None = None,
-        sat_velocities: np.ndarray | None = None,
-        isl_lengths: np.ndarray | None = None,
-    ) -> None:
-        self.t = t
-        self.constellation = constellation
-        self.stations = stations
-        self.template = template
-        self.min_elevation_deg = float(min_elevation_deg)
+    t: datetime
+    constellation: Constellation
+    stations: tuple[Station, ...]
+    template: IslTemplate
+    min_elevation_deg: float
+    sat_positions: np.ndarray
+    station_geodetic: tuple[GeodeticPoint, ...]
+    station_ecef: np.ndarray
+    station_positions: np.ndarray
+    edge_sats: list[np.ndarray]
+    edge_lengths: list[np.ndarray]
+    _velocities: Callable[[], np.ndarray]  # the block's, all its rows
+    _row: int  # the stamp's row of them
+    lengths: InitVar[np.ndarray | None]  # isl_lengths, or None to measure them
 
-        eis = [s.ei for s in stations]
-        if len(set(eis)) != len(eis):
-            raise ValueError("station EIs must be unique")
-
-        pos = constellation.positions_at(t) if sat_positions is None else sat_positions
-        self.sat_positions = pos
-        if sat_velocities is not None:
-            self.sat_velocities = sat_velocities  # shadows the propagating property
-        self._velocities, self._row = _BlockVelocities(constellation, [t]), 0
-        self.isl_pairs = template.pairs
-        self.isl_kinds = template.kinds
-        if isl_lengths is not None:
-            km = np.asarray(isl_lengths, dtype=float)
-            if km.shape != (template.edge_count,):
-                raise ValueError(f"isl_lengths of shape {km.shape} for {template.edge_count} links")
-            bad = np.flatnonzero(~(np.isfinite(km) & (km >= 0.0)))
-            if bad.size:
-                i, (a, b) = bad[0], template.pairs[bad[0]].tolist()
-                raise ValueError(f"link {i} ({a}, {b}) has length {km[i]}, not finite and >= 0")
-            self.isl_lengths = km  # shadows the measuring property
-
-        epoch = constellation.config.epoch
-        self.station_geodetic = tuple(s.position_at(t) for s in stations)
-        ecef = (
-            np.stack([geodetic_to_ecef(g) for g in self.station_geodetic])
-            if stations
-            else np.zeros((0, 3))
-        )
-        self.station_ecef = ecef
-        self.station_positions = (
-            ecef_to_eci(ecef, t, epoch) if stations else np.zeros((0, 3))
-        )
+    def __post_init__(self, lengths: np.ndarray | None) -> None:
+        self.isl_pairs, self.isl_kinds = self.template.pairs, self.template.kinds
+        if lengths is not None:
+            self.isl_lengths = lengths
 
     @cached_property
     def sat_velocities(self) -> np.ndarray:
         """Inertial satellite velocities at t, row _row of its block's."""
-        return self._velocities.rows[self._row]
-
-    @cached_property
-    def _edges(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """(edge_sats, edge_lengths) of this stamp alone, a block of one."""
-        (links,) = _edge_links(
-            self.sat_positions[None], self.station_positions[None], self.min_elevation_deg
-        )
-        return links
-
-    @property
-    def edge_sats(self) -> list[np.ndarray]:
-        return self._edges[0]
-
-    @property
-    def edge_lengths(self) -> list[np.ndarray]:
-        return self._edges[1]
+        return self._velocities()[self._row]
 
     @cached_property
     def isl_lengths(self) -> np.ndarray:
@@ -420,6 +359,43 @@ class Snapshot:
         return self.template.nbr[sat][self.template.real[sat]]
 
 
+def _snapshots(
+    constellation: Constellation,
+    stations: tuple[Station, ...],
+    template: IslTemplate,
+    min_elevation_deg: float,
+    stamps: list[datetime],
+    positions: np.ndarray,
+    velocities: Callable[[], np.ndarray],
+    isl_lengths: np.ndarray | None = None,
+) -> list[Snapshot]:
+    """The snapshots of a block of stamps from the satellites' positions at
+    each (K, S, 3) and their velocities, all K rows from one call on first
+    read: station points converted to ECEF once per distinct point, rotated
+    once per stamp, and the edge links of the block found in one pass
+    (_edge_links). ValueError where two stations share an EI."""
+    eis = [s.ei for s in stations]
+    if len(set(eis)) != len(eis):
+        raise ValueError("station EIs must be unique")
+    geodetic = [tuple(s.position_at(t) for s in stations) for t in stamps]
+    # by identity: a fixed station gives its one point at every stamp, and
+    # equal points can differ in bits (a latitude of -0.0 and of 0.0)
+    distinct = {id(g): g for points in geodetic for g in points}
+    row = {key: i for i, key in enumerate(distinct)}
+    table = np.array([geodetic_to_ecef(g) for g in distinct.values()]).reshape(-1, 3)
+    ecef = table[np.array([[row[id(g)] for g in points] for points in geodetic], dtype=np.intp)]
+    epoch = constellation.config.epoch
+    ground = np.array([ecef_to_eci(e, t, epoch) for t, e in zip(stamps, ecef)])
+    links = _edge_links(positions, ground, min_elevation_deg)
+    return [
+        Snapshot(t, constellation, stations, template, float(min_elevation_deg), pos, points, e,
+                 g, sats, km, velocities, k, isl_lengths)
+        for k, (t, pos, points, e, g, (sats, km)) in enumerate(
+            zip(stamps, positions, geodetic, ecef, ground, links)
+        )
+    ]
+
+
 def snapshot(
     constellation: Constellation,
     stations: Iterable[Station],
@@ -433,23 +409,18 @@ def snapshot(
 
     A block is propagated in one call (Constellation.positions_at, and
     velocities_at on first read of any snapshot's sat_velocities) and its
-    edge links found in one pass (_edge_links), each snapshot bit for bit the
+    edge links found in one pass (_snapshots), each snapshot bit for bit the
     one its stamp alone would give. The persistent template may be passed in
     to amortize its construction across stamps; it is rebuilt from the
     pattern otherwise.
     """
     if template is None:
         template = build_persistent_isls(constellation, pattern)
-    stamps, stations = [t] if isinstance(t, datetime) else list(t), tuple(stations)
-    pos = constellation.positions_at(stamps)
-    snaps = [
-        Snapshot(x, constellation, stations, template, min_elevation_deg, sat_positions=p)
-        for x, p in zip(stamps, pos)
-    ]
-    ground = np.array([s.station_positions for s in snaps]).reshape(len(snaps), len(stations), 3)
-    velocities = _BlockVelocities(constellation, stamps)
-    for k, (snap, links) in enumerate(zip(snaps, _edge_links(pos, ground, min_elevation_deg))):
-        snap._edges, snap._velocities, snap._row = links, velocities, k
+    stamps = [t] if isinstance(t, datetime) else list(t)
+    snaps = _snapshots(
+        constellation, tuple(stations), template, min_elevation_deg, stamps,
+        constellation.positions_at(stamps), cache(partial(constellation.velocities_at, stamps)),
+    )
     return snaps[0] if isinstance(t, datetime) else snaps
 
 
@@ -467,20 +438,28 @@ def synthetic_snapshot(
     """Snapshot with caller-supplied states and (optionally) link lengths.
 
     Intended for analysis and tests where link weights are decoupled from
-    geometry: positions drive forwarding and the station edge links, found
-    at once, and every inter-satellite leg of a path, greedy or baseline,
-    reads the supplied lengths: one per link, finite and non-negative (else
-    ValueError). Its template has no grid shape, whatever the links.
+    geometry: positions drive forwarding and the station edge links, and
+    every inter-satellite leg of a path, greedy or baseline, reads the
+    supplied lengths: one per link, finite and non-negative, else ValueError
+    naming the link (a negative weight would make the exact baselines relax
+    forever). Its template has no grid shape, whatever the links.
     """
     template = IslTemplate(
         np.asarray(pairs, dtype=np.int32), np.asarray(kinds, dtype=np.int8), constellation.sat_count
     )
-    snap = Snapshot(
-        t, constellation, stations, template, min_elevation_deg,
-        sat_positions=np.asarray(positions, dtype=float),
-        sat_velocities=np.asarray(velocities, dtype=float), isl_lengths=lengths,
+    km = None if lengths is None else np.asarray(lengths, dtype=float)
+    if km is not None:
+        if km.shape != (template.edge_count,):
+            raise ValueError(f"isl_lengths of shape {km.shape} for {template.edge_count} links")
+        bad = np.flatnonzero(~(np.isfinite(km) & (km >= 0.0)))
+        if bad.size:
+            i, (a, b) = bad[0], template.pairs[bad[0]].tolist()
+            raise ValueError(f"link {i} ({a}, {b}) has length {km[i]}, not finite and >= 0")
+    rows = np.asarray(velocities, dtype=float)[None]
+    (snap,) = _snapshots(
+        constellation, tuple(stations), template, min_elevation_deg, [t],
+        np.asarray(positions, dtype=float)[None], lambda: rows, km,
     )
-    snap.edge_sats  # found at once, so that a station that cannot see raises here
     return snap
 
 

@@ -42,14 +42,8 @@ from leonet.exporters import (
 )
 from leonet import harness
 from leonet.harness import PathLog, PathLogError, analyze_rows, run_experiment
-from leonet.routing import (
-    ALGORITHMS,
-    STATUSES,
-    LocationTable,
-    ler_encapsulate,
-    record_delivery,
-    stamp_path_sets,
-)
+from leonet.metrics import path_evolution
+from leonet.routing import ALGORITHMS, STATUSES, stamp_path_sets
 from leonet.scenario import load_scenario, scenario_from_dict
 from leonet.topology import ISL_KIND_NAMES, IslPattern, Snapshot, snapshot, synthetic_snapshot
 from leonet.geometry import eci_to_geodetic, link_latency_ms, utc
@@ -243,12 +237,6 @@ class TestRunExperiment:
         with pytest.raises(KeyError):
             res.summary_for("b", "a", "sp")
 
-    def test_location_table_tracks_all_stations(self, tiny_result):
-        assert "a" in tiny_result.location_table
-        assert "b" in tiny_result.location_table
-        _, when = tiny_result.location_table.lookup("a")
-        assert when == utc(2025, 1, 1, 1, 0, 30)  # final stamp
-
     def test_decision_stats_collected(self, tiny_result):
         comps = tiny_result.decision_stats.comparisons
         assert comps
@@ -288,7 +276,7 @@ class TestRunExperiment:
         assert par.failures == serial.failures
         assert par.path_log == serial.path_log
         assert par.series == serial.series
-        # the same result object as a whole, decision stats and location table too
+        # the same result object as a whole, decision stats too
         assert par == serial
         assert set(serial.path_log.stamp.tolist()) == {0, 2, 3}
         count = len(tiny_scenario().time.stamps())
@@ -349,33 +337,40 @@ class TestRunExperiment:
         assert len(refs) == 3
         assert res == tiny_result
 
-    def test_location_table_is_the_last_folded_stamps(self, monkeypatch):
-        # two greedy connections share the source a, and the last stamp fails
-        c = {"name": "c", "kind": "ground", "lat_deg": 0.0, "lon_deg": 40.0}
-        scn = tiny_scenario(stations=[*TINY["stations"], c], connections=[["a", "b"], ["a", "c"]])
-        stamps = scn.time.stamps()
+    def test_vertex_changes_cross_blocks_and_a_failed_stamp(self, monkeypatch):
+        # blocks of two stamps, the fourth failing: each row against the same
+        # set one stamp earlier, the sets built one stamp at a time
+        scn = tiny_scenario(time={**TINY["time"], "step_s": 30.0, "count": 7})
+        stamps, conns = scn.time.stamps(), harness._connection_indices(scn)
         snapshot_of = harness.snapshot_at(scn)
-        monkeypatch.setattr(harness, "snapshot", failing_at(stamps[-1]))
+        monkeypatch.setattr(harness, "STAMP_BLOCK", 2)
+        monkeypatch.setattr(harness, "snapshot", failing_at(stamps[3]))
+        assert [len(b) for b in harness._blocks(len(stamps))] == [2, 2, 2, 1]
         res = run_experiment(scn)
-        assert res.failures == [(stamps[-1], "RuntimeError('injected')")]
-        # the fold of every folded stamp: each station refreshed, then a
-        # delivery recorded per greedy set that delivered, in set order
-        epoch = scn.constellation.epoch
-        table, refreshed = LocationTable(), LocationTable()
-        for t in stamps[:-1]:
+        assert res.failures == [(stamps[3], "RuntimeError('injected')")]
+        rows = [[] for _ in res.series]
+        before = [None] * len(res.series)
+        for i, t in enumerate(stamps):
+            if i == 3:
+                before = [None] * len(res.series)
+                continue
             snap = snapshot_of(t)
-            for st, ecef in zip(scn.stations, snap.station_ecef):
-                table.update(st.ei, ecef, t)
-                refreshed.update(st.ei, ecef, t)
-            sets = stamp_path_sets(snap, scn.algorithms, harness._connection_indices(scn))
-            for ((src, dst), algo), ps in zip(product(scn.connections, scn.algorithms), sets):
-                if algo in ("mplf-cpi", "mplf-nfp") and ps.delivered.any():
-                    header = ler_encapsulate(table, src, dst, t, epoch)
-                    record_delivery(table, header, epoch)
-        assert res.location_table == table
-        # the delivery updates moved the shared source's entry
-        assert res.location_table != refreshed
-        assert res.location_table.lookup("a")[1] == stamps[-2]
+            for k, ((si, di), ps) in enumerate(
+                zip([c for c in conns for _ in scn.algorithms],
+                    stamp_path_sets(snap, scn.algorithms, conns))
+            ):
+                hops = [ps.sats[ps.starts[j] : ps.starts[j + 1]] for j in ps.paths]
+                now = np.unique(np.concatenate([np.zeros(0, np.int64), *hops]))
+                rows[k].append(
+                    None if before[k] is None or not hops else path_evolution(before[k], now)
+                )
+                valid = snap.covered(si) and snap.covered(di) and hops
+                before[k] = now if valid else None
+        for s, want in zip(res.series, rows):
+            assert [st.vertex_changes for st in s.stamps] == want
+        # stamps 2 and 6 open a block and have a predecessor, 4 follows the failure
+        assert all(want[2] is not None and want[3] is None for want in rows)
+        assert any(want[5] for want in rows)
 
     def test_pool_is_capped_at_the_stamp_count(self, tiny_result, monkeypatch):
         sizes = []
@@ -648,23 +643,16 @@ class TestAnalyzeRows:
         assert res.failures == run.failures == [(stamp, "RuntimeError('injected')")]
         assert res.path_log == run.path_log
         assert psis(res) == psis(run)
-        assert res.location_table == run.location_table
         assert res.decision_stats == run.decision_stats
         for s in res.series:
             # the failure leaves the next stamp without a predecessor
             assert s.stamps[1].vertex_changes is None
             assert s.stamps[2].vertex_changes is not None
 
-    def test_reanalysis_reproduces_rows_records_and_location_table(self, tiny_result):
+    def test_reanalysis_reproduces_rows_and_records(self, tiny_result):
         res2 = analyze_rows(tiny_scenario(), tiny_result.path_log)
         assert res2.path_log == tiny_result.path_log
         assert psis(res2) == psis(tiny_result)
-        assert len(res2.location_table) == len(tiny_result.location_table) == 2
-        for st in tiny_scenario().stations:
-            pos, when = res2.location_table.lookup(st.ei)
-            want_pos, want_when = tiny_result.location_table.lookup(st.ei)
-            assert np.array_equal(pos, want_pos)
-            assert when == want_when
 
 
 class TestPathsCsv:

@@ -244,18 +244,21 @@ class TestPathEvolution:
         st.lists(st.sets(st.integers(0, 40), max_size=8), min_size=1, max_size=12),
     )
     def test_block_pass_equals_the_pairwise_reference(self, lag, sets):
-        # rows of lag sets per stamp; each row against the row one stamp earlier
+        # rows of lag sets per stamp; each row against the row one stamp
+        # earlier, the first stamp's rows given before the block's
         sets = sets[: len(sets) // lag * lag] or [set()] * lag
         ids = [np.array(sorted(v), dtype=np.int32) for v in sets]
-        rows = len(ids)
-        starts = np.concatenate(([0], np.cumsum([v.size for v in ids])))
+        rows = len(ids) - lag
+        starts = np.concatenate(([0], np.cumsum([v.size for v in ids[lag:]], dtype=np.int64)))
         columns = StampColumns(
             np.ones((rows, 2), bool), np.ones(rows, np.int64), np.zeros(rows, np.int64),
             np.zeros((rows, 2), np.int64), np.zeros((rows, 8)), np.zeros(rows),
-            np.concatenate([np.zeros(0, np.int32), *ids]), starts,
+            np.concatenate([np.zeros(0, np.int32), *ids[lag:]]), starts,
         )
-        want = [path_evolution(ids[i - lag], ids[i]) for i in range(lag, rows)]
-        assert columns.vertex_changes(lag).tolist() == want
+        before = np.concatenate([np.zeros(0, np.int32), *ids[:lag]])
+        counts = np.array([v.size for v in ids[:lag]], dtype=np.int64)
+        want = [path_evolution(ids[i - lag], ids[i]) for i in range(lag, len(ids))]
+        assert columns.vertex_changes(before, counts).tolist() == want
 
 
 class TestStretch:

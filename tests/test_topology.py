@@ -36,7 +36,6 @@ from leonet.topology import (
     FixedPosition,
     IslPattern,
     IslTemplate,
-    Snapshot,
     Station,
     build_persistent_isls,
     detect_eisls,
@@ -445,7 +444,9 @@ class TestSnapshot:
                 got = snap.link_lengths(links)
                 assert "isl_lengths" not in vars(snap)
                 assert got.tobytes() == np.append(alone.isl_lengths, np.inf)[links].tobytes()
-                for field in ("sat_positions", "isl_lengths", "station_positions"):
+                assert snap.station_geodetic == alone.station_geodetic
+                for field in ("sat_positions", "sat_velocities", "isl_lengths", "station_ecef",
+                              "station_positions"):
                     assert getattr(snap, field).tobytes() == getattr(alone, field).tobytes()
                 for got, want in zip((snap.edge_sats, snap.edge_lengths),
                                      (alone.edge_sats, alone.edge_lengths)):
@@ -643,13 +644,15 @@ class TestSnapshot:
         assert np.allclose(snap.isl_lengths, np.linalg.norm(diff, axis=1))
 
     def test_supplied_isl_lengths_are_checked(self):
-        # a negative length reached the baseline relaxation through a direct call
+        # the shell's own grid template, with lengths supplied as a synthetic snapshot's
         const = shell(6, 6)
         tpl = build_persistent_isls(const, IslPattern(GRID_PLUS, (0,)))
         a, b = tpl.pairs[2].tolist()
 
         def make(lengths):
-            return Snapshot(EPOCH, const, (), tpl, 40.0, isl_lengths=lengths)
+            return synthetic_snapshot(EPOCH, const, const.positions_at(EPOCH),
+                                      const.velocities_at(EPOCH), tpl.pairs, tpl.kinds, lengths,
+                                      min_elevation_deg=40.0)
 
         lengths = np.full(tpl.edge_count, 1000.0)
         for bad in (-1.0, math.nan, math.inf):
