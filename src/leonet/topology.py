@@ -269,7 +269,7 @@ def edge_rows(sats: Sequence[np.ndarray], lengths: Sequence[np.ndarray], count: 
     return rows
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(eq=False, repr=False, kw_only=True)
 class Snapshot:
     """Immutable-by-convention picture of the network at one stamp, made only
     by snapshot and synthetic_snapshot, through the one block builder
@@ -371,25 +371,26 @@ def _snapshots(
 ) -> list[Snapshot]:
     """The snapshots of a block of stamps from the satellites' positions at
     each (K, S, 3) and their velocities, all K rows from one call on first
-    read: station points converted to ECEF once per distinct point, rotated
-    once per stamp, and the edge links of the block found in one pass
-    (_edge_links). ValueError where two stations share an EI."""
+    read: station points converted to ECEF and rotated once per stamp, and
+    the edge links of the block found in one pass (_edge_links). ValueError
+    where two stations share an EI."""
     eis = [s.ei for s in stations]
     if len(set(eis)) != len(eis):
         raise ValueError("station EIs must be unique")
     geodetic = [tuple(s.position_at(t) for s in stations) for t in stamps]
-    # by identity: a fixed station gives its one point at every stamp, and
-    # equal points can differ in bits (a latitude of -0.0 and of 0.0)
-    distinct = {id(g): g for points in geodetic for g in points}
-    row = {key: i for i, key in enumerate(distinct)}
-    table = np.array([geodetic_to_ecef(g) for g in distinct.values()]).reshape(-1, 3)
-    ecef = table[np.array([[row[id(g)] for g in points] for points in geodetic], dtype=np.intp)]
+    ecef = np.array([[geodetic_to_ecef(g) for g in points] for points in geodetic])
+    ecef = ecef.reshape(len(stamps), len(stations), 3)
     epoch = constellation.config.epoch
     ground = np.array([ecef_to_eci(e, t, epoch) for t, e in zip(stamps, ecef)])
     links = _edge_links(positions, ground, min_elevation_deg)
     return [
-        Snapshot(t, constellation, stations, template, float(min_elevation_deg), pos, points, e,
-                 g, sats, km, velocities, k, isl_lengths)
+        Snapshot(
+            t=t, constellation=constellation, stations=stations, template=template,
+            min_elevation_deg=float(min_elevation_deg), sat_positions=pos,
+            station_geodetic=points, station_ecef=e, station_positions=g,
+            edge_sats=sats, edge_lengths=km, _velocities=velocities, _row=k,
+            lengths=isl_lengths,
+        )
         for k, (t, pos, points, e, g, (sats, km)) in enumerate(
             zip(stamps, positions, geodetic, ecef, ground, links)
         )
