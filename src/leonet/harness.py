@@ -6,7 +6,8 @@ snapshot alone, greedy traces aiming at the destination station's inertial
 position in that snapshot. Stamps are finished in contiguous blocks of at
 most STAMP_BLOCK (_blocks), so that work whose cost is mostly per call is
 paid once per block: the snapshots of a block are built in one call
-(topology.snapshot), the greedy traces of a block run as one batch
+(topology.snapshot), the greedy traces of a block run as one batch and its
+exact baselines as another, whose distance passes may span stamps
 (routing.block_path_sets), and its path-log rows and decision counts are
 assembled once. One isolating function, _block, finishes a block from its
 snapshots and path sets, routed or read from a log, for serial runs,
@@ -201,10 +202,13 @@ def snapshot_at(scenario: Scenario) -> Callable:
     return at
 
 
-# the most stamps routed as one block. A block's snapshots and the kernel's
-# stacked positions stay alive together: on perfbench mobile-greedy (40x40
-# *Grid, 12 stations, a 2-core Xeon) blocks of 4, 6 and 8 stamps ran equally
-# fast and raised the bench's peak RSS by 1.0, 1.3 and 2.8 MB
+# the most stamps routed as one block. A block's snapshots, the kernel's
+# stacked positions and the baselines' stacked slot weights stay alive
+# together: on perfbench (40x40, a 2-core Xeon) blocks of 4, 6 and 8 stamps
+# raised the bench's peak RSS over blocks of one stamp by 0.4, 1.6 and 1.6 MB
+# on static-baselines and by 0.4, 1.5 and 2.8 MB on mobile-greedy, and cut
+# its wall_s from 0.171 s to 0.116, 0.100 and 0.101 s and from 0.279 s to
+# 0.175, 0.162 and 0.152 s
 STAMP_BLOCK = 6
 
 

@@ -24,14 +24,17 @@ count of every decision follows from the traced paths (decision_counts).
 
 Baselines are exact shortest paths over the satellite graph under a latency
 or unit (hop) weight, one per (source, end) satellite pair; bellman_ford is
-the one-pair case. Each stamp of a block routes both baselines' pairs in one
-batch of its own. Its distances, one row per distinct (weight, source), fill
-one table in one frontier relaxation over the template's adjacency, each row
-under its own weight. On a Walker grid (IslTemplate.shape), which every shift
-maps onto itself, the pass relaxes satellite 0's hop row alone and shifts it
-to each hop source (_shifted_rows). Routing keeps no state across stamps. Every
-route then walks back from its end in lockstep, each step taking the
-lowest-id neighbor whose distance plus link weight is the node's own.
+the one-pair case. All stamps of a block route both baselines' pairs in one
+batch (_baseline_routes). A latency row of distances is keyed by (stamp,
+source) and relaxed under its stamp's link lengths, a hop row by source alone,
+as unit weights depend only on the template the stamps share. The rows go
+through frontier relaxation over the template's adjacency in passes of at most
+PASS_ROWS rows, into one table. On a Walker grid (IslTemplate.shape), which
+every shift maps onto itself, a block relaxes satellite 0's hop row alone and
+shifts it to each hop source (_shifted_rows). Routing keeps no state across
+blocks. Each pass then walks its routes back from their ends in lockstep, each
+step taking the lowest-id neighbor whose distance plus link weight is the
+node's own.
 
 Stations are indices into the snapshot's stations, satellites flat ids; no
 function here takes a name. trace_lockstep, trace_path, bellman_ford,
@@ -50,12 +53,12 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from functools import cached_property, reduce
 from operator import add
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .geometry import ecef_to_eci, eci_to_ecef, link_latency_ms
-from .topology import Snapshot, edge_rows
+from .topology import IslTemplate, Snapshot, edge_rows
 
 DROP_DEAD_END = "dead-end"
 DROP_LOOP = "loop"
@@ -317,6 +320,14 @@ def _path_columns(r: Routes, up_km: np.ndarray, counts: Sequence[int]) -> list[t
     ]
 
 
+def _one_template(snaps: Sequence[Snapshot]) -> IslTemplate:
+    """The template that every snapshot of a batch shares; ValueError if they do not."""
+    tpl = snaps[0].template
+    if any(s.template is not tpl for s in snaps):
+        raise ValueError("the snapshots of a batch must share one template")
+    return tpl
+
+
 def trace_lockstep(
     snaps: Snapshot | Sequence[Snapshot],
     strategies: Sequence[str],
@@ -352,9 +363,7 @@ def trace_lockstep(
         if s not in (STRATEGY_CPI, STRATEGY_NFP):
             raise ValueError(f"unknown strategy {s!r}")
     snaps = [snaps] if isinstance(snaps, Snapshot) else list(snaps)
-    tpl = snaps[0].template
-    if any(s.template is not tpl for s in snaps):
-        raise ValueError("the snapshots of a batch must share one template")
+    tpl = _one_template(snaps)
     if max_hops is None:
         max_hops = default_max_hops(snaps[0])
     if max_hops < 1:
@@ -479,19 +488,27 @@ def decision_counts(degree: np.ndarray, paths: PathSet | Routes) -> np.ndarray:
 # -- shortest-path baselines --------------------------------------------------
 
 
-def _slot_weights(snap: Snapshot) -> np.ndarray:
-    """The slot weights of every weight, stacked in WEIGHTS order, each laid
-    out like the template's adjacency table: row k * S + v holds satellite
-    v's slots under WEIGHTS[k]. Padding is inf."""
-    return np.concatenate([snap.slot_lengths, np.where(snap.template.real, 1.0, np.inf)])
+def _slot_weights(snaps: Sequence[Snapshot]) -> np.ndarray:
+    """The slot weights of a batch's K snapshots, stacked in blocks of S rows,
+    each laid out like the template's adjacency table: row k * S + v holds
+    satellite v's link lengths in snaps[k], and block K its unit weights. A
+    batch of one stacks its blocks in WEIGHTS order. Padding is inf."""
+    tpl = snaps[0].template
+    n, k = tpl.sat_count, len(snaps)
+    links = np.arange(tpl.edge_count + 1)  # and the padding's inf
+    w = np.empty(((k + 1) * n, tpl.nbr.shape[1]))
+    for q, s in enumerate(snaps):
+        np.take(s.link_lengths(links), tpl.link, out=w[q * n : (q + 1) * n])
+    w[k * n :] = np.where(tpl.real, 1.0, np.inf)
+    return w
 
 
 def _distances(
-    snap: Snapshot, w: np.ndarray, kinds: np.ndarray, sources: np.ndarray,
+    snap: Snapshot, w: np.ndarray, blocks: np.ndarray, sources: np.ndarray,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Distances over the satellite graph, row i from satellite sources[i]
-    under the slot weights of WEIGHTS[kinds[i]] (w from _slot_weights), by
+    under the slot weights of block blocks[i] of w (_slot_weights), by
     frontier relaxation to the fixed point, into out (a C-contiguous rows x S
     table) or a new table.
 
@@ -507,20 +524,22 @@ def _distances(
     flat = dist.reshape(-1)
     frontier = np.arange(sources.size) * n + sources
     flat[frontier] = 0.0
-    base = kinds * n  # each row's first row of w
+    base = blocks * n  # each row's first row of w
     # marks the next frontier once per node; np.unique would import numpy.ma
     mark = np.zeros(flat.size, dtype=bool)
+    # rows are gathered by take: indexing a 2-D array with an index array
+    # makes the same copy several times slower
     while frontier.size:
         row = frontier // n
         off = row * n
         node = frontier - off
-        target = nbr[node]
+        target = nbr.take(node, axis=0)
         target += off[:, None]
-        cand = w[base[row] + node]
+        cand = w.take(base[row] + node, axis=0)
         cand += flat[frontier][:, None]
-        fell = cand < flat[target]
-        target = target[fell]
-        np.minimum.at(flat, target, cand[fell])
+        fell = np.flatnonzero(cand < flat[target])
+        target = target.take(fell)
+        np.minimum.at(flat, target, cand.take(fell))
         mark[target] = True
         frontier = np.flatnonzero(mark)
         mark[frontier] = False
@@ -528,33 +547,45 @@ def _distances(
 
 
 def _walk_back(
-    snap: Snapshot, w: np.ndarray, dist: np.ndarray, kinds: np.ndarray, row: np.ndarray,
-    src: np.ndarray, end: np.ndarray,
+    tpl: IslTemplate, w: np.ndarray, dist: np.ndarray, row: np.ndarray, base: np.ndarray,
+    at: np.ndarray, src: np.ndarray, end: np.ndarray,
 ) -> Routes:
     """The shortest route of each (src[i], end[i]) pair over the distances
-    dist[row[i]] from src[i] under WEIGHTS[kinds[row[i]]], walked back from
-    end[i] for all pairs in lockstep. At node v a step takes the first column
-    j with dist[nbr[v, j]] + w[v, j] == dist[v], as neighbor rows ascend the
-    lowest-id predecessor. Zero-length links can make two nodes each other's
-    predecessor: a walk as long as the node count raises."""
-    nbr, lengths = snap.template.nbr, snap.slot_lengths
-    m = end.size
-    steps = []
-    live, cur, base = np.arange(m), end, kinds[row] * snap.sat_count
-    for _ in range(snap.sat_count):
+    dist[row[i]] from src[i] under the slot weights at rows base[i] + v of w,
+    walked back from end[i] for all pairs in lockstep. At node v a step takes
+    the first column j with dist[nbr[v, j]] + w[base[i] + v, j] == dist[v],
+    as neighbor rows ascend the lowest-id predecessor, and the link's length
+    at w[at[i] + v, j], the pair's own stamp's. Zero-length links can make
+    two nodes each other's predecessor: a walk as long as the node count
+    raises."""
+    nbr, n, d = tpl.nbr, tpl.sat_count, tpl.nbr.shape[1]
+    flat, m = dist.reshape(-1), end.size
+    steps = []  # per step back: the live pairs, their satellites, the legs into them
+    size = np.zeros(m, dtype=np.int64)
+    live, cur, off, at = np.arange(m), end, row * n, at * d
+    for t in range(1, n + 1):
+        fits = flat.take(off[:, None] + nbr.take(cur, axis=0)) + w.take(base + cur, axis=0)
+        slot = cur * d + (fits == flat.take(off + cur)[:, None]).argmax(axis=1)
+        leg = w.take(at + slot)
+        steps.append((live, cur, leg))
         root = cur == src  # a route's first satellite: no link into it
-        steps.append((live[root], cur[root], np.zeros(np.count_nonzero(root))))
-        live, row, base, src, cur = (a[~root] for a in (live, row, base, src, cur))
-        if not live.size:
-            break
-        fits = dist[row[:, None], nbr[cur]] + w[base + cur] == dist[row, cur][:, None]
-        col = fits.argmax(axis=1)
-        steps.append((live, cur, lengths[cur, col]))
-        cur = nbr[cur, col]
+        if root.any():
+            size[live[root]] = t
+            leg[root] = 0.0
+            go = ~root
+            live, off, base, at, src, slot = (a[go] for a in (live, off, base, at, src, slot))
+            if not live.size:
+                break
+        cur = nbr.take(slot)
     else:
         raise RuntimeError("path reconstruction exceeded the node count")
-    # later steps first: each route reads from its root to its end
-    return _routes(steps[::-1], np.zeros(m, dtype=np.int8), np.zeros(m))
+    # step t back from its end is a route's satellite t before its last
+    starts = np.concatenate(([0], np.cumsum(size)))
+    sats, legs = np.empty(starts[-1], dtype=np.int64), np.empty(starts[-1])
+    for t, (live, cur, leg) in enumerate(steps):
+        pos = starts[live + 1] - 1 - t
+        sats[pos], legs[pos] = cur, leg
+    return Routes(sats, starts, legs, np.zeros(m, dtype=np.int8), np.zeros(m))
 
 
 def _shifted_rows(row: np.ndarray, shape: tuple[int, int], by: np.ndarray, out: np.ndarray) -> None:
@@ -568,48 +599,85 @@ def _shifted_rows(row: np.ndarray, shape: tuple[int, int], by: np.ndarray, out: 
         r[...] = tiled[planes - p : 2 * planes - p, slots - s : 2 * slots - s]
 
 
-def _baseline_routes(
-    snap: Snapshot, weights: str | Sequence[str], src: np.ndarray, end: np.ndarray
-) -> tuple[np.ndarray, Routes]:
-    """The indices of the reached (src[i], end[i]) satellite pairs under each
-    of weights (or the one weight named) in turn, and their exact shortest
-    routes: index k * src.size + i is pair i under weights[k].
+# the most distance rows one baseline pass holds. A pass takes about as many
+# frontier rounds whatever its rows, while its table and frontier grow with
+# them. On perfbench static-baselines (40x40 +Grid, about 11 latency rows a
+# stamp, a 2-core Xeon) passes of 16, 24 and 32 rows gave a wall_s of 0.106,
+# 0.102 and 0.101 s and a peak RSS of 76.8, 77.3 and 78.5 MB; serial
+# experiment3_moving.json (20 to 75 rows a stamp) took 1.8-2.3 s at 16 rows
+# and 1.6-1.7 s at 24
+PASS_ROWS = 16
 
-    One distance pass covers the distinct sources under each weight, a row
-    each. On a grid template (IslTemplate.shape) it relaxes one hop row, from
-    satellite 0, in place of them all, and every hop row is that row shifted
-    to its source (_shifted_rows). A pair is reached where its end's distance
-    is finite, and all routes walk back in one batch over the distances alone.
+
+def _baseline_routes(
+    snaps: Snapshot | Sequence[Snapshot],
+    weights: str | Sequence[str],
+    src: np.ndarray,
+    end: np.ndarray,
+    stamp: np.ndarray | None = None,
+) -> Iterator[tuple[np.ndarray, Routes]]:
+    """The exact shortest routes of the (src[i], end[i]) satellite pairs under
+    each of weights (or the one weight named) in turn, pair i in
+    snaps[stamp[i]] (stamp defaults to all zeros, and a lone Snapshot is a
+    batch of one), one distance pass at a time. Index k * src.size + i is
+    pair i under weights[k]. Every pass that reaches a pair yields the indices
+    of the pairs it reached, ascending, and their routes in that order; each
+    pair is in one pass.
+
+    A latency row is keyed by (stamp, source) and relaxed under its stamp's
+    link lengths, a hop row by source alone, as unit weights depend only on
+    the template the snapshots share. The distinct keys go through
+    _distances in ascending order, at most PASS_ROWS rows a pass, into one
+    table that every pass reuses. On a grid template (IslTemplate.shape) the
+    batch relaxes one hop row, from satellite 0, in place of them all, and
+    every other hop row is that row shifted to its source (_shifted_rows). A
+    pair is reached where its end's distance is finite, and each pass walks
+    back all its reached pairs in one batch over the distances alone.
     """
+    snaps = [snaps] if isinstance(snaps, Snapshot) else list(snaps)
+    tpl = _one_template(snaps)
     if isinstance(weights, str):
         weights = (weights,)
     for weight in weights:
         if weight not in WEIGHTS:
             raise ValueError(f"unknown weight {weight!r}")
-    n, shape = snap.sat_count, snap.template.shape
-    kind = np.repeat([WEIGHTS.index(x) for x in weights], src.size)
-    src, end = np.tile(src, len(weights)), np.tile(end, len(weights))
-    # a row's key is its weight's code * S + its source: hop rows are keys >= S
-    key = kind * n + src
-    mark = np.zeros(len(WEIGHTS) * n, dtype=bool)
+    n, hop = tpl.sat_count, len(snaps)  # hop: the unit weights' block of w
+    kk = np.zeros(src.size, np.int64) if stamp is None else np.asarray(stamp, dtype=np.int64)
+    unit = np.repeat([x == WEIGHT_UNIT for x in weights], src.size)
+    src, end, kk = (np.tile(a, len(weights)) for a in (src, end, kk))
+    # a row's key is its block of w * S + its source
+    key = np.where(unit, hop, kk) * n + src
+    mark = np.zeros((hop + 1) * n, dtype=bool)
     mark[key] = True
-    keys = np.flatnonzero(mark)
-    # on a grid the pass relaxes satellite 0's hop row, and the hop rows are read off it
-    shifted = keys[keys >= n] if shape is not None else keys[:0]
-    relax = np.append(keys[keys < n], n) if shifted.size else keys
-    order = np.concatenate([relax, shifted])
-    kinds, sources = np.divmod(order, n)
-    w = _slot_weights(snap)
-    dist = np.empty((order.size, n))
-    _distances(snap, w, kinds[:relax.size], sources[:relax.size], out=dist[:relax.size])
-    if shifted.size:
-        _shifted_rows(dist[relax.size - 1], shape, shifted - n, out=dist[relax.size:])
+    # on a grid the batch relaxes satellite 0's hop row, and the others are read off it
+    grid = tpl.shape is not None and mark[hop * n :].any()
+    mark[hop * n] |= grid
+    order = np.flatnonzero(mark)
+    blocks, sources = np.divmod(order, n)
+    # the relaxed rows lead the order, the shifted hop rows trail it
+    relaxed = int(np.searchsorted(order, hop * n)) + 1 if grid else order.size
     row_of = np.empty(mark.size, dtype=np.int64)
     row_of[order] = np.arange(order.size)
     row = row_of[key]  # each pair's row
-    reached = np.flatnonzero(np.isfinite(dist[row, end]))
-    routes = _walk_back(snap, w, dist, kinds, row[reached], src[reached], end[reached])
-    return reached, routes
+    pass_of = row // PASS_ROWS
+    by_pass = np.argsort(pass_of, kind="stable")  # the pairs of each pass, in pair order
+    bounds = np.searchsorted(pass_of[by_pass], np.arange(-(-order.size // PASS_ROWS) + 1))
+    w = _slot_weights(snaps)
+    table = np.empty((min(PASS_ROWS, order.size), n))
+    for p, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        a, b = p * PASS_ROWS, min((p + 1) * PASS_ROWS, order.size)
+        dist, r = table[: b - a], min(max(relaxed - a, 0), b - a)
+        if r:
+            _distances(snaps[0], w, blocks[a : a + r], sources[a : a + r], out=dist[:r])
+        if grid and a < relaxed <= b:
+            hop0 = dist[relaxed - 1 - a].copy()  # the next pass overwrites the table
+        if r < b - a:
+            _shifted_rows(hop0, tpl.shape, sources[a + r : b], out=dist[r:])
+        pairs = by_pass[lo:hi]
+        reached = pairs[np.isfinite(dist[row[pairs] - a, end[pairs]])]
+        if reached.size:
+            yield reached, _walk_back(tpl, w, dist, row[reached] - a, key[reached] - src[reached],
+                                      kk[reached] * n, src[reached], end[reached])
 
 
 def bellman_ford(snap: Snapshot, weight: str, src_sat: int, dst_sat: int) -> Path | None:
@@ -620,10 +688,9 @@ def bellman_ford(snap: Snapshot, weight: str, src_sat: int, dst_sat: int) -> Pat
     This is the one-pair case of the batched baselines.
     """
     _check_indices("satellite", [src_sat, dst_sat], snap.sat_count)
-    reached, r = _baseline_routes(snap, weight, np.array([src_sat]), np.array([dst_sat]))
-    if not reached.size:
-        return None
-    return Path(tuple(r.sats.tolist()), tuple(r.legs[1:].tolist()), "delivered")
+    for _, r in _baseline_routes(snap, weight, np.array([src_sat]), np.array([dst_sat])):
+        return Path(tuple(r.sats.tolist()), tuple(r.legs[1:].tolist()), "delivered")
+    return None
 
 
 # -- station-to-station path sets ---------------------------------------------
@@ -694,10 +761,13 @@ def block_path_sets(
     destination's inertial position in its snapshot; all traces of the block
     run as one trace_lockstep batch in (stamp, connection, algorithm,
     ascending source satellite) order. Baselines compute one path per
-    (source-associated, destination-associated) satellite pair; each stamp
-    runs one batch for all its connections. A connection with an uncovered
-    endpoint yields empty sets. Each batch sums its paths' legs once, then
-    adds the edge links.
+    (source-associated, destination-associated) satellite pair; the pairs of
+    every stamp and connection of the block go through one _baseline_routes
+    batch, and each of its passes has its columns cut once. A set's pairs
+    ascend by source and so do their rows, so a set whose pairs span passes
+    joins its pieces in pass order. A connection with an uncovered endpoint
+    yields empty sets. Each cut sums its paths' legs once, then adds the edge
+    links. ValueError unless the snapshots share one template.
     """
     for algo in algorithms:
         if algo not in ALGORITHMS:
@@ -726,27 +796,35 @@ def block_path_sets(
         points = np.stack([s.station_positions for s in snaps])[stamp, dest]
         r = trace_lockstep(snaps, rules, np.concatenate(src), dest, points, stamp=stamp)
         up = np.concatenate([snaps[q].edge_lengths[i] for q, i in zip(k, si)])
-        columns.update(zip(greedy, _path_columns(r, up, counts)))
+        columns.update((g, PathSet(*c)) for g, c in zip(greedy, _path_columns(r, up, counts)))
     baselines = [a for a in algorithms if a in _WEIGHT_OF]
-    for q, (snap, conns) in enumerate(zip(snaps, live)):
-        if conns and baselines:
-            # the (source, end) satellite pairs of the live connections, routed
-            # under every baseline's weight in one batch
-            sats, lengths = snap.edge_sats, snap.edge_lengths
-            src = np.concatenate([np.repeat(sats[si], sats[di].size) for si, di in conns])
-            end = np.concatenate([np.tile(sats[di], sats[si].size) for si, di in conns])
-            up = np.concatenate([np.repeat(lengths[si], sats[di].size) for si, di in conns])
-            down = np.concatenate([np.tile(lengths[di], sats[si].size) for si, di in conns])
-            n = len(baselines)
-            bounds = np.cumsum([0] + [sats[si].size * sats[di].size for si, di in conns] * n)
-            hit, r = _baseline_routes(snap, [_WEIGHT_OF[a] for a in baselines], src, end)
-            counts = np.diff(np.searchsorted(hit, bounds)).tolist()
-            r = r._replace(down_km=np.tile(down, n)[hit])
-            cut = _path_columns(r, np.tile(up, n)[hit], counts)
-            columns.update(zip(((q, si, di, a) for a in baselines for si, di in conns), cut))
+    ends = [(q, si, di) for q, conns in enumerate(live) for si, di in conns] if baselines else []
+    if ends:
+        # the (source, end) satellite pairs of the live connections of every
+        # stamp, routed under every baseline's weight in one batch
+        sats = [(snaps[q].edge_sats[si], snaps[q].edge_sats[di]) for q, si, di in ends]
+        lengths = [(snaps[q].edge_lengths[si], snaps[q].edge_lengths[di]) for q, si, di in ends]
+        src = np.concatenate([np.repeat(a, b.size) for a, b in sats])
+        end = np.concatenate([np.tile(b, a.size) for a, b in sats])
+        sizes = [a.size * b.size for a, b in sats]
+        n = len(baselines)
+        up = np.tile(np.concatenate([np.repeat(u, d.size) for u, d in lengths]), n)
+        down = np.tile(np.concatenate([np.tile(d, u.size) for u, d in lengths]), n)
+        bounds = np.cumsum([0] + sizes * n)
+        keys = [(q, si, di, a) for a in baselines for q, si, di in ends]
+        stamp = np.repeat([q for q, _, _ in ends], sizes)
+        pieces = {}  # each set's columns, a piece per pass that reached its pairs
+        weights = [_WEIGHT_OF[a] for a in baselines]
+        for hit, r in _baseline_routes(snaps, weights, src, end, stamp):
+            counts = np.diff(np.searchsorted(hit, bounds))
+            touched = np.flatnonzero(counts)
+            cut = _path_columns(r._replace(down_km=down[hit]), up[hit], counts[touched].tolist())
+            for i, c in zip(touched.tolist(), cut):
+                pieces.setdefault(keys[i], []).append(PathSet(*c))
+        columns.update((g, p[0] if len(p) == 1 else join_path_sets(p)) for g, p in pieces.items())
     return [
         [
-            PathSet(*columns.get((q, si, di, algo), _NO_PATHS))
+            columns.get((q, si, di, algo)) or PathSet(*_NO_PATHS)
             for si, di in connections
             for algo in algorithms
         ]

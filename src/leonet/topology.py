@@ -281,9 +281,8 @@ class Snapshot:
     satellites station i sees, ascending, and their lengths. Tables derived
     from them are built on first read, as routing a block of stamps holds
     several snapshots at once: edge_km[i, s], the length of the link from
-    station i to satellite s, inf where i does not see s (edge_rows), and
-    slot_lengths, the link lengths laid out like the template's adjacency
-    table. So are the velocities (sat_velocities), which only crossing-link
+    station i to satellite s, inf where i does not see s (edge_rows). So are
+    the velocities (sat_velocities), which only crossing-link
     detection reads: the first snapshot of a block to read them propagates
     the block's. Transient crossing-mesh links are intentionally absent.
     Persistent link lengths (isl_lengths, one per template link) are
@@ -337,10 +336,6 @@ class Snapshot:
     @cached_property
     def edge_km(self) -> np.ndarray:
         return edge_rows(self.edge_sats, self.edge_lengths, self.sat_positions.shape[0])
-
-    @cached_property
-    def slot_lengths(self) -> np.ndarray:
-        return np.append(self.isl_lengths, np.inf)[self.template.link]
 
     # -- node id scheme -------------------------------------------------
     @property

@@ -38,6 +38,7 @@ from leonet.routing import (
     STATUSES,
     WEIGHTS,
     Path,
+    Routes,
     UnknownEquipmentError,
     _baseline_routes,
     _distances,
@@ -60,6 +61,7 @@ from leonet.scenario import load_scenario
 from leonet.topology import (
     FixedPosition,
     IslPattern,
+    IslTemplate,
     Station,
     build_persistent_isls,
     self_link_parameter,
@@ -117,7 +119,20 @@ def snapshot_legs(snap, route):
     """The snapshot's slot length of each link of a route, in route order."""
     a = np.array(route[:-1], dtype=np.int64)
     col = (snap.template.nbr[a] == np.array(route[1:])[:, None]).argmax(axis=1)
-    return tuple(snap.slot_lengths[a, col].tolist())
+    return tuple(snap.link_lengths(snap.template.link[a, col]).tolist())
+
+
+def baseline_batch(snaps, weights, src, end, stamp=None):
+    """The passes of one _baseline_routes batch gathered in pair order: the
+    reached pair indices, ascending, and their Routes in that order."""
+    passes = list(_baseline_routes(snaps, weights, np.asarray(src), np.asarray(end), stamp))
+    hit = np.concatenate([np.zeros(0, np.int64), *(h for h, _ in passes)])
+    segs = [(r.sats[a:b], r.legs[a:b]) for _, r in passes for a, b in zip(r.starts, r.starts[1:])]
+    order = np.argsort(hit).tolist()
+    sats = np.concatenate([np.zeros(0, np.int64), *(segs[i][0] for i in order)])
+    legs = np.concatenate([np.zeros(0), *(segs[i][1] for i in order)])
+    starts = np.cumsum([0, *(segs[i][0].size for i in order)])
+    return hit[order], Routes(sats, starts, legs, np.zeros(hit.size, np.int8), np.zeros(hit.size))
 
 
 def routes(ps):
@@ -852,7 +867,7 @@ class TestBaselinesExact:
         end = np.concatenate([np.tile(sats[di], sats[si].size) for si, di in conns])
         tracemalloc.start()
         try:
-            hit, _ = _baseline_routes(snap, weight, src, end)
+            hit, _ = baseline_batch(snap, weight, src, end)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -862,6 +877,26 @@ class TestBaselinesExact:
         # each further rows x S array a pass keeps adds 1
         assert peak < 3.5 * table
 
+    def test_block_pass_keeps_one_distance_table(self):
+        # the baselines of a block of four stamps on the 70x70 shell, held to
+        # the one-stamp bound above: the stamps' tables at once would break it
+        sc = load_scenario(SCENARIO_DIR / "experiment1_40x40.json")
+        sc = replace(sc, constellation=replace(sc.constellation, sats_per_plane=70, planes=70))
+        snaps = snapshot_at(sc)(sc.time.stamps()[:4])
+        conns = _connection_indices(sc)
+        rows = [len(live_sources(s, conns)) for s in snaps]
+        table = max(rows) * snaps[0].sat_count * 8
+        assert sum(rows) * snaps[0].sat_count * 8 > 3.5 * table
+        assert min(rows) > 2 * routing.PASS_ROWS
+        tracemalloc.start()
+        try:
+            got = block_path_sets(snaps, (ALGO_SP, ALGO_LH), conns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(len(ps.paths) for sets in got for ps in sets)
+        assert peak < 3.5 * table
+
     def test_greedy_lengths_read_the_snapshot_on_shipped_shell(self):
         sc = load_scenario(SCENARIO_DIR / "experiment1_20x20.json")
         const = build_walker(sc.constellation)
@@ -869,12 +904,13 @@ class TestBaselinesExact:
         legs = downs = 0
         for t in sc.time.stamps()[::20]:
             snap = snapshot(const, sc.stations, sc.pattern, t, sc.elevation_min_deg, template=tpl)
+            slots = snap.link_lengths(tpl.link)  # laid out like the adjacency table
             for si, di in _connection_indices(sc):
                 for algo in (ALGO_MPLF_CPI, ALGO_MPLF_NFP):
                     ps = enumerate_paths(snap, algo, si, di)
                     for r, total, ok in zip(routes(ps), ps.total_km.tolist(), ps.delivered):
                         kms = [
-                            snap.slot_lengths[a, int(np.flatnonzero(tpl.nbr[a] == b)[0])]
+                            slots[a, int(np.flatnonzero(tpl.nbr[a] == b)[0])]
                             for a, b in zip(r, r[1:])
                         ]
                         legs += len(kms)
@@ -931,7 +967,7 @@ def reference_trace(snap, strategy, src, station, max_hops, dest_pos, counts):
     def path(status, reason=None, down_km=None):
         a = np.array(sats[:-1], dtype=np.int64)
         col = (snap.template.nbr[a] == np.array(sats[1:])[:, None]).argmax(axis=1)
-        legs = tuple(snap.slot_lengths[a, col].tolist())
+        legs = tuple(snap.link_lengths(snap.template.link[a, col]).tolist())
         return Path(tuple(sats), legs, status, drop_reason=reason, down_km=down_km)
 
     prev, current = None, src
@@ -1145,7 +1181,7 @@ class TestStampPathSets:
     @pytest.mark.parametrize("weight", ["latency", "unit"])
     def test_batched_baseline_rows_equal_per_connection_calls(self, weight):
         snap = snapshot_shell(self.stations(), seconds=300)
-        w, code = _slot_weights(snap), WEIGHTS.index(weight)
+        w, code = _slot_weights([snap]), WEIGHTS.index(weight)
         sources = np.concatenate(snap.edge_sats)
         dist = _distances(snap, w, np.full(sources.size, code), sources)
         start = 0
@@ -1201,12 +1237,13 @@ def shared_template(sc):
 
 @pytest.fixture
 def hop_passes(monkeypatch):
-    """The number of hop rows each distance pass computes, in call order."""
+    """The number of hop rows each distance pass computes, in call order: the
+    rows under the last block of the stacked weights, the unit weights."""
     counts = []
 
-    def counted(snap, w, kinds, sources, out=None):
-        counts.append(int(np.count_nonzero(kinds == WEIGHTS.index("unit"))))
-        return _distances(snap, w, kinds, sources, out)
+    def counted(snap, w, blocks, sources, out=None):
+        counts.append(int(np.count_nonzero(blocks == w.shape[0] // snap.sat_count - 1)))
+        return _distances(snap, w, blocks, sources, out)
 
     monkeypatch.setattr(routing, "_distances", counted)
     return counts
@@ -1267,6 +1304,107 @@ class TestBlockPathSets:
             trace_lockstep(snaps, ["nfp"], [-1], [1], point)
 
 
+def live_sources(snap, conns):
+    """The distinct source satellites of the connections whose endpoints both
+    see a satellite: a stamp's latency rows."""
+    return {
+        int(s)
+        for si, di in conns
+        if snap.covered(si) and snap.covered(di)
+        for s in snap.edge_sats[si]
+    }
+
+
+@pytest.fixture
+def pass_sizes(monkeypatch):
+    """The rows each distance pass relaxes, in call order."""
+    sizes = []
+
+    def counted(snap, w, blocks, sources, out=None):
+        sizes.append(int(sources.size))
+        return _distances(snap, w, blocks, sources, out)
+
+    monkeypatch.setattr(routing, "_distances", counted)
+    return sizes
+
+
+def alone_in_one_pass(snaps, algorithms, conns):
+    """The stamp_path_sets columns of each snapshot routed alone, its rows in
+    one distance pass."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(routing, "PASS_ROWS", 10**9)
+        return [[set_columns(ps) for ps in stamp_path_sets(s, algorithms, conns)] for s in snaps]
+
+
+class TestBlockBaselines:
+    """The baseline rows of every stamp of a block share distance passes of
+    at most PASS_ROWS rows and their walks back, and give each stamp, bit for
+    bit, every column that routing the stamp alone in one pass gives."""
+
+    @pytest.mark.parametrize(
+        "name, first, rows, spans",
+        [
+            # stamps 10-12 leave station 0, an endpoint of (0, 1), uncovered
+            ("experiment1_20x20.json", 8, 1, True),
+            ("experiment1_20x20.json", 8, 3, True),
+            ("experiment1_20x20.json", 8, None, False),
+            ("experiment3_moving.json", 0, 7, True),
+            ("experiment3_moving.json", 0, None, True),
+        ],
+    )
+    def test_block_equals_each_stamp_in_one_pass(
+        self, name, first, rows, spans, monkeypatch, pass_sizes
+    ):
+        # spans: a stamp's own rows exceed a pass
+        sc = load_scenario(SCENARIO_DIR / name)
+        conns = _connection_indices(sc)
+        snaps = snapshot_at(sc)(sc.time.stamps()[first : first + 6])
+        want = alone_in_one_pass(snaps, sc.algorithms, conns)
+        if rows is not None:
+            monkeypatch.setattr(routing, "PASS_ROWS", rows)
+        cap = routing.PASS_ROWS
+        pass_sizes.clear()
+        got = block_path_sets(snaps, sc.algorithms, conns)
+        assert [[set_columns(ps) for ps in sets] for sets in got] == want
+        assert len(conns) >= 3 and {ALGO_SP, ALGO_LH} <= set(sc.algorithms)
+        assert sum(len(cols[2]) for sets in want for cols in sets) > 100
+        # the relaxed rows, every latency row and the hop row from satellite
+        # 0, lead the passes: passes cut the block
+        latency_rows = [len(live_sources(s, conns)) for s in snaps]
+        assert pass_sizes[:-1] == [cap] * (len(pass_sizes) - 1) and len(pass_sizes) > 1
+        assert sum(pass_sizes) == sum(latency_rows) + 1
+        assert (max(latency_rows) > cap) == spans
+        uncovered = [not (s.covered(si) and s.covered(di)) for s in snaps for si, di in conns]
+        assert any(uncovered) == (name == "experiment1_20x20.json")
+
+    def test_a_template_with_no_grid_shape_relaxes_each_hop_row_once_per_block(self, hop_passes):
+        # the grid's links in a template with no shape, as a synthetic_snapshot's
+        sc, stamps = shipped_stamps("experiment1_20x20.json", count=3)
+        sc = replace(sc, algorithms=(ALGO_LH, ALGO_SP))
+        const = build_walker(sc.constellation)
+        grid = build_persistent_isls(const, sc.pattern)
+        tpl = IslTemplate(grid.pairs, grid.kinds, grid.sat_count)
+        snaps = snapshot(const, sc.stations, sc.pattern, stamps, sc.elevation_min_deg, template=tpl)
+        conns = _connection_indices(sc)
+        want = alone_in_one_pass(snaps, sc.algorithms, conns)
+        hop_passes.clear()
+        got = block_path_sets(snaps, sc.algorithms, conns)
+        assert [[set_columns(ps) for ps in sets] for sets in got] == want
+        # a hop row is keyed by its source alone: consecutive stamps share them
+        sources = [live_sources(s, conns) for s in snaps]
+        assert tpl.shape is None and sum(hop_passes) == len(set().union(*sources))
+        assert sum(hop_passes) < sum(map(len, sources))
+
+    def test_baselines_alone_reject_a_foreign_template(self):
+        # no greedy algorithm, so trace_lockstep never runs: the baselines check
+        sc, stamps = shipped_stamps("experiment1_20x20.json", count=1)
+        snaps = [snapshot_at(sc)(t) for t in stamps]  # a template each
+        conns = _connection_indices(sc)
+        assert all(live_sources(s, conns) for s in snaps)
+        with pytest.raises(ValueError, match="the snapshots of a batch must share one template"):
+            block_path_sets(snaps, (ALGO_SP, ALGO_LH), conns)
+
+
 class TestHopRowCache:
     """No template carries hop rows across stamps: a template shared by every
     stamp routes as fresh templates do, and a pass on a grid template relaxes
@@ -1316,7 +1454,7 @@ class TestHopRowCache:
         src, end = np.repeat(np.arange(6), 6), np.tile(np.arange(6), 6)
         part = np.array([0, 0, 0, 1, 1, 2])
         want = np.flatnonzero(part[src] == part[end])
-        runs = [_baseline_routes(snap, ("latency", "unit"), src, end) for _ in range(2)]
+        runs = [baseline_batch(snap, ("latency", "unit"), src, end) for _ in range(2)]
         # a template with no grid shape relaxes a hop row per distinct source
         assert snap.template.shape is None and hop_passes == [6, 6]
         for hit, r in runs:
@@ -1327,8 +1465,8 @@ class TestHopRowCache:
         snap = snapshot_shell([ground("a", 45.0, 10.0), ground("b", -30.0, 100.0)], seconds=300)
         src = np.repeat(snap.edge_sats[0], snap.edge_sats[1].size)
         end = np.tile(snap.edge_sats[1], snap.edge_sats[0].size)
-        hit, r = _baseline_routes(snap, ("latency", "unit"), src, end)
-        parts = [_baseline_routes(snap, w, src, end) for w in ("latency", "unit")]
+        hit, r = baseline_batch(snap, ("latency", "unit"), src, end)
+        parts = [baseline_batch(snap, w, src, end) for w in ("latency", "unit")]
         assert hit.tolist() == parts[0][0].tolist() + (parts[1][0] + src.size).tolist()
         for column in ("sats", "legs"):
             want = np.concatenate([getattr(p[1], column) for p in parts])
@@ -1358,7 +1496,7 @@ class TestHopRowSymmetry:
                                       const.velocities_at(EPOCH), tpl.pairs, tpl.kinds)
             n = tpl.sat_count
             unit = np.full(n, WEIGHTS.index("unit"))
-            relaxed = _distances(snap, _slot_weights(snap), unit, np.arange(n))
+            relaxed = _distances(snap, _slot_weights([snap]), unit, np.arange(n))
             shifted = np.empty_like(relaxed)
             _shifted_rows(relaxed[0], tpl.shape, np.arange(n), out=shifted)
             assert shifted.tobytes() == relaxed.tobytes()
@@ -1393,7 +1531,7 @@ class TestColumnForms:
             src = [rng.randrange(n) for _ in range(m)]
             end = [rng.randrange(n) for _ in range(m)]
             for weight in ("latency", "unit"):
-                hit, r = _baseline_routes(snap, weight, np.array(src), np.array(end))
+                hit, r = baseline_batch(snap, weight, src, end)
                 want = [reference_route(links, n, weight, s, e) for s, e in zip(src, end)]
                 assert hit.tolist() == [i for i, w in enumerate(want) if w[1] is not None]
                 sats, starts, legs = r.sats.tolist(), r.starts.tolist(), r.legs.tolist()
