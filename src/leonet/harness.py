@@ -10,8 +10,9 @@ paid once per block: the snapshots of a block are built in one call
 exact baselines as another, whose distance passes may span stamps
 (routing.block_path_sets), and its path-log rows and decision counts are
 assembled once. One isolating function, _block, finishes a block from its
-snapshots and path sets, routed or read from a log, for serial runs,
-workers and reanalysis alike: the set stats of the whole block as columns,
+snapshots and path sets, routed or read from a log as one PathSet of the
+block's paths and each set's path count, for serial runs, workers and
+reanalysis alike: the set stats of the whole block as columns,
 one row per (stamp, set), with one column of the sets' vertices
 (metrics.make_stamp_stats), and the block's path-log rows and decision
 counts, one small int array. A block that raises is finished again one
@@ -22,8 +23,8 @@ it builds each StampStats once, with vertex_changes from one pass over the
 stamp before's vertex rows and the block's vertex column
 (StampColumns.vertex_changes); the failure reset; and the path log. That
 log is one columnar PathLog from the block to the file and back;
-analyze_rows slices its path sets out of it and checks each stamp's rows
-against that stamp's snapshot (check_stamp).
+analyze_rows takes each block's rows out of it in one gather and checks
+each stamp's rows against that stamp's snapshot (check_stamp).
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .routing import (
     PathSet,
     block_path_sets,
     decision_counts,
-    join_path_sets,
+    gather_runs,
 )
 from .scenario import Scenario
 from .topology import Snapshot, build_persistent_isls, snapshot
@@ -97,9 +98,7 @@ class PathLog:
 
     def take(self, rows: np.ndarray) -> PathLog:
         """The given rows, in that order, with one gather of their hops."""
-        lengths = (self.starts[1:] - self.starts[:-1])[rows]
-        starts = np.concatenate(([0], np.cumsum(lengths)))
-        hops = np.repeat(self.starts[:-1][rows] - starts[:-1], lengths) + np.arange(starts[-1])
+        starts, hops = gather_runs(self.starts, rows)
         rows_of = (self.stamp, self.path_set, self.end, self.latency_ms)
         return PathLog(*(c[rows] for c in rows_of), self.sats[hops], starts)
 
@@ -228,22 +227,20 @@ def _block(
     sets: list[tuple[tuple[int, int], str]],
     stamps: Sequence[datetime],
     snapshot_of: Callable[[list[datetime]], list[Snapshot]],
-    path_sets_of: Callable[[list[Snapshot]], Sequence[Sequence[PathSet]]],
+    path_sets_of: Callable[[list[Snapshot]], tuple[PathSet, Sequence[int]]],
     block: range,
 ) -> list[BlockOutcome | str]:
     """Finish the stamps block (indices into stamps) from their snapshots and
-    path sets, one list per snapshot with one set per entry of sets
-    (_path_sets). A block that raises anything but PathLogError is run again
-    one stamp at a time, so that it comes back as outcomes of its stamps, a
-    failed stamp as the repr of the exception it raised."""
+    path sets: their paths and a count for each snapshot and entry of sets
+    (_path_sets), as routing.block_path_sets gives, or ValueError. A block
+    that raises anything but PathLogError is run again one stamp at a time,
+    so that it comes back as outcomes of its stamps, a failed stamp as the
+    repr of the exception it raised."""
     try:
         snaps = snapshot_of([stamps[i] for i in block])
-        flat = [
-            ps
-            for _, path_sets in zip(snaps, path_sets_of(snaps), strict=True)
-            for _, ps in zip(sets, path_sets, strict=True)
-        ]
-        paths, counts = join_path_sets(flat), [ps.end.size for ps in flat]
+        paths, counts = path_sets_of(snaps)
+        if len(counts) != len(snaps) * len(sets):
+            raise ValueError(f"{len(counts)} path-set counts for {len(snaps) * len(sets)} sets")
         pairs = dict.fromkeys(conn for conn, _ in sets)  # in order: sets are connection-major
         ends = [(snap, si, di) for snap in snaps for si, di in pairs]
         stats = make_stamp_stats(
@@ -404,19 +401,16 @@ def analyze_rows(scenario: Scenario, log: PathLog) -> ExperimentResult:
     cut = np.searchsorted(key, np.arange(len(stamps) * len(sets) + 1))
     unit = float(link_latency_ms(1.0))
 
-    def path_sets_at(snap: Snapshot) -> list[PathSet]:
-        bounds = cut[index_of[snap.t] * len(sets) :][: len(sets) + 1]
+    def path_sets_of(snaps: list[Snapshot]) -> tuple[PathSet, np.ndarray]:
+        # a block's stamps are consecutive, and so are its rows
+        first = index_of[snaps[0].t] * len(sets)
+        bounds = cut[first : first + len(snaps) * len(sets) + 1]
         rows = order[bounds[0] : bounds[-1]]
         part = log.take(rows)
-        check_stamp(snap, sets, part, rows + 1)
-        sats, s, ms = part.sats.astype(np.int64), part.starts, part.latency_ms
-        return [
-            PathSet(sats[s[a] : s[b]], s[a : b + 1] - s[a], part.end[a:b], ms[a:b] / unit, ms[a:b])
-            for a, b in pairwise((bounds - bounds[0]).tolist())
-        ]
-
-    def path_sets_of(snaps: list[Snapshot]) -> list[list[PathSet]]:
-        return [path_sets_at(snap) for snap in snaps]
+        for snap, (a, b) in zip(snaps, pairwise((bounds[:: len(sets)] - bounds[0]).tolist())):
+            check_stamp(snap, sets, part.take(np.arange(a, b)), rows[a:b] + 1)
+        ms = part.latency_ms
+        return PathSet(part.sats, part.starts, part.end, ms / unit, ms), np.diff(bounds)
 
     runner = partial(_block, sets, stamps, snapshot_of, path_sets_of)
     return _merge(scenario, map(runner, _blocks(len(stamps))))

@@ -183,8 +183,8 @@ def make_stamp_stats(
 ) -> StampColumns:
     """The stats of a block of path sets in one columnar pass.
 
-    paths holds the sets' paths one set after another
-    (routing.join_path_sets), counts[i] of them in set i. ends holds the
+    paths holds the sets' paths one set after another, counts[i] of them
+    in set i, as routing.block_path_sets returns them. ends holds the
     source and destination station points of each (stamp, connection),
     covered whether each of the two sees a satellite: len(counts) //
     len(ends) consecutive sets (one per algorithm) to each entry, in the

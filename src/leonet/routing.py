@@ -43,8 +43,8 @@ index out of range.
 
 Paths stay in columns from the kernels to the path log: a PathSet holds its
 paths' satellites end to end with per-path offsets, end codes and totals, and
-join_path_sets joins a block's sets into one for its stats and log rows.
-trace_path and bellman_ford return a single Path, row 0 of a batch of one.
+block_path_sets returns a block's sets as one, with each set's path count
+(PathSet.split cuts them). trace_path and bellman_ford return a single Path.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime
 from functools import cached_property, reduce
+from itertools import pairwise
 from operator import add
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -306,18 +307,21 @@ def _leg_sums(legs: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return total
 
 
-def _path_columns(r: Routes, up_km: np.ndarray, counts: Sequence[int]) -> list[tuple]:
-    """The PathSet columns (sats, starts, end, total_km, latency_ms) of
-    consecutive runs of counts[k] routes of a batch. Each route's legs are
-    summed once, then its up and down links added, as Path.total_km does."""
-    s = r.starts
-    total = _leg_sums(r.legs, s[1:] - s[:-1]) + up_km + r.down_km
-    latency = link_latency_ms(total)
-    bounds = np.cumsum([0, *counts]).tolist()
-    return [
-        (r.sats[s[a] : s[b]], s[a : b + 1] - s[a], r.end[a:b], total[a:b], latency[a:b])
-        for a, b in zip(bounds, bounds[1:])
-    ]
+def _path_columns(r: Routes, up_km: np.ndarray) -> tuple:
+    """A batch's PathSet columns, each route's satellite count for starts and
+    its satellites int32: (sats, lengths, end, total_km, latency_ms). Each
+    route's legs are summed once, then its edge links added, as Path.total_km does."""
+    lengths = r.starts[1:] - r.starts[:-1]
+    total = _leg_sums(r.legs, lengths) + up_km + r.down_km
+    return r.sats.astype(np.int32), lengths, r.end, total, link_latency_ms(total)
+
+
+def gather_runs(starts: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The runs rows, in that order, of a column whose run i spans starts[i]:
+    starts[i + 1]: their offsets, and the flat indices of their entries."""
+    lengths = (starts[1:] - starts[:-1])[rows]
+    out = np.concatenate(([0], np.cumsum(lengths)))
+    return out, np.repeat(starts[:-1][rows] - out[:-1], lengths) + np.arange(out[-1])
 
 
 def _one_template(snaps: Sequence[Snapshot]) -> IslTemplate:
@@ -704,8 +708,8 @@ class PathSet:
     an index into STATUSES. Delivered paths and dropped greedy traces stand
     together in trace order. total_km and latency_ms count the edge links: the
     up-link always, the down-link of a delivered path. A set carries no
-    names: its place in stamp_path_sets' order says whose paths it holds.
-    The sets of a block, joined (join_path_sets), are one PathSet too.
+    names: its place in block_path_sets' order says whose paths it holds.
+    The sets of a block, one after another, are one PathSet too (split).
     """
 
     sats: np.ndarray
@@ -727,35 +731,29 @@ class PathSet:
     def hops(self) -> np.ndarray:
         return self.starts[1:] - self.starts[:-1] - 1
 
+    def split(self, counts: Sequence[int]) -> list[PathSet]:
+        """The paths in consecutive runs of counts[i] paths, a PathSet each."""
+        s = self.starts
+        return [
+            PathSet(self.sats[s[a] : s[b]], s[a : b + 1] - s[a], self.end[a:b],
+                    self.total_km[a:b], self.latency_ms[a:b])
+            for a, b in pairwise(np.cumsum([0, *counts]).tolist())
+        ]
+
 
 _STRATEGY_OF = {ALGO_MPLF_CPI: STRATEGY_CPI, ALGO_MPLF_NFP: STRATEGY_NFP}
 _WEIGHT_OF = {ALGO_SP: WEIGHT_LATENCY, ALGO_LH: WEIGHT_UNIT}
-# the columns of an empty set
-_NO_PATHS = (np.zeros(0, np.int64), np.zeros(1, np.int64), np.zeros(0, np.int8), np.zeros(0),
-             np.zeros(0))
-
-
-def join_path_sets(sets: Sequence[PathSet]) -> PathSet:
-    """The paths of sets one set after another, in one PathSet: the columns
-    of a block of sets, each set's paths in their order."""
-    sats, _, end, total_km, latency_ms = _NO_PATHS
-    lengths = np.concatenate([sats, *(ps.starts[1:] - ps.starts[:-1] for ps in sets)])
-    return PathSet(
-        np.concatenate([sats, *(ps.sats for ps in sets)]),
-        np.concatenate(([0], np.cumsum(lengths))),
-        *(np.concatenate([empty, *(getattr(ps, name) for ps in sets)])
-          for name, empty in (("end", end), ("total_km", total_km), ("latency_ms", latency_ms))),
-    )
 
 
 def block_path_sets(
     snaps: Sequence[Snapshot],
     algorithms: Sequence[str],
     connections: Sequence[tuple[int, int]],
-) -> list[list[PathSet]]:
+) -> tuple[PathSet, np.ndarray]:
     """The path sets of every (source, destination) station index pair under
-    every algorithm at each stamp of a block of snapshots of one template:
-    per snapshot, connection-major, algorithm-minor.
+    every algorithm at each stamp of a block of snapshots of one template, one
+    set after another in one PathSet, and each set's path count: per
+    snapshot, connection-major, algorithm-minor.
 
     Greedy algorithms trace once per source-associated satellite toward the
     destination's inertial position in its snapshot; all traces of the block
@@ -763,73 +761,73 @@ def block_path_sets(
     ascending source satellite) order. Baselines compute one path per
     (source-associated, destination-associated) satellite pair; the pairs of
     every stamp and connection of the block go through one _baseline_routes
-    batch, and each of its passes has its columns cut once. A set's pairs
-    ascend by source and so do their rows, so a set whose pairs span passes
-    joins its pieces in pass order. A connection with an uncovered endpoint
-    yields empty sets. Each cut sums its paths' legs once, then adds the edge
-    links. ValueError unless the snapshots share one template.
+    batch. The greedy batch and each baseline pass are cut into columns once
+    (_path_columns), which sums each path's legs once and then adds the edge
+    links, and one stable sort on set places every path: the traces already
+    stand in set order, and a set's pairs ascend by source, as do their rows
+    and so their passes. A connection with an uncovered endpoint yields empty
+    sets. ValueError unless the snapshots share one template.
     """
     for algo in algorithms:
         if algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algo!r}")
     for snap in snaps:
         _check_indices("station", [i for conn in connections for i in conn], len(snap.stations))
-    # per stamp, the connections whose endpoints both see a satellite
+    width = len(connections) * len(algorithms)  # the sets of a stamp
+    # the connections whose endpoints both see a satellite, by first set index
     live = [
-        [(si, di) for si, di in connections if snap.edge_sats[si].size and snap.edge_sats[di].size]
-        for snap in snaps
+        (q * width + c * len(algorithms), q, si, di)
+        for q, snap in enumerate(snaps)
+        for c, (si, di) in enumerate(connections)
+        if snap.edge_sats[si].size and snap.edge_sats[di].size
     ]
-    columns = {}
+    chunks = []  # per batch: each path's set, and the batch's _path_columns
     greedy = [
-        (k, si, di, algo)
-        for k, conns in enumerate(live)
-        for si, di in conns
-        for algo in algorithms
+        (g + a, q, si, di, _STRATEGY_OF[algo])
+        for g, q, si, di in live
+        for a, algo in enumerate(algorithms)
         if algo in _STRATEGY_OF
     ]
     if greedy:
-        k, si, di, algo = zip(*greedy)
+        g, k, si, di, rule = zip(*greedy)
         src = [snaps[q].edge_sats[i] for q, i in zip(k, si)]
         counts = [a.size for a in src]
         stamp, dest = np.repeat(k, counts), np.repeat(di, counts)
-        rules = [_STRATEGY_OF[a] for a, c in zip(algo, counts) for _ in range(c)]
+        rules = [x for x, c in zip(rule, counts) for _ in range(c)]
         points = np.stack([s.station_positions for s in snaps])[stamp, dest]
         r = trace_lockstep(snaps, rules, np.concatenate(src), dest, points, stamp=stamp)
         up = np.concatenate([snaps[q].edge_lengths[i] for q, i in zip(k, si)])
-        columns.update((g, PathSet(*c)) for g, c in zip(greedy, _path_columns(r, up, counts)))
-    baselines = [a for a in algorithms if a in _WEIGHT_OF]
-    ends = [(q, si, di) for q, conns in enumerate(live) for si, di in conns] if baselines else []
-    if ends:
+        chunks.append((np.repeat(g, counts), *_path_columns(r, up)))
+    baselines = [(a, _WEIGHT_OF[algo]) for a, algo in enumerate(algorithms) if algo in _WEIGHT_OF]
+    if baselines and live:
         # the (source, end) satellite pairs of the live connections of every
         # stamp, routed under every baseline's weight in one batch
-        sats = [(snaps[q].edge_sats[si], snaps[q].edge_sats[di]) for q, si, di in ends]
-        lengths = [(snaps[q].edge_lengths[si], snaps[q].edge_lengths[di]) for q, si, di in ends]
+        sats = [(snaps[q].edge_sats[si], snaps[q].edge_sats[di]) for _, q, si, di in live]
+        lengths = [(snaps[q].edge_lengths[si], snaps[q].edge_lengths[di]) for _, q, si, di in live]
         src = np.concatenate([np.repeat(a, b.size) for a, b in sats])
         end = np.concatenate([np.tile(b, a.size) for a, b in sats])
         sizes = [a.size * b.size for a, b in sats]
-        n = len(baselines)
-        up = np.tile(np.concatenate([np.repeat(u, d.size) for u, d in lengths]), n)
-        down = np.tile(np.concatenate([np.tile(d, u.size) for u, d in lengths]), n)
-        bounds = np.cumsum([0] + sizes * n)
-        keys = [(q, si, di, a) for a in baselines for q, si, di in ends]
-        stamp = np.repeat([q for q, _, _ in ends], sizes)
-        pieces = {}  # each set's columns, a piece per pass that reached its pairs
-        weights = [_WEIGHT_OF[a] for a in baselines]
-        for hit, r in _baseline_routes(snaps, weights, src, end, stamp):
-            counts = np.diff(np.searchsorted(hit, bounds))
-            touched = np.flatnonzero(counts)
-            cut = _path_columns(r._replace(down_km=down[hit]), up[hit], counts[touched].tolist())
-            for i, c in zip(touched.tolist(), cut):
-                pieces.setdefault(keys[i], []).append(PathSet(*c))
-        columns.update((g, p[0] if len(p) == 1 else join_path_sets(p)) for g, p in pieces.items())
-    return [
-        [
-            columns.get((q, si, di, algo)) or PathSet(*_NO_PATHS)
-            for si, di in connections
-            for algo in algorithms
-        ]
-        for q in range(len(snaps))
-    ]
+        up = np.tile(np.concatenate([np.repeat(u, d.size) for u, d in lengths]), len(baselines))
+        down = np.tile(np.concatenate([np.tile(d, u.size) for u, d in lengths]), len(baselines))
+        first = np.repeat([g for g, *_ in live], sizes)
+        set_of = np.concatenate([first + a for a, _ in baselines])
+        stamp = np.repeat([q for _, q, _, _ in live], sizes)
+        for hit, r in _baseline_routes(snaps, [w for _, w in baselines], src, end, stamp):
+            chunks.append((set_of[hit], *_path_columns(r._replace(down_km=down[hit]), up[hit])))
+    # one stable sort on set places every path; each batch's satellites are
+    # then written to their places, with no joined copy of them all
+    set_of, lengths, end, total_km, latency_ms = (
+        np.concatenate([np.zeros(0, dtype), *(c[j] for c in chunks)])
+        for j, dtype in ((0, np.int64), (2, np.int64), (3, np.int8), (4, float), (5, float))
+    )
+    order = np.argsort(set_of, kind="stable")
+    place = np.argsort(order)  # each path's place
+    starts = np.concatenate(([0], np.cumsum(lengths[order])))
+    sats = np.empty(starts[-1], np.int64)
+    for chunk, rows in zip(chunks, np.split(place, np.cumsum([len(c[0]) for c in chunks]))):
+        sats[gather_runs(starts, rows)[1]] = chunk[1]
+    paths = PathSet(sats, starts, end[order], total_km[order], latency_ms[order])
+    return paths, np.bincount(set_of, minlength=len(snaps) * width)
 
 
 def stamp_path_sets(
@@ -839,8 +837,9 @@ def stamp_path_sets(
 ) -> list[PathSet]:
     """The path sets of every (source, destination) station index pair under
     every algorithm at one stamp, connection-major, algorithm-minor: the
-    one-stamp case of block_path_sets."""
-    return block_path_sets([snap], algorithms, connections)[0]
+    one-stamp block of block_path_sets, cut into its sets."""
+    paths, counts = block_path_sets([snap], algorithms, connections)
+    return paths.split(counts)
 
 
 def enumerate_paths(snap: Snapshot, algorithm: str, src_station: int, dst_station: int) -> PathSet:

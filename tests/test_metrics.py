@@ -20,7 +20,7 @@ from leonet.geometry import (
     utc,
 )
 from leonet.harness import _connection_indices, snapshot_at
-from leonet.routing import STATUSES, PathSet, block_path_sets, join_path_sets
+from leonet.routing import STATUSES, PathSet, block_path_sets
 from leonet.metrics import (
     FIBER_SPEED_KM_PER_S,
     ConnectionSeries,
@@ -146,10 +146,22 @@ def reference_stamp_stats(t, covered_src, covered_dst, ps, src, dst):
     )
 
 
-def check_block(sets, covered, ends, times=None):
+def joined(sets):
+    """The paths of sets one set after another in one PathSet, as
+    block_path_sets returns a block, and each set's path count."""
+    lengths = np.concatenate([np.diff(ps.starts) for ps in sets])
+    names = ("end", "total_km", "latency_ms")
+    columns = (np.concatenate([getattr(ps, c) for ps in sets]) for c in names)
+    paths = PathSet(np.concatenate([ps.sats for ps in sets]),
+                    np.concatenate(([0], np.cumsum(lengths))), *columns)
+    return paths, [ps.end.size for ps in sets]
+
+
+def check_block(paths, counts, covered, ends, times=None):
     """make_stamp_stats of a block equals the reference set by set: every
     field and its type, and the vertex column."""
-    columns = make_stamp_stats(join_path_sets(sets), [ps.end.size for ps in sets], covered, ends)
+    columns = make_stamp_stats(paths, counts, covered, ends)
+    sets = paths.split(counts)
     per = len(sets) // max(len(ends), 1)
     times = times or [EPOCH] * len(sets)
     rows = columns.rows(times, [None] * len(sets))
@@ -431,9 +443,9 @@ def timed_set(latencies, totals, sats=None, ends=None):
 
 @st.composite
 def random_blocks(draw):
-    """A block of random sets: (sets, covered, ends), with one to three sets
-    per (stamp, connection) entry and points drawn from a few, so that
-    coincident stations occur."""
+    """A block of random sets: (paths, counts, covered, ends), with one to
+    three sets per (stamp, connection) entry and points drawn from a few, so
+    that coincident stations occur."""
     n_ends, per = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     points = st.sampled_from([SRC, DST, EAST])
     ends = [(draw(points), draw(points)) for _ in range(n_ends)]
@@ -446,19 +458,20 @@ def random_blocks(draw):
         drawn = draw(st.lists(paths, max_size=12))
         sets.append(timed_set([p[2] for p in drawn], [p[3] for p in drawn],
                               [p[0] for p in drawn], [p[1] for p in drawn]))
-    return sets, covered, ends
+    return *joined(sets), covered, ends
 
 
 def routed_block(scn):
-    """Every stamp of scn as one block: its path sets, stamp-major, the
-    coverage and station points of each (stamp, connection), and each set's
-    stamp."""
+    """Every stamp of scn as one block: its paths and each set's path count,
+    stamp-major, the coverage and station points of each (stamp,
+    connection), and each set's stamp."""
     conns = _connection_indices(scn)
     snaps = list(map(snapshot_at(scn), scn.time.stamps()))
-    sets = [ps for block in block_path_sets(snaps, scn.algorithms, conns) for ps in block]
+    paths, counts = block_path_sets(snaps, scn.algorithms, conns)
     covered = [(s.covered(si), s.covered(di)) for s in snaps for si, di in conns]
     ends = [(s.station_geodetic[si], s.station_geodetic[di]) for s in snaps for si, di in conns]
-    return sets, covered, ends, [s.t for s in snaps for _ in range(len(sets) // len(snaps))]
+    times = [s.t for s in snaps for _ in range(len(counts) // len(snaps))]
+    return paths, counts, covered, ends, times
 
 
 class TestBlockPass:
@@ -497,7 +510,7 @@ class TestBlockPass:
         covered = [(True, True), (True, True), (False, True), (True, True), (True, True),
                    (True, True)]
         ends = [(SRC, DST), (SRC, DST), (SRC, DST), (SRC, DST), (EAST, EAST), (SRC, EAST)]
-        rows = check_block(sets, covered, ends)
+        rows = check_block(*joined(sets), covered, ends)
         assert [r.psi for r in rows] == [0, 0, None, 1, 1, 1]
         assert [r.n_drops for r in rows] == [0, 3, 0, 0, 1, 0]
         assert rows[3].gamma is None and rows[3].stretch_min is not None
@@ -514,7 +527,7 @@ class TestBlockPass:
         assert reduce(add, latencies, 0.0) not in others
         small = timed_set([3.0, 1.0], [900.0, 300.0])
         sets = [small, timed_set(latencies, totals), timed_set([2.0], [600.0]), small]
-        rows = check_block(sets, [(True, True)] * 2, [(SRC, DST), (SRC, EAST)])
+        rows = check_block(*joined(sets), [(True, True)] * 2, [(SRC, DST), (SRC, EAST)])
         assert rows[1].latency_avg_ms == reduce(add, latencies, 0.0) / n
         assert (rows[1].n_paths, rows[1].hops_avg, rows[0].latency_avg_ms) == (n, 1.0, 2.0)
 

@@ -16,6 +16,8 @@ import tracemalloc
 from collections import deque
 from dataclasses import dataclass, replace
 from datetime import timedelta
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -24,8 +26,8 @@ from hypothesis import strategies as st
 
 from leonet import routing
 from leonet.constellation import ConstellationConfig, build_walker
-from leonet.geometry import GeodeticPoint, ecef_to_eci, geodetic_to_ecef, utc
-from leonet.harness import _connection_indices, snapshot_at
+from leonet.geometry import GeodeticPoint, ecef_to_eci, geodetic_to_ecef, link_latency_ms, utc
+from leonet.harness import _connection_indices, analyze_rows, run_experiment, snapshot_at
 from leonet.routing import (
     ALGO_LH,
     ALGO_MPLF_CPI,
@@ -51,6 +53,7 @@ from leonet.routing import (
     decision_counts,
     default_max_hops,
     enumerate_paths,
+    gather_runs,
     ler_encapsulate,
     record_delivery,
     stamp_path_sets,
@@ -890,11 +893,11 @@ class TestBaselinesExact:
         assert min(rows) > 2 * routing.PASS_ROWS
         tracemalloc.start()
         try:
-            got = block_path_sets(snaps, (ALGO_SP, ALGO_LH), conns)
+            paths, counts = block_path_sets(snaps, (ALGO_SP, ALGO_LH), conns)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert all(len(ps.paths) for sets in got for ps in sets)
+        assert all(len(ps.paths) for ps in paths.split(counts))
         assert peak < 3.5 * table
 
     def test_greedy_lengths_read_the_snapshot_on_shipped_shell(self):
@@ -1212,6 +1215,14 @@ def shipped_stamps(name, count=4):
     return sc, [stamps[j] for i in picks for j in (i, i + 1)]
 
 
+def block_columns(snaps, algorithms, conns):
+    """The block_path_sets columns of a block, one list of sets per stamp."""
+    paths, counts = block_path_sets(snaps, algorithms, conns)
+    sets = [set_columns(ps) for ps in paths.split(counts)]
+    width = len(sets) // len(snaps)
+    return [sets[k * width : (k + 1) * width] for k in range(len(snaps))]
+
+
 def path_set_columns(sc, stamps, template_of):
     """The stamp_path_sets columns of each stamp, each snapshot built on the
     template template_of(stamp) gives."""
@@ -1258,12 +1269,10 @@ class TestBlockPathSets:
         sc, stamps = shipped_stamps(name)
         at, conns = snapshot_at(sc), _connection_indices(sc)
         snaps = [at(t) for t in stamps]
-        got = block_path_sets(snaps, sc.algorithms, conns)
+        got = block_columns(snaps, sc.algorithms, conns)
         want = [stamp_path_sets(snap, sc.algorithms, conns) for snap in snaps]
-        assert [[set_columns(ps) for ps in sets] for sets in got] == [
-            [set_columns(ps) for ps in sets] for sets in want
-        ]
-        assert sum(len(ps.paths) for sets in got for ps in sets) > 100
+        assert got == [[set_columns(ps) for ps in sets] for sets in want]
+        assert sum(len(ps.paths) for sets in want for ps in sets) > 100
 
     def test_interleaved_stamps_equal_each_stamp_alone(self):
         # trace i runs in snaps[stamp[i]]: the same source satellites, rules
@@ -1364,8 +1373,7 @@ class TestBlockBaselines:
             monkeypatch.setattr(routing, "PASS_ROWS", rows)
         cap = routing.PASS_ROWS
         pass_sizes.clear()
-        got = block_path_sets(snaps, sc.algorithms, conns)
-        assert [[set_columns(ps) for ps in sets] for sets in got] == want
+        assert block_columns(snaps, sc.algorithms, conns) == want
         assert len(conns) >= 3 and {ALGO_SP, ALGO_LH} <= set(sc.algorithms)
         assert sum(len(cols[2]) for sets in want for cols in sets) > 100
         # the relaxed rows, every latency row and the hop row from satellite
@@ -1388,8 +1396,7 @@ class TestBlockBaselines:
         conns = _connection_indices(sc)
         want = alone_in_one_pass(snaps, sc.algorithms, conns)
         hop_passes.clear()
-        got = block_path_sets(snaps, sc.algorithms, conns)
-        assert [[set_columns(ps) for ps in sets] for sets in got] == want
+        assert block_columns(snaps, sc.algorithms, conns) == want
         # a hop row is keyed by its source alone: consecutive stamps share them
         sources = [live_sources(s, conns) for s in snaps]
         assert tpl.shape is None and sum(hop_passes) == len(set().union(*sources))
@@ -1403,6 +1410,100 @@ class TestBlockBaselines:
         assert all(live_sources(s, conns) for s in snaps)
         with pytest.raises(ValueError, match="the snapshots of a batch must share one template"):
             block_path_sets(snaps, (ALGO_SP, ALGO_LH), conns)
+
+
+def oracle_columns(snap, algorithm, si, di, counts):
+    """The set_columns of one set, path by path from the independent oracles:
+    reference_trace from each source satellite for a greedy algorithm (each
+    decision's candidate count appended to counts), reference_route for each
+    (source, end) satellite pair for a baseline. Legs are summed left to
+    right, then the up and the down link added."""
+    rows = []  # (satellites, end code, total_km)
+    ups = list(zip(snap.edge_sats[si].tolist(), snap.edge_lengths[si].tolist()))
+    downs = list(zip(snap.edge_sats[di].tolist(), snap.edge_lengths[di].tolist()))
+    if not (ups and downs):
+        ups = []  # an uncovered endpoint: an empty set
+    if algorithm in (ALGO_MPLF_CPI, ALGO_MPLF_NFP):
+        rule, cap = algorithm.removeprefix("mplf-"), default_max_hops(snap)
+        for s, up in ups:
+            p = reference_trace(snap, rule, s, di, cap, snap.station_positions[di], counts)
+            end = "delivered" if p.delivered else f"dropped:{p.drop_reason}"
+            rows.append((p.sats, STATUSES.index(end), p.isl_km + up + (p.down_km or 0.0)))
+    else:
+        links, weight = snapshot_links(snap), "latency" if algorithm == ALGO_SP else "unit"
+        for s, up in ups:
+            for e, down in downs:
+                _, sats, legs = reference_route(links, snap.sat_count, weight, s, e)
+                if sats is not None:
+                    rows.append((sats, 0, reduce(add, legs, 0.0) + up + down))
+    totals = [t for _, _, t in rows]
+    return (
+        [v for r, _, _ in rows for v in r],
+        np.cumsum([0, *(len(r) for r, _, _ in rows)]).tolist(),
+        [e for _, e, _ in rows],
+        totals,
+        [float(link_latency_ms(t)) for t in totals],
+    )
+
+
+class TestInterleavedAlgorithms:
+    """Baselines and greedy algorithms interleaved in a scenario's list: one
+    block of stamps routed with sets spanning distance passes gives every set
+    the columns the oracles give, and a run and its reanalysis agree."""
+
+    ALGORITHMS = (ALGO_SP, ALGO_MPLF_CPI, ALGO_LH, ALGO_MPLF_NFP)
+
+    def scenario(self):
+        # stamps 10-12 leave station 0, an endpoint of (0, 1), uncovered
+        sc = load_scenario(SCENARIO_DIR / "experiment1_20x20.json")
+        start = sc.time.stamps()[8]
+        return replace(sc, algorithms=self.ALGORITHMS, time=replace(sc.time, start=start, count=6))
+
+    def test_block_equals_the_oracles(self, monkeypatch, pass_sizes):
+        sc = self.scenario()
+        conns = _connection_indices(sc)
+        snaps = snapshot_at(sc)(sc.time.stamps())
+        monkeypatch.setattr(routing, "PASS_ROWS", 1)
+        pass_sizes.clear()
+        paths, counts = block_path_sets(snaps, sc.algorithms, conns)
+        got = [set_columns(ps) for ps in paths.split(counts)]
+        decisions = []
+        want = [
+            oracle_columns(snap, algo, si, di, decisions)
+            for snap in snaps
+            for si, di in conns
+            for algo in sc.algorithms
+        ]
+        assert len(got) == len(want) == len(snaps) * len(conns) * len(sc.algorithms)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert g == tuple(w), i
+        # an uncovered endpoint empties its sets; a pass holds one row, so
+        # the pairs of a live set with several sources span passes
+        live = [s.covered(si) and s.covered(di) for s in snaps for si, di in conns]
+        assert not all(live) and any(live)
+        assert pass_sizes == [1] * len(pass_sizes)
+        several = [s.covered(di) and s.edge_sats[si].size > 1 for s in snaps for si, di in conns]
+        assert sum(several) > 3
+        assert sum(len(w[2]) for w in want) > 100
+
+    def test_run_and_reanalysis_agree(self, monkeypatch):
+        sc = self.scenario()
+        monkeypatch.setattr(routing, "PASS_ROWS", 1)
+        run = run_experiment(sc)
+        res = analyze_rows(sc, run.path_log)
+        assert not run.failures and not res.failures
+        assert res.path_log == run.path_log
+        assert res.decision_stats == run.decision_stats
+        # the run's candidate counts are the oracle traces', in stamp, set
+        # and trace order
+        decisions = []
+        snaps = snapshot_at(sc)(sc.time.stamps())
+        for snap in snaps:
+            for si, di in _connection_indices(sc):
+                for algo in sc.algorithms[1::2]:  # the greedy ones
+                    oracle_columns(snap, algo, si, di, decisions)
+        assert run.decision_stats.comparisons == decisions
+        assert set(run.path_log.path_set.tolist()) == set(range(len(run.series)))
 
 
 class TestHopRowCache:
@@ -1515,6 +1616,19 @@ class TestColumnForms:
         ]
         got = _leg_sums(np.concatenate(rows), np.array([len(r) for r in rows]))
         assert got.tolist() == [float(sum(r)) for r in rows]
+
+    def test_gather_runs_equals_run_slices(self):
+        # empty runs, repeated rows in any order, and no rows at all
+        rng = np.random.default_rng(23)
+        starts = np.concatenate(([0], np.cumsum(rng.integers(0, 5, size=50))))
+        values = rng.integers(0, 1000, size=starts[-1])
+        for rows in (rng.integers(0, 50, size=80), np.zeros(0, np.int64)):
+            out, entries = gather_runs(starts, rows)
+            got = values[entries]
+            assert [got[a:b].tolist() for a, b in zip(out, out[1:])] == [
+                values[starts[i] : starts[i + 1]].tolist() for i in rows
+            ]
+        assert out.tolist() == [0] and entries.size == 0
 
     def test_lockstep_walk_equals_per_pair_walk(self):
         # integer lengths: equal-cost routes are exact and common
